@@ -6,11 +6,11 @@ A number in (0,1) is an algorithm that yields binary digits.  Knowing n
 digits means knowing an interval of width 2^-n, nothing more.
 """
 
+from uns.cardinals import attach_infinitesimal
 from uns.streams import (
     BitStream,
     PiOver4Stream,
     SqrtStream,
-    attach_infinitesimal,
     compare,
     diagonal,
     parse_star_string,

@@ -33,11 +33,13 @@ from .cardinals import (
     FiniteBudgetError,
     FiniteCard,
     HyperCard,
+    Infinitesimal,
     NoRuleError,
     Pow2,
     PureSet,
     UnnormalizableError,
     aleph,
+    attach_infinitesimal,
     diagonal_witness,
     format_cardinal,
     fusion_facts,
@@ -76,14 +78,12 @@ from .streams import (
     CustomStream,
     DiagonalStream,
     DyadicInterval,
-    Infinitesimal,
     PiOver4Stream,
     RationalStream,
     SqrtStream,
     StarStringError,
     StreamError,
     as_stream,
-    attach_infinitesimal,
     diagonal,
     parse_star_string,
     rational,

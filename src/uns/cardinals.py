@@ -1,35 +1,47 @@
-"""Symbolic cardinal arithmetic driven by four rewrite rules, plus the
+"""Symbolic cardinal arithmetic driven by five rewrite rules, plus the
 hereditarily finite sets used to ground the finite side.
 
 Expressions are built from finite values, aleph_a with an ordinal index
 below eps_0, powersets 2^e, the explosive operator hyper(base, level,
 arg), and the diagonal binomial choose(e).  Rewriting applies:
 
-    AM    hyper(aleph_a, aleph_0, aleph_a)  ->  aleph_(a+1)
-    CT    hyper(m, k, aleph_a)              ->  aleph_(a+1)   finite m>1, k>0
-    GCH   2^aleph_a                         ->  aleph_(a+1)
-    CBT   choose(aleph_a)                   ->  2^aleph_a
+    finite  2^n, hyper(m, k, n)               ->  their value   all finite
+    AM      hyper(aleph_a, aleph_0, aleph_a)  ->  aleph_(a+1)
+    CT      hyper(m, k, aleph_a)              ->  aleph_(a+1)   finite m>1, k>0
+    GCH     2^aleph_a                         ->  aleph_(a+1)
+    CBT     choose(aleph_a)                   ->  2^aleph_a
 
-and evaluates all-finite subexpressions through the budgeted integer
-operators.  Every rule strictly shrinks the expression or moves it
-toward an aleph, so rewriting terminates; the engine works bottom-up
-and reports either a normal form (an aleph or a finite value), a stuck
-subexpression no rule covers, or a finite blow-up past the budget.
+where finite values are computed by the budgeted integer operators.
+Every rule strictly shrinks the expression or moves it toward an aleph,
+so rewriting terminates; the engine works bottom-up and reports either
+a normal form (an aleph or a finite value), a stuck subexpression no
+rule covers, or a finite blow-up past the budget.
 
 Text forms: "aleph_0", "aleph_(w+1)", "2^aleph_3", "hyper(3, 2,
-aleph_0)", "choose(aleph_2)".
+aleph_0)", "choose(aleph_2)".  An aleph index is a sum of the ordinal
+grammar (see ordinals), read from the same cursor as the cardinal text.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from typing import Mapping, Union
 
 from . import hyperops
-from .ordinals import ONE, ZERO, Ordinal, from_int, ord_add, ord_cmp
+from .ordinals import (
+    ONE,
+    ZERO,
+    EpsilonZero,
+    Ordinal,
+    _Cursor,
+    _ordinal_expr,
+    from_int,
+    ord_add,
+    ord_cmp,
+)
+from .streams import StreamDescriptor, as_stream
 
 
 class CardinalParseError(ValueError):
@@ -408,106 +420,76 @@ def fusion_facts() -> FusionReport:
 
 
 # ---------------------------------------------------------------------------
+# infinitesimal companions
+
+
+@dataclass(frozen=True)
+class Infinitesimal:
+    """A stream value bonded to an unpickable cloud of companion points,
+    tagged with the cloud's cardinality."""
+
+    anchor: StreamDescriptor
+    tag: CardinalExpr
+
+    def normalized_tag(self) -> CardinalExpr:
+        return normalize(self.tag)
+
+    def describe(self) -> str:
+        prefix = as_stream(self.anchor).bits(16)
+        digits = "".join(str(b) for b in prefix)
+        return (
+            f".{digits}… carries {format_cardinal(self.tag)} "
+            f"= {format_cardinal(self.normalized_tag())} bonded points"
+        )
+
+
+def attach_infinitesimal(descriptor: StreamDescriptor, alpha: Ordinal | int) -> Infinitesimal:
+    return Infinitesimal(descriptor, Pow2(aleph(alpha)))
+
+
+# ---------------------------------------------------------------------------
 # text form
 
-_CARD_TOKEN = re.compile(
-    r"\s*(aleph_\(|aleph_\d+|hyper|choose|eps_0|w|\d+|[\^(),+*])"
-)
 
-
-def _card_tokens(text: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _CARD_TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise CardinalParseError(f"bad token at {text[pos:]!r}")
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
-class _CardParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _card_tokens(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected: str | None = None):
-        tok = self.peek()
-        if expected is not None and tok != expected:
-            raise CardinalParseError(f"expected {expected!r}, found {tok!r}")
-        self.pos += 1
-        return tok
-
-    def expr(self) -> CardinalExpr:
-        tok = self.take()
-        if tok is None:
-            raise CardinalParseError("unexpected end of expression")
-        if tok.isdigit():
-            value = int(tok)
-            if self.peek() == "^":
-                if value != 2:
-                    raise CardinalParseError("only 2^ denotes a powerset")
-                self.take()
-                return Pow2(self.expr())
-            return FiniteCard(value)
-        if tok.startswith("aleph_") and tok != "aleph_(":
-            return aleph(int(tok[len("aleph_") :]))
-        if tok == "aleph_(":
-            return Aleph(self._ordinal_index())
-        if tok == "hyper":
-            self.take("(")
-            base = self.expr()
-            self.take(",")
-            level = self.expr()
-            self.take(",")
-            arg = self.expr()
-            self.take(")")
-            return HyperCard(base, level, arg)
-        if tok == "choose":
-            self.take("(")
-            inner = self.expr()
-            self.take(")")
-            return Choose(inner)
-        raise CardinalParseError(f"unexpected token {tok!r}")
-
-    def _ordinal_index(self) -> Ordinal:
-        from .ordinals import EpsilonZero, OrdinalParseError, parse_ordinal
-
-        depth = 1
-        inner = []
-        while depth:
-            tok = self.take()
-            if tok is None:
-                raise CardinalParseError("unbalanced aleph index")
-            if tok == "(":
-                depth += 1
-            elif tok == ")":
-                depth -= 1
-                if not depth:
-                    break
-            inner.append(tok)
-        try:
-            idx = parse_ordinal("".join(inner))
-        except OrdinalParseError as err:
-            raise CardinalParseError(f"bad aleph index: {err}") from err
-        if isinstance(idx, EpsilonZero):
+def _cardinal_expr(cur: _Cursor) -> CardinalExpr:
+    tok = cur.take()
+    if tok is None:
+        raise CardinalParseError("unexpected end of expression")
+    if tok.isdigit():
+        if cur.peek() != "^":
+            return FiniteCard(int(tok))
+        if int(tok) != 2:
+            raise CardinalParseError("only 2^ denotes a powerset")
+        cur.take()
+        return Pow2(_cardinal_expr(cur))
+    if tok == "aleph_(":
+        index = _ordinal_expr(cur)
+        cur.expect(")")
+        if isinstance(index, EpsilonZero):
             raise CardinalParseError("aleph indices stay below eps_0")
-        return idx
+        return Aleph(index)
+    if tok.startswith("aleph_"):
+        return aleph(int(tok[len("aleph_") :]))
+    if tok == "hyper":
+        cur.expect("(")
+        base = _cardinal_expr(cur)
+        cur.expect(",")
+        level = _cardinal_expr(cur)
+        cur.expect(",")
+        arg = _cardinal_expr(cur)
+        cur.expect(")")
+        return HyperCard(base, level, arg)
+    if tok == "choose":
+        cur.expect("(")
+        inner = _cardinal_expr(cur)
+        cur.expect(")")
+        return Choose(inner)
+    raise CardinalParseError(f"unexpected token {tok!r}")
 
 
 def parse_cardinal(text: str) -> CardinalExpr:
-    p = _CardParser(text)
-    e = p.expr()
-    if p.peek() is not None:
-        raise CardinalParseError(f"trailing tokens at {p.peek()!r}")
-    return e
+    cur = _Cursor(text, CardinalParseError)
+    return cur.finish(_cardinal_expr(cur))
 
 
 def format_cardinal(e: CardinalExpr) -> str:

@@ -33,13 +33,6 @@ def _emit(args, text: str, **fields):
         print(text)
 
 
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as err:
-        raise bitseq.NotationError(f"not a rational: {text!r}") from err
-
-
 def _parse_stream(text: str) -> streams.StreamDescriptor:
     text = text.strip()
     if text == "pi/4":
@@ -330,6 +323,9 @@ def run(argv) -> int:
         return PARSE_ERROR
     except (ValueError, TypeError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return DOMAIN_ERROR
+    except RecursionError:
+        print("error: input nested too deeply to evaluate", file=sys.stderr)
         return DOMAIN_ERROR
 
 

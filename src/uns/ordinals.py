@@ -6,12 +6,16 @@ w^e1*c1 + w^e2*c2 + ...  The empty tuple is 0.  epsilon_0 itself is a
 separate sentinel: it names the limit of the w-tower and is accepted by
 fundamental() and cardinality_of() but rejected by the arithmetic.
 
-Text grammar (parse_ordinal / format_ordinal):
+Text grammar (parse_ordinal / format_ordinal), shared with cardinal
+text, where an aleph index is a sum:
 
     sum     := product ('+' product)*
     product := power ('*' power)*
     power   := atom ('^' power)?          right associative
     atom    := 'w' | 'eps_0' | NATURAL | '(' sum ')'
+
+One tokenizer and one cursor serve both grammars, and the three levels
+are parsed by precedence climbing in a single function.
 """
 
 from __future__ import annotations
@@ -346,27 +350,29 @@ def cardinality_of(a) -> Cardinality:
 # ---------------------------------------------------------------------------
 # text form
 
-_TOKEN = re.compile(r"\s*(eps_0|w|\d+|[+*^()])")
+# One token set serves ordinal and cardinal text; the ordinal grammar
+# rejects the cardinal-only tokens as unexpected.
+_TOKEN = re.compile(r"\s*(aleph_\(|aleph_\d+|hyper|choose|eps_0|w|\d+|[\^(),+*])")
 
 
-def _tokenize(text: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise OrdinalParseError(f"bad token at {text[pos:]!r}")
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+class _Cursor:
+    """Tokens of one text, read front to back.  Every error it or a
+    grammar working on it raises is of the class the text's grammar
+    names, so an ordinal inside a cardinal fails as a cardinal."""
 
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    def __init__(self, text: str, error: type[ValueError]):
+        self.error = error
+        self.tokens = []
         self.pos = 0
+        pos = 0
+        while pos < len(text):
+            m = _TOKEN.match(text, pos)
+            if m is None:
+                if text[pos:].strip():
+                    raise error(f"bad token at {text[pos:]!r}")
+                break
+            self.tokens.append(m.group(1))
+            pos = m.end()
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -376,57 +382,61 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def sum(self):
-        v = self.product()
-        while self.peek() == "+":
-            self.take()
-            v = ord_add(_reject_eps(v), _reject_eps(self.product()))
-        return v
-
-    def product(self):
-        v = self.power()
-        while self.peek() == "*":
-            self.take()
-            v = ord_mul(_reject_eps(v), _reject_eps(self.power()))
-        return v
-
-    def power(self):
-        v = self.atom()
-        if self.peek() == "^":
-            self.take()
-            v = ord_pow(_reject_eps(v), _reject_eps(self.power()))
-        return v
-
-    def atom(self):
+    def expect(self, wanted: str):
         tok = self.take()
-        if tok == "w":
-            return OMEGA
-        if tok == "eps_0":
-            return EPSILON_0
-        if tok == "(":
-            v = self.sum()
-            if self.take() != ")":
-                raise OrdinalParseError("unbalanced parentheses")
-            return v
-        if tok is not None and tok.isdigit():
-            return from_int(int(tok))
-        raise OrdinalParseError(f"unexpected token {tok!r}")
+        if tok != wanted:
+            raise self.error(f"expected {wanted!r}, found {tok!r}")
+
+    def finish(self, value):
+        if self.peek() is not None:
+            raise self.error(f"trailing tokens at {self.peek()!r}")
+        return value
 
 
-def _reject_eps(v):
+# operator -> (precedence, operation, precedence of its right operand)
+_BINARY = {
+    "+": (1, ord_add, 2),
+    "*": (2, ord_mul, 3),
+    "^": (3, ord_pow, 3),  # right associative
+}
+
+
+def _ordinal_expr(cur: _Cursor, min_prec: int = 1):
+    """The value of the longest expression at the cursor whose operators
+    bind at least as tightly as min_prec, by precedence climbing.  One
+    frame per parenthesis level, two per w^( level."""
+    tok = cur.take()
+    if tok == "(":
+        value = _ordinal_expr(cur)
+        cur.expect(")")
+    elif tok == "w":
+        value = OMEGA
+    elif tok == "eps_0":
+        value = EPSILON_0
+    elif tok is not None and tok.isdigit():
+        value = from_int(int(tok))
+    else:
+        raise cur.error(f"unexpected token {tok!r}")
+    while cur.peek() in _BINARY:
+        prec, op, right_prec = _BINARY[cur.peek()]
+        if prec < min_prec:
+            break
+        cur.take()
+        value = op(_no_eps(cur, value), _no_eps(cur, _ordinal_expr(cur, right_prec)))
+    return value
+
+
+def _no_eps(cur: _Cursor, v):
     if isinstance(v, EpsilonZero):
-        raise OrdinalParseError("eps_0 only stands alone")
+        raise cur.error("eps_0 only stands alone")
     return v
 
 
 def parse_ordinal(text: str) -> Ordinal | EpsilonZero:
-    p = _Parser(_tokenize(text))
-    if p.peek() is None:
+    cur = _Cursor(text, OrdinalParseError)
+    if cur.peek() is None:
         raise OrdinalParseError("empty ordinal expression")
-    v = p.sum()
-    if p.peek() is not None:
-        raise OrdinalParseError(f"trailing tokens at {p.peek()!r}")
-    return v
+    return cur.finish(_ordinal_expr(cur))
 
 
 def format_ordinal(a) -> str:

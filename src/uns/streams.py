@@ -33,9 +33,6 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Callable, Union
 
-from .cardinals import Aleph, CardinalExpr, Pow2, aleph, format_cardinal, normalize
-from .ordinals import Ordinal
-
 
 class StarStringError(ValueError):
     """Raised when text is not a finite observation like '.110***'."""
@@ -322,31 +319,3 @@ def compare(s1, s2, maxbits: int = 64) -> CompareResult:
         if x != y:
             return CompareResult("less" if x < y else "greater", i)
     return CompareResult("indistinguishable", maxbits)
-
-
-# ---------------------------------------------------------------------------
-# infinitesimal companions
-
-
-@dataclass(frozen=True)
-class Infinitesimal:
-    """A stream value bonded to an unpickable cloud of companion points,
-    tagged with the cloud's cardinality."""
-
-    anchor: StreamDescriptor
-    tag: CardinalExpr
-
-    def normalized_tag(self) -> CardinalExpr:
-        return normalize(self.tag)
-
-    def describe(self) -> str:
-        prefix = as_stream(self.anchor).bits(16)
-        digits = "".join(str(b) for b in prefix)
-        return (
-            f".{digits}… carries {format_cardinal(self.tag)} "
-            f"= {format_cardinal(self.normalized_tag())} bonded points"
-        )
-
-
-def attach_infinitesimal(descriptor: StreamDescriptor, alpha: Ordinal | int) -> Infinitesimal:
-    return Infinitesimal(descriptor, Pow2(aleph(alpha)))

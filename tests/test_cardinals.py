@@ -10,12 +10,14 @@ from uns.cardinals import (
     FiniteBudgetError,
     FiniteCard,
     HyperCard,
+    Infinitesimal,
     NoRuleError,
     Pow2,
     PureSet,
     UnnormalizableError,
     aleph,
     all_single_steps,
+    attach_infinitesimal,
     compare,
     diagonal_witness,
     format_cardinal,
@@ -29,6 +31,7 @@ from uns.cardinals import (
     unification_table,
 )
 from uns.ordinals import OMEGA, from_int, ord_add, ord_mul
+from uns.streams import rational
 
 # ---------------------------------------------------------------------------
 # hereditary sets
@@ -408,6 +411,10 @@ def test_parse_accepts_spacing_variants():
         "aleph_(w +)",
         "aleph_(eps_0)",
         "aleph_0 aleph_1",
+        "aleph_(w^)",
+        "aleph_(aleph_1)",
+        "aleph_(w))",
+        "aleph_(w,1)",
     ],
 )
 def test_parse_rejects_garbage(bad):
@@ -419,3 +426,23 @@ def test_pow2_is_the_only_power_shape():
     # the grammar pins the base of ^ to the literal 2
     with pytest.raises(CardinalParseError):
         parse_cardinal("aleph_0^aleph_0")
+
+
+# ---------------------------------------------------------------------------
+# infinitesimal tags
+
+
+def test_attach_infinitesimal_reports_the_bonded_cloud():
+    tag = attach_infinitesimal(rational(2, 3), 0)
+    assert isinstance(tag, Infinitesimal)
+    text = tag.describe()
+    assert "1010101010101010" in text
+    assert "2^aleph_0" in text and "aleph_1" in text
+
+
+def test_infinitesimal_tags_normalize_by_one_step_of_powering():
+    a = attach_infinitesimal(rational(1, 2), 0)
+    b = attach_infinitesimal(rational(2, 4), 0)
+    assert a.normalized_tag() == b.normalized_tag()
+    higher = attach_infinitesimal(rational(1, 2), 3)
+    assert "aleph_4" in higher.describe()

@@ -225,6 +225,33 @@ def test_card_argument_counts(capsys):
 
 
 # ---------------------------------------------------------------------------
+# deep input
+
+
+def test_deep_nesting_is_answered(capsys):
+    assert text_of(capsys, ["ord", "eval", "(" * 300 + "w+1" + ")" * 300]) == "w + 1"
+    tower = text_of(capsys, ["ord", "eval", "w^(" * 240 + "w" + ")" * 240])
+    assert tower == "w^(" * 239 + "w^w" + ")" * 239
+    index = "aleph_(" + "(" * 300 + "w" + ")" * 300 + ")"
+    assert text_of(capsys, ["card", "normalize", index]) == "aleph_(w)"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["card", "normalize", "2^" * 600 + "aleph_0"],
+        ["ord", "fund", "eps_0", "-n", "1200"],
+    ],
+)
+def test_too_deep_input_is_a_domain_error_without_traceback(capsys, argv):
+    assert run(argv) == DOMAIN_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
 # structured output
 
 

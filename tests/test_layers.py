@@ -1,0 +1,42 @@
+"""The modules of the package form a stack: each one imports only the
+modules below it, so a lower layer never depends on an upper one.  The
+package's __init__ sits above the stack and re-exports all of it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import uns
+
+LAYERS = ("bitseq", "streams", "hyperops", "ordinals", "cardinals", "cli")
+MODULES = sorted(p for p in Path(uns.__file__).parent.glob("*.py") if p.stem != "__init__")
+
+
+def _package_imports(tree):
+    """The package modules a syntax tree imports, at any nesting level."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "uns" and rest:
+                    yield rest.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module or ""
+            else:
+                top, _, module = (node.module or "").partition(".")
+                if top != "uns":
+                    continue
+            if module:
+                yield module.partition(".")[0]
+            else:  # from . import a, b
+                yield from (alias.name for alias in node.names)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_modules_import_only_lower_layers(path):
+    assert path.stem in LAYERS, f"{path.name} has no place in the layer order"
+    below = LAYERS[: LAYERS.index(path.stem)]
+    imported = set(_package_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    assert imported <= set(below), f"{path.stem} imports upper layers {imported - set(below)}"

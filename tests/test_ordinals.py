@@ -382,7 +382,10 @@ def test_parser_normalizes_unsorted_sums():
     assert format_ordinal(o("w + w^2")) == "w^2"
 
 
-@pytest.mark.parametrize("bad", ["", "w^", "+w", "w w", "2^w^", "(w", "eps_1", "w-1"])
+@pytest.mark.parametrize(
+    "bad",
+    ["", "w^", "+w", "w w", "2^w^", "(w", "eps_1", "w-1", "w,1", "aleph_0", "hyper(1,1,1)"],
+)
 def test_parser_rejects_garbage(bad):
     with pytest.raises(OrdinalParseError):
         parse_ordinal(bad)

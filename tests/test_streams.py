@@ -11,12 +11,10 @@ from uns.streams import (
     CompareResult,
     CustomStream,
     DyadicInterval,
-    Infinitesimal,
     SqrtStream,
     StarStringError,
     StreamError,
     as_stream,
-    attach_infinitesimal,
     compare,
     diagonal,
     dyadic_str,
@@ -381,22 +379,3 @@ def test_compare_accepts_bitstream_arguments():
     out = compare(as_stream(rational(2, 3)), rational(1, 3))
     assert out.relation == "greater"
 
-
-# ---------------------------------------------------------------------------
-# infinitesimal tags
-
-
-def test_attach_infinitesimal_reports_the_bonded_cloud():
-    tag = attach_infinitesimal(rational(2, 3), 0)
-    assert isinstance(tag, Infinitesimal)
-    text = tag.describe()
-    assert "1010101010101010" in text
-    assert "2^aleph_0" in text and "aleph_1" in text
-
-
-def test_infinitesimal_tags_normalize_by_one_step_of_powering():
-    a = attach_infinitesimal(rational(1, 2), 0)
-    b = attach_infinitesimal(rational(2, 4), 0)
-    assert a.normalized_tag() == b.normalized_tag()
-    higher = attach_infinitesimal(rational(1, 2), 3)
-    assert "aleph_4" in higher.describe()
