@@ -72,10 +72,6 @@ class PeriodicBits:
     def all_zero(self) -> bool:
         return not any(self.preperiod) and not any(self.period)
 
-    @property
-    def all_one(self) -> bool:
-        return all(self.preperiod) and all(self.period)
-
 
 ZERO_BITS = PeriodicBits((), (0,))
 
@@ -241,7 +237,8 @@ def encode_fraction(q: Fraction) -> RightPart:
 
     Plain base-2 long division; the remainder determines the tail, so
     the first repeated remainder gives the minimal split.  Terminating
-    expansions are rewritten to the (1)-tail form.
+    expansions are rewritten to the (1)-tail form.  The period can be
+    as long as den - 1 bits; for a prefix use fraction_prefix.
     """
     q = Fraction(q)
     if not 0 < q < 1:
@@ -259,6 +256,19 @@ def encode_fraction(q: Fraction) -> RightPart:
         return RightPart(normalize(PeriodicBits(tuple(digits), (0,)), RIGHT))
     cut = seen[r]
     return RightPart(PeriodicBits(tuple(digits[:cut]), tuple(digits[cut:])))
+
+
+def fraction_prefix(q: Fraction, n: int) -> int:
+    """The first n bits of encode_fraction(q), as one n-bit integer.
+
+    They are the largest integer below q * 2^n, so one division gives
+    them in time independent of the period; the - 1 puts a dyadic q on
+    its (1)-tail.
+    """
+    q = Fraction(q)
+    if not 0 < q < 1:
+        raise ValueError(f"{q} is not strictly between 0 and 1")
+    return ((q.numerator << n) - 1) // q.denominator
 
 
 def encode_universal(q: Fraction | int) -> UniversalRational:

@@ -145,11 +145,7 @@ def _cmd_ord(args) -> int:
         return 0
     if args.action == "cmp":
         a, b = (ordinals.parse_ordinal(e) for e in args.expr)
-        if isinstance(a, ordinals.EpsilonZero) or isinstance(b, ordinals.EpsilonZero):
-            eps = ordinals.EPSILON_0
-            c = 0 if a is b else (1 if a is eps else -1)
-        else:
-            c = ordinals.ord_cmp(a, b)
+        c = (a > b) - (a < b)
         text = "<=>"[c + 1]
         _emit(args, text, relation=text)
         return 0

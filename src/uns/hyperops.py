@@ -5,9 +5,10 @@ one below, associating to the right.
 Results are exact integers unless they would not fit in `budget` bits.
 The size gate is sound in both directions: anything returned as Exact
 fits the budget, and anything reported as Exceeded provably does not.
-For a base with L bits, m**t needs more than t*(L-1) bits, so the gate
-can refuse a step before materializing it; a step that passes the gate
-is at most about twice the budget and is computed exactly, then checked.
+For a base with L bits, m**t needs more than t*(L-1) bits, so one gate,
+shared by powers and tower steps, can refuse a step before materializing
+it; a step that passes is at most about twice the budget and is computed
+exactly, then checked.
 """
 
 from __future__ import annotations
@@ -109,14 +110,12 @@ def _pow_budgeted(m: int, n: int, budget: int) -> HyperResult:
 def _tower_budgeted(m: int, n: int, budget: int) -> HyperResult:
     if m == 1:
         return Exact(1)
-    L = m.bit_length()
     t = m
     for _ in range(n - 1):
-        if t * (L - 1) + 1 > budget:
+        step = _pow_budgeted(m, t, budget)
+        if isinstance(step, Exceeded):
             return Exceeded(m, 2, n)
-        t = m**t
-        if t.bit_length() > budget:
-            return Exceeded(m, 2, n)
+        t = step.value
     return Exact(t)
 
 

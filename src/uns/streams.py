@@ -3,9 +3,11 @@
 A stream is named by a small immutable descriptor (a rational, pi/4, a
 square root, a diagonal over other streams, or a registered custom
 algorithm) and hands out exact prefixes of the value's nonterminating
-binary expansion.  Prefixes are memoized behind a lock, so a stream can
-be shared across threads, and every prefix is a prefix of every longer
-one.
+binary expansion.  as_stream gives equal descriptors one shared
+BitStream, whose prefixes are memoized behind a lock, so a stream can be
+shared across threads, and every prefix is a prefix of every longer one.
+That memo, bounded to the 1024 most recently used descriptors, is the
+module's only cache: each descriptor computes a prefix directly.
 
 The first n bits pin the value into a dyadic interval of width 2^-n;
 nothing on the boundary is ever claimed, the value only lies in the
@@ -20,7 +22,8 @@ evaluated in pure integer arithmetic with explicit floor-error and tail
 bounds, retried at doubled working precision until the wanted bits are
 pinched between the lower and upper bound.  Square roots use
 floor(sqrt(p/q) * 2^n) = isqrt(p * 4^n // q), exact because the value
-is irrational.
+is irrational.  A rational p/q is read off one division, without its
+period: the first n bits are (p * 2^n - 1) // q (bitseq.fraction_prefix).
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import Callable, Union
+
+from .bitseq import fraction_prefix
 
 
 class StarStringError(ValueError):
@@ -59,14 +64,21 @@ class RationalStream:
             raise StreamError(f"{p}/{q} is not reduced")
 
     def prefix_bits(self, n: int) -> tuple[int, ...]:
-        bits = _fraction_bits(self.numerator, self.denominator)
-        return tuple(bits.bit_at(i) for i in range(n))
+        return _int_to_bits(
+            fraction_prefix(Fraction(self.numerator, self.denominator), n), n
+        )
 
 
 @dataclass(frozen=True)
 class PiOver4Stream:
     def prefix_bits(self, n: int) -> tuple[int, ...]:
-        return _int_to_bits(_pi_over_4_prefix(n), n)
+        """Certified: the lower and the upper bound agree on these bits."""
+        prec = n + 32
+        while True:
+            lo, hi = _pi_over_4_bounds(prec)
+            if lo >= 0 and (lo >> (prec - n)) == (hi >> (prec - n)):
+                return _int_to_bits(lo >> (prec - n), n)
+            prec *= 2
 
 
 @dataclass(frozen=True)
@@ -148,13 +160,6 @@ def rational(p: int, q: int) -> RationalStream:
 # bit computations
 
 
-@lru_cache(maxsize=None)
-def _fraction_bits(p: int, q: int):
-    from .bitseq import encode_fraction
-
-    return encode_fraction(Fraction(p, q)).bits
-
-
 def _int_to_bits(prefix: int, n: int) -> tuple[int, ...]:
     return tuple((prefix >> (n - 1 - i)) & 1 for i in range(n))
 
@@ -187,20 +192,6 @@ def _pi_over_4_bounds(prec: int) -> tuple[int, int]:
     lo5, hi5 = _arctan_inv_bounds(5, prec)
     lo239, hi239 = _arctan_inv_bounds(239, prec)
     return 4 * lo5 - hi239, 4 * hi5 - lo239
-
-
-@lru_cache(maxsize=None)
-def _pi_over_4_prefix(n: int) -> int:
-    """First n bits of pi/4 as an integer, certified: the lower and the
-    upper bound agree on them."""
-    if n == 0:
-        return 0
-    prec = n + 32
-    while True:
-        lo, hi = _pi_over_4_bounds(prec)
-        if lo >= 0 and (lo >> (prec - n)) == (hi >> (prec - n)):
-            return lo >> (prec - n)
-        prec *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +268,7 @@ class BitStream:
         return f"BitStream({self.descriptor!r})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def as_stream(descriptor: StreamDescriptor) -> BitStream:
     """The shared stream of a descriptor; equal descriptors share memos."""
     return BitStream(descriptor)

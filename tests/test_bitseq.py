@@ -24,6 +24,7 @@ from uns.bitseq import (
     format_left,
     format_right,
     format_universal,
+    fraction_prefix,
     from_index_set,
     normalize,
     parse_left,
@@ -51,6 +52,19 @@ def left_low_bits(part: LeftPart, n: int) -> int:
     for i in range(n):
         v |= part.bits.bit_at(i) << i
     return v
+
+
+def nonterminating_long_division(p: int, q: int, n: int) -> int:
+    """Classroom base-2 long division of p/q in (0, 1) as an n-bit
+    integer, with each remainder kept in (0, q] so that a dyadic value
+    takes its (1)-tail instead of terminating."""
+    bits, r = 0, p
+    for _ in range(n):
+        r *= 2
+        bit = int(r > q)
+        bits = bits << 1 | bit
+        r -= bit * q
+    return bits
 
 
 def random_periodic(rng: random.Random, max_pre=6, max_per=5) -> PeriodicBits:
@@ -113,6 +127,28 @@ def test_integer_encodings(value, text):
 )
 def test_fraction_encodings(num, den, text):
     assert format_right(encode_fraction(Fraction(num, den))) == text
+
+
+def test_fraction_prefix_is_the_long_division_prefix():
+    rng = random.Random(17)
+    cases = [(1, 2, 0), (3, 4, 6), (1, 2048, 20)]
+    for _ in range(400):
+        q = rng.randint(2, 3000)
+        cases.append((rng.randint(1, q - 1), q, rng.randint(0, 120)))
+    for p, q, n in cases:
+        want = nonterminating_long_division(p, q, n)
+        assert fraction_prefix(Fraction(p, q), n) == want
+        bits = encode_fraction(Fraction(p, q)).bits
+        assert want == sum(bits.bit_at(i) << (n - 1 - i) for i in range(n))
+    # the period of 2 mod this prime is far too long to build
+    p, q = 123456789, 999999937
+    assert fraction_prefix(Fraction(p, q), 64) == nonterminating_long_division(p, q, 64)
+
+
+def test_fraction_prefix_rejects_values_outside_the_unit_interval():
+    for q in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2)):
+        with pytest.raises(ValueError):
+            fraction_prefix(q, 8)
 
 
 def test_two_way_encoding_splits_at_the_floor():

@@ -151,6 +151,7 @@ def test_ord_cmp(capsys):
     assert text_of(capsys, ["ord", "cmp", "w^w", "w^w"]) == "="
     assert text_of(capsys, ["ord", "cmp", "eps_0", "w^(w^w)"]) == ">"
     assert text_of(capsys, ["ord", "cmp", "eps_0", "eps_0"]) == "="
+    assert text_of(capsys, ["ord", "cmp", "w", "eps_0"]) == "<"
 
 
 def test_ord_fund(capsys):

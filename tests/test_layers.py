@@ -1,6 +1,8 @@
 """The modules of the package form a stack: each one imports only the
 modules below it, so a lower layer never depends on an upper one.  The
-package's __init__ sits above the stack and re-exports all of it."""
+package's __init__ sits above the stack and re-exports all of it.  Every
+package import sits at module level, where the order is visible; none
+hides in a function body."""
 
 import ast
 from pathlib import Path
@@ -40,3 +42,11 @@ def test_modules_import_only_lower_layers(path):
     below = LAYERS[: LAYERS.index(path.stem)]
     imported = set(_package_imports(ast.parse(path.read_text(encoding="utf-8"))))
     assert imported <= set(below), f"{path.stem} imports upper layers {imported - set(below)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_package_import_inside_a_function(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef | ast.AsyncFunctionDef))
+    lazy = {module for fn in functions for module in _package_imports(fn)}
+    assert not lazy, f"{path.stem} imports {lazy} inside a function body"

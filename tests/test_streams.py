@@ -90,6 +90,10 @@ def test_rational_bits_match_long_division():
         if q & (q - 1) == 0:
             continue
         assert rational(p, q).prefix_bits(40) == long_division_bits(p, q, 40)
+    # a nine-digit prime denominator: the prefix must not cost the period
+    assert rational(123456789, 999999937).prefix_bits(64) == long_division_bits(
+        123456789, 999999937, 64
+    )
 
 
 def test_rational_bits_match_the_nonterminating_rule():
@@ -101,6 +105,11 @@ def test_rational_bits_match_the_nonterminating_rule():
         assert rational(p, q).prefix_bits(48) == nonterminating_prefix(
             Fraction(p, q), 48
         )
+
+
+def test_empty_prefixes():
+    for desc in (rational(1, 2), rational(2, 3), PI_OVER_4, SqrtStream(1, 2)):
+        assert desc.prefix_bits(0) == ()
 
 
 def test_dyadic_rational_never_ends_in_zeros():
@@ -180,6 +189,14 @@ def test_streams_memoize_and_share_state():
     b = as_stream(rational(2, 3))
     assert a is b
     assert a.bits(12) == (1, 0) * 6
+
+
+def test_stream_memo_is_bounded():
+    assert as_stream.cache_info().maxsize == 1024
+    for q in range(3, 1103):
+        as_stream(rational(1, q))
+    assert as_stream.cache_info().currsize <= 1024
+    assert as_stream(rational(1, 1102)) is as_stream(rational(1, 1102))
 
 
 def test_prefix_monotone_growth():
