@@ -52,13 +52,14 @@ from .cardinals import (
 from .cardinals import compare as compare_cardinals
 from .cardinals import normalize as normalize_cardinal
 from .cardinals import normalize_with_trace
-from .hyperops import DEFAULT_BUDGET, Exact, Exceeded, hyper, monotone_check
+from .hyperops import DEFAULT_BUDGET, BudgetError, Exact, Exceeded, hyper, monotone_check
 from .ordinals import (
     EPSILON_0,
     OMEGA,
     ONE,
     ZERO,
     Ordinal,
+    OrdinalBudgetError,
     OrdinalParseError,
     cardinality_of,
     format_ordinal,

@@ -311,7 +311,7 @@ def run(argv) -> int:
         return stop.code if stop.code else 0
     try:
         return args.fn(args)
-    except cardinals.FiniteBudgetError as err:
+    except hyperops.BudgetError as err:
         print(f"error: {err}", file=sys.stderr)
         return BUDGET_ERROR
     except _PARSE_EXCEPTIONS as err:

@@ -19,6 +19,10 @@ from typing import Union
 DEFAULT_BUDGET = 1 << 20  # bits
 
 
+class BudgetError(ValueError):
+    """A refusal: the exact value asked for would not fit its bit budget."""
+
+
 @dataclass(frozen=True)
 class Exact:
     value: int

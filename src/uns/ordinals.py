@@ -6,6 +6,14 @@ w^e1*c1 + w^e2*c2 + ...  The empty tuple is 0.  epsilon_0 itself is a
 separate sentinel: it names the limit of the w-tower and is accepted by
 fundamental() and cardinality_of() but rejected by the arithmetic.
 
+Terms are hash-consed: every Ordinal, and every cardinal node built on
+the same _Term base, is made once per distinct value and kept in a
+weak-valued table, so equality is identity, hashing is O(1), and the
+check that exponents strictly decrease runs once per value.  ord_add,
+ord_mul, ord_pow and ord_cmp share one memo policy, least recently used
+with 1024 entries each.  Finite powers pass the hyperops size gate and
+are refused with OrdinalBudgetError past the default bit budget.
+
 Text grammar (parse_ordinal / format_ordinal), shared with cardinal
 text, where an aleph index is a sum:
 
@@ -21,29 +29,104 @@ are parsed by precedence climbing in a single function.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import lru_cache
+
+from . import hyperops
 
 
 class OrdinalParseError(ValueError):
     """Raised when text does not follow the ordinal grammar."""
 
 
-@total_ordering
-@dataclass(frozen=True)
-class Ordinal:
-    terms: tuple[tuple["Ordinal", int], ...] = ()
+class OrdinalBudgetError(hyperops.BudgetError):
+    """A finite power in the arithmetic would not fit the bit budget."""
 
-    def __post_init__(self):
-        prev = None
-        for exp, coeff in self.terms:
+
+# ---------------------------------------------------------------------------
+# hash-consed terms
+
+# (class, *fields) of every live term -> a weak reference to the term.  A
+# term leaves the table when its last user drops it; a strong table would
+# have to evict live terms, and an evicted term rebuilt would be a second
+# object equal to the first.
+_TERMS: dict[tuple, weakref.KeyedRef] = {}
+
+
+def _forget(ref: weakref.KeyedRef):
+    if _TERMS.get(ref.key) is ref:
+        del _TERMS[ref.key]
+
+
+def _intern(cls, fields: tuple):
+    """The one term of class cls with these fields: found in the table,
+    or built, checked by its _check and recorded."""
+    key = (cls, *fields)
+    ref = _TERMS.get(key)
+    if ref is not None:
+        term = ref()
+        if term is not None:
+            return term
+    term = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(term, name, value)
+    term._check()
+    _TERMS[key] = weakref.KeyedRef(term, _forget, key)
+    return term
+
+
+class _Term:
+    """An immutable tree node whose fields are its class's __slots__,
+    built once per distinct value by _intern.  Equal terms are one
+    object, so == and hash are object identity, O(1) on any tree.  A
+    subclass that takes other than exactly its fields, or must check
+    their types before the lookup, defines __new__ itself."""
+
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *fields):
+        if len(fields) != len(cls.__slots__):
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(cls.__slots__)}")
+        return _intern(cls, fields)
+
+    def _check(self):
+        """Structural validation, run once when the value is first built."""
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in type(self).__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} terms are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # unpickling and copying build through _intern: the same object
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{n}={v!r}" for n, v in zip(type(self).__slots__, self._fields()))
+        return f"{type(self).__name__}({inner})"
+
+
+class Ordinal(_Term):
+    __slots__ = ("terms",)
+
+    def __new__(cls, terms=()):
+        terms = tuple(terms)
+        for exp, coeff in terms:
             if not isinstance(exp, Ordinal):
                 raise TypeError(f"exponent {exp!r} is not an ordinal")
-            if not isinstance(coeff, int) or coeff < 1:
+            # exactly int: 1.0 and True hash like 1 and would find ONE
+            if type(coeff) is not int or coeff < 1:
                 raise ValueError(f"bad coefficient {coeff!r}")
-            if prev is not None and ord_cmp(prev, exp) <= 0:
+        return _intern(cls, (terms,))
+
+    def _check(self):
+        for (prev, _), (exp, _) in zip(self.terms, self.terms[1:]):
+            if ord_cmp(prev, exp) <= 0:
                 raise ValueError("exponents must strictly decrease")
-            prev = exp
 
     @property
     def is_zero(self) -> bool:
@@ -73,6 +156,21 @@ class Ordinal:
             return NotImplemented
         return ord_cmp(self, other) < 0
 
+    def __le__(self, other):
+        if not isinstance(other, Ordinal):
+            return NotImplemented
+        return ord_cmp(self, other) <= 0
+
+    def __gt__(self, other):
+        if not isinstance(other, Ordinal):
+            return NotImplemented
+        return ord_cmp(self, other) > 0
+
+    def __ge__(self, other):
+        if not isinstance(other, Ordinal):
+            return NotImplemented
+        return ord_cmp(self, other) >= 0
+
     def __add__(self, other):
         return ord_add(self, other)
 
@@ -87,6 +185,15 @@ class Ordinal:
 
     def __repr__(self) -> str:
         return f"Ordinal<{format_ordinal(self)}>"
+
+
+def _cnf(terms: tuple) -> Ordinal:
+    # the arithmetic's own terms are well typed; only the order is checked.
+    # The lookup is _intern's, inlined for the arithmetic's hot path.
+    ref = _TERMS.get((Ordinal, terms))
+    if ref is not None and (term := ref()) is not None:
+        return term
+    return _intern(Ordinal, (terms,))
 
 
 class EpsilonZero:
@@ -139,9 +246,9 @@ OMEGA = Ordinal(((ONE, 1),))
 
 
 def from_int(n: int) -> Ordinal:
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError(f"not a natural number: {n!r}")
-    return Ordinal(((ZERO, n),)) if n else ZERO
+    return _cnf(((ZERO, n),)) if n else ZERO
 
 
 def omega_power(exp: "Ordinal | int", coeff: int = 1) -> Ordinal:
@@ -158,49 +265,51 @@ def _coerce(x) -> Ordinal:
     raise TypeError(f"not an ordinal: {x!r}")
 
 
+# The one memo policy of the arithmetic: least recently used entries go
+# past 1024 per operation.  Keys are interned terms, hashed by identity;
+# typed, so 1, 1.0 and True stay apart on their way to _coerce.
+_memo = lru_cache(maxsize=1024, typed=True)
+
+
+@_memo
 def ord_cmp(a: Ordinal, b: Ordinal) -> int:
     """-1, 0 or 1; lexicographic on the normal-form terms."""
+    if a is b:
+        return 0
     for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = ord_cmp(ea, eb)
-        if c:
-            return c
+        if ea is not eb:
+            return ord_cmp(ea, eb)
         if ca != cb:
             return -1 if ca < cb else 1
-    if len(a.terms) != len(b.terms):
-        return -1 if len(a.terms) < len(b.terms) else 1
-    return 0
+    return -1 if len(a.terms) < len(b.terms) else 1
 
 
+@_memo
 def ord_add(a, b) -> Ordinal:
     a, b = _coerce(a), _coerce(b)
-    if b.is_zero:
+    if not b.terms:
         return a
-    if a.is_zero:
-        return b
     eb, cb = b.terms[0]
-    keep = []
     for i, (e, c) in enumerate(a.terms):
-        cmp = ord_cmp(e, eb)
-        if cmp > 0:
-            keep.append((e, c))
-        elif cmp == 0:
-            return Ordinal(tuple(keep) + ((eb, c + cb),) + b.terms[1:])
-        else:
-            break
-    return Ordinal(tuple(keep) + b.terms)
+        if e is eb:
+            return _cnf(a.terms[:i] + ((eb, c + cb),) + b.terms[1:])
+        if ord_cmp(e, eb) < 0:
+            return _cnf(a.terms[:i] + b.terms)
+    return _cnf(a.terms + b.terms)
 
 
+@_memo
 def ord_mul(a, b) -> Ordinal:
     a, b = _coerce(a), _coerce(b)
-    if a.is_zero or b.is_zero:
+    if not a.terms or not b.terms:
         return ZERO
     e0, c0 = a.terms[0]
     out = ZERO
     for f, d in b.terms:
-        if f.is_zero:
-            part = Ordinal(((e0, c0 * d),) + a.terms[1:])
+        if f is ZERO:
+            part = _cnf(((e0, c0 * d),) + a.terms[1:])
         else:
-            part = omega_power(ord_add(e0, f), d)
+            part = _cnf(((ord_add(e0, f), d),))
         out = ord_add(out, part)
     return out
 
@@ -219,8 +328,8 @@ def _succ_pred(e: Ordinal) -> Ordinal:
         raise ValueError(f"{e} is not a successor")
     rest = e.terms[:-1]
     if last_c > 1:
-        return Ordinal(rest + ((last_e, last_c - 1),))
-    return Ordinal(rest)
+        return _cnf(rest + ((last_e, last_c - 1),))
+    return _cnf(rest)
 
 
 def _pow_int(a: Ordinal, n: int) -> Ordinal:
@@ -234,29 +343,41 @@ def _pow_int(a: Ordinal, n: int) -> Ordinal:
     return result
 
 
+def _finite_pow(m: int, n: int) -> Ordinal:
+    """m**n as an ordinal, refused past the default budget by the size
+    gate of hyper(m, 1, n), called without hyper's refusal of n = 0."""
+    r = hyperops._pow_budgeted(m, n, hyperops.DEFAULT_BUDGET)
+    if isinstance(r, hyperops.Exceeded):
+        raise OrdinalBudgetError(
+            f"finite power exceeds {hyperops.DEFAULT_BUDGET}-bit budget: {r.describe()}"
+        )
+    return from_int(r.value)
+
+
+@_memo
 def ord_pow(a, b) -> Ordinal:
     a, b = _coerce(a), _coerce(b)
-    if b.is_zero:
+    if not b.terms:
         return ONE
-    if a.is_zero:
+    if not a.terms:
         return ZERO
-    if a == ONE:
+    if a is ONE:
         return ONE
 
-    limit_terms = tuple((e, c) for e, c in b.terms if not e.is_zero)
+    limit_terms = tuple((e, c) for e, c in b.terms if e is not ZERO)
     tail = b.terms[-1][1] if b.is_successor else 0
 
     if a.is_finite:
         if not limit_terms:
-            return from_int(a.to_int() ** tail)
+            return _finite_pow(a.to_int(), tail)
         # finite base, infinite exponent: w^(b shifted down one w-notch)
-        shifted = Ordinal(tuple((_left_sub_one(e), c) for e, c in limit_terms))
-        return ord_mul(omega_power(shifted), from_int(a.to_int() ** tail))
+        shifted = _cnf(tuple((_left_sub_one(e), c) for e, c in limit_terms))
+        return ord_mul(_cnf(((shifted, 1),)), _finite_pow(a.to_int(), tail))
 
     e0 = a.terms[0][0]
     out = ONE
     if limit_terms:
-        out = omega_power(ord_mul(e0, Ordinal(limit_terms)))
+        out = _cnf(((ord_mul(e0, _cnf(limit_terms)), 1),))
     if tail:
         out = ord_mul(out, _pow_int(a, tail))
     return out
@@ -315,7 +436,7 @@ def fundamental(a, n: int) -> Ordinal:
     if not a.is_limit:
         raise ValueError(f"{a} is not a limit ordinal")
     e, c = a.terms[-1]
-    prefix = Ordinal(a.terms[:-1] + (((e, c - 1),) if c > 1 else ()))
+    prefix = _cnf(a.terms[:-1] + (((e, c - 1),) if c > 1 else ()))
     if e.is_successor or e.is_finite:
         step = omega_power(_succ_pred(e), n)
     else:
@@ -351,8 +472,12 @@ def cardinality_of(a) -> Cardinality:
 # text form
 
 # One token set serves ordinal and cardinal text; the ordinal grammar
-# rejects the cardinal-only tokens as unexpected.
-_TOKEN = re.compile(r"\s*(aleph_\(|aleph_\d+|hyper|choose|eps_0|w|\d+|[\^(),+*])")
+# rejects the cardinal-only tokens as unexpected.  _TOKENS matches the
+# longest run of tokens, so text is split in two passes of the regex
+# engine rather than one match call per token.
+_ATOM = r"aleph_\(|aleph_\d+|hyper|choose|eps_0|w|\d+|[\^(),+*]"
+_TOKEN = re.compile(rf"\s*({_ATOM})")
+_TOKENS = re.compile(rf"(?:\s*(?:{_ATOM}))*")
 
 
 class _Cursor:
@@ -362,17 +487,11 @@ class _Cursor:
 
     def __init__(self, text: str, error: type[ValueError]):
         self.error = error
-        self.tokens = []
+        end = _TOKENS.match(text).end()
+        if text[end:].strip():
+            raise error(f"bad token at {text[end:]!r}")
+        self.tokens = _TOKEN.findall(text, 0, end)
         self.pos = 0
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                if text[pos:].strip():
-                    raise error(f"bad token at {text[pos:]!r}")
-                break
-            self.tokens.append(m.group(1))
-            pos = m.end()
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -417,8 +536,8 @@ def _ordinal_expr(cur: _Cursor, min_prec: int = 1):
         value = from_int(int(tok))
     else:
         raise cur.error(f"unexpected token {tok!r}")
-    while cur.peek() in _BINARY:
-        prec, op, right_prec = _BINARY[cur.peek()]
+    while (binary := _BINARY.get(cur.peek())) is not None:
+        prec, op, right_prec = binary
         if prec < min_prec:
             break
         cur.take()

@@ -30,6 +30,7 @@ from uns.cardinals import (
     set_to_nat,
     unification_table,
 )
+from uns.hyperops import BudgetError
 from uns.ordinals import OMEGA, from_int, ord_add, ord_mul
 from uns.streams import rational
 
@@ -183,6 +184,7 @@ def test_oversized_finite_arithmetic_trips_the_budget():
     with pytest.raises(UnnormalizableError) as info:
         normalize(HyperCard(FiniteCard(2), FiniteCard(3), FiniteCard(4)))
     assert isinstance(info.value, FiniteBudgetError)
+    assert isinstance(info.value, BudgetError)
 
 
 def test_budget_errors_carry_the_structural_description():

@@ -1,4 +1,6 @@
 import json
+import re
+import time
 
 import pytest
 
@@ -207,6 +209,17 @@ def test_card_stuck_is_domain_error(capsys):
 def test_card_budget_error(capsys):
     assert run(["card", "normalize", "hyper(2, 3, 4)"]) == BUDGET_ERROR
     capsys.readouterr()
+
+
+def test_ordinal_power_past_the_budget_is_refused(capsys):
+    t0 = time.monotonic()
+    assert run(["ord", "eval", "9^9^9"]) == BUDGET_ERROR
+    assert time.monotonic() - t0 < 1.0
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1
+    assert re.match(r"error: .*exceeds \d+-bit budget", out.err)
+    assert text_of(capsys, ["ord", "eval", "2^(w+20)"]) == "w*1048576"
 
 
 def test_card_table_is_aligned_and_consistent(capsys):

@@ -2,7 +2,7 @@
 modules below it, so a lower layer never depends on an upper one.  The
 package's __init__ sits above the stack and re-exports all of it.  Every
 package import sits at module level, where the order is visible; none
-hides in a function body."""
+hides in a function body.  Every cache has a literal bound."""
 
 import ast
 from pathlib import Path
@@ -50,3 +50,51 @@ def test_no_package_import_inside_a_function(path):
     functions = (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef | ast.AsyncFunctionDef))
     lazy = {module for fn in functions for module in _package_imports(fn)}
     assert not lazy, f"{path.stem} imports {lazy} inside a function body"
+
+
+def _unbounded_caches(tree):
+    """Lines where a functools cache has no literal integer bound: a bare
+    or argument-free lru_cache, maxsize=None or a computed size, and any
+    use of functools.cache."""
+    bounded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _name(node.func) == "lru_cache":
+            size = node.args[0] if node.args else next((k.value for k in node.keywords if k.arg == "maxsize"), None)
+            if isinstance(size, ast.Constant) and type(size.value) is int:
+                bounded.add(id(node.func))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias) and node.name == "cache":
+            yield "imports functools.cache"
+        elif _name(node) == "cache" or (_name(node) == "lru_cache" and id(node) not in bounded):
+            yield f"line {node.lineno}: {_name(node)} without a literal integer maxsize"
+
+
+def _name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_cache_is_bounded(path):
+    problems = list(_unbounded_caches(ast.parse(path.read_text(encoding="utf-8"))))
+    assert not problems, f"{path.stem}: {problems}"
+
+
+@pytest.mark.parametrize(
+    "source, bounded",
+    [
+        ("from functools import lru_cache\n@lru_cache(maxsize=1024)\ndef f(): pass", True),
+        ("import functools\nmemo = functools.lru_cache(64, typed=True)", True),
+        ("from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(): pass", False),
+        ("from functools import lru_cache\n@lru_cache\ndef f(): pass", False),
+        ("from functools import lru_cache\n@lru_cache()\ndef f(): pass", False),
+        ("from functools import lru_cache\nN = 8\n@lru_cache(maxsize=N)\ndef f(): pass", False),
+        ("from functools import cache\n@cache\ndef f(): pass", False),
+        ("import functools\n@functools.cache\ndef f(): pass", False),
+    ],
+)
+def test_the_cache_check_tells_bounded_from_unbounded(source, bounded):
+    assert (not list(_unbounded_caches(ast.parse(source)))) == bounded

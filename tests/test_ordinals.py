@@ -1,8 +1,12 @@
 import itertools
 import random
+import re
+import time
 
 import pytest
 
+from uns.cardinals import CardinalParseError
+from uns.hyperops import BudgetError
 from uns.ordinals import (
     EPSILON_0,
     OMEGA,
@@ -10,7 +14,9 @@ from uns.ordinals import (
     ZERO,
     Cardinality,
     Ordinal,
+    OrdinalBudgetError,
     OrdinalParseError,
+    _Cursor,
     cardinality_of,
     format_ordinal,
     from_int,
@@ -405,3 +411,71 @@ def test_power_is_right_associative_in_the_grammar():
 def test_repr_is_distinct_from_display():
     assert format_ordinal(W) == "w"
     assert "Ordinal" in repr(W)
+
+
+# ---------------------------------------------------------------------------
+# the tokenizer against the per-token loop it replaced
+
+_OLD_TOKEN = re.compile(r"\s*(aleph_\(|aleph_\d+|hyper|choose|eps_0|w|\d+|[\^(),+*])")
+
+
+def _old_tokens(text: str, error: type[ValueError]) -> list[str]:
+    """The tokens of one match call per token, the tokenizer's oracle."""
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = _OLD_TOKEN.match(text, pos)
+        if m is None:
+            if text[pos:].strip():
+                raise error(f"bad token at {text[pos:]!r}")
+            break
+        tokens.append(m.group(1))
+        pos = m.end()
+    return tokens
+
+
+def _outcome(tokenize, text, error):
+    try:
+        return tokenize(text, error)
+    except error as err:
+        return ("error", str(err))
+
+
+_PIECES = (
+    "w", "eps_0", "eps_", "aleph_", "aleph_(", "aleph_12", "alep", "hyper", "choose",
+    "(", ")", ",", "+", "*", "^", "0", "7", "12", "2.5", "-", "x", "_", "é",
+    " ", "  ", "\t", "\n",
+)
+
+
+def test_tokenizer_matches_the_per_token_loop():
+    rng = random.Random(2006)
+    texts = ["", " ", "w", " w ", "w +", "aleph_(w+1)", "hyper(2, 3, aleph_0) x"]
+    texts += ["".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 14))) for _ in range(6000)]
+    bad = 0
+    for text in texts:
+        for error in (OrdinalParseError, CardinalParseError):
+            want = _outcome(_old_tokens, text, error)
+            got = _outcome(lambda t, e: _Cursor(t, e).tokens, text, error)
+            assert got == want, text
+            bad += isinstance(want, tuple)
+    assert 0 < bad < 2 * len(texts)  # both outcomes are exercised
+
+
+# ---------------------------------------------------------------------------
+# finite powers get the bit budget
+
+
+def test_finite_powers_past_the_budget_are_refused():
+    t0 = time.monotonic()
+    with pytest.raises(OrdinalBudgetError, match=r"exceeds \d+-bit budget"):
+        o("9^9^9")
+    with pytest.raises(OrdinalBudgetError):
+        ord_pow(from_int(3), o("w + 10000000"))
+    assert time.monotonic() - t0 < 1.0
+    assert issubclass(OrdinalBudgetError, BudgetError)
+
+
+def test_finite_powers_within_the_budget_stay_exact():
+    assert o("2^(w+20)") == ord_mul(W, from_int(1048576))
+    assert o("9^9^5").to_int() == 9 ** (9**5)
+    assert o("3^0 + 2^1") == from_int(3)

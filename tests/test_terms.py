@@ -1,0 +1,113 @@
+"""Hash-consed terms: ordinals and cardinal expressions are built once per
+distinct value, so equal values are one object, and interning skips no
+check a constructor makes."""
+
+import copy
+import gc
+import pickle
+
+import pytest
+
+from uns import ordinals
+from uns.cardinals import (
+    ALEPH_0,
+    Aleph,
+    Choose,
+    FiniteCard,
+    HyperCard,
+    Pow2,
+    aleph,
+    normalize,
+    parse_cardinal,
+)
+from uns.ordinals import (
+    OMEGA,
+    ONE,
+    ZERO,
+    Ordinal,
+    from_int,
+    omega_power,
+    ord_add,
+    ord_mul,
+    ord_pow,
+    parse_ordinal,
+)
+
+# each bad input next to the valid value that equals it, or comes closest
+BAD = [
+    pytest.param(lambda: Ordinal(((ZERO, 1.0),)), ValueError, lambda: ONE, id="Ordinal(((ZERO, 1.0),))"),
+    pytest.param(lambda: Ordinal(((ZERO, True),)), ValueError, lambda: ONE, id="Ordinal(((ZERO, True),))"),
+    pytest.param(lambda: Ordinal(((ZERO, 0),)), ValueError, lambda: ZERO, id="Ordinal(((ZERO, 0),))"),
+    pytest.param(lambda: Ordinal(((ONE, 1), (OMEGA, 1))), ValueError, lambda: parse_ordinal("w^w + w"), id="Ordinal(((ONE, 1), (OMEGA, 1)))"),
+    pytest.param(lambda: Ordinal(((2, 1),)), TypeError, lambda: parse_ordinal("w^2"), id="Ordinal(((2, 1),))"),
+    pytest.param(lambda: FiniteCard(2.0), ValueError, lambda: FiniteCard(2), id="FiniteCard(2.0)"),
+    pytest.param(lambda: FiniteCard(True), ValueError, lambda: FiniteCard(1), id="FiniteCard(True)"),
+    pytest.param(lambda: FiniteCard(-1), ValueError, lambda: FiniteCard(1), id="FiniteCard(-1)"),
+    pytest.param(lambda: Aleph(3), TypeError, lambda: aleph(3), id="Aleph(3)"),
+]
+
+
+@pytest.mark.parametrize("bad, error, valid", BAD)
+def test_interning_keeps_every_check(bad, error, valid):
+    kept = valid()
+    with pytest.raises(error):
+        bad()
+    assert valid() is kept
+
+
+def test_values_built_by_different_routes_are_one_object():
+    assert parse_ordinal("w*2") is ord_add(OMEGA, OMEGA)
+    assert parse_ordinal("w^2") is ord_mul(OMEGA, OMEGA) is ord_pow(OMEGA, 2)
+    assert parse_ordinal("(w + 1)*3") is Ordinal(((ONE, 3), (ZERO, 1)))
+    assert omega_power(2, 5) is parse_ordinal("w^2*5")
+    assert parse_cardinal("2^aleph_0") is Pow2(ALEPH_0)
+    assert parse_cardinal("aleph_(0 + 1)") is aleph(1)
+    assert normalize(Choose(ALEPH_0)) is aleph(1)
+    tree = parse_cardinal("hyper(2, 3, choose(aleph_(w*2)))")
+    assert tree is HyperCard(FiniteCard(2), FiniteCard(3), Choose(Aleph(ord_add(OMEGA, OMEGA))))
+    assert {tree: 1}[parse_cardinal("hyper(2,3,choose(aleph_(w+w)))")] == 1
+
+
+@pytest.mark.parametrize(
+    "term",
+    [ZERO, parse_ordinal("w^(w + 1)*3 + 2"), FiniteCard(7), parse_cardinal("hyper(2, aleph_0, choose(aleph_(w)))")],
+    ids=repr,
+)
+def test_pickle_and_copies_return_the_same_object(term):
+    assert pickle.loads(pickle.dumps(term)) is term
+    assert copy.deepcopy(term) is term
+    assert copy.copy(term) is term
+    assert copy.deepcopy([term, term]) == [term, term]
+
+
+@pytest.mark.parametrize(
+    "term, name",
+    [(OMEGA, "terms"), (FiniteCard(3), "value"), (ALEPH_0, "index"), (Pow2(ALEPH_0), "operand"),
+     (HyperCard(FiniteCard(2), FiniteCard(1), ALEPH_0), "base"), (OMEGA, "other")],
+)
+def test_terms_are_immutable(term, name):
+    with pytest.raises(AttributeError):
+        setattr(term, name, ZERO)
+    with pytest.raises(AttributeError):
+        delattr(term, name)
+
+
+def test_constructors_keep_their_positional_form():
+    assert Pow2(ALEPH_0).operand is ALEPH_0
+    h = HyperCard(FiniteCard(2), FiniteCard(1), ALEPH_0)
+    assert (h.base, h.level, h.arg) == (FiniteCard(2), FiniteCard(1), ALEPH_0)
+    with pytest.raises(TypeError):
+        Pow2(ALEPH_0, ALEPH_0)
+    with pytest.raises(TypeError):
+        HyperCard(ALEPH_0)
+    assert repr(Pow2(FiniteCard(1))) == "Pow2(operand=FiniteCard(value=1))"
+
+
+def test_intern_table_drops_dead_terms():
+    gc.collect()
+    before = len(ordinals._TERMS)
+    made = [Ordinal(((from_int(n), 1),)) for n in range(10**9, 10**9 + 10_000)]
+    assert len(ordinals._TERMS) >= before + 20_000  # each w^n and its n
+    del made
+    gc.collect()
+    assert len(ordinals._TERMS) <= before + 10
