@@ -7,6 +7,7 @@ exceeded.  --format structured emits one JSON object on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -52,11 +53,15 @@ def _parse_stream(text: str) -> streams.StreamDescriptor:
 
 def _decimal_str(value: Fraction, digits: int) -> str:
     """Truncated decimal with an explicit continuation mark."""
+    if digits < 0:
+        raise ValueError(f"bad digit count {digits}")
     sign = "-" if value < 0 else ""
     value = abs(value)
     whole, rest = divmod(value.numerator, value.denominator)
     if rest == 0:
         return f"{sign}{whole}"
+    if digits == 0:
+        return f"{sign}{whole}…"
     scaled = rest * 10**digits // value.denominator
     frac = str(scaled).rjust(digits, "0")
     exact = Fraction(scaled, 10**digits) == Fraction(rest, value.denominator)
@@ -74,9 +79,11 @@ def _cmd_convert(args) -> int:
     value = bitseq.decode_universal(u)
     canon = bitseq.canonicalize(u)
     if args.to == "rational":
-        _emit(args, str(value), rational=str(value))
+        text = str(value)
+        _emit(args, text, rational=text)
     elif args.to == "notation":
-        _emit(args, str(canon), notation=str(canon))
+        text = str(canon)
+        _emit(args, text, notation=text)
     elif args.to == "set":
         rendered = bitseq.render_universal_set(canon)
         _emit(args, rendered, set=rendered)
@@ -87,20 +94,22 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_eval_left(args) -> int:
-    left = bitseq.parse_left(args.value)
-    _emit(args, str(left.value), rational=str(left.value))
+    text = str(bitseq.parse_left(args.value).value)
+    _emit(args, text, rational=text)
     return 0
 
 
 def _cmd_complement(args) -> int:
     out = bitseq.complement(bitseq.parse_universal(args.value))
-    _emit(args, str(out), notation=str(out), rational=str(out.value))
+    text = str(out)
+    _emit(args, text, notation=text, rational=str(out.value))
     return 0
 
 
 def _cmd_flip(args) -> int:
     out = bitseq.flip(bitseq.parse_universal(args.value), raw=args.raw)
-    _emit(args, str(out), notation=str(out), rational=str(out.value))
+    text = str(out)
+    _emit(args, text, notation=text, rational=str(out.value))
     return 0
 
 
@@ -127,22 +136,20 @@ def _cmd_interval(args) -> int:
 def _cmd_hyper(args) -> int:
     result = hyperops.hyper(args.m, args.k, args.n, args.budget)
     if isinstance(result, hyperops.Exceeded):
+        description = result.describe()
         _emit(
             args,
-            f"exceeds {args.budget}-bit budget: {result.describe()}",
+            f"exceeds {args.budget}-bit budget: {description}",
             exceeded=True,
-            description=result.describe(),
+            description=description,
         )
         return BUDGET_ERROR
-    _emit(args, str(result.value), value=str(result.value))
+    text = str(result.value)
+    _emit(args, text, value=text)
     return 0
 
 
 def _cmd_ord(args) -> int:
-    if args.action == "eval":
-        v = ordinals.parse_ordinal(args.expr[0])
-        _emit(args, ordinals.format_ordinal(v), ordinal=ordinals.format_ordinal(v))
-        return 0
     if args.action == "cmp":
         a, b = (ordinals.parse_ordinal(e) for e in args.expr)
         c = (a > b) - (a < b)
@@ -150,8 +157,10 @@ def _cmd_ord(args) -> int:
         _emit(args, text, relation=text)
         return 0
     v = ordinals.parse_ordinal(args.expr[0])
-    out = ordinals.fundamental(v, args.n)
-    _emit(args, ordinals.format_ordinal(out), ordinal=ordinals.format_ordinal(out))
+    if args.action == "fund":
+        v = ordinals.fundamental(v, args.n)
+    text = ordinals.format_ordinal(v)
+    _emit(args, text, ordinal=text)
     return 0
 
 
@@ -159,27 +168,19 @@ def _cmd_card(args) -> int:
     if args.action == "normalize":
         expr = cardinals.parse_cardinal(args.expr[0])
         normal, trace = cardinals.normalize_with_trace(expr, args.budget)
-        if args.trace:
-            for step in trace:
-                line = (
-                    f"{step.rule}: {cardinals.format_cardinal(step.before)}"
-                    f" -> {cardinals.format_cardinal(step.after)}"
-                )
-                if args.format != "structured":
-                    print(line)
-        _emit(
-            args,
-            cardinals.format_cardinal(normal),
-            cardinal=cardinals.format_cardinal(normal),
-            trace=[
-                {
-                    "rule": s.rule,
-                    "before": cardinals.format_cardinal(s.before),
-                    "after": cardinals.format_cardinal(s.after),
-                }
-                for s in trace
-            ],
-        )
+        steps = [
+            {
+                "rule": s.rule,
+                "before": cardinals.format_cardinal(s.before),
+                "after": cardinals.format_cardinal(s.after),
+            }
+            for s in trace
+        ]
+        if args.trace and args.format != "structured":
+            for step in steps:
+                print(f"{step['rule']}: {step['before']} -> {step['after']}")
+        text = cardinals.format_cardinal(normal)
+        _emit(args, text, cardinal=text, trace=steps)
         return 0
     if args.action == "cmp":
         e1, e2 = (cardinals.parse_cardinal(e) for e in args.expr)
@@ -291,22 +292,38 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _validate_counts(args):
-    if args.command == "ord":
-        want = 2 if args.action == "cmp" else 1
-        if len(args.expr) != want:
-            raise SystemExit(PARSE_ERROR)
-    if args.command == "card":
-        want = {"normalize": 1, "cmp": 2, "table": 0}[args.action]
-        if len(args.expr) != want:
-            raise SystemExit(PARSE_ERROR)
+@functools.lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every `run` reuses: parsing leaves no state on it, as
+    each call gets a fresh namespace filled from the defaults."""
+    return build_parser()
+
+
+# how many expressions each ord and card action takes
+_EXPRESSIONS = {
+    ("ord", "eval"): 1,
+    ("ord", "cmp"): 2,
+    ("ord", "fund"): 1,
+    ("card", "normalize"): 1,
+    ("card", "cmp"): 2,
+    ("card", "table"): 0,
+}
+
+
+def _validate_counts(parser, args):
+    want = _EXPRESSIONS.get((args.command, getattr(args, "action", None)))
+    if want is not None and len(args.expr) != want:
+        noun = "expression" if want == 1 else "expressions"
+        parser.error(
+            f"{args.command} {args.action} takes {want} {noun}, got {len(args.expr)}"
+        )
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
-        _validate_counts(args)
+        _validate_counts(parser, args)
     except SystemExit as stop:
         return stop.code if stop.code else 0
     try:

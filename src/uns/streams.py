@@ -152,7 +152,7 @@ PI_OVER_4 = PiOver4Stream()
 
 
 def rational(p: int, q: int) -> RationalStream:
-    g = gcd(p, q)
+    g = gcd(p, q) or 1  # 0/0: let the range check refuse it
     return RationalStream(p // g, q // g)
 
 

@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from uns.cli import BUDGET_ERROR, DOMAIN_ERROR, PARSE_ERROR, run
+from uns import cli
+from uns.cli import BUDGET_ERROR, DOMAIN_ERROR, PARSE_ERROR, build_parser, run
 
 
 def text_of(capsys, argv, code=0):
@@ -31,6 +32,32 @@ def test_convert_to_decimal_marks_truncation(capsys):
     assert out == "19.666666666666…"
     exact = text_of(capsys, ["convert", "(0).1(0)", "--to", "decimal"])
     assert exact == "0.5"
+
+
+@pytest.mark.parametrize(
+    "value, digits, expected",
+    [
+        ("(0)10011.(10)", "0", "19…"),  # 59/3 = 19.666...
+        ("(0)10011.(10)", "1", "19.6…"),
+        ("(1)01100.(01)", "0", "-19…"),  # -59/3
+        ("(1)01100.(01)", "2", "-19.66…"),
+        ("(0).1(0)", "0", "0…"),  # 1/2 needs one digit
+        ("(0).1(0)", "1", "0.5"),
+        ("(1).11", "0", "-0…"),  # -1/4
+        ("(0)10011.", "0", "19"),
+    ],
+)
+def test_convert_to_decimal_digit_counts(capsys, value, digits, expected):
+    argv = ["convert", value, "--to", "decimal", "--digits", digits]
+    assert text_of(capsys, argv) == expected
+
+
+@pytest.mark.parametrize("value", ["(0)10011.(10)", "(0)10011."])
+def test_convert_to_decimal_refuses_negative_digit_counts(capsys, value):
+    argv = ["convert", value, "--to", "decimal", "--digits", "-3"]
+    assert run(argv) == DOMAIN_ERROR
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: bad digit count -3\n")
 
 
 def test_convert_to_canonical_notation(capsys):
@@ -91,6 +118,13 @@ def test_bits_rejects_unknown_streams(capsys):
 def test_bits_rejects_negative_counts(capsys):
     assert run(["bits", "2/3", "-n", "-1"]) == DOMAIN_ERROR
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["bits", "0/0"], ["diag", "0/0", "-n", "3"]])
+def test_zero_over_zero_is_a_domain_error(capsys, argv):
+    assert run(argv) == DOMAIN_ERROR
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: 0/0 is not strictly between 0 and 1\n")
 
 
 def test_interval_of_star_string(capsys):
@@ -170,6 +204,24 @@ def test_ord_argument_counts(capsys):
     assert run(["ord", "cmp", "w"]) == PARSE_ERROR
     assert run(["ord", "eval", "w", "w"]) == PARSE_ERROR
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ord", "eval", "w", "w"], "ord eval takes 1 expression, got 2"),
+        (["ord", "cmp", "w"], "ord cmp takes 2 expressions, got 1"),
+        (["ord", "fund", "w^2", "w", "-n", "2"], "ord fund takes 1 expression, got 2"),
+        (["card", "normalize"], "card normalize takes 1 expression, got 0"),
+        (["card", "cmp", "aleph_0"], "card cmp takes 2 expressions, got 1"),
+        (["card", "table", "x"], "card table takes 0 expressions, got 1"),
+    ],
+)
+def test_argument_count_errors_say_what_is_wrong(capsys, argv, message):
+    assert run(argv) == PARSE_ERROR
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == build_parser().format_usage() + f"uns: error: {message}\n"
 
 
 def test_ord_parse_error(capsys):
@@ -320,3 +372,78 @@ def test_missing_required_argument(capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "usage" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_run_builds_its_parser_at_most_once(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for i in range(50):
+        assert run(["bits", "2/3", "-n", str(i % 7)]) == 0
+    capsys.readouterr()
+    assert len(built) <= 1
+
+
+def test_build_parser_returns_a_new_parser_each_time():
+    first, second = build_parser(), build_parser()
+    assert first is not second
+    first.set_defaults(format="structured")
+    assert second.parse_args(["bits", "2/3"]).format == "text"
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = build_parser().format_usage()
+    hyper_usage = "usage: uns hyper [-h] [--budget BUDGET] m k n\n"
+    sequence = [
+        (["flip", "(1).", "--raw"], 0, "(0).(1)\n", ""),
+        (["flip", "(1)."], 0, "(0)1.(0)\n", ""),
+        (
+            ["card", "normalize", "choose(aleph_2)", "--trace"],
+            0,
+            "CBT: choose(aleph_2) -> 2^aleph_2\nGCH: 2^aleph_2 -> aleph_3\naleph_3\n",
+            "",
+        ),
+        (["card", "normalize", "choose(aleph_2)"], 0, "aleph_3\n", ""),
+        (
+            ["--format", "structured", "convert", "(0)10011.(10)"],
+            0,
+            '{"command": "convert", "rational": "59/3"}\n',
+            "",
+        ),
+        (["convert", "(0)10011.(10)"], 0, "59/3\n", ""),
+        (
+            ["hyper", "2", "3"],
+            PARSE_ERROR,
+            "",
+            hyper_usage + "uns hyper: error: the following arguments are required: n\n",
+        ),
+        (["hyper", "2", "1", "70", "--budget", "64"], BUDGET_ERROR, "exceeds 64-bit budget: 2^70\n", ""),
+        (["hyper", "2", "1", "70"], 0, "1180591620717411303424\n", ""),
+        (["--help"], 0, build_parser().format_help(), ""),
+        (
+            ["ord", "eval", "w", "w"],
+            PARSE_ERROR,
+            "",
+            usage + "uns: error: ord eval takes 1 expression, got 2\n",
+        ),
+        (["ord", "eval", "w"], 0, "w\n", ""),
+        (["bits", "2/3", "-n", "4"], 0, "1010\n", ""),
+        (["bits", "2/3"], 0, "1010101010101010\n", ""),
+        (["diag", "2/3", "-n", "4"], 0, "0101\n", ""),
+        (["diag", "-n", "4"], 0, "1010\n", ""),
+    ]
+    for _ in range(2):
+        for argv, code, stdout, stderr in sequence:
+            assert run(argv) == code, argv
+            out = capsys.readouterr()
+            assert (out.out, out.err) == (stdout, stderr), argv

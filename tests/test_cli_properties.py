@@ -1,0 +1,121 @@
+"""Fuzz property of the command line: whatever the argv, `run` answers
+with one of the promised exit codes and never lets a traceback out.
+
+Argv lists are drawn from the subcommand names, their flags, small
+integers (zero and negatives included) and fragments of the stream,
+sequence, ordinal and cardinal notations, valid and invalid alike.
+Most draws follow a subcommand's shape with random operands, so they
+reach the evaluators; the rest are loose token lists, which mostly
+exercise the argument parser.
+"""
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from uns.cli import run  # noqa: E402
+
+COMMANDS = (
+    "convert", "eval-left", "complement", "flip", "bits",
+    "interval", "hyper", "ord", "card", "diag",
+)
+FLAGS = (
+    "--format", "text", "structured", "--to", "rational", "notation", "set",
+    "decimal", "--digits", "--raw", "-n", "--budget", "--trace", "--max",
+    "eval", "cmp", "fund", "normalize", "table", "-h", "--help", "--",
+)
+INTS = st.integers(-3, 40).map(str)
+STREAMS = st.one_of(
+    st.sampled_from(
+        ("0/0", "3/0", "0/5", "5/3", "2/4", "1/3", "pi/4", "sqrt(1/2)",
+         "sqrt(0/0)", "sqrt(1/4)", "sqrt(2/1)", "e/4", "1/-3", "", " 2/3 ")
+    ),
+    st.builds("{}/{}".format, st.integers(0, 9), st.integers(0, 9)),
+)
+SEQUENCES = st.sampled_from(
+    ("(0)10011.(10)", "(1)01100.(01)", "(101)001001.", "(1).", "(0).1(0)",
+     "(00)0101.11(0)", "(1).11", "(0).", ".", "", "12..", "(0)1.01", "(", "()1.")
+)
+STARS = st.sampled_from((".110***", ".11***", ".***", ".", "110", "", ".1*0", "***..."))
+ORD_ATOMS = st.one_of(
+    st.sampled_from(("w", "eps_0", "0", "1", "w^w", "(w+1)", "w^(w+1)", "", "(", "w +")),
+    st.integers(0, 12).map(str),
+)
+ORDS = st.lists(ORD_ATOMS, min_size=1, max_size=3).flatmap(
+    lambda atoms: st.sampled_from(("+", "*", "^", " + ")).map(lambda op: op.join(atoms))
+)
+CARDS = st.sampled_from(
+    ("aleph_0", "aleph_2", "2^aleph_0", "choose(aleph_2)", "hyper(3, 2, aleph_0)",
+     "choose(5)", "aleph_(w)", "aleph_(w+1)", "2^2^aleph_1", "3^aleph_1",
+     "hyper(2, 3, 4)", "aleph_", "aleph_(2 3)", "2^")
+)
+
+
+@st.composite
+def action(draw, counts, operand):
+    """An action and its operands, now and then one too many or too few."""
+    name = draw(st.sampled_from(sorted(counts)))
+    k = counts[name] + draw(st.sampled_from((0, 0, 0, 0, 1, -1)))
+    return [name, *(draw(operand) for _ in range(k))]
+
+
+OPTIONS = {
+    "convert": st.one_of(
+        st.sampled_from(("rational", "notation", "set", "decimal")).map(lambda to: ["--to", to]),
+        INTS.map(lambda n: ["--to", "decimal", "--digits", n]),
+    ),
+    "flip": st.just(["--raw"]),
+    "bits": INTS.map(lambda n: ["-n", n]),
+    "hyper": INTS.map(lambda n: ["--budget", n]),
+    "ord": INTS.map(lambda n: ["-n", n]),
+    "card": st.one_of(
+        st.just(["--trace"]),
+        INTS.map(lambda n: ["--budget", n]),
+        INTS.map(lambda n: ["--max", n]),
+    ),
+    "diag": INTS.map(lambda n: ["-n", n]),
+}
+OPERANDS = {
+    "convert": SEQUENCES.map(lambda v: [v]),
+    "eval-left": SEQUENCES.map(lambda v: [v]),
+    "complement": SEQUENCES.map(lambda v: [v]),
+    "flip": SEQUENCES.map(lambda v: [v]),
+    "bits": STREAMS.map(lambda v: [v]),
+    "interval": STARS.map(lambda v: [v]),
+    "hyper": st.lists(INTS, min_size=3, max_size=3),
+    "ord": action({"eval": 1, "cmp": 2, "fund": 1}, ORDS),
+    "card": action({"normalize": 1, "cmp": 2, "table": 0}, CARDS),
+    "diag": st.lists(STREAMS, max_size=4),
+}
+
+
+@st.composite
+def shaped_argv(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command, *draw(OPERANDS[command])]
+    if command in OPTIONS and draw(st.booleans()):
+        argv += draw(OPTIONS[command])
+    if draw(st.booleans()):
+        argv = ["--format", draw(st.sampled_from(("text", "structured")))] + argv
+    return argv
+
+
+TOKENS = st.one_of(
+    st.sampled_from(COMMANDS), st.sampled_from(FLAGS), INTS, STREAMS, SEQUENCES, ORDS, CARDS
+)
+ARGV = st.one_of(shaped_argv(), st.lists(TOKENS, max_size=6))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(ARGV)
+def test_any_argv_gets_a_promised_exit_code_and_no_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
