@@ -12,6 +12,9 @@ arg), and the diagonal binomial choose(e).  Rewriting applies:
     CBT     choose(aleph_a)                   ->  2^aleph_a
 
 where finite values are computed by the budgeted integer operators.
+GCH is the paper's Axiom of Monotonicity, which makes the Continuum
+Hypothesis true.  The rules live in one place, the table _RULES keyed
+on the node class, which also holds each composite node's text form.
 Every rule strictly shrinks the expression or moves it toward an aleph,
 so rewriting terminates; the engine works bottom-up and reports either
 a normal form (an aleph or a finite value), a stuck subexpression no
@@ -56,22 +59,28 @@ class CardinalParseError(ValueError):
 
 
 class UnnormalizableError(ValueError):
-    """A cardinal expression with no normal form we can reach."""
+    """A cardinal expression with no normal form we can reach.  The
+    subclasses keep their arguments as args, so they pickle, and format
+    the expression only when shown: most are caught and never printed."""
 
 
 class NoRuleError(UnnormalizableError):
     def __init__(self, expression):
+        super().__init__(expression)
         self.expression = expression
-        super().__init__(f"no rule applies to {format_cardinal(expression)}")
+
+    def __str__(self):
+        return f"no rule applies to {format_cardinal(self.expression)}"
 
 
 class FiniteBudgetError(UnnormalizableError, hyperops.BudgetError):
-    def __init__(self, expression, detail):
+    def __init__(self, expression, detail):  # detail: text or a hyperops.Exceeded
+        super().__init__(expression, detail)
         self.expression = expression
-        super().__init__(
-            f"finite value of {format_cardinal(expression)} exceeds the "
-            f"budget: {detail}"
-        )
+
+    def __str__(self):
+        value = format_cardinal(self.expression)
+        return f"finite value of {value} exceeds the budget: {self.args[1]}"
 
 
 # ---------------------------------------------------------------------------
@@ -195,64 +204,56 @@ class RewriteStep:
     after: CardinalExpr
 
 
+def _finite(e: CardinalExpr, m: int, k: int, n: int, budget: int) -> FiniteCard:
+    """The value of e, which is hyper(m, k, n), or FiniteBudgetError."""
+    r = hyperops.hyper(m, k, n, budget)
+    if isinstance(r, hyperops.Exceeded):
+        raise FiniteBudgetError(e, r)
+    return FiniteCard(r.value)
+
+
+# Every rule lives here.  Each composite node class maps to its text
+# template and its rules in the order they are tried: the rule's name, a
+# side condition on the node's children, and the rewrite of the node
+# under a finite budget.  Leaves have no entry, and a leaf is a normal
+# form.  What each rule assumes:
+#   finite  nothing: the budgeted integer operators compute the value
+#   AM      tower collapse: aleph_a iterated aleph_0 times on itself
+#   CT      finite-base collapse: m at a finite level k > 0 over aleph_a
+#   GCH     the paper's Axiom of Monotonicity: 2^aleph_a is aleph_(a+1)
+#   CBT     the diagonal binomial of aleph_a counts its subsets
+_RULES = {
+    Pow2: ("2^%s", (
+        ("finite", lambda n: type(n) is FiniteCard,
+            lambda e, budget: _finite(e, 2, 1, e.operand.value, budget)),
+        ("GCH", lambda a: type(a) is Aleph,
+            lambda e, budget: _successor(e.operand)),
+    )),
+    Choose: ("choose(%s)", (
+        ("CBT", lambda a: type(a) is Aleph,
+            lambda e, budget: Pow2(e.operand)),
+    )),
+    HyperCard: ("hyper(%s, %s, %s)", (
+        ("finite", lambda m, k, n: type(m) is type(k) is type(n) is FiniteCard,
+            lambda e, budget: _finite(e, e.base.value, e.level.value, e.arg.value, budget)),
+        ("AM", lambda b, k, a: type(b) is Aleph and k is ALEPH_0 and a is b,
+            lambda e, budget: _successor(e.base)),
+        ("CT", lambda m, k, a: type(m) is type(k) is FiniteCard and m.value > 1 and k.value > 0
+            and type(a) is Aleph,
+            lambda e, budget: _successor(e.arg)),
+    )),
+}
+
+
 def _root_step(e: CardinalExpr, budget: int):
     """One rule application at the root, or None."""
-    if isinstance(e, Pow2):
-        if isinstance(e.operand, FiniteCard):
-            r = hyperops.hyper(2, 1, e.operand.value, budget)
-            if isinstance(r, hyperops.Exceeded):
-                raise FiniteBudgetError(e, r.describe())
-            return ("finite", FiniteCard(r.value))
-        if isinstance(e.operand, Aleph):
-            return ("GCH", _successor(e.operand))
-    elif isinstance(e, Choose):
-        if isinstance(e.operand, Aleph):
-            return ("CBT", Pow2(e.operand))
-    elif isinstance(e, HyperCard):
-        b, l, a = e.base, e.level, e.arg
-        if (
-            isinstance(b, FiniteCard)
-            and isinstance(l, FiniteCard)
-            and isinstance(a, FiniteCard)
-        ):
-            r = hyperops.hyper(b.value, l.value, a.value, budget)
-            if isinstance(r, hyperops.Exceeded):
-                raise FiniteBudgetError(e, r.describe())
-            return ("finite", FiniteCard(r.value))
-        if (
-            isinstance(b, Aleph)
-            and l == ALEPH_0
-            and isinstance(a, Aleph)
-            and b.index == a.index
-        ):
-            return ("AM", _successor(b))
-        if (
-            isinstance(b, FiniteCard)
-            and b.value > 1
-            and isinstance(l, FiniteCard)
-            and l.value > 0
-            and isinstance(a, Aleph)
-        ):
-            return ("CT", _successor(a))
+    entry = _RULES.get(type(e))
+    if entry is not None:
+        kids = e._fields
+        for rule, applies, rewrite in entry[1]:
+            if applies(*kids):
+                return rule, rewrite(e, budget)
     return None
-
-
-def _children(e: CardinalExpr) -> tuple[CardinalExpr, ...]:
-    if isinstance(e, (Pow2, Choose)):
-        return (e.operand,)
-    if isinstance(e, HyperCard):
-        return (e.base, e.level, e.arg)
-    return ()
-
-
-def _rebuild(e: CardinalExpr, kids: tuple[CardinalExpr, ...]) -> CardinalExpr:
-    if isinstance(e, Pow2):
-        return Pow2(kids[0])
-    if isinstance(e, Choose):
-        return Choose(kids[0])
-    if isinstance(e, HyperCard):
-        return HyperCard(*kids)
-    return e
 
 
 def normalize_with_trace(
@@ -264,17 +265,14 @@ def normalize_with_trace(
     trace: list[RewriteStep] = []
 
     def walk(x: CardinalExpr) -> CardinalExpr:
-        kids = _children(x)
-        if kids:
-            x = _rebuild(x, tuple(walk(k) for k in kids))
-        while True:
-            step = _root_step(x, budget)
-            if step is None:
-                break
+        if type(x) not in _RULES:
+            return x
+        x = type(x)(*map(walk, x._fields))
+        while (step := _root_step(x, budget)) is not None:
             rule, after = step
             trace.append(RewriteStep(rule, x, after))
             x = after
-        if not isinstance(x, (Aleph, FiniteCard)):
+        if type(x) in _RULES:
             raise NoRuleError(x)
         return x
 
@@ -295,11 +293,11 @@ def all_single_steps(
     root = _root_step(e, budget)
     if root is not None:
         out.append(root)
-    kids = _children(e)
-    for i, kid in enumerate(kids):
-        for rule, new_kid in all_single_steps(kid, budget):
-            new_kids = kids[:i] + (new_kid,) + kids[i + 1 :]
-            out.append((rule, _rebuild(e, new_kids)))
+    if type(e) in _RULES:
+        kids = e._fields
+        for i, kid in enumerate(kids):
+            for rule, new_kid in all_single_steps(kid, budget):
+                out.append((rule, type(e)(*kids[:i], new_kid, *kids[i + 1 :])))
     return out
 
 
@@ -325,10 +323,8 @@ def _compare_normals(n1: CardinalExpr, n2: CardinalExpr) -> Comparison:
 
 def _as_hyper(e: CardinalExpr):
     if isinstance(e, HyperCard):
-        return (e.base, e.level, e.arg)
-    if isinstance(e, Pow2):
-        return (FiniteCard(2), FiniteCard(1), e.operand)
-    if isinstance(e, Choose):
+        return e._fields
+    if isinstance(e, (Pow2, Choose)):
         return (FiniteCard(2), FiniteCard(1), e.operand)
     return None
 
@@ -496,19 +492,13 @@ def parse_cardinal(text: str) -> CardinalExpr:
 
 
 def format_cardinal(e: CardinalExpr) -> str:
-    if isinstance(e, FiniteCard):
+    if type(e) is FiniteCard:
         return str(e.value)
-    if isinstance(e, Aleph):
+    if type(e) is Aleph:
         if e.index.is_finite:
             return f"aleph_{e.index.to_int()}"
         return f"aleph_({e.index})"
-    if isinstance(e, Pow2):
-        return f"2^{format_cardinal(e.operand)}"
-    if isinstance(e, HyperCard):
-        parts = ", ".join(
-            format_cardinal(x) for x in (e.base, e.level, e.arg)
-        )
-        return f"hyper({parts})"
-    if isinstance(e, Choose):
-        return f"choose({format_cardinal(e.operand)})"
-    raise TypeError(f"not a cardinal expression: {e!r}")
+    entry = _RULES.get(type(e))
+    if entry is None:
+        raise TypeError(f"not a cardinal expression: {e!r}")
+    return entry[0] % tuple(map(format_cardinal, e._fields))

@@ -32,6 +32,7 @@ import re
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 from . import hyperops
 
@@ -85,6 +86,13 @@ class _Term:
 
     __slots__ = ("__weakref__",)
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # _fields, the fields as one tuple, is read at every node a walk
+        # visits: a getter built once per class, not a generator per call
+        get = attrgetter(*cls.__slots__)
+        cls._fields = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+
     def __new__(cls, *fields):
         if len(fields) != len(cls.__slots__):
             raise TypeError(f"{cls.__name__} takes the fields {', '.join(cls.__slots__)}")
@@ -93,9 +101,6 @@ class _Term:
     def _check(self):
         """Structural validation, run once when the value is first built."""
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in type(self).__slots__)
-
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} terms are immutable")
 
@@ -103,10 +108,10 @@ class _Term:
 
     def __reduce__(self):
         # unpickling and copying build through _intern: the same object
-        return type(self), self._fields()
+        return type(self), self._fields
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{n}={v!r}" for n, v in zip(type(self).__slots__, self._fields()))
+        inner = ", ".join(f"{n}={v!r}" for n, v in zip(type(self).__slots__, self._fields))
         return f"{type(self).__name__}({inner})"
 
 

@@ -152,7 +152,7 @@ PI_OVER_4 = PiOver4Stream()
 
 
 def rational(p: int, q: int) -> RationalStream:
-    g = gcd(p, q) or 1  # 0/0: let the range check refuse it
+    g = gcd(p, q) if 0 < p < q else 1  # out of range: the check names p/q as typed
     return RationalStream(p // g, q // g)
 
 

@@ -1,5 +1,8 @@
+import pickle
+
 import pytest
 
+from uns import cardinals
 from uns.cardinals import (
     ALEPH_0,
     EMPTY_SET,
@@ -191,6 +194,52 @@ def test_budget_errors_carry_the_structural_description():
     with pytest.raises(FiniteBudgetError) as info:
         normalize(c("hyper(2, 3, 4)"))
     assert "tower" in str(info.value)
+
+
+def test_rewrite_error_messages():
+    with pytest.raises(NoRuleError) as info:
+        normalize(c("hyper(2, 1, choose(5))"))
+    assert info.value.expression is c("choose(5)")
+    assert str(info.value) == "no rule applies to choose(5)"
+    with pytest.raises(FiniteBudgetError) as info:
+        normalize(c("2^hyper(2, 3, 4)"))
+    assert info.value.expression is c("hyper(2, 3, 4)")
+    assert str(info.value) == (
+        "finite value of hyper(2, 3, 4) exceeds the budget: "
+        "a power tower of 65536 copies of 2"
+    )
+    assert str(FiniteBudgetError(c("2^aleph_0"), "some detail")) == (
+        "finite value of 2^aleph_0 exceeds the budget: some detail"
+    )
+
+
+@pytest.mark.parametrize("text", ["hyper(2, 3, 4)", "choose(5)"])
+def test_rewrite_errors_survive_pickling(text):
+    with pytest.raises(UnnormalizableError) as info:
+        normalize(c(text))
+    err = info.value
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is type(err)
+    assert back.expression is err.expression is c(text)
+    assert str(back) == str(err)
+
+
+def test_rewrite_errors_format_only_when_shown(monkeypatch):
+    calls = []
+    real = cardinals.format_cardinal
+    monkeypatch.setattr(cardinals, "format_cardinal", lambda e: calls.append(e) or real(e))
+    stuck, big = c("2^hyper(aleph_0, 2, aleph_0)"), c("hyper(2, 3, 4)")
+    with pytest.raises(NoRuleError) as info:
+        normalize(stuck)
+    with pytest.raises(FiniteBudgetError) as budget:
+        normalize(big)
+    assert compare(stuck, big) is Comparison.UNKNOWN
+    assert calls == []
+    assert str(info.value) == "no rule applies to hyper(aleph_0, 2, aleph_0)"
+    assert calls
+    calls.clear()
+    assert "power tower" in str(budget.value)
+    assert calls
 
 
 def test_aleph_base_at_finite_level_is_stuck():

@@ -127,6 +127,21 @@ def test_zero_over_zero_is_a_domain_error(capsys, argv):
     assert (out.out, out.err) == ("", "error: 0/0 is not strictly between 0 and 1\n")
 
 
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["bits", "4/2"], "4/2"),
+        (["bits", "6/3"], "6/3"),
+        (["bits", "3/0"], "3/0"),
+        (["diag", "2/3", "4/2", "-n", "3"], "4/2"),
+    ],
+)
+def test_out_of_range_fraction_is_named_as_typed(capsys, argv, shown):
+    assert run(argv) == DOMAIN_ERROR
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {shown} is not strictly between 0 and 1\n")
+
+
 def test_interval_of_star_string(capsys):
     out = text_of(capsys, ["interval", ".110***"])
     assert out == "(0.75, 0.875) width 0.125"
@@ -290,6 +305,122 @@ def test_card_argument_counts(capsys):
     capsys.readouterr()
 
 
+STUCK = "hyper(aleph_0, 2, aleph_0)"
+AM_REDEX = "hyper(aleph_(w), aleph_0, aleph_(w))"
+STRUCTURED = ["--format", "structured"]
+
+# argv -> exit code, stdout and stderr, written out by hand
+CARD_OUTPUT = {
+    "trace-gch-cbt-gch": (
+        ["card", "normalize", "choose(2^aleph_1)", "--trace"],
+        0,
+        "GCH: 2^aleph_1 -> aleph_2\n"
+        "CBT: choose(aleph_2) -> 2^aleph_2\n"
+        "GCH: 2^aleph_2 -> aleph_3\n"
+        "aleph_3\n",
+        "",
+    ),
+    "structured-gch-cbt-gch": (
+        [*STRUCTURED, "card", "normalize", "choose(2^aleph_1)", "--trace"],
+        0,
+        '{"command": "card", "cardinal": "aleph_3", "trace": ['
+        '{"rule": "GCH", "before": "2^aleph_1", "after": "aleph_2"}, '
+        '{"rule": "CBT", "before": "choose(aleph_2)", "after": "2^aleph_2"}, '
+        '{"rule": "GCH", "before": "2^aleph_2", "after": "aleph_3"}]}\n',
+        "",
+    ),
+    "trace-am": (
+        ["card", "normalize", AM_REDEX, "--trace"],
+        0,
+        "AM: hyper(aleph_(w), aleph_0, aleph_(w)) -> aleph_(w + 1)\naleph_(w + 1)\n",
+        "",
+    ),
+    "structured-am": (
+        [*STRUCTURED, "card", "normalize", AM_REDEX, "--trace"],
+        0,
+        '{"command": "card", "cardinal": "aleph_(w + 1)", "trace": [{"rule": "AM", '
+        '"before": "hyper(aleph_(w), aleph_0, aleph_(w))", "after": "aleph_(w + 1)"}]}\n',
+        "",
+    ),
+    "trace-ct": (
+        ["card", "normalize", "hyper(3, 2, aleph_0)", "--trace"],
+        0,
+        "CT: hyper(3, 2, aleph_0) -> aleph_1\naleph_1\n",
+        "",
+    ),
+    "structured-ct": (
+        [*STRUCTURED, "card", "normalize", "hyper(3, 2, aleph_0)", "--trace"],
+        0,
+        '{"command": "card", "cardinal": "aleph_1", "trace": [{"rule": "CT", '
+        '"before": "hyper(3, 2, aleph_0)", "after": "aleph_1"}]}\n',
+        "",
+    ),
+    "trace-finite": (["card", "normalize", "2^10", "--trace"], 0, "finite: 2^10 -> 1024\n1024\n", ""),
+    "structured-finite": (
+        [*STRUCTURED, "card", "normalize", "2^10", "--trace"],
+        0,
+        '{"command": "card", "cardinal": "1024", "trace": '
+        '[{"rule": "finite", "before": "2^10", "after": "1024"}]}\n',
+        "",
+    ),
+    "trace-stuck": (
+        ["card", "normalize", STUCK, "--trace"],
+        DOMAIN_ERROR,
+        "",
+        "error: no rule applies to hyper(aleph_0, 2, aleph_0)\n",
+    ),
+    "structured-stuck": (
+        [*STRUCTURED, "card", "normalize", STUCK],
+        DOMAIN_ERROR,
+        "",
+        "error: no rule applies to hyper(aleph_0, 2, aleph_0)\n",
+    ),
+    "budget": (
+        ["card", "normalize", "hyper(2, 3, 4)"],
+        BUDGET_ERROR,
+        "",
+        "error: finite value of hyper(2, 3, 4) exceeds the budget: "
+        "a power tower of 65536 copies of 2\n",
+    ),
+    "cmp-normal-forms": (["card", "cmp", "choose(2^aleph_1)", AM_REDEX], 0, "le\n", ""),
+    "cmp-finite-below-aleph": (["card", "cmp", "2^10", "hyper(3, 2, aleph_0)"], 0, "le\n", ""),
+    "cmp-stuck-unknown": (["card", "cmp", STUCK, "2^aleph_1"], 0, "unknown\n", ""),
+    "cmp-stuck-eq": (["card", "cmp", STUCK, STUCK], 0, "eq\n", ""),
+    "cmp-stuck-le": (["card", "cmp", STUCK, "hyper(aleph_0, 3, aleph_1)"], 0, "le\n", ""),
+    "structured-cmp": (
+        [*STRUCTURED, "card", "cmp", STUCK, "2^aleph_1"],
+        0,
+        '{"command": "card", "relation": "unknown"}\n',
+        "",
+    ),
+    "table": (
+        ["card", "table", "--max", "2"],
+        0,
+        "a  aleph_a  2^aleph_(a-1)  choose(aleph_(a-1))\n"
+        "0  aleph_0  aleph_0        aleph_0            \n"
+        "1  aleph_1  aleph_1        aleph_1            \n"
+        "2  aleph_2  aleph_2        aleph_2            \n",
+        "",
+    ),
+    "structured-table": (
+        [*STRUCTURED, "card", "table", "--max", "2"],
+        0,
+        '{"command": "card", "rows": ['
+        '{"alpha": "0", "aleph": "aleph_0", "powerset": "aleph_0", "binomial": "aleph_0"}, '
+        '{"alpha": "1", "aleph": "aleph_1", "powerset": "aleph_1", "binomial": "aleph_1"}, '
+        '{"alpha": "2", "aleph": "aleph_2", "powerset": "aleph_2", "binomial": "aleph_2"}'
+        '], "consistent": true}\n',
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, code, out, err", CARD_OUTPUT.values(), ids=CARD_OUTPUT)
+def test_card_output_is_byte_exact(capsys, argv, code, out, err):
+    assert run(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
 # ---------------------------------------------------------------------------
 # deep input
 
@@ -300,12 +431,15 @@ def test_deep_nesting_is_answered(capsys):
     assert tower == "w^(" * 239 + "w^w" + ")" * 239
     index = "aleph_(" + "(" * 300 + "w" + ")" * 300 + ")"
     assert text_of(capsys, ["card", "normalize", index]) == "aleph_(w)"
+    assert text_of(capsys, ["card", "normalize", "2^" * 600 + "aleph_0"]) == "aleph_600"
+    chain = "choose(" * 700 + "aleph_0" + ")" * 700
+    assert text_of(capsys, ["card", "normalize", chain]) == "aleph_700"
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["card", "normalize", "2^" * 600 + "aleph_0"],
+        ["card", "normalize", "2^" * 1200 + "aleph_0"],
         ["ord", "fund", "eps_0", "-n", "1200"],
     ],
 )

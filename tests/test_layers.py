@@ -2,7 +2,8 @@
 modules below it, so a lower layer never depends on an upper one.  The
 package's __init__ sits above the stack and re-exports all of it.  Every
 package import sits at module level, where the order is visible; none
-hides in a function body.  Every cache has a literal bound."""
+hides in a function body.  Every cache has a literal bound, and every
+private helper is used."""
 
 import ast
 from pathlib import Path
@@ -98,3 +99,43 @@ def test_every_cache_is_bounded(path):
 )
 def test_the_cache_check_tells_bounded_from_unbounded(source, bounded):
     assert (not list(_unbounded_caches(ast.parse(source)))) == bounded
+
+
+def _dead_helpers(trees):
+    """Module-level private functions and classes of the given modules
+    that nothing in them refers to; a helper's references to itself, from
+    its own body, do not count."""
+    defined, used = set(), set()
+    for tree in trees:
+        for stmt in tree.body:
+            helper = isinstance(stmt, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef)
+            own = stmt.name if helper else None
+            if own and own.startswith("_") and not own.endswith("__"):
+                defined.add(own)
+            used.update(n for n in map(_name, ast.walk(stmt)) if n and n != own)
+    return sorted(defined - used)
+
+
+def test_no_dead_helpers():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+    trees.append(ast.parse(Path(uns.__file__).read_text(encoding="utf-8")))
+    assert _dead_helpers(trees) == []
+
+
+@pytest.mark.parametrize(
+    "sources, dead",
+    [
+        (["def _f(): pass"], ["_f"]),
+        (["def _f(): pass\nx = _f()"], []),
+        (["def _f(n):\n    return _f(n - 1)"], ["_f"]),
+        (["class _C: pass\nclass D(_C): pass"], []),
+        (["class _C:\n    def m(self): return _C()"], ["_C"]),
+        (["def _f(): pass", "from a import _f\n_f()"], []),
+        (["def _f(): pass", "import a\na._f()"], []),
+        (["def _f(): pass", "from a import _f"], ["_f"]),
+        (["def __getattr__(name): pass\nclass D:\n    def _m(self): pass"], []),
+        (["async def _f(): pass\ndef _g(): pass\n_h = _g"], ["_f"]),
+    ],
+)
+def test_the_dead_helper_check_finds_unreferenced_helpers(sources, dead):
+    assert _dead_helpers([ast.parse(s) for s in sources]) == dead
