@@ -26,6 +26,10 @@ which is what makes ...111. equal -1.  Right sequences evaluate to the
 limit of their partial sums, always in [0, 1].  Values in (0, 1) get a
 nonterminating canonical form: terminating expansions are rewritten to
 end in (1), so 3/4 is ".10(1)" and never ".11".
+
+The minimal form is computed one way: the encoders' digit loops, whose
+first repeated state gives the minimal preperiod and block.  normalize
+reads a pattern's value and runs the same loop on it.
 """
 
 from __future__ import annotations
@@ -77,37 +81,22 @@ ZERO_BITS = PeriodicBits((), (0,))
 
 
 def normalize(p: PeriodicBits, orientation: str) -> PeriodicBits:
-    """Minimal form: primitive block, no absorbable preperiod bits.
+    """Minimal form: the encoder's expansion of the pattern's value.
 
-    Right orientation additionally rewrites terminating expansions of
-    nonzero values to the (1)-tail form, e.g. ".11(0)" -> ".10(1)".
+    Right orientation therefore puts terminating expansions of nonzero
+    values on the (1)-tail, e.g. ".11(0)" -> ".10(1)"; the right value 1
+    (all ones, e.g. from complementing a zero tail) stays "(1)".
     """
     if orientation not in (LEFT, RIGHT):
         raise ValueError(f"bad orientation {orientation!r}")
-    pre = list(p.preperiod)
-    per = list(p.period)
-
-    # primitive repeating block
-    n = len(per)
-    for d in range(1, n + 1):
-        if n % d == 0 and all(per[i] == per[i % d] for i in range(n)):
-            per = per[:d]
-            break
-
-    if orientation == RIGHT and not any(per):
-        # terminating; move to the (1)-tail unless the value is zero
-        while pre and pre[-1] == 0:
-            pre.pop()
-        if pre:
-            pre[-1] = 0
-            per = [1]
-
-    # absorb preperiod bits that already match the block
-    while pre and pre[-1] == per[-1]:
-        per.insert(0, per.pop())
-        pre.pop()
-
-    return PeriodicBits(tuple(pre), tuple(per))
+    num, den = _ratio(p, orientation)
+    if orientation == LEFT:
+        return _left_digits(num, den)
+    if num == 0:
+        return ZERO_BITS
+    if num == den:
+        return PeriodicBits((), (1,))
+    return _right_digits(num, den)
 
 
 def _bitnot(p: PeriodicBits) -> PeriodicBits:
@@ -165,7 +154,7 @@ class UniversalRational:
 
     @property
     def value(self) -> Fraction:
-        return decode_left(self.left) + decode_right(self.right)
+        return decode_universal(self)
 
     def __str__(self) -> str:
         return format_universal(self)
@@ -186,37 +175,23 @@ def _written_value(bits: tuple[int, ...]) -> int:
     return int("".join(map(str, bits)), 2)
 
 
-def decode_left(l: LeftPart) -> Fraction:
-    pre, per = l.bits.preperiod, l.bits.period
-    b = _low_value(pre)
-    a = _low_value(per)
-    return b + Fraction(a << len(pre), 1 - (1 << len(per)))
+def _ratio(p: PeriodicBits, orientation: str) -> tuple[int, int]:
+    """The pattern's value as num / den with den > 0, not reduced."""
+    block = (1 << len(p.period)) - 1
+    if orientation == LEFT:
+        b, a = _low_value(p.preperiod), _low_value(p.period)
+        return b * block - (a << len(p.preperiod)), block
+    b, a = _written_value(p.preperiod), _written_value(p.period)
+    return b * block + a, block << len(p.preperiod)
 
 
-def decode_right(r: RightPart) -> Fraction:
-    pre, per = r.bits.preperiod, r.bits.period
-    b = _written_value(pre)
-    a = _written_value(per)
-    block = (1 << len(per)) - 1
-    return Fraction(b * block + a, (1 << len(pre)) * block)
-
-
-def decode_universal(u: UniversalRational) -> Fraction:
-    return decode_left(u.left) + decode_right(u.right)
-
-
-def encode_left_rational(value: Fraction | int) -> LeftPart:
-    """Left sequence of any rational with odd denominator.
+def _left_digits(num: int, den: int) -> PeriodicBits:
+    """Two-adic digits of num / den, den odd.
 
     Digits come from the parity of the running numerator; the numerator
     state determines the whole tail, so the first repeated state gives
     the minimal preperiod and block.
     """
-    value = Fraction(value)
-    den = value.denominator
-    if den % 2 == 0:
-        raise ValueError("left sequences need an odd denominator")
-    num = value.numerator
     seen: dict[int, int] = {}
     digits: list[int] = []
     while num not in seen:
@@ -225,25 +200,16 @@ def encode_left_rational(value: Fraction | int) -> LeftPart:
         digits.append(bit)
         num = (num - bit * den) // 2
     cut = seen[num]
-    return LeftPart(PeriodicBits(tuple(digits[:cut]), tuple(digits[cut:])))
+    return PeriodicBits(tuple(digits[:cut]), tuple(digits[cut:]))
 
 
-def encode_integer(z: int) -> LeftPart:
-    return encode_left_rational(Fraction(z))
+def _right_digits(num: int, den: int) -> PeriodicBits:
+    """Base-2 long division of num / den, strictly between 0 and 1.
 
-
-def encode_fraction(q: Fraction) -> RightPart:
-    """Canonical right sequence of q in (0, 1).
-
-    Plain base-2 long division; the remainder determines the tail, so
-    the first repeated remainder gives the minimal split.  Terminating
-    expansions are rewritten to the (1)-tail form.  The period can be
-    as long as den - 1 bits; for a prefix use fraction_prefix.
+    The remainder determines the tail, so the first repeated remainder
+    gives the minimal split.  A terminating expansion ends in a one,
+    which becomes a zero followed by the (1)-tail.
     """
-    q = Fraction(q)
-    if not 0 < q < 1:
-        raise ValueError(f"{q} is not strictly between 0 and 1")
-    num, den = q.numerator, q.denominator
     seen: dict[int, int] = {}
     digits: list[int] = []
     r = num
@@ -253,9 +219,46 @@ def encode_fraction(q: Fraction) -> RightPart:
         digits.append(r // den)
         r %= den
     if r == 0:
-        return RightPart(normalize(PeriodicBits(tuple(digits), (0,)), RIGHT))
+        digits[-1] = 0
+        return PeriodicBits(tuple(digits), (1,))
     cut = seen[r]
-    return RightPart(PeriodicBits(tuple(digits[:cut]), tuple(digits[cut:])))
+    return PeriodicBits(tuple(digits[:cut]), tuple(digits[cut:]))
+
+
+def decode_left(l: LeftPart) -> Fraction:
+    return Fraction(*_ratio(l.bits, LEFT))
+
+
+def decode_right(r: RightPart) -> Fraction:
+    return Fraction(*_ratio(r.bits, RIGHT))
+
+
+def decode_universal(u: UniversalRational) -> Fraction:
+    return decode_left(u.left) + decode_right(u.right)
+
+
+def encode_left_rational(value: Fraction | int) -> LeftPart:
+    """Left sequence of any rational with odd denominator."""
+    value = Fraction(value)
+    if value.denominator % 2 == 0:
+        raise ValueError("left sequences need an odd denominator")
+    return LeftPart(_left_digits(value.numerator, value.denominator))
+
+
+def encode_integer(z: int) -> LeftPart:
+    return encode_left_rational(Fraction(z))
+
+
+def encode_fraction(q: Fraction) -> RightPart:
+    """Canonical right sequence of q in (0, 1).
+
+    The period can be as long as den - 1 bits; for a prefix use
+    fraction_prefix.
+    """
+    q = Fraction(q)
+    if not 0 < q < 1:
+        raise ValueError(f"{q} is not strictly between 0 and 1")
+    return RightPart(_right_digits(q.numerator, q.denominator))
 
 
 def fraction_prefix(q: Fraction, n: int) -> int:
@@ -461,3 +464,22 @@ def format_right(r: RightPart) -> str:
 
 def format_universal(u: UniversalRational) -> str:
     return format_left(u.left) + format_right(u.right)[1:]
+
+
+def decimal_str(value: Fraction, digits: int) -> str:
+    """Decimal of value truncated to `digits` places, ending in "…"
+    when it does not terminate there."""
+    if digits < 0:
+        raise ValueError(f"bad digit count {digits}")
+    sign = "-" if value < 0 else ""
+    value = abs(value)
+    whole, rest = divmod(value.numerator, value.denominator)
+    if rest == 0:
+        return f"{sign}{whole}"
+    if digits == 0:
+        return f"{sign}{whole}…"
+    scaled, left = divmod(rest * 10**digits, value.denominator)
+    frac = str(scaled).rjust(digits, "0")
+    if left == 0:
+        return f"{sign}{whole}.{frac.rstrip('0')}"
+    return f"{sign}{whole}.{frac}…"

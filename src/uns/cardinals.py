@@ -224,8 +224,10 @@ def _finite(e: CardinalExpr, m: int, k: int, n: int, budget: int) -> FiniteCard:
 #   CBT     the diagonal binomial of aleph_a counts its subsets
 _RULES = {
     Pow2: ("2^%s", (
+        # 2^0 counts the subsets of the empty set; hyperops leaves count 0 undefined
         ("finite", lambda n: type(n) is FiniteCard,
-            lambda e, budget: _finite(e, 2, 1, e.operand.value, budget)),
+            lambda e, budget: _finite(e, 2, 1, e.operand.value, budget)
+            if e.operand.value else FiniteCard(1)),
         ("GCH", lambda a: type(a) is Aleph,
             lambda e, budget: _successor(e.operand)),
     )),

@@ -11,7 +11,6 @@ import functools
 import json
 import re
 import sys
-from fractions import Fraction
 
 from . import bitseq, cardinals, hyperops, ordinals, streams
 
@@ -51,25 +50,6 @@ def _parse_stream(text: str) -> streams.StreamDescriptor:
     )
 
 
-def _decimal_str(value: Fraction, digits: int) -> str:
-    """Truncated decimal with an explicit continuation mark."""
-    if digits < 0:
-        raise ValueError(f"bad digit count {digits}")
-    sign = "-" if value < 0 else ""
-    value = abs(value)
-    whole, rest = divmod(value.numerator, value.denominator)
-    if rest == 0:
-        return f"{sign}{whole}"
-    if digits == 0:
-        return f"{sign}{whole}…"
-    scaled = rest * 10**digits // value.denominator
-    frac = str(scaled).rjust(digits, "0")
-    exact = Fraction(scaled, 10**digits) == Fraction(rest, value.denominator)
-    if exact:
-        return f"{sign}{whole}.{frac.rstrip('0')}"
-    return f"{sign}{whole}.{frac}…"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -77,18 +57,17 @@ def _decimal_str(value: Fraction, digits: int) -> str:
 def _cmd_convert(args) -> int:
     u = bitseq.parse_universal(args.value)
     value = bitseq.decode_universal(u)
-    canon = bitseq.canonicalize(u)
     if args.to == "rational":
         text = str(value)
         _emit(args, text, rational=text)
     elif args.to == "notation":
-        text = str(canon)
+        text = str(bitseq.canonicalize(u))
         _emit(args, text, notation=text)
     elif args.to == "set":
-        rendered = bitseq.render_universal_set(canon)
+        rendered = bitseq.render_universal_set(bitseq.canonicalize(u))
         _emit(args, rendered, set=rendered)
     else:
-        text = _decimal_str(value, args.digits)
+        text = bitseq.decimal_str(value, args.digits)
         _emit(args, text, decimal=text)
     return 0
 
@@ -322,7 +301,12 @@ def _validate_counts(parser, args):
 def run(argv) -> int:
     parser = _shared_parser()
     try:
-        args = parser.parse_args(argv)
+        args, rest = parser.parse_known_args(argv)
+        if args.command in ("ord", "card"):
+            args.expr = args.expr + [a for a in rest if not a.startswith("-")]
+            rest = [a for a in rest if a.startswith("-")]
+        if rest:
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
         _validate_counts(parser, args)
     except SystemExit as stop:
         return stop.code if stop.code else 0

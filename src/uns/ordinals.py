@@ -433,10 +433,7 @@ def fundamental(a, n: int) -> Ordinal:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"bad index {n!r}")
     if isinstance(a, EpsilonZero):
-        t = OMEGA
-        for _ in range(n - 1):
-            t = ord_pow(OMEGA, t)
-        return t
+        return omega_hyper(2, n)
     a = _coerce(a)
     if not a.is_limit:
         raise ValueError(f"{a} is not a limit ordinal")

@@ -36,7 +36,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Callable, Union
 
-from .bitseq import fraction_prefix
+from .bitseq import _written_value, decimal_str, fraction_prefix
 
 
 class StarStringError(ValueError):
@@ -226,12 +226,7 @@ class DyadicInterval:
 
 def dyadic_str(f: Fraction) -> str:
     """Exact decimal of a dyadic rational, e.g. 3/4 -> '0.75'."""
-    whole, rest = divmod(f.numerator, f.denominator)
-    if rest == 0:
-        return str(whole)
-    k = f.denominator.bit_length() - 1
-    digits = str(rest * 5**k).rjust(k, "0").rstrip("0")
-    return f"{whole}.{digits}"
+    return decimal_str(f, f.denominator.bit_length() - 1)
 
 
 class BitStream:
@@ -258,11 +253,7 @@ class BitStream:
     def interval(self, n: int) -> DyadicInterval:
         if n < 1:
             raise ValueError("need at least one bit for an interval")
-        prefix = self.bits(n)
-        value = 0
-        for b in prefix:
-            value = (value << 1) | b
-        return DyadicInterval(Fraction(value, 1 << n), n)
+        return DyadicInterval(Fraction(_written_value(self.bits(n)), 1 << n), n)
 
     def __repr__(self):
         return f"BitStream({self.descriptor!r})"

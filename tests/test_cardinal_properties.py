@@ -67,7 +67,9 @@ def root_rewrite(e):
     if tag == "pow2":
         x = e[1]
         if x[0] == "fin":
-            return "finite", value(2, 1, x[1])
+            if x[1] + 1 > BUDGET:  # 2^n has n + 1 bits
+                raise Budget
+            return "finite", ("fin", 2 ** x[1])
         if x[0] == "aleph":
             return "GCH", ("aleph", succ(x[1]))
     if tag == "choose" and e[1][0] == "aleph":

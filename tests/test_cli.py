@@ -305,6 +305,24 @@ def test_card_argument_counts(capsys):
     capsys.readouterr()
 
 
+def test_card_powerset_of_the_empty_set_has_one_member(capsys):
+    assert text_of(capsys, ["card", "normalize", "2^0", "--trace"]) == "finite: 2^0 -> 1\n1"
+    assert run(["hyper", "2", "1", "0"]) == DOMAIN_ERROR
+    assert run(["card", "normalize", "hyper(2, 1, 0)"]) == DOMAIN_ERROR
+    capsys.readouterr()
+
+
+def test_options_may_come_before_or_between_expressions(capsys):
+    out = text_of(capsys, ["card", "normalize", "--trace", "choose(aleph_2)"])
+    assert out.split("\n") == ["CBT: choose(aleph_2) -> 2^aleph_2", "GCH: 2^aleph_2 -> aleph_3", "aleph_3"]
+    assert text_of(capsys, ["card", "cmp", "aleph_0", "--budget", "64", "aleph_1"]) == "le"
+    assert text_of(capsys, ["ord", "cmp", "w", "-n", "2", "w^2"]) == "<"
+    assert run(["card", "cmp", "aleph_0", "--bogus", "aleph_1"]) == PARSE_ERROR
+    assert capsys.readouterr().err.endswith("uns: error: unrecognized arguments: --bogus\n")
+    assert run(["flip", "(1).", "x"]) == PARSE_ERROR
+    assert capsys.readouterr().err.endswith("uns: error: unrecognized arguments: x\n")
+
+
 STUCK = "hyper(aleph_0, 2, aleph_0)"
 AM_REDEX = "hyper(aleph_(w), aleph_0, aleph_(w))"
 STRUCTURED = ["--format", "structured"]
