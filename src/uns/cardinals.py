@@ -436,10 +436,8 @@ class Infinitesimal:
         return normalize(self.tag)
 
     def describe(self) -> str:
-        prefix = as_stream(self.anchor).bits(16)
-        digits = "".join(str(b) for b in prefix)
         return (
-            f".{digits}… carries {format_cardinal(self.tag)} "
+            f".{as_stream(self.anchor).prefix(16):016b}… carries {format_cardinal(self.tag)} "
             f"= {format_cardinal(self.normalized_tag())} bonded points"
         )
 

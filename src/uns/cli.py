@@ -93,8 +93,12 @@ def _cmd_flip(args) -> int:
 
 
 def _cmd_bits(args) -> int:
-    prefix = streams.as_stream(_parse_stream(args.stream)).bits(args.n)
-    text = "".join(str(b) for b in prefix)
+    """The prefix of one stream (bits) or of the diagonal over several (diag)."""
+    if args.command == "diag":
+        stream = streams.diagonal([_parse_stream(s) for s in args.stream])
+    else:
+        stream = streams.as_stream(_parse_stream(args.stream))
+    text = format(stream.prefix(args.n), f"0{args.n}b") if args.n else ""
     _emit(args, text, bits=text)
     return 0
 
@@ -188,14 +192,6 @@ def _cmd_card(args) -> int:
     return 0
 
 
-def _cmd_diag(args) -> int:
-    inputs = [_parse_stream(s) for s in args.stream]
-    prefix = streams.diagonal(inputs).bits(args.n)
-    text = "".join(str(b) for b in prefix)
-    _emit(args, text, bits=text)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -266,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diag", help="diagonal stream over other streams")
     p.add_argument("stream", nargs="*")
     p.add_argument("-n", type=int, default=16)
-    p.set_defaults(fn=_cmd_diag)
+    p.set_defaults(fn=_cmd_bits)
 
     return top
 

@@ -12,7 +12,9 @@ weak-valued table, so equality is identity, hashing is O(1), and the
 check that exponents strictly decrease runs once per value.  ord_add,
 ord_mul, ord_pow and ord_cmp share one memo policy, least recently used
 with 1024 entries each.  Finite powers pass the hyperops size gate and
-are refused with OrdinalBudgetError past the default bit budget.
+are refused with OrdinalBudgetError past the default bit budget; so is
+an infinite base raised to a finite power whose normal form would have
+more than TERM_BUDGET terms.
 
 Text grammar (parse_ordinal / format_ordinal), shared with cardinal
 text, where an aleph index is a sum:
@@ -42,7 +44,11 @@ class OrdinalParseError(ValueError):
 
 
 class OrdinalBudgetError(hyperops.BudgetError):
-    """A finite power in the arithmetic would not fit the bit budget."""
+    """A power in the arithmetic would not fit the bit or term budget."""
+
+
+# the most terms a power a^n of an infinite base may have
+TERM_BUDGET = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +344,27 @@ def _succ_pred(e: Ordinal) -> Ordinal:
 
 
 def _pow_int(a: Ordinal, n: int) -> Ordinal:
+    """a^n for an infinite a, refused before it is built when the result
+    would have more than TERM_BUDGET terms.  Each further factor of a
+    k-term a adds one term per limit term of a, k - 1 of them, when a
+    ends in a finite term c, since c only scales the leading coefficient;
+    it adds none when a is a limit."""
+    k = len(a.terms)
+    terms = k + (n - 1) * (k - 1) if a.is_successor else k
+    if terms > TERM_BUDGET:
+        raise OrdinalBudgetError(
+            f"power {n} of a {k}-term ordinal would have {terms} terms, "
+            f"over the {TERM_BUDGET}-term budget"
+        )
     result = ONE
     square = a
-    while n:
+    while True:
         if n & 1:
             result = ord_mul(result, square)
-        square = ord_mul(square, square)
         n >>= 1
-    return result
+        if not n:
+            return result
+        square = ord_mul(square, square)
 
 
 def _finite_pow(m: int, n: int) -> Ordinal:

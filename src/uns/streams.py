@@ -2,25 +2,26 @@
 
 A stream is named by a small immutable descriptor (a rational, pi/4, a
 square root, a diagonal over other streams, or a registered custom
-algorithm) and hands out exact prefixes of the value's nonterminating
-binary expansion.  as_stream gives equal descriptors one shared
-BitStream, whose prefixes are memoized behind a lock, so a stream can be
-shared across threads, and every prefix is a prefix of every longer one.
-That memo, bounded to the 1024 most recently used descriptors, is the
-module's only cache: each descriptor computes a prefix directly.
+algorithm) whose prefix_bits(n) is the first n bits of the value's
+nonterminating binary expansion as one integer.  as_stream gives equal
+descriptors one shared BitStream, whose memo, an integer and its length
+behind a lock, makes every prefix a prefix of every longer one; that
+memo, bounded to the 1024 most recently used descriptors, is the
+module's only cache.  Bits become a tuple only in BitStream.bits.
 
 The first n bits pin the value into a dyadic interval of width 2^-n;
 nothing on the boundary is ever claimed, the value only lies in the
 closed hull.  Finite observations written as ".110***" parse into the
 same intervals.
 
-pi/4 bits are certified from the two-arctangent identity
-
-    pi/4 = 4*arctan(1/5) - arctan(1/239)
-
-evaluated in pure integer arithmetic with explicit floor-error and tail
-bounds, retried at doubled working precision until the wanted bits are
-pinched between the lower and upper bound.  Square roots use
+pi/4 bits are certified from pi/4 = 4*arctan(1/5) - arctan(1/239) in
+integer arithmetic.  Each arctan(1/x) series is cut after N terms, the
+first dropped one, 1/((2N+1) x^(2N+1)), being below 2^-prec and so above
+the whole alternating tail; the N terms are summed exactly by binary
+splitting (Haible and Papanikolaou, "Fast multiprecision evaluation of
+series of rational numbers", 1998).  One floor of that sum and the tail
+bound give integer lower and upper bounds, and the working precision
+doubles until they pinch the wanted bits.  Square roots use
 floor(sqrt(p/q) * 2^n) = isqrt(p * 4^n // q), exact because the value
 is irrational.  A rational p/q is read off one division, without its
 period: the first n bits are (p * 2^n - 1) // q (bitseq.fraction_prefix).
@@ -63,21 +64,19 @@ class RationalStream:
         if gcd(p, q) != 1:
             raise StreamError(f"{p}/{q} is not reduced")
 
-    def prefix_bits(self, n: int) -> tuple[int, ...]:
-        return _int_to_bits(
-            fraction_prefix(Fraction(self.numerator, self.denominator), n), n
-        )
+    def prefix_bits(self, n: int) -> int:
+        return fraction_prefix(Fraction(self.numerator, self.denominator), n)
 
 
 @dataclass(frozen=True)
 class PiOver4Stream:
-    def prefix_bits(self, n: int) -> tuple[int, ...]:
+    def prefix_bits(self, n: int) -> int:
         """Certified: the lower and the upper bound agree on these bits."""
         prec = n + 32
         while True:
             lo, hi = _pi_over_4_bounds(prec)
             if lo >= 0 and (lo >> (prec - n)) == (hi >> (prec - n)):
-                return _int_to_bits(lo >> (prec - n), n)
+                return lo >> (prec - n)
             prec *= 2
 
 
@@ -97,8 +96,8 @@ class SqrtStream:
         if isqrt(p) ** 2 == p and isqrt(q) ** 2 == q:
             raise StreamError(f"sqrt({p}/{q}) is rational; use a rational stream")
 
-    def prefix_bits(self, n: int) -> tuple[int, ...]:
-        return _int_to_bits(isqrt((self.numerator << (2 * n)) // self.denominator), n)
+    def prefix_bits(self, n: int) -> int:
+        return isqrt((self.numerator << (2 * n)) // self.denominator)
 
 
 @dataclass(frozen=True)
@@ -107,14 +106,13 @@ class DiagonalStream:
 
     inputs: tuple["StreamDescriptor", ...]
 
-    def prefix_bits(self, n: int) -> tuple[int, ...]:
-        out = []
-        for i in range(1, n + 1):
-            if i <= len(self.inputs):
-                out.append(1 - as_stream(self.inputs[i - 1]).bits(i)[i - 1])
-            else:
-                out.append((i - len(self.inputs)) & 1)
-        return tuple(out)
+    def prefix_bits(self, n: int) -> int:
+        k = min(n, len(self.inputs))
+        head = 0
+        for i, row in enumerate(self.inputs[:k], start=1):
+            head = (head << 1) | (~as_stream(row).prefix(i) & 1)
+        # the padding 1010... of n - k bits is floor(2^(n-k+1) / 3)
+        return (head << (n - k)) | ((1 << (n - k + 1)) // 3)
 
 
 _ALGORITHMS: dict[str, Callable[[int], tuple[int, ...]]] = {}
@@ -134,14 +132,14 @@ def has_algorithm(name: str) -> bool:
 class CustomStream:
     algorithm: str
 
-    def prefix_bits(self, n: int) -> tuple[int, ...]:
+    def prefix_bits(self, n: int) -> int:
         fn = _ALGORITHMS.get(self.algorithm)
         if fn is None:
             raise StreamError(f"unknown algorithm {self.algorithm!r}")
         bits = tuple(fn(n))
         if len(bits) != n or any(b not in (0, 1) for b in bits):
             raise StreamError(f"algorithm {self.algorithm!r} returned bad bits")
-        return bits
+        return _written_value(bits)
 
 
 StreamDescriptor = Union[
@@ -160,32 +158,36 @@ def rational(p: int, q: int) -> RationalStream:
 # bit computations
 
 
-def _int_to_bits(prefix: int, n: int) -> tuple[int, ...]:
-    return tuple((prefix >> (n - 1 - i)) & 1 for i in range(n))
+def _terms_needed(x: int, prec: int) -> int:
+    """The smallest N with (2N+1) * x^(2N+1) > 2^prec, searched from below:
+    lg / 4096 > log2(x), and prec.bit_length() > log2(2N+1)."""
+    lg = (x**4096).bit_length()
+    n = max(0, (prec - prec.bit_length()) * 4096 // (2 * lg) - 1)
+    power = x ** (2 * n + 1)
+    while (2 * n + 1) * power <= 1 << prec:
+        n += 1
+        power *= x * x
+    return n
+
+
+def _arctan_split(x2: int, a: int, b: int) -> tuple[int, int, int]:
+    """Terms a..b-1 of the arctan(1/x) series, x2 = x^2, as (t, d, p) with
+    d = (2a+1)(2a+3)...(2b-1), p = x2^(b-a) and sum t / (d * p) * x2^(1-a) / x."""
+    if b - a == 1:
+        return (-1 if a & 1 else 1), 2 * a + 1, x2
+    m = (a + b) // 2
+    t1, d1, p1 = _arctan_split(x2, a, m)
+    t2, d2, p2 = _arctan_split(x2, m, b)
+    return t1 * d2 * p2 + d1 * t2, d1 * d2, p1 * p2
 
 
 def _arctan_inv_bounds(x: int, prec: int) -> tuple[int, int]:
-    """Integer bounds on arctan(1/x) * 2^prec from the alternating series.
-
-    Each floored term is off by less than 1 and the dropped tail is
-    below the last term, so the running sum is within (terms + 1) of the
-    truth in either direction.
-    """
-    one = 1 << prec
-    total = 0
-    terms = 0
-    power = x  # x^(2j+1)
-    j = 0
-    while True:
-        t = one // ((2 * j + 1) * power)
-        if t == 0:
-            break
-        total += -t if j & 1 else t
-        terms += 1
-        power *= x * x
-        j += 1
-    slack = terms + 1
-    return total - slack, total + slack
+    """Integer bounds lo <= arctan(1/x) * 2^prec <= hi: the floor of the
+    exact N-term sum is off by less than 1, and the dropped tail adds less than 1."""
+    n = _terms_needed(x, prec)
+    t, d, p = _arctan_split(x * x, 0, n) if n else (0, 1, 1)
+    floor = ((t * x) << prec) // (d * p)
+    return floor - 1, floor + 2
 
 
 def _pi_over_4_bounds(prec: int) -> tuple[int, int]:
@@ -234,26 +236,29 @@ class BitStream:
 
     def __init__(self, descriptor: StreamDescriptor):
         self.descriptor = descriptor
-        self._bits: tuple[int, ...] = ()
+        self._value, self._length = 0, 0  # the longest prefix computed, as an integer
         self._lock = threading.Lock()
 
-    def bits(self, n: int) -> tuple[int, ...]:
+    def prefix(self, n: int) -> int:
+        """The first n bits as one n-bit integer."""
         if n < 0:
             raise ValueError(f"bad prefix length {n!r}")
         with self._lock:
-            if n > len(self._bits):
+            if n > self._length:
                 fresh = self.descriptor.prefix_bits(n)
-                if fresh[: len(self._bits)] != self._bits:
-                    raise StreamError(
-                        f"{self.descriptor!r} changed an already published bit"
-                    )
-                self._bits = fresh
-            return self._bits[:n]
+                # also refuses a negative value or one wider than n bits
+                if fresh >> (n - self._length) != self._value:
+                    raise StreamError(f"{self.descriptor!r} changed an already published bit")
+                self._value, self._length = fresh, n
+            return self._value >> (self._length - n)
+
+    def bits(self, n: int) -> tuple[int, ...]:
+        return tuple(map(int, format(self.prefix(n), f"0{n}b"))) if n else ()
 
     def interval(self, n: int) -> DyadicInterval:
         if n < 1:
             raise ValueError("need at least one bit for an interval")
-        return DyadicInterval(Fraction(_written_value(self.bits(n)), 1 << n), n)
+        return DyadicInterval(Fraction(self.prefix(n), 1 << n), n)
 
     def __repr__(self):
         return f"BitStream({self.descriptor!r})"
@@ -296,8 +301,8 @@ def compare(s1, s2, maxbits: int = 64) -> CompareResult:
         raise ValueError("need at least one bit to compare")
     a = as_stream(s1.descriptor if isinstance(s1, BitStream) else s1)
     b = as_stream(s2.descriptor if isinstance(s2, BitStream) else s2)
-    xs, ys = a.bits(maxbits), b.bits(maxbits)
-    for i, (x, y) in enumerate(zip(xs, ys), start=1):
-        if x != y:
-            return CompareResult("less" if x < y else "greater", i)
-    return CompareResult("indistinguishable", maxbits)
+    x, y = a.prefix(maxbits), b.prefix(maxbits)
+    if x == y:
+        return CompareResult("indistinguishable", maxbits)
+    first = maxbits + 1 - (x ^ y).bit_length()
+    return CompareResult("less" if x < y else "greater", first)

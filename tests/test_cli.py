@@ -110,6 +110,19 @@ def test_bits_of_sqrt(capsys):
     assert text_of(capsys, ["bits", "sqrt(1/2)", "-n", "8"]) == "10110101"
 
 
+@pytest.mark.parametrize("argv", [["bits", "2/3", "-n", "0"], ["diag", "2/3", "pi/4", "-n", "0"]])
+def test_zero_bits_print_an_empty_prefix(capsys, argv):
+    assert run(argv) == 0
+    assert capsys.readouterr().out == "\n"
+    assert json_of(capsys, argv)["bits"] == ""
+
+
+def test_long_prefixes_keep_their_leading_zeros(capsys):
+    # 1/1000 starts with nine zero bits
+    assert text_of(capsys, ["bits", "1/1000", "-n", "12"]) == "000000000100"
+    assert json_of(capsys, ["bits", "1/1000", "-n", "12"])["bits"] == "000000000100"
+
+
 def test_bits_rejects_unknown_streams(capsys):
     assert run(["bits", "e/4"]) == PARSE_ERROR
     capsys.readouterr()
@@ -287,6 +300,15 @@ def test_ordinal_power_past_the_budget_is_refused(capsys):
     assert out.err.count("\n") == 1
     assert re.match(r"error: .*exceeds \d+-bit budget", out.err)
     assert text_of(capsys, ["ord", "eval", "2^(w+20)"]) == "w*1048576"
+
+
+def test_ordinal_power_past_the_term_budget_is_refused(capsys):
+    t0 = time.monotonic()
+    assert run(["ord", "eval", "(w+1)^1000000000"]) == BUDGET_ERROR
+    assert time.monotonic() - t0 < 1.0
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert re.fullmatch(r"error: .*1000000001 terms, over the \d+-term budget\n", out.err)
 
 
 def test_card_table_is_aligned_and_consistent(capsys):

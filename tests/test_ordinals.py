@@ -16,6 +16,7 @@ from uns.ordinals import (
     Ordinal,
     OrdinalBudgetError,
     OrdinalParseError,
+    TERM_BUDGET,
     _Cursor,
     cardinality_of,
     format_ordinal,
@@ -473,6 +474,30 @@ def test_finite_powers_past_the_budget_are_refused():
         ord_pow(from_int(3), o("w + 10000000"))
     assert time.monotonic() - t0 < 1.0
     assert issubclass(OrdinalBudgetError, BudgetError)
+
+
+def test_infinite_base_powers_past_the_term_budget_are_refused():
+    # (w+1)^n has n + 1 terms; a limit base keeps its own term count
+    assert len(ord_pow(o("w+1"), from_int(TERM_BUDGET - 1)).terms) == TERM_BUDGET
+    t0 = time.monotonic()
+    with pytest.raises(OrdinalBudgetError, match=r"1000000001 terms, over the \d+-term budget"):
+        o("(w+1)^1000000000")
+    with pytest.raises(OrdinalBudgetError, match=r"would have 1001 terms"):
+        ord_pow(o("w^2+w*3+7"), from_int(500))
+    with pytest.raises(OrdinalBudgetError):  # the finite tail of an infinite exponent
+        ord_pow(o("w+1"), o("w + 1000000000"))
+    assert time.monotonic() - t0 < 1.0
+    assert o("(w^2+w)^7000000000") == o("w^14000000000 + w^13999999999")
+
+
+def test_infinite_base_power_term_counts():
+    # k + (n - 1)(k - 1) terms for a successor base, k for a limit base
+    for text in ("w+1", "w^3*2+w^2+w+5", "w*3+2", "w^w+w^2*3"):
+        a = o(text)
+        k = len(a.terms)
+        for n in range(1, 25):
+            want = k + (n - 1) * (k - 1) if a.is_successor else k
+            assert len(ord_pow(a, from_int(n)).terms) == want
 
 
 def test_finite_powers_within_the_budget_stay_exact():

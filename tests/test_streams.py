@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from uns import streams
 from uns.streams import (
     PI_OVER_4,
     BitStream,
@@ -25,6 +26,14 @@ from uns.streams import (
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+def as_int(bits: tuple[int, ...]) -> int:
+    """A bit tuple, most significant first, as the integer prefix_bits gives."""
+    value = 0
+    for b in bits:
+        value = (value << 1) | b
+    return value
 
 
 def long_division_bits(p: int, q: int, n: int) -> tuple[int, ...]:
@@ -72,6 +81,16 @@ def mpmath_pi_quarter_bits(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def mpmath_pi_quarter_floor(n: int) -> int:
+    """floor(pi/4 * 2^n) from mpmath, with 64 guard bits that must not
+    all be equal, or the floor could still carry.  Test-side route only."""
+    guard = 64
+    with mpmath.workprec(n + 2 * guard):
+        scaled = int(mpmath.floor(mpmath.ldexp(mpmath.pi / 4, n + guard)))
+    assert scaled & ((1 << guard) - 1) not in (0, (1 << guard) - 1)
+    return scaled >> guard
+
+
 # ---------------------------------------------------------------------------
 # rational streams
 
@@ -89,10 +108,10 @@ def test_rational_bits_match_long_division():
         p, q = p // g, q // g
         if q & (q - 1) == 0:
             continue
-        assert rational(p, q).prefix_bits(40) == long_division_bits(p, q, 40)
+        assert rational(p, q).prefix_bits(40) == as_int(long_division_bits(p, q, 40))
     # a nine-digit prime denominator: the prefix must not cost the period
-    assert rational(123456789, 999999937).prefix_bits(64) == long_division_bits(
-        123456789, 999999937, 64
+    assert rational(123456789, 999999937).prefix_bits(64) == as_int(
+        long_division_bits(123456789, 999999937, 64)
     )
 
 
@@ -102,23 +121,23 @@ def test_rational_bits_match_the_nonterminating_rule():
     for _ in range(100):
         q = rng.randint(2, 500)
         p = rng.randint(1, q - 1)
-        assert rational(p, q).prefix_bits(48) == nonterminating_prefix(
-            Fraction(p, q), 48
+        assert rational(p, q).prefix_bits(48) == as_int(
+            nonterminating_prefix(Fraction(p, q), 48)
         )
 
 
 def test_empty_prefixes():
     for desc in (rational(1, 2), rational(2, 3), PI_OVER_4, SqrtStream(1, 2)):
-        assert desc.prefix_bits(0) == ()
+        assert desc.prefix_bits(0) == 0
 
 
 def test_dyadic_rational_never_ends_in_zeros():
-    assert rational(1, 2).prefix_bits(6) == (0, 1, 1, 1, 1, 1)
-    assert rational(3, 4).prefix_bits(6) == (1, 0, 1, 1, 1, 1)
+    assert rational(1, 2).prefix_bits(6) == 0b011111
+    assert rational(3, 4).prefix_bits(6) == 0b101111
 
 
 def test_two_thirds_alternates():
-    assert rational(2, 3).prefix_bits(8) == (1, 0, 1, 0, 1, 0, 1, 0)
+    assert rational(2, 3).prefix_bits(8) == 0b10101010
 
 
 def test_rational_descriptor_validates_range():
@@ -148,17 +167,51 @@ def test_rational_factory_refuses_a_zero_denominator_or_numerator(p, q, shown):
 
 def test_pi_over_4_certified_prefix_against_mpmath():
     for n in (7, 30, 120, 300):
-        assert PI_OVER_4.prefix_bits(n) == mpmath_pi_quarter_bits(n)
+        assert PI_OVER_4.prefix_bits(n) == as_int(mpmath_pi_quarter_bits(n))
+
+
+@pytest.mark.parametrize("n", [20000, 100000])
+def test_pi_over_4_long_prefixes_against_mpmath(n):
+    assert PI_OVER_4.prefix_bits(n) == mpmath_pi_quarter_floor(n)
+
+
+def test_arctan_series_length_and_bounds():
+    for x in (5, 239):
+        for prec in [*range(0, 80), 1000, 4321, 20000]:
+            n = streams._terms_needed(x, prec)
+            # the first dropped term is below 2^-prec, the last kept one is not
+            assert (2 * n + 1) * x ** (2 * n + 1) > 1 << prec
+            assert n == 0 or (2 * n - 1) * x ** (2 * n - 1) <= 1 << prec
+            lo, hi = streams._arctan_inv_bounds(x, prec)
+            with mpmath.workprec(prec + 64):
+                scaled = mpmath.ldexp(mpmath.acot(x), prec)
+            assert hi - lo == 3 and lo < scaled < hi
+
+
+def test_pi_over_4_retries_when_the_bounds_do_not_pinch(monkeypatch):
+    exact = streams._pi_over_4_bounds
+    precs = []
+
+    def loose_once(prec):
+        lo, hi = exact(prec)
+        precs.append(prec)
+        if len(precs) == 1:
+            return lo - (1 << prec // 2), hi + (1 << prec // 2)
+        return lo, hi
+
+    monkeypatch.setattr(streams, "_pi_over_4_bounds", loose_once)
+    assert PI_OVER_4.prefix_bits(300) == mpmath_pi_quarter_floor(300)
+    assert precs == [332, 664]
 
 
 def test_pi_over_4_prefixes_are_stable_under_extension():
     short = PI_OVER_4.prefix_bits(50)
-    assert PI_OVER_4.prefix_bits(200)[:50] == short
+    assert PI_OVER_4.prefix_bits(200) >> 150 == short
 
 
 def test_pi_over_4_eighth_bit_is_one():
     # positions count from 1 here
-    assert PI_OVER_4.prefix_bits(8)[7] == 1
+    assert PI_OVER_4.prefix_bits(8) & 1 == 1
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +220,13 @@ def test_pi_over_4_eighth_bit_is_one():
 
 def test_sqrt_prefix_bounds_the_square():
     for p, q in ((1, 2), (2, 3), (3, 5), (1, 7)):
-        bits = SqrtStream(p, q).prefix_bits(60)
-        value = 0
-        for b in bits:
-            value = (value << 1) | b
+        value = SqrtStream(p, q).prefix_bits(60)
         approx = Fraction(value, 1 << 60)
         assert approx**2 <= Fraction(p, q) < (approx + Fraction(1, 1 << 60)) ** 2
 
 
 def test_sqrt_of_half_prefix():
-    assert SqrtStream(1, 2).prefix_bits(8) == (1, 0, 1, 1, 0, 1, 0, 1)
+    assert SqrtStream(1, 2).prefix_bits(8) == 0b10110101
 
 
 def test_sqrt_rejects_perfect_squares_and_bad_ranges():
@@ -230,7 +280,7 @@ def test_concurrent_prefix_calls_agree():
         t.join()
     assert len(results) == 4
     for r in results:
-        assert want[: len(r)] == r
+        assert want >> (200 - len(r)) == as_int(r)
 
 
 class PiFresh:
