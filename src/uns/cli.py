@@ -34,6 +34,7 @@ def _emit(args, text: str, **fields):
 
 
 def _parse_stream(text: str) -> streams.StreamDescriptor:
+    hyperops._refuse_long_numerals(text)
     text = text.strip()
     if text == "pi/4":
         return streams.PI_OVER_4
@@ -55,6 +56,10 @@ def _parse_stream(text: str) -> streams.StreamDescriptor:
 
 
 def _cmd_convert(args) -> int:
+    if args.to == "decimal" and args.digits > hyperops.BUDGET_DIGITS:
+        raise hyperops.BudgetError(
+            f"--digits {args.digits}: 10^{args.digits} exceeds the {hyperops.DEFAULT_BUDGET}-bit budget"
+        )
     u = bitseq.parse_universal(args.value)
     value = bitseq.decode_universal(u)
     if args.to == "rational":
@@ -306,6 +311,9 @@ def run(argv) -> int:
         _validate_counts(parser, args)
     except SystemExit as stop:
         return stop.code if stop.code else 0
+    # the bit budgets bound every integer printed, so print them in full
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except hyperops.BudgetError as err:
@@ -320,6 +328,8 @@ def run(argv) -> int:
     except RecursionError:
         print("error: input nested too deeply to evaluate", file=sys.stderr)
         return DOMAIN_ERROR
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 def main():

@@ -13,14 +13,27 @@ exactly, then checked.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
 DEFAULT_BUDGET = 1 << 20  # bits
+# the most digits d with 10^d below 2^DEFAULT_BUDGET, d log2(10) < DEFAULT_BUDGET;
+# log2(10) < 3.321928095 gives the same d, as no integer lies between the quotients
+BUDGET_DIGITS = DEFAULT_BUDGET * 10**9 // 3321928095
 
 
 class BudgetError(ValueError):
     """A refusal: the exact value asked for would not fit its bit budget."""
+
+
+def _refuse_long_numerals(text: str):
+    """Refuse, unread, a text holding a decimal numeral with more digits
+    than any value within DEFAULT_BUDGET bits has."""
+    if len(text) > BUDGET_DIGITS + 1:
+        longest = max(map(len, re.findall(r"\d+", text)), default=0)
+        if longest > BUDGET_DIGITS + 1:
+            raise BudgetError(f"a {longest}-digit numeral exceeds the {DEFAULT_BUDGET}-bit budget")
 
 
 @dataclass(frozen=True)

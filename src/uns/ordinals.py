@@ -507,6 +507,7 @@ class _Cursor:
     names, so an ordinal inside a cardinal fails as a cardinal."""
 
     def __init__(self, text: str, error: type[ValueError]):
+        hyperops._refuse_long_numerals(text)
         self.error = error
         end = _TOKENS.match(text).end()
         if text[end:].strip():

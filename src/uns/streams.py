@@ -14,14 +14,19 @@ nothing on the boundary is ever claimed, the value only lies in the
 closed hull.  Finite observations written as ".110***" parse into the
 same intervals.
 
-pi/4 bits are certified from pi/4 = 4*arctan(1/5) - arctan(1/239) in
-integer arithmetic.  Each arctan(1/x) series is cut after N terms, the
-first dropped one, 1/((2N+1) x^(2N+1)), being below 2^-prec and so above
-the whole alternating tail; the N terms are summed exactly by binary
-splitting (Haible and Papanikolaou, "Fast multiprecision evaluation of
-series of rational numbers", 1998).  One floor of that sum and the tail
-bound give integer lower and upper bounds, and the working precision
-doubles until they pinch the wanted bits.  Square roots use
+pi/4 bits are certified in integer arithmetic from the Chudnovsky series
+(Chudnovsky and Chudnovsky, 1989): pi/4 = 106720 sqrt(10005) / S, where
+S sums t_k = (-1)^k (6k)! (A + Bk) / ((3k)! (k!)^3 C^(3k)) over k >= 0,
+A = 13591409, B = 545140134, C = 640320.  The terms alternate and shrink:
+|t_(k+1) / t_k| = 8(6k+1)(6k+3)(6k+5)(A + B(k+1)) / ((k+1)^3 (A + Bk) C^3)
+is 1.88e-14 < 2^-45 at k = 0 and below 1728 / C^3 < 2^-47 for k >= 1,
+where 216(k+1)^3 (A + Bk) minus the numerator is a cubic in k, positive
+at 1, with positive coefficients but the constant.  As |t_1| < 2^-21,
+the tail after N terms is below |t_N| < 2^(26 - 47N).  The N terms are
+summed exactly by binary splitting (Haible and Papanikolaou, "Fast
+multiprecision evaluation of series of rational numbers", 1998); one
+division sized to the precision gives integer bounds, and the working
+precision doubles until they pinch the wanted bits.  Square roots use
 floor(sqrt(p/q) * 2^n) = isqrt(p * 4^n // q), exact because the value
 is irrational.  A rational p/q is read off one division, without its
 period: the first n bits are (p * 2^n - 1) // q (bitseq.fraction_prefix).
@@ -158,42 +163,37 @@ def rational(p: int, q: int) -> RationalStream:
 # bit computations
 
 
-def _terms_needed(x: int, prec: int) -> int:
-    """The smallest N with (2N+1) * x^(2N+1) > 2^prec, searched from below:
-    lg / 4096 > log2(x), and prec.bit_length() > log2(2N+1)."""
-    lg = (x**4096).bit_length()
-    n = max(0, (prec - prec.bit_length()) * 4096 // (2 * lg) - 1)
-    power = x ** (2 * n + 1)
-    while (2 * n + 1) * power <= 1 << prec:
-        n += 1
-        power *= x * x
-    return n
+_A, _B, _C3 = 13591409, 545140134, 640320**3 // 24  # the series' A, B and C^3 / 24
 
 
-def _arctan_split(x2: int, a: int, b: int) -> tuple[int, int, int]:
-    """Terms a..b-1 of the arctan(1/x) series, x2 = x^2, as (t, d, p) with
-    d = (2a+1)(2a+3)...(2b-1), p = x2^(b-a) and sum t / (d * p) * x2^(1-a) / x."""
+def _chudnovsky_terms(prec: int) -> int:
+    """The smallest N with 47N - 26 >= prec, so |t_N| < 2^(26 - 47N) <= 2^-prec."""
+    return (prec + 72) // 47
+
+
+def _chudnovsky_split(a: int, b: int) -> tuple[int, int, int]:
+    """(p, q, t) for terms a..b-1: with p(j) = -(6j-5)(2j-1)(6j-1), q(j) = j^3 C3
+    and p(0) = q(0) = 1, t_k = (A + Bk) prod_(j<=k) p(j)/q(j); p and q are
+    prod_(a<=j<b) p(j), q(j), and t/q = sum t_k / prod_(j<a) p(j)/q(j)."""
     if b - a == 1:
-        return (-1 if a & 1 else 1), 2 * a + 1, x2
+        p, q = (-(6 * a - 5) * (2 * a - 1) * (6 * a - 1), a * a * a * _C3) if a else (1, 1)
+        return p, q, p * (_A + _B * a)
     m = (a + b) // 2
-    t1, d1, p1 = _arctan_split(x2, a, m)
-    t2, d2, p2 = _arctan_split(x2, m, b)
-    return t1 * d2 * p2 + d1 * t2, d1 * d2, p1 * p2
-
-
-def _arctan_inv_bounds(x: int, prec: int) -> tuple[int, int]:
-    """Integer bounds lo <= arctan(1/x) * 2^prec <= hi: the floor of the
-    exact N-term sum is off by less than 1, and the dropped tail adds less than 1."""
-    n = _terms_needed(x, prec)
-    t, d, p = _arctan_split(x * x, 0, n) if n else (0, 1, 1)
-    floor = ((t * x) << prec) // (d * p)
-    return floor - 1, floor + 2
+    p1, q1, t1 = _chudnovsky_split(a, m)
+    p2, q2, t2 = _chudnovsky_split(m, b)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
 def _pi_over_4_bounds(prec: int) -> tuple[int, int]:
-    lo5, hi5 = _arctan_inv_bounds(5, prec)
-    lo239, hi239 = _arctan_inv_bounds(239, prec)
-    return 4 * lo5 - hi239, 4 * hi5 - lo239
+    """Integer bounds lo < pi/4 * 2^prec < hi, hi - lo = 3.  The N-term sum
+    t/q is within 2^-prec of S > 2^23; cutting t and q to q's top prec + 64
+    bits moves t/q by under 2^(24 - prec - 63); and r = isqrt(10005 * 4^prec)
+    lies within 1 below sqrt(10005) 2^prec.  So for g = floor(106720 r q / t)
+    the value lies between g - 2^-21 and g + 1.02."""
+    _, q, t = _chudnovsky_split(0, _chudnovsky_terms(prec))
+    cut = max(0, q.bit_length() - prec - 64)
+    g = 106720 * isqrt(10005 << 2 * prec) * (q >> cut) // (t >> cut)
+    return g - 1, g + 2
 
 
 # ---------------------------------------------------------------------------

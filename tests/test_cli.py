@@ -1,10 +1,11 @@
 import json
 import re
+import sys
 import time
 
 import pytest
 
-from uns import cli
+from uns import cli, hyperops
 from uns.cli import BUDGET_ERROR, DOMAIN_ERROR, PARSE_ERROR, build_parser, run
 
 
@@ -58,6 +59,24 @@ def test_convert_to_decimal_refuses_negative_digit_counts(capsys, value):
     assert run(argv) == DOMAIN_ERROR
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", "error: bad digit count -3\n")
+
+
+def test_convert_to_decimal_refuses_digit_counts_past_the_budget(capsys):
+    budget, most = hyperops.DEFAULT_BUDGET, 315652
+    # the widest power of ten that fits the budget, by its bit length
+    assert (10**most).bit_length() <= budget < (10 ** (most + 1)).bit_length()
+    assert text_of(capsys, ["convert", "(0)1.", "--to", "decimal", "--digits", str(most)]) == "1"
+    for digits in (most + 1, 4 * 10**6, 10**100):
+        start = time.process_time()
+        assert run(["convert", "(0).(01)", "--to", "decimal", "--digits", str(digits)]) == BUDGET_ERROR
+        assert time.process_time() - start < 0.5
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: --digits {digits}: 10^{digits} exceeds the {budget}-bit budget\n"
+
+
+def test_convert_to_decimal_prints_past_the_interpreters_digit_guard(capsys):
+    argv = ["convert", "(0).(01)", "--to", "decimal", "--digits", "5000"]
+    assert text_of(capsys, argv) == "0." + "3" * 5000 + "…"  # 1/3
 
 
 def test_convert_to_canonical_notation(capsys):
@@ -186,6 +205,53 @@ def test_hyper_budget_exit_code(capsys):
     assert code == BUDGET_ERROR
     assert "a power tower of 65536 copies of 2" in out
     assert "1048576-bit budget" in out
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["hyper", "2", "1", "20000"], 2**20000),
+        (["card", "normalize", "2^20000"], 2**20000),
+        (["ord", "eval", "9^9^5"], 9 ** 9**5),
+        (["--format", "structured", "hyper", "2", "1", "20000"], 2**20000),
+    ],
+    ids=["hyper", "card", "ord", "structured"],
+)
+def test_exact_integers_print_in_full(capsys, argv, value):
+    guard = sys.get_int_max_str_digits()
+    out = text_of(capsys, argv)
+    assert sys.get_int_max_str_digits() == guard  # run restores the interpreter's guard
+    if argv[0] == "--format":
+        out = json.loads(out)["value"]
+    assert len(out) > guard
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(out) == value
+    finally:
+        sys.set_int_max_str_digits(guard)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ord", "eval", "{n}"], ["card", "normalize", "2^{n}"], ["card", "normalize", "aleph_{n}"], ["bits", "{n}/3"], ["diag", "1/3", "1/{n}"]],
+    ids=["ord", "card", "aleph", "bits", "diag"],
+)
+def test_numerals_past_the_budget_are_refused_unread(capsys, argv):
+    numeral = "1" + "0" * 315653  # 10^315653, wider than 2^20 bits
+    assert (10**315653).bit_length() > hyperops.DEFAULT_BUDGET
+    start = time.process_time()
+    assert run([a.format(n=numeral) for a in argv]) == BUDGET_ERROR
+    assert time.process_time() - start < 0.5
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: a 315654-digit numeral exceeds the 1048576-bit budget\n"
+
+
+def test_numerals_within_the_budget_are_read_in_full(capsys):
+    numeral = "7" * 5000
+    assert text_of(capsys, ["ord", "eval", numeral]) == numeral
+    assert text_of(capsys, ["card", "normalize", numeral]) == numeral
+    # a text longer than the longest numeral allowed, with short numerals, is read
+    assert text_of(capsys, ["ord", "eval", "w + 7" + " " * 320000]) == "w + 7"
 
 
 def test_hyper_domain_error(capsys):

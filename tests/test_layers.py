@@ -2,8 +2,8 @@
 modules below it, so a lower layer never depends on an upper one.  The
 package's __init__ sits above the stack and re-exports all of it.  Every
 package import sits at module level, where the order is visible; none
-hides in a function body.  Every cache has a literal bound, and every
-private helper is used."""
+hides in a function body.  Every cache has a literal bound, every
+private helper is used, and no float is written, made or divided out."""
 
 import ast
 from pathlib import Path
@@ -139,3 +139,39 @@ def test_no_dead_helpers():
 )
 def test_the_dead_helper_check_finds_unreferenced_helpers(sources, dead):
     assert _dead_helpers([ast.parse(s) for s in sources]) == dead
+
+
+def _float_uses(tree):
+    """Lines with a float or complex literal, a float() call or a true
+    division, the ways a float enters integer and Fraction code."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            yield f"line {node.lineno}: literal {node.value!r}"
+        elif isinstance(node, ast.Call) and _name(node.func) == "float":
+            yield f"line {node.lineno}: float() call"
+        elif isinstance(node, ast.BinOp | ast.AugAssign) and isinstance(node.op, ast.Div):
+            yield f"line {node.lineno}: / operator"
+
+
+@pytest.mark.parametrize("path", [*MODULES, Path(uns.__file__)], ids=lambda p: p.stem)
+def test_no_floats_in_the_library(path):
+    problems = list(_float_uses(ast.parse(path.read_text(encoding="utf-8"))))
+    assert not problems, f"{path.stem}: {problems}"
+
+
+@pytest.mark.parametrize(
+    "source, clean",
+    [
+        ("n = (prec + 72) // 47\nx = 3 * 4 - 1 >> 2", True),
+        ("s = 'pi/4'  # 1.5 in a comment", True),
+        ("from fractions import Fraction\nh = Fraction(1, 2)", True),
+        ("n = prec / 3.32", False),
+        ("n = 1e6", False),
+        ("z = 2j", False),
+        ("x = float(text)", False),
+        ("import builtins\nx = builtins.float(text)", False),
+        ("n = 6\nn /= 2", False),
+    ],
+)
+def test_the_float_check_finds_literals_calls_and_division(source, clean):
+    assert (not list(_float_uses(ast.parse(source)))) == clean

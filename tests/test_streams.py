@@ -1,6 +1,7 @@
 import random
 import threading
 from fractions import Fraction
+from math import factorial
 
 import mpmath
 import pytest
@@ -175,17 +176,33 @@ def test_pi_over_4_long_prefixes_against_mpmath(n):
     assert PI_OVER_4.prefix_bits(n) == mpmath_pi_quarter_floor(n)
 
 
-def test_arctan_series_length_and_bounds():
-    for x in (5, 239):
-        for prec in [*range(0, 80), 1000, 4321, 20000]:
-            n = streams._terms_needed(x, prec)
-            # the first dropped term is below 2^-prec, the last kept one is not
-            assert (2 * n + 1) * x ** (2 * n + 1) > 1 << prec
-            assert n == 0 or (2 * n - 1) * x ** (2 * n - 1) <= 1 << prec
-            lo, hi = streams._arctan_inv_bounds(x, prec)
-            with mpmath.workprec(prec + 64):
-                scaled = mpmath.ldexp(mpmath.acot(x), prec)
-            assert hi - lo == 3 and lo < scaled < hi
+def test_chudnovsky_series_length_and_bounds():
+    a, b, c3 = 13591409, 545140134, 640320**3
+
+    def ratio(k):  # |t_(k+1) / t_k|
+        return Fraction(8 * (6 * k + 1) * (6 * k + 3) * (6 * k + 5) * (a + b * (k + 1)), (k + 1) ** 3 * (a + b * k) * c3)
+
+    assert ratio(0) < Fraction(1, 1 << 45)
+    assert Fraction(1728, c3) < Fraction(1, 1 << 47)
+    assert all(ratio(k) < Fraction(1728, c3) for k in range(1, 3000))
+    # the terms from their factorial definition
+    terms = [
+        Fraction((-1) ** k * factorial(6 * k) * (a + b * k), factorial(3 * k) * factorial(k) ** 3 * c3**k)
+        for k in range(430)
+    ]
+    assert all(abs(t) < Fraction(1 << 26, 1 << 47 * n) for n, t in enumerate(terms))
+    for n in (1, 2, 3, 7, 40):
+        _, q, t = streams._chudnovsky_split(0, n)
+        assert Fraction(t, q) == sum(terms[:n])
+    for prec in [*range(0, 80), 1000, 4321, 20000]:
+        n = streams._chudnovsky_terms(prec)
+        # the first dropped term, which bounds the alternating tail, is below 2^-prec
+        assert abs(terms[n]) < Fraction(1, 1 << prec)
+        assert n <= next(m for m, t in enumerate(terms) if abs(t) < Fraction(1, 1 << prec)) + 2
+        lo, hi = streams._pi_over_4_bounds(prec)
+        with mpmath.workprec(prec + 64):
+            scaled = mpmath.ldexp(mpmath.pi / 4, prec)
+        assert hi - lo == 3 and lo < scaled < hi
 
 
 def test_pi_over_4_retries_when_the_bounds_do_not_pinch(monkeypatch):
