@@ -30,12 +30,14 @@ end in (1), so 3/4 is ".10(1)" and never ".11".
 The minimal form is computed one way: the encoders' digit loops, whose
 first repeated state gives the minimal preperiod and block.  normalize
 reads a pattern's value and runs the same loop on it.
+
+Record, the base of every immutable value class of the package, lives
+here in the bottom layer so that every layer above can use it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 LEFT = "left"
@@ -46,18 +48,81 @@ class NotationError(ValueError):
     """Raised when text does not denote a two-way sequence."""
 
 
-@dataclass(frozen=True)
-class PeriodicBits:
+class Record:
+    """An immutable value whose fields are its class's __slots__.
+
+    A direct subclass lists its fields in a __slots__ tuple, may give
+    defaults to the trailing ones in _defaults and leave some out of ==
+    and hash in _uncompared, and validates a new instance in _check.
+    Records are equal when they are of one class and their compared
+    fields are equal, and hash alike then; assigning a field raises
+    AttributeError; pickling and copying rebuild through the constructor.
+
+    __init__, __eq__ and __hash__ are compiled once per class from its
+    field names, as dataclasses does: a generic loop over the fields
+    would cost every construction, and importing dataclasses (with
+    inspect, ast and dis) would cost every start-up more than the rest
+    of the package's imports.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+    _uncompared: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls.__dict__["__slots__"]
+        params = [f"{n}=_defaults[{n!r}]" if n in cls._defaults else n for n in fields]
+        body = [f"    _set_{n}(self, {n})" for n in fields]
+        if cls._check is not Record._check:
+            body.append("    _check(self)")
+        mine = "".join(f"self.{n}, " for n in fields if n not in cls._uncompared)
+        theirs = mine.replace("self.", "other.")
+        source = (
+            f"def __init__(self, {', '.join(params)}):\n" + ("\n".join(body) or "    pass") + "\n"
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            f"        return ({mine}) == ({theirs})\n"
+            "    return NotImplemented\n"
+            "def __hash__(self):\n"
+            f"    return hash(({mine}))\n"
+        )
+        ns = {"_defaults": cls._defaults, "_check": cls._check}
+        ns.update((f"_set_{n}", cls.__dict__[n].__set__) for n in fields)
+        exec(source, ns)
+        for name in ("__init__", "__eq__", "__hash__"):
+            ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, ns[name])
+
+    def _check(self):
+        """Validation of a new instance, run once its fields are set."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__slots__)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({inner})"
+
+
+class PeriodicBits(Record):
     """Bits stored nearest the binary point first, plus a repeating block.
 
     The block is never empty; an all-zero block encodes a terminating
     (or, on the left, nonnegative-integer) tail.
     """
 
+    __slots__ = ("preperiod", "period")
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if not self.period:
             raise ValueError("repeating block must be nonempty")
         for b in self.preperiod + self.period:
@@ -105,11 +170,12 @@ def _bitnot(p: PeriodicBits) -> PeriodicBits:
     )
 
 
-@dataclass(frozen=True)
-class LeftPart:
+class LeftPart(Record):
     """Leftward sequence; indices 0, 1, 2, ... carry weights 2^0, 2^1, ..."""
 
-    bits: PeriodicBits = ZERO_BITS
+    __slots__ = ("bits",)
+    _defaults = {"bits": ZERO_BITS}
+    bits: PeriodicBits
 
     @property
     def value(self) -> Fraction:
@@ -120,8 +186,7 @@ class LeftPart:
         return self.bits.all_zero
 
 
-@dataclass(frozen=True)
-class RightPart:
+class RightPart(Record):
     """Rightward sequence; indices 1, 2, 3, ... carry weights 2^-1, 2^-2, ...
 
     Raw forms may be terminating or even all ones (value 1, as produced
@@ -129,7 +194,9 @@ class RightPart:
     tail or nonterminating with value in (0, 1).
     """
 
-    bits: PeriodicBits = ZERO_BITS
+    __slots__ = ("bits",)
+    _defaults = {"bits": ZERO_BITS}
+    bits: PeriodicBits
 
     @property
     def value(self) -> Fraction:
@@ -140,17 +207,19 @@ class RightPart:
         return self.bits.all_zero
 
 
-@dataclass(frozen=True)
-class UniversalRational:
+class UniversalRational(Record):
     """A two-way sequence: one left part, one right part.
 
     `canonical` marks outputs of the encoders and of canonicalize(); it
     is display metadata and never takes part in equality.
     """
 
+    __slots__ = ("left", "right", "canonical")
+    _defaults = {"canonical": False}
+    _uncompared = ("canonical",)
     left: LeftPart
     right: RightPart
-    canonical: bool = field(default=False, compare=False)
+    canonical: bool
 
     @property
     def value(self) -> Fraction:
@@ -319,14 +388,15 @@ def flip(u: UniversalRational, raw: bool = True) -> UniversalRational:
 # index-set view
 
 
-@dataclass(frozen=True)
-class IndexSetView:
+class IndexSetView(Record):
     """Positions of the one-bits: finitely many named indices plus an
     optional arithmetic tail (start, stride, offsets-within-stride)."""
 
+    __slots__ = ("orientation", "finite", "tail")
+    _defaults = {"tail": None}
     orientation: str
     finite: tuple[int, ...]
-    tail: tuple[int, int, tuple[int, ...]] | None = None
+    tail: tuple[int, int, tuple[int, ...]] | None
 
 
 def to_index_set(part: LeftPart | RightPart) -> IndexSetView:

@@ -32,12 +32,12 @@ grammar (see ordinals), read from the same cursor as the cardinal text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from typing import Mapping, Union
 
 from . import hyperops
+from .bitseq import Record
 from .ordinals import (
     ONE,
     ZERO,
@@ -87,9 +87,10 @@ class FiniteBudgetError(UnnormalizableError, hyperops.BudgetError):
 # hereditarily finite sets
 
 
-@dataclass(frozen=True)
-class PureSet:
-    members: frozenset["PureSet"] = frozenset()
+class PureSet(Record):
+    __slots__ = ("members",)
+    _defaults = {"members": frozenset()}
+    members: frozenset[PureSet]
 
     def __len__(self):
         return len(self.members)
@@ -197,8 +198,8 @@ def _successor(a: Aleph) -> Aleph:
     return Aleph(ord_add(a.index, ONE))
 
 
-@dataclass(frozen=True)
-class RewriteStep:
+class RewriteStep(Record):
+    __slots__ = ("rule", "before", "after")
     rule: str
     before: CardinalExpr
     after: CardinalExpr
@@ -363,12 +364,12 @@ def compare(
 # the three aligned ladders
 
 
-@dataclass(frozen=True)
-class UnificationTable:
+class UnificationTable(Record):
     """Row a lists aleph_a, the powerset of the previous aleph, and the
     diagonal binomial of the previous aleph; the rules make all three
     columns agree from row 1 up."""
 
+    __slots__ = ("alephs", "powersets", "binomials")
     alephs: tuple[Aleph, ...]
     powersets: tuple[CardinalExpr, ...]
     binomials: tuple[CardinalExpr, ...]
@@ -398,11 +399,11 @@ def unification_table(max_alpha: int) -> UnificationTable:
     return UnificationTable(alephs, powersets, binomials)
 
 
-@dataclass(frozen=True)
-class FusionReport:
+class FusionReport(Record):
     """Constants of the fused line: the unit interval viewed as a single
     point bonded to a continuum of unpickable companions."""
 
+    __slots__ = ("unit_interval_virtual_cardinality", "bonded_set_tag")
     unit_interval_virtual_cardinality: Aleph
     bonded_set_tag: str
 
@@ -424,11 +425,11 @@ def fusion_facts() -> FusionReport:
 # infinitesimal companions
 
 
-@dataclass(frozen=True)
-class Infinitesimal:
+class Infinitesimal(Record):
     """A stream value bonded to an unpickable cloud of companion points,
     tagged with the cloud's cardinality."""
 
+    __slots__ = ("anchor", "tag")
     anchor: StreamDescriptor
     tag: CardinalExpr
 

@@ -99,6 +99,8 @@ def _cmd_flip(args) -> int:
 
 def _cmd_bits(args) -> int:
     """The prefix of one stream (bits) or of the diagonal over several (diag)."""
+    if args.n > hyperops.DEFAULT_BUDGET:
+        raise hyperops.BudgetError(f"-n {args.n} exceeds the {hyperops.DEFAULT_BUDGET}-bit budget")
     if args.command == "diag":
         stream = streams.diagonal([_parse_stream(s) for s in args.stream])
     else:
@@ -156,13 +158,14 @@ def _cmd_card(args) -> int:
     if args.action == "normalize":
         expr = cardinals.parse_cardinal(args.expr[0])
         normal, trace = cardinals.normalize_with_trace(expr, args.budget)
+        shown = args.format == "structured" or args.trace  # format the steps only if shown
         steps = [
             {
                 "rule": s.rule,
                 "before": cardinals.format_cardinal(s.before),
                 "after": cardinals.format_cardinal(s.after),
             }
-            for s in trace
+            for s in (trace if shown else ())
         ]
         if args.trace and args.format != "structured":
             for step in steps:

@@ -14,8 +14,9 @@ exactly, then checked.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Union
+
+from .bitseq import Record
 
 DEFAULT_BUDGET = 1 << 20  # bits
 # the most digits d with 10^d below 2^DEFAULT_BUDGET, d log2(10) < DEFAULT_BUDGET;
@@ -36,8 +37,8 @@ def _refuse_long_numerals(text: str):
             raise BudgetError(f"a {longest}-digit numeral exceeds the {DEFAULT_BUDGET}-bit budget")
 
 
-@dataclass(frozen=True)
-class Exact:
+class Exact(Record):
+    __slots__ = ("value",)
     value: int
 
 
@@ -49,11 +50,11 @@ def _show_int(x: int) -> str:
     return f"<{x.bit_length()}-bit integer>"
 
 
-@dataclass(frozen=True)
-class Exceeded:
+class Exceeded(Record):
     """Structural stand-in for a value past the budget: base applied at
     `level` to `pending`, which is a count or a nested Exceeded."""
 
+    __slots__ = ("base", "level", "pending")
     base: int
     level: int
     pending: Union[int, "Exceeded"]
@@ -210,8 +211,8 @@ def hyper(m: int, k: int, n: int, budget: int = DEFAULT_BUDGET) -> HyperResult:
     return _climb(m, k, n, budget)
 
 
-@dataclass(frozen=True)
-class MonotoneReport:
+class MonotoneReport(Record):
+    __slots__ = ("points", "comparable_pairs", "skipped_pairs", "violations")
     points: int
     comparable_pairs: int
     skipped_pairs: int

@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
 
 from . import hyperops
+from .bitseq import Record
 
 
 class OrdinalParseError(ValueError):
@@ -311,18 +311,18 @@ def ord_add(a, b) -> Ordinal:
 
 @_memo
 def ord_mul(a, b) -> Ordinal:
+    """a * b in closed form (Manolios and Vroon, JAR 34, 2005): for a
+    leading with w^e0 * c0, each limit term w^f * d of b gives w^(e0+f) * d,
+    and a finite last term d gives a with c0 scaled by d.  As e0 + f grows
+    strictly with f, the parts are already in normal-form order."""
     a, b = _coerce(a), _coerce(b)
     if not a.terms or not b.terms:
         return ZERO
     e0, c0 = a.terms[0]
-    out = ZERO
-    for f, d in b.terms:
-        if f is ZERO:
-            part = _cnf(((e0, c0 * d),) + a.terms[1:])
-        else:
-            part = _cnf(((ord_add(e0, f), d),))
-        out = ord_add(out, part)
-    return out
+    terms = tuple((ord_add(e0, f), d) for f, d in b.terms if f is not ZERO)
+    if b.terms[-1][0] is ZERO:
+        terms += ((e0, c0 * b.terms[-1][1]),) + a.terms[1:]
+    return _cnf(terms)
 
 
 def _left_sub_one(e: Ordinal) -> Ordinal:
@@ -387,6 +387,8 @@ def ord_pow(a, b) -> Ordinal:
         return ZERO
     if a is ONE:
         return ONE
+    if a is OMEGA:
+        return _cnf(((b, 1),))
 
     limit_terms = tuple((e, c) for e, c in b.terms if e is not ZERO)
     tail = b.terms[-1][1] if b.is_successor else 0
@@ -465,11 +467,11 @@ def fundamental(a, n: int) -> Ordinal:
     return ord_add(prefix, step)
 
 
-@dataclass(frozen=True)
-class Cardinality:
+class Cardinality(Record):
     """Size of an ordinal as a set: a natural number or the first
     infinite cardinal (finite=None)."""
 
+    __slots__ = ("finite",)
     finite: int | None
 
     @property

@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import Callable, Union
 
-from .bitseq import _written_value, decimal_str, fraction_prefix
+from .bitseq import Record, _written_value, decimal_str, fraction_prefix
 
 
 class StarStringError(ValueError):
@@ -57,12 +56,12 @@ class StreamError(ValueError):
 # descriptors
 
 
-@dataclass(frozen=True)
-class RationalStream:
+class RationalStream(Record):
+    __slots__ = ("numerator", "denominator")
     numerator: int
     denominator: int
 
-    def __post_init__(self):
+    def _check(self):
         p, q = self.numerator, self.denominator
         if q <= 0 or not 0 < p < q:
             raise StreamError(f"{p}/{q} is not strictly between 0 and 1")
@@ -73,8 +72,9 @@ class RationalStream:
         return fraction_prefix(Fraction(self.numerator, self.denominator), n)
 
 
-@dataclass(frozen=True)
-class PiOver4Stream:
+class PiOver4Stream(Record):
+    __slots__ = ()
+
     def prefix_bits(self, n: int) -> int:
         """Certified: the lower and the upper bound agree on these bits."""
         prec = n + 32
@@ -85,14 +85,14 @@ class PiOver4Stream:
             prec *= 2
 
 
-@dataclass(frozen=True)
-class SqrtStream:
+class SqrtStream(Record):
     """sqrt(numerator/denominator), which must be irrational and in (0, 1)."""
 
+    __slots__ = ("numerator", "denominator")
     numerator: int
     denominator: int
 
-    def __post_init__(self):
+    def _check(self):
         p, q = self.numerator, self.denominator
         if q <= 0 or not 0 < p < q:
             raise StreamError(f"sqrt({p}/{q}) is not strictly between 0 and 1")
@@ -105,10 +105,10 @@ class SqrtStream:
         return isqrt((self.numerator << (2 * n)) // self.denominator)
 
 
-@dataclass(frozen=True)
-class DiagonalStream:
+class DiagonalStream(Record):
     """Bit i disagrees with input i; past the inputs it continues 1,0,1,0,..."""
 
+    __slots__ = ("inputs",)
     inputs: tuple["StreamDescriptor", ...]
 
     def prefix_bits(self, n: int) -> int:
@@ -133,8 +133,8 @@ def has_algorithm(name: str) -> bool:
     return name in _ALGORITHMS
 
 
-@dataclass(frozen=True)
-class CustomStream:
+class CustomStream(Record):
+    __slots__ = ("algorithm",)
     algorithm: str
 
     def prefix_bits(self, n: int) -> int:
@@ -200,14 +200,14 @@ def _pi_over_4_bounds(prec: int) -> tuple[int, int]:
 # streams and intervals
 
 
-@dataclass(frozen=True)
-class DyadicInterval:
+class DyadicInterval(Record):
     """The open interval (lo, lo + 2^-bits) with dyadic endpoints."""
 
+    __slots__ = ("lo", "bits")
     lo: Fraction
     bits: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.bits < 0 or self.lo < 0 or self.hi > 1:
             raise ValueError(f"not a subinterval of (0, 1): {self}")
 
@@ -288,8 +288,8 @@ def parse_star_string(text: str) -> DyadicInterval:
     return DyadicInterval(Fraction(value, 1 << len(known)), len(known))
 
 
-@dataclass(frozen=True)
-class CompareResult:
+class CompareResult(Record):
+    __slots__ = ("relation", "bits_examined")
     relation: str  # "less" | "greater" | "indistinguishable"
     bits_examined: int
 

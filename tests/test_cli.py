@@ -142,6 +142,23 @@ def test_long_prefixes_keep_their_leading_zeros(capsys):
     assert json_of(capsys, ["bits", "1/1000", "-n", "12"])["bits"] == "000000000100"
 
 
+# refused before the stream is read: e/4 is no stream, and no prefix is computed
+@pytest.mark.parametrize(
+    "argv", [["bits", "1/3", "-n", "1048577"], ["bits", "e/4", "-n", "1048577"], ["diag", "1/3", "pi/4", "-n", "1048577"]]
+)
+def test_prefixes_past_the_bit_budget_are_refused(capsys, argv):
+    assert hyperops.DEFAULT_BUDGET == 1048576
+    start = time.process_time()
+    assert run(argv) == BUDGET_ERROR
+    assert time.process_time() - start < 0.5
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: -n 1048577 exceeds the 1048576-bit budget\n")
+
+
+def test_a_prefix_of_the_whole_bit_budget_is_answered(capsys):
+    assert text_of(capsys, ["bits", "1/3", "-n", "1048576"]) == "01" * 524288
+
+
 def test_bits_rejects_unknown_streams(capsys):
     assert run(["bits", "e/4"]) == PARSE_ERROR
     capsys.readouterr()

@@ -3,9 +3,13 @@ modules below it, so a lower layer never depends on an upper one.  The
 package's __init__ sits above the stack and re-exports all of it.  Every
 package import sits at module level, where the order is visible; none
 hides in a function body.  Every cache has a literal bound, every
-private helper is used, and no float is written, made or divided out."""
+private helper is used, and no float is written, made or divided out.
+Start-up loads no module the package does not use: no dataclasses, and
+so no inspect."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -175,3 +179,28 @@ def test_no_floats_in_the_library(path):
 )
 def test_the_float_check_finds_literals_calls_and_division(source, clean):
     assert (not list(_float_uses(ast.parse(source)))) == clean
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module
+
+
+@pytest.mark.parametrize("path", [*MODULES, Path(uns.__file__)], ids=lambda p: p.stem)
+def test_no_module_imports_dataclasses(path):
+    imported = {name.partition(".")[0] for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))}
+    assert "dataclasses" not in imported
+
+
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    src = str(Path(uns.__file__).parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import uns, uns.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-s", "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]"]

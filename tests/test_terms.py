@@ -5,6 +5,7 @@ check a constructor makes."""
 import copy
 import gc
 import pickle
+import weakref
 
 import pytest
 
@@ -104,10 +105,21 @@ def test_constructors_keep_their_positional_form():
 
 
 def test_intern_table_drops_dead_terms():
+    """Each w^n the test makes, and its exponent n, is in the table while
+    alive and leaves it once dropped.  An n that other tests keep alive
+    (the ordinal memos hold their arguments) is not the test's own."""
+    table = ordinals._TERMS
     gc.collect()
-    before = len(ordinals._TERMS)
-    made = [Ordinal(((from_int(n), 1),)) for n in range(10**9, 10**9 + 10_000)]
-    assert len(ordinals._TERMS) >= before + 20_000  # each w^n and its n
-    del made
+    own = [n for n in range(10**9, 10**9 + 10_000) if (Ordinal, ((ZERO, n),)) not in table]
+    assert len(own) > 9_000
+    made = [Ordinal(((from_int(n), 1),)) for n in own]
+    for term in made:
+        exponent = term.terms[0][0]
+        assert table[(Ordinal, term.terms)]() is term
+        assert table[(Ordinal, exponent.terms)]() is exponent
+    alive = [weakref.ref(term) for term in made]
+    del made, term, exponent
     gc.collect()
-    assert len(ordinals._TERMS) <= before + 10
+    assert not any(ref() for ref in alive)
+    # a w^n entry still in the table would keep its exponent's entry
+    assert not any((Ordinal, ((ZERO, n),)) in table for n in own)
