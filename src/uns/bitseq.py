@@ -31,14 +31,16 @@ The minimal form is computed one way: the encoders' digit loops, whose
 first repeated state gives the minimal preperiod and block.  normalize
 reads a pattern's value and runs the same loop on it.
 
-Record, the base of every immutable value class of the package, lives
-here in the bottom layer so that every layer above can use it.
+Record, the base of every immutable value of the package, interned
+terms included, lives here in the bottom layer so that every layer
+above can use it.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import attrgetter
 
 LEFT = "left"
 RIGHT = "right"
@@ -57,6 +59,8 @@ class Record:
     Records are equal when they are of one class and their compared
     fields are equal, and hash alike then; assigning a field raises
     AttributeError; pickling and copying rebuild through the constructor.
+    A class that sets _interned builds its values itself, one object per
+    value (see ordinals._Term), and keeps identity == and hash.
 
     __init__, __eq__ and __hash__ are compiled once per class from its
     field names, as dataclasses does: a generic loop over the fields
@@ -68,10 +72,17 @@ class Record:
     __slots__ = ()
     _defaults: dict = {}
     _uncompared: tuple = ()
+    _interned = False
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = cls.__dict__["__slots__"]
+        # _fields, the fields as one tuple, is read at every node a walk
+        # visits: a getter built once per class, not a generator per call
+        get = attrgetter(*fields) if fields else lambda self: ()
+        cls._fields = property(get if len(fields) != 1 else lambda self: (get(self),))
+        if cls._interned:
+            return
         params = [f"{n}=_defaults[{n!r}]" if n in cls._defaults else n for n in fields]
         body = [f"    _set_{n}(self, {n})" for n in fields]
         if cls._check is not Record._check:
@@ -104,10 +115,10 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, n) for n in self.__slots__)
+        return type(self), self._fields
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        inner = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields))
         return f"{type(self).__qualname__}({inner})"
 
 

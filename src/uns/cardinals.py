@@ -20,10 +20,11 @@ so rewriting terminates; the engine works bottom-up and reports either
 a normal form (an aleph or a finite value), a stuck subexpression no
 rule covers, or a finite blow-up past the budget.
 
-Expression nodes are hash-consed on the ordinals' _Term base: equal
-expressions are one object, so == and hash are identity and O(1), and
-aleph indices go through the ordinals' memoized arithmetic (1024
-entries per operation).
+Expression nodes are hash-consed like the ordinals, as ordinals._Term
+records: equal expressions are one object, so == and hash are identity
+and O(1), and aleph indices go through the ordinals' memoized arithmetic
+(1024 entries per operation).  No rule deepens a term, so the parser's
+depth limit bounds the recursive walks below.
 
 Text forms: "aleph_0", "aleph_(w+1)", "2^aleph_3", "hyper(3, 2,
 aleph_0)", "choose(aleph_2)".  An aleph index is a sum of the ordinal
@@ -452,25 +453,27 @@ def attach_infinitesimal(descriptor: StreamDescriptor, alpha: Ordinal | int) -> 
 
 
 def _cardinal_expr(cur: _Cursor) -> CardinalExpr:
-    tok = cur.take()
+    """The cardinal at the cursor, one parser frame per node."""
+    tok = cur.descend()
     if tok is None:
         raise CardinalParseError("unexpected end of expression")
     if tok.isdigit():
         if cur.peek() != "^":
-            return FiniteCard(int(tok))
-        if int(tok) != 2:
+            value = FiniteCard(int(tok))
+        elif int(tok) != 2:
             raise CardinalParseError("only 2^ denotes a powerset")
-        cur.take()
-        return Pow2(_cardinal_expr(cur))
-    if tok == "aleph_(":
+        else:
+            cur.take()
+            value = Pow2(_cardinal_expr(cur))
+    elif tok == "aleph_(":
         index = _ordinal_expr(cur)
         cur.expect(")")
         if isinstance(index, EpsilonZero):
             raise CardinalParseError("aleph indices stay below eps_0")
-        return Aleph(index)
-    if tok.startswith("aleph_"):
-        return aleph(int(tok[len("aleph_") :]))
-    if tok == "hyper":
+        value = Aleph(index)
+    elif tok.startswith("aleph_"):
+        value = aleph(int(tok[len("aleph_") :]))
+    elif tok == "hyper":
         cur.expect("(")
         base = _cardinal_expr(cur)
         cur.expect(",")
@@ -478,13 +481,15 @@ def _cardinal_expr(cur: _Cursor) -> CardinalExpr:
         cur.expect(",")
         arg = _cardinal_expr(cur)
         cur.expect(")")
-        return HyperCard(base, level, arg)
-    if tok == "choose":
+        value = HyperCard(base, level, arg)
+    elif tok == "choose":
         cur.expect("(")
-        inner = _cardinal_expr(cur)
+        value = Choose(_cardinal_expr(cur))
         cur.expect(")")
-        return Choose(inner)
-    raise CardinalParseError(f"unexpected token {tok!r}")
+    else:
+        raise CardinalParseError(f"unexpected token {tok!r}")
+    cur.depth -= 1
+    return value
 
 
 def parse_cardinal(text: str) -> CardinalExpr:

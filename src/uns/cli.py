@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 unparseable input, 3 domain error, 4 budget
-exceeded.  --format structured emits one JSON object on stdout.
+Exit codes: 0 success, 1 stdout closed by its reader, 2 unparseable or
+too deeply nested input, 3 domain error, 4 budget exceeded.  --format
+structured emits one JSON object on stdout.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 
@@ -148,6 +150,9 @@ def _cmd_ord(args) -> int:
         return 0
     v = ordinals.parse_ordinal(args.expr[0])
     if args.action == "fund":
+        # the w-tower eps_0[n] has height n: refuse it before building it
+        if args.n > hyperops.DEFAULT_BUDGET:
+            raise hyperops.BudgetError(f"-n {args.n} exceeds the fund ceiling {hyperops.DEFAULT_BUDGET}")
         v = ordinals.fundamental(v, args.n)
     text = ordinals.format_ordinal(v)
     _emit(args, text, ordinal=text)
@@ -328,7 +333,7 @@ def run(argv) -> int:
     except (ValueError, TypeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return DOMAIN_ERROR
-    except RecursionError:
+    except RecursionError:  # a last guard: the parsers refuse deep text first
         print("error: input nested too deeply to evaluate", file=sys.stderr)
         return DOMAIN_ERROR
     finally:
@@ -336,7 +341,15 @@ def run(argv) -> int:
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`uns ... | head`): exit 1 as Python
+        # does on EPIPE, and let the flush at exit write to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

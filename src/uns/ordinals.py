@@ -3,13 +3,15 @@
 An ordinal is a tuple of (exponent, coefficient) terms with strictly
 decreasing ordinal exponents and positive integer coefficients, meaning
 w^e1*c1 + w^e2*c2 + ...  The empty tuple is 0.  epsilon_0 itself is a
-separate sentinel: it names the limit of the w-tower and is accepted by
-fundamental() and cardinality_of() but rejected by the arithmetic.
+field-less term, EPSILON_0: it names the limit of the w-tower and is
+accepted by fundamental() and cardinality_of() but rejected by the
+arithmetic.
 
-Terms are hash-consed: every Ordinal, and every cardinal node built on
-the same _Term base, is made once per distinct value and kept in a
-weak-valued table, so equality is identity, hashing is O(1), and the
-check that exponents strictly decrease runs once per value.  ord_add,
+Terms are hash-consed: every Ordinal, EPSILON_0 and every cardinal node
+is a _Term, the bitseq.Record made once per distinct value and kept in
+a weak-valued table, so equality is identity, hashing is O(1), and the
+check that exponents strictly decrease runs once per value.  Walks over
+exponents run in loops, so towers of any height work.  ord_add,
 ord_mul, ord_pow and ord_cmp share one memo policy, least recently used
 with 1024 entries each.  Finite powers pass the hyperops size gate and
 are refused with OrdinalBudgetError past the default bit budget; so is
@@ -32,8 +34,7 @@ from __future__ import annotations
 
 import re
 import weakref
-from functools import lru_cache
-from operator import attrgetter
+from functools import lru_cache, total_ordering
 
 from . import hyperops
 from .bitseq import Record
@@ -49,6 +50,10 @@ class OrdinalBudgetError(hyperops.BudgetError):
 
 # the most terms a power a^n of an infinite base may have
 TERM_BUDGET = 1000
+
+# the most nested parser frames, refused below the interpreter's recursion
+# limit: a parenthesis level or a cardinal node is one, a w^( level two
+MAX_DEPTH = 800
 
 
 # ---------------------------------------------------------------------------
@@ -83,44 +88,22 @@ def _intern(cls, fields: tuple):
     return term
 
 
-class _Term:
-    """An immutable tree node whose fields are its class's __slots__,
-    built once per distinct value by _intern.  Equal terms are one
-    object, so == and hash are object identity, O(1) on any tree.  A
-    subclass that takes other than exactly its fields, or must check
-    their types before the lookup, defines __new__ itself."""
+class _Term(Record):
+    """A Record built once per distinct value by _intern, so == and hash
+    are object identity, O(1) on any tree.  A subclass that takes other
+    than exactly its fields, or must check their types before the
+    lookup, defines __new__ itself."""
 
     __slots__ = ("__weakref__",)
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # _fields, the fields as one tuple, is read at every node a walk
-        # visits: a getter built once per class, not a generator per call
-        get = attrgetter(*cls.__slots__)
-        cls._fields = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+    _interned = True
 
     def __new__(cls, *fields):
         if len(fields) != len(cls.__slots__):
             raise TypeError(f"{cls.__name__} takes the fields {', '.join(cls.__slots__)}")
         return _intern(cls, fields)
 
-    def _check(self):
-        """Structural validation, run once when the value is first built."""
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} terms are immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        # unpickling and copying build through _intern: the same object
-        return type(self), self._fields
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{n}={v!r}" for n, v in zip(type(self).__slots__, self._fields))
-        return f"{type(self).__name__}({inner})"
-
-
+@total_ordering  # <=, > and >= from < and the identity ==
 class Ordinal(_Term):
     __slots__ = ("terms",)
 
@@ -167,21 +150,6 @@ class Ordinal(_Term):
             return NotImplemented
         return ord_cmp(self, other) < 0
 
-    def __le__(self, other):
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return ord_cmp(self, other) <= 0
-
-    def __gt__(self, other):
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return ord_cmp(self, other) > 0
-
-    def __ge__(self, other):
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return ord_cmp(self, other) >= 0
-
     def __add__(self, other):
         return ord_add(self, other)
 
@@ -207,15 +175,11 @@ def _cnf(terms: tuple) -> Ordinal:
     return _intern(Ordinal, (terms,))
 
 
-class EpsilonZero:
-    """Sentinel for the first fixed point w^x = x."""
+@total_ordering  # <, <= and >= from > and the identity ==
+class EpsilonZero(_Term):
+    """The first fixed point w^x = x, a term with no fields."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    __slots__ = ()
 
     def __str__(self):
         return "eps_0"
@@ -224,28 +188,9 @@ class EpsilonZero:
         return "EPSILON_0"
 
     # sits strictly above every normal form this module can build
-    def __lt__(self, other):
-        if isinstance(other, (Ordinal, int)) or other is self:
-            return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if other is self:
-            return True
-        if isinstance(other, (Ordinal, int)):
-            return False
-        return NotImplemented
-
     def __gt__(self, other):
-        if isinstance(other, (Ordinal, int)):
-            return True
-        if other is self:
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
         if isinstance(other, (Ordinal, int)) or other is self:
-            return True
+            return other is not self
         return NotImplemented
 
 
@@ -285,14 +230,16 @@ _memo = lru_cache(maxsize=1024, typed=True)
 @_memo
 def ord_cmp(a: Ordinal, b: Ordinal) -> int:
     """-1, 0 or 1; lexicographic on the normal-form terms."""
-    if a is b:
-        return 0
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        if ea is not eb:
-            return ord_cmp(ea, eb)
-        if ca != cb:
-            return -1 if ca < cb else 1
-    return -1 if len(a.terms) < len(b.terms) else 1
+    while a is not b:
+        for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+            if ea is not eb:
+                a, b = ea, eb  # the order of the first differing exponents
+                break
+            if ca != cb:
+                return -1 if ca < cb else 1
+        else:
+            return -1 if len(a.terms) < len(b.terms) else 1
+    return 0
 
 
 @_memo
@@ -332,15 +279,10 @@ def _left_sub_one(e: Ordinal) -> Ordinal:
     return e
 
 
-def _succ_pred(e: Ordinal) -> Ordinal:
-    # the g with g + 1 = e; only successors have one
-    last_e, last_c = e.terms[-1]
-    if not last_e.is_zero:
-        raise ValueError(f"{e} is not a successor")
-    rest = e.terms[:-1]
-    if last_c > 1:
-        return _cnf(rest + ((last_e, last_c - 1),))
-    return _cnf(rest)
+def _head(a: Ordinal) -> tuple:
+    # the terms of p where a = p + w^e, w^e the last term of a
+    e, c = a.terms[-1]
+    return a.terms[:-1] + (((e, c - 1),) if c > 1 else ())
 
 
 def _pow_int(a: Ordinal, n: int) -> Ordinal:
@@ -450,7 +392,10 @@ def omega_hyper_limit(k: int) -> Ordinal | EpsilonZero:
 
 
 def fundamental(a, n: int) -> Ordinal:
-    """n-th element of the standard increasing sequence approaching a."""
+    """n-th element of the standard increasing sequence approaching a:
+    for a = p + w^e, p + w^(e-1)*n if e is a successor, else p + w^(e[n]),
+    a chain down the last exponents and back up.  Each new term is below
+    the last exponent of its p, so the terms join in normal-form order."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"bad index {n!r}")
     if isinstance(a, EpsilonZero):
@@ -458,13 +403,17 @@ def fundamental(a, n: int) -> Ordinal:
     a = _coerce(a)
     if not a.is_limit:
         raise ValueError(f"{a} is not a limit ordinal")
-    e, c = a.terms[-1]
-    prefix = _cnf(a.terms[:-1] + (((e, c - 1),) if c > 1 else ()))
-    if e.is_successor or e.is_finite:
-        step = omega_power(_succ_pred(e), n)
-    else:
-        step = omega_power(fundamental(e, n))
-    return ord_add(prefix, step)
+    heads = []  # the terms of each p
+    while True:
+        heads.append(_head(a))
+        e = a.terms[-1][0]
+        if e.is_successor:
+            break
+        a = e
+    a = _cnf(heads.pop() + ((_cnf(_head(e)), n),))
+    while heads:
+        a = _cnf(heads.pop() + ((a, 1),))
+    return a
 
 
 class Cardinality(Record):
@@ -516,14 +465,22 @@ class _Cursor:
             raise error(f"bad token at {text[end:]!r}")
         self.tokens = _TOKEN.findall(text, 0, end)
         self.pos = 0
+        self.depth = 0
+
+    def descend(self):
+        """Enter one more grammar frame, which leaves with depth -= 1, and
+        take its first token."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise self.error(f"input nested deeper than {MAX_DEPTH} parser levels")
+        return self.take()
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+        self.pos += 1  # reads the token itself: the parser's most frequent call
+        return self.tokens[self.pos - 1] if self.pos <= len(self.tokens) else None
 
     def expect(self, wanted: str):
         tok = self.take()
@@ -548,7 +505,7 @@ def _ordinal_expr(cur: _Cursor, min_prec: int = 1):
     """The value of the longest expression at the cursor whose operators
     bind at least as tightly as min_prec, by precedence climbing.  One
     frame per parenthesis level, two per w^( level."""
-    tok = cur.take()
+    tok = cur.descend()
     if tok == "(":
         value = _ordinal_expr(cur)
         cur.expect(")")
@@ -566,6 +523,7 @@ def _ordinal_expr(cur: _Cursor, min_prec: int = 1):
             break
         cur.take()
         value = op(_no_eps(cur, value), _no_eps(cur, _ordinal_expr(cur, right_prec)))
+    cur.depth -= 1
     return value
 
 
@@ -588,20 +546,30 @@ def format_ordinal(a) -> str:
     a = _coerce(a)
     if a.is_zero:
         return "0"
-    parts = []
-    for e, c in a.terms:
-        if e.is_zero:
-            parts.append(str(c))
+    out = []
+    pending = [a.terms]  # text, and runs of terms, still to write, the next one last
+    while pending:
+        x = pending.pop()
+        if type(x) is str:
+            out.append(x)
             continue
-        if e == ONE:
-            s = "w"
-        elif e.is_finite:
-            s = f"w^{e.to_int()}"
-        elif e == OMEGA:
-            s = "w^w"
-        else:
-            s = f"w^({format_ordinal(e)})"
-        if c > 1:
-            s += f"*{c}"
-        parts.append(s)
-    return " + ".join(parts)
+        for i, (e, c) in enumerate(x):
+            if i:
+                out.append(" + ")
+            times = f"*{c}" if c > 1 else ""
+            if e.is_zero:
+                out.append(str(c))
+            elif e is ONE:
+                out.append("w" + times)
+            elif e.is_finite:
+                out.append(f"w^{e.to_int()}{times}")
+            elif e is OMEGA:
+                out.append("w^w" + times)
+            else:
+                # the exponent's terms next, then the rest of this run
+                out.append("w^(")
+                if i + 1 < len(x):
+                    pending += (x[i + 1 :], " + ")
+                pending += (")" + times, e.terms)
+                break
+    return "".join(out)

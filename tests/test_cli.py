@@ -1,12 +1,16 @@
 import json
+import os
 import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from uns import cli, hyperops
 from uns.cli import BUDGET_ERROR, DOMAIN_ERROR, PARSE_ERROR, build_parser, run
+from uns.ordinals import MAX_DEPTH
 
 
 def text_of(capsys, argv, code=0):
@@ -559,19 +563,72 @@ def test_deep_nesting_is_answered(capsys):
     assert text_of(capsys, ["card", "normalize", chain]) == "aleph_700"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["card", "normalize", "2^" * 1200 + "aleph_0"],
-        ["ord", "fund", "eps_0", "-n", "1200"],
-    ],
-)
-def test_too_deep_input_is_a_domain_error_without_traceback(capsys, argv):
-    assert run(argv) == DOMAIN_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert err.count("\n") == 1
-    assert "Traceback" not in err
+def test_a_fund_tower_taller_than_the_interpreter_stack_is_answered(capsys):
+    tower = text_of(capsys, ["ord", "fund", "eps_0", "-n", "1200"])
+    assert tower == "w^(" * 1198 + "w^w" + ")" * 1198
+
+
+def test_fund_refuses_an_index_past_the_ceiling_before_building(capsys):
+    n = hyperops.DEFAULT_BUDGET + 1
+    start = time.process_time()
+    assert run(["ord", "fund", "eps_0", "-n", str(n)]) == BUDGET_ERROR
+    assert time.process_time() - start < 1
+    assert capsys.readouterr().err == f"error: -n {n} exceeds the fund ceiling {hyperops.DEFAULT_BUDGET}\n"
+
+
+def test_text_past_the_nesting_limit_is_a_parse_error_without_traceback(capsys):
+    assert run(["card", "normalize", "2^" * 1200 + "aleph_0"]) == PARSE_ERROR
+    assert capsys.readouterr().err == f"error: input nested deeper than {MAX_DEPTH} parser levels\n"
+
+
+# each nesting form: its command, the text nested k levels, the deepest k
+# within MAX_DEPTH parser frames (a parenthesis level or a cardinal node
+# is one frame, a w^( level two) and the answer at k levels
+NESTINGS = {
+    "parentheses": (
+        ["ord", "eval"], lambda k: "(" * k + "w+1" + ")" * k, MAX_DEPTH - 2, lambda k: "w + 1"
+    ),
+    "towers": (
+        ["ord", "eval"],
+        lambda k: "w^(" * k + "w" + ")" * k,
+        (MAX_DEPTH - 1) // 2,
+        lambda k: "w^(" * (k - 1) + "w^w" + ")" * (k - 1),
+    ),
+    "index": (
+        ["card", "normalize"],
+        lambda k: "aleph_(" + "(" * k + "w" + ")" * k + ")",
+        MAX_DEPTH - 2,
+        lambda k: "aleph_(w)",
+    ),
+    "powers": (["card", "normalize"], lambda k: "2^" * k + "aleph_0", MAX_DEPTH - 1, lambda k: f"aleph_{k}"),
+    "choose": (
+        ["card", "normalize"], lambda k: "choose(" * k + "aleph_0" + ")" * k, MAX_DEPTH - 1, lambda k: f"aleph_{k}"
+    ),
+    "hyper": (
+        ["card", "normalize"], lambda k: "hyper(2, 2, " * k + "aleph_0" + ")" * k, MAX_DEPTH - 1, lambda k: f"aleph_{k}"
+    ),
+}
+
+
+@pytest.mark.parametrize("form", NESTINGS)
+def test_each_nesting_form_is_answered_to_the_limit_and_refused_past_it(capsys, form):
+    action, nest, deepest, answer = NESTINGS[form]
+    for k in (deepest - 1, deepest):
+        assert text_of(capsys, [*action, nest(k)]) == answer(k)
+    assert run([*action, nest(deepest + 1)]) == PARSE_ERROR
+    assert capsys.readouterr().err == f"error: input nested deeper than {MAX_DEPTH} parser levels\n"
+
+
+def test_a_closed_stdout_exits_1_without_traceback():
+    # a megabit of output outgrows the pipe, so the write meets the closed end
+    src = str(Path(cli.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-s", "-m", "uns.cli", "bits", "1/3", "-n", "1000000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(10) == b"0101010101"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@ integers (zero and negatives included) and fragments of the stream,
 sequence, ordinal and cardinal notations, valid and invalid alike.
 Most draws follow a subcommand's shape with random operands, so they
 reach the evaluators; the rest are loose token lists, which mostly
-exercise the argument parser.
+exercise the argument parser.  Operands include every nesting form one
+level below, at and one level past the parser's depth limit: the parser
+answers or refuses them, and the interpreter's recursion limit is never
+what stops them.  Hypothesis raises that limit while a test runs, so
+tests/test_cli.py checks the same forms under the interpreter's own.
 """
 
 import io
@@ -18,6 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from test_cli import NESTINGS  # noqa: E402
 from uns.cli import run  # noqa: E402
 
 COMMANDS = (
@@ -105,10 +110,28 @@ def shaped_argv(draw):
     return argv
 
 
+@st.composite
+def deep_argv(draw):
+    """A nesting form of the CLI tests one level below, at or one past the
+    parser's limit, as an operand of each action of its command."""
+    (command, _), nest, deepest, _ = draw(st.sampled_from(list(NESTINGS.values())))
+    text = nest(deepest + draw(st.sampled_from((-1, 0, 1))))
+    shallow = draw(ORDS if command == "ord" else CARDS)
+    actions = ("eval", "fund", "cmp") if command == "ord" else ("normalize", "cmp")
+    argv = [command, draw(st.sampled_from(actions)), text]
+    if argv[1] == "cmp":
+        argv.insert(draw(st.sampled_from((2, 3))), draw(st.sampled_from((text, shallow))))
+    if command == "card" and draw(st.booleans()):
+        argv.append("--trace")
+    if draw(st.booleans()):
+        argv = ["--format", "structured"] + argv
+    return argv
+
+
 TOKENS = st.one_of(
     st.sampled_from(COMMANDS), st.sampled_from(FLAGS), INTS, STREAMS, SEQUENCES, ORDS, CARDS
 )
-ARGV = st.one_of(shaped_argv(), st.lists(TOKENS, max_size=6))
+ARGV = st.one_of(shaped_argv(), deep_argv(), st.lists(TOKENS, max_size=6))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -119,3 +142,4 @@ def test_any_argv_gets_a_promised_exit_code_and_no_traceback(argv):
         code = run(argv)
     assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    assert "nested too deeply to evaluate" not in err.getvalue()

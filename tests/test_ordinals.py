@@ -269,9 +269,16 @@ def test_towers_are_strictly_increasing_in_height():
 
 def test_epsilon_zero_tops_the_ladder():
     for a in sample_ordinals():
-        assert a < EPSILON_0
-    assert not EPSILON_0 < EPSILON_0
+        assert a < EPSILON_0 and a <= EPSILON_0 and EPSILON_0 > a and EPSILON_0 >= a
+        assert not (a > EPSILON_0 or a >= EPSILON_0 or EPSILON_0 < a or EPSILON_0 <= a)
+    assert not EPSILON_0 < EPSILON_0 and not EPSILON_0 > EPSILON_0
+    assert EPSILON_0 <= EPSILON_0 and EPSILON_0 >= EPSILON_0
     assert EPSILON_0 == EPSILON_0
+    # natural numbers sit below it too; an ordinal and an int do not compare
+    assert 5 < EPSILON_0 and EPSILON_0 >= 5 and not EPSILON_0 <= 5
+    for compare in (lambda: W < 5, lambda: 5 >= W, lambda: EPSILON_0 > "w"):
+        with pytest.raises(TypeError):
+            compare()
 
 
 def test_epsilon_zero_refuses_arithmetic():
@@ -320,6 +327,21 @@ def test_fundamental_values_climb_toward_their_limit():
             if prev is not None:
                 assert prev < step
             prev = step
+
+
+def test_walks_take_towers_taller_than_the_interpreter_stack():
+    # format_ordinal, ord_cmp and fundamental run in loops, so a w-tower
+    # 5000 levels tall is printed, compared and stepped like a short one
+    tall = omega_hyper(2, 5000)
+    assert format_ordinal(tall) == "w^(" * 4998 + "w^w" + ")" * 4998
+    lower = fundamental(tall, 3)  # the tower with w^3 in place of w^w
+    assert format_ordinal(lower) == "w^(" * 4998 + "w^3" + ")" * 4998
+    assert ord_cmp(lower, tall) == -1 and ord_cmp(tall, lower) == 1
+    taller = omega_hyper(2, 5001)
+    assert ord_cmp(tall, taller) == -1 and ord_cmp(taller, tall) == 1
+    assert fundamental(EPSILON_0, 5001) is taller
+    twice = ord_mul(tall, from_int(2))
+    assert fundamental(twice, 3) is ord_add(tall, lower)
 
 
 def test_fundamental_rejects_successors_and_zero():

@@ -10,6 +10,7 @@ import weakref
 import pytest
 
 from uns import ordinals
+from uns.bitseq import Record
 from uns.cardinals import (
     ALEPH_0,
     Aleph,
@@ -22,9 +23,11 @@ from uns.cardinals import (
     parse_cardinal,
 )
 from uns.ordinals import (
+    EPSILON_0,
     OMEGA,
     ONE,
     ZERO,
+    EpsilonZero,
     Ordinal,
     from_int,
     omega_power,
@@ -71,7 +74,8 @@ def test_values_built_by_different_routes_are_one_object():
 
 @pytest.mark.parametrize(
     "term",
-    [ZERO, parse_ordinal("w^(w + 1)*3 + 2"), FiniteCard(7), parse_cardinal("hyper(2, aleph_0, choose(aleph_(w)))")],
+    [ZERO, parse_ordinal("w^(w + 1)*3 + 2"), FiniteCard(7), parse_cardinal("hyper(2, aleph_0, choose(aleph_(w)))"),
+     EPSILON_0],
     ids=repr,
 )
 def test_pickle_and_copies_return_the_same_object(term):
@@ -84,13 +88,26 @@ def test_pickle_and_copies_return_the_same_object(term):
 @pytest.mark.parametrize(
     "term, name",
     [(OMEGA, "terms"), (FiniteCard(3), "value"), (ALEPH_0, "index"), (Pow2(ALEPH_0), "operand"),
-     (HyperCard(FiniteCard(2), FiniteCard(1), ALEPH_0), "base"), (OMEGA, "other")],
+     (HyperCard(FiniteCard(2), FiniteCard(1), ALEPH_0), "base"), (OMEGA, "other"), (EPSILON_0, "x")],
 )
 def test_terms_are_immutable(term, name):
     with pytest.raises(AttributeError):
         setattr(term, name, ZERO)
     with pytest.raises(AttributeError):
         delattr(term, name)
+
+
+def test_terms_are_records_that_keep_identity_equality():
+    """One base for every immutable value: a term class is a Record that
+    interns, so Record compiles no __init__, __eq__ or __hash__ for it."""
+    for cls in (Ordinal, EpsilonZero, FiniteCard, Aleph, Pow2, HyperCard, Choose):
+        assert issubclass(cls, Record)
+        assert (cls.__init__, cls.__eq__, cls.__hash__) == (object.__init__, object.__eq__, object.__hash__)
+    assert EpsilonZero() is EPSILON_0 and repr(EPSILON_0) == "EPSILON_0" and str(EPSILON_0) == "eps_0"
+    assert EPSILON_0.__reduce__() == (EpsilonZero, ())
+    assert not hasattr(EpsilonZero, "_instance")
+    with pytest.raises(TypeError):
+        EpsilonZero(1)
 
 
 def test_constructors_keep_their_positional_form():
