@@ -3,8 +3,11 @@ bit streams, explosive integer operators, ordinals below eps_0, and a
 symbolic cardinal rewriter."""
 
 from .bitseq import (
+    DEFAULT_BUDGET,
+    BudgetError,
     LeftPart,
     NotationError,
+    ParseError,
     PeriodicBits,
     RightPart,
     UniversalRational,
@@ -52,7 +55,7 @@ from .cardinals import (
 from .cardinals import compare as compare_cardinals
 from .cardinals import normalize as normalize_cardinal
 from .cardinals import normalize_with_trace
-from .hyperops import DEFAULT_BUDGET, BudgetError, Exact, Exceeded, hyper, monotone_check
+from .hyperops import Exact, Exceeded, hyper, monotone_check
 from .ordinals import (
     EPSILON_0,
     OMEGA,
@@ -87,6 +90,7 @@ from .streams import (
     as_stream,
     diagonal,
     parse_star_string,
+    parse_stream,
     rational,
     register_algorithm,
 )

@@ -29,25 +29,51 @@ end in (1), so 3/4 is ".10(1)" and never ".11".
 
 The minimal form is computed one way: the encoders' digit loops, whose
 first repeated state gives the minimal preperiod and block.  normalize
-reads a pattern's value and runs the same loop on it.
+runs the same loop on a pattern's reduced value, and refuses a pattern
+longer than PATTERN_BUDGET bits.
 
-Record, the base of every immutable value of the package, interned
-terms included, lives here in the bottom layer so that every layer
-above can use it.
+The bottom layer also holds what every layer above shares: Record, the
+base of every immutable value; the bit budget and BudgetError, the base
+of every refusal; and ParseError, the base of every grammar's error.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from operator import attrgetter
 
 LEFT = "left"
 RIGHT = "right"
 
+DEFAULT_BUDGET = 1 << 20  # bits
+# the most digits d with 10^d below 2^DEFAULT_BUDGET, d log2(10) < DEFAULT_BUDGET;
+# log2(10) < 3.321928095 gives the same d, as no integer lies between the quotients
+BUDGET_DIGITS = DEFAULT_BUDGET * 10**9 // 3321928095
+# the longest pattern, preperiod and block together, that normalize walks
+PATTERN_BUDGET = 1 << 15  # bits
 
-class NotationError(ValueError):
+
+class BudgetError(ValueError):
+    """A refusal: the exact value asked for would not fit its bit budget."""
+
+
+class ParseError(ValueError):
+    """Raised when text does not follow its grammar."""
+
+
+class NotationError(ParseError):
     """Raised when text does not denote a two-way sequence."""
+
+
+def _refuse_long_numerals(text: str):
+    """Refuse, unread, a text holding a decimal numeral with more digits
+    than any value within DEFAULT_BUDGET bits has."""
+    if len(text) > BUDGET_DIGITS + 1:
+        longest = max(map(len, re.findall(r"\d+", text)), default=0)
+        if longest > BUDGET_DIGITS + 1:
+            raise BudgetError(f"a {longest}-digit numeral exceeds the {DEFAULT_BUDGET}-bit budget")
 
 
 class Record:
@@ -161,11 +187,18 @@ def normalize(p: PeriodicBits, orientation: str) -> PeriodicBits:
 
     Right orientation therefore puts terminating expansions of nonzero
     values on the (1)-tail, e.g. ".11(0)" -> ".10(1)"; the right value 1
-    (all ones, e.g. from complementing a zero tail) stays "(1)".
+    (all ones, e.g. from complementing a zero tail) stays "(1)".  The
+    loops take time quadratic in the pattern's length, which is refused
+    past PATTERN_BUDGET bits, and run on the reduced value.
     """
     if orientation not in (LEFT, RIGHT):
         raise ValueError(f"bad orientation {orientation!r}")
+    length = len(p.preperiod) + len(p.period)
+    if length > PATTERN_BUDGET:
+        raise BudgetError(f"a {length}-bit pattern exceeds the {PATTERN_BUDGET}-bit pattern budget")
     num, den = _ratio(p, orientation)
+    g = gcd(num, den)
+    num, den = num // g, den // g
     if orientation == LEFT:
         return _left_digits(num, den)
     if num == 0:
@@ -240,16 +273,9 @@ class UniversalRational(Record):
         return format_universal(self)
 
 
-def _low_value(bits: tuple[int, ...]) -> int:
-    # stored order: weight 2^i at list position i.  Bit-at-a-time shifting
-    # is quadratic in len(bits); int() parses binary text in linear time.
-    if not bits:
-        return 0
-    return int("".join(map(str, reversed(bits))), 2)
-
-
 def _written_value(bits: tuple[int, ...]) -> int:
-    # right side stored order doubles as the written msb-first order
+    # the bits read most significant first.  Bit-at-a-time shifting is
+    # quadratic in len(bits); int() parses binary text in linear time.
     if not bits:
         return 0
     return int("".join(map(str, bits)), 2)
@@ -258,8 +284,8 @@ def _written_value(bits: tuple[int, ...]) -> int:
 def _ratio(p: PeriodicBits, orientation: str) -> tuple[int, int]:
     """The pattern's value as num / den with den > 0, not reduced."""
     block = (1 << len(p.period)) - 1
-    if orientation == LEFT:
-        b, a = _low_value(p.preperiod), _low_value(p.period)
+    if orientation == LEFT:  # stored order: weight 2^i at position i
+        b, a = _written_value(p.preperiod[::-1]), _written_value(p.period[::-1])
         return b * block - (a << len(p.preperiod)), block
     b, a = _written_value(p.preperiod), _written_value(p.period)
     return b * block + a, block << len(p.preperiod)

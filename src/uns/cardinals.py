@@ -38,7 +38,7 @@ from itertools import combinations
 from typing import Mapping, Union
 
 from . import hyperops
-from .bitseq import Record
+from .bitseq import DEFAULT_BUDGET, BudgetError, ParseError, Record
 from .ordinals import (
     ONE,
     ZERO,
@@ -55,7 +55,7 @@ from .ordinals import (
 from .streams import StreamDescriptor, as_stream
 
 
-class CardinalParseError(ValueError):
+class CardinalParseError(ParseError):
     """Raised when text does not follow the cardinal grammar."""
 
 
@@ -74,7 +74,7 @@ class NoRuleError(UnnormalizableError):
         return f"no rule applies to {format_cardinal(self.expression)}"
 
 
-class FiniteBudgetError(UnnormalizableError, hyperops.BudgetError):
+class FiniteBudgetError(UnnormalizableError, BudgetError):
     def __init__(self, expression, detail):  # detail: text or a hyperops.Exceeded
         super().__init__(expression, detail)
         self.expression = expression
@@ -261,7 +261,7 @@ def _root_step(e: CardinalExpr, budget: int):
 
 
 def normalize_with_trace(
-    e: CardinalExpr, budget: int = hyperops.DEFAULT_BUDGET
+    e: CardinalExpr, budget: int = DEFAULT_BUDGET
 ) -> tuple[CardinalExpr, tuple[RewriteStep, ...]]:
     """Bottom-up rewriting to an aleph or a finite value, with the rule
     applications in order.  Raises NoRuleError on a stuck expression and
@@ -283,12 +283,12 @@ def normalize_with_trace(
     return walk(e), tuple(trace)
 
 
-def normalize(e: CardinalExpr, budget: int = hyperops.DEFAULT_BUDGET) -> CardinalExpr:
+def normalize(e: CardinalExpr, budget: int = DEFAULT_BUDGET) -> CardinalExpr:
     return normalize_with_trace(e, budget)[0]
 
 
 def all_single_steps(
-    e: CardinalExpr, budget: int = hyperops.DEFAULT_BUDGET
+    e: CardinalExpr, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[str, CardinalExpr]]:
     """Every one-rule rewrite of e, at any position.  Fuel for the
     confluence checks: exploring all of these from a root expression
@@ -334,7 +334,7 @@ def _as_hyper(e: CardinalExpr):
 
 
 def compare(
-    e1: CardinalExpr, e2: CardinalExpr, budget: int = hyperops.DEFAULT_BUDGET
+    e1: CardinalExpr, e2: CardinalExpr, budget: int = DEFAULT_BUDGET
 ) -> Comparison:
     """Order two expressions without guessing: normalize both sides if
     possible, otherwise fall back to componentwise growth of the

@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 
 from . import bitseq, cardinals, hyperops, ordinals, streams
@@ -19,13 +18,6 @@ from . import bitseq, cardinals, hyperops, ordinals, streams
 PARSE_ERROR = 2
 DOMAIN_ERROR = 3
 BUDGET_ERROR = 4
-
-_PARSE_EXCEPTIONS = (
-    bitseq.NotationError,
-    streams.StarStringError,
-    ordinals.OrdinalParseError,
-    cardinals.CardinalParseError,
-)
 
 
 def _emit(args, text: str, **fields):
@@ -35,32 +27,14 @@ def _emit(args, text: str, **fields):
         print(text)
 
 
-def _parse_stream(text: str) -> streams.StreamDescriptor:
-    hyperops._refuse_long_numerals(text)
-    text = text.strip()
-    if text == "pi/4":
-        return streams.PI_OVER_4
-    m = re.fullmatch(r"sqrt\((\d+)/(\d+)\)", text)
-    if m:
-        return streams.SqrtStream(int(m.group(1)), int(m.group(2)))
-    m = re.fullmatch(r"(\d+)/(\d+)", text)
-    if m:
-        return streams.rational(int(m.group(1)), int(m.group(2)))
-    if streams.has_algorithm(text):
-        return streams.CustomStream(text)
-    raise streams.StarStringError(
-        f"unknown stream {text!r}; use p/q, pi/4 or sqrt(p/q)"
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_convert(args) -> int:
-    if args.to == "decimal" and args.digits > hyperops.BUDGET_DIGITS:
-        raise hyperops.BudgetError(
-            f"--digits {args.digits}: 10^{args.digits} exceeds the {hyperops.DEFAULT_BUDGET}-bit budget"
+    if args.to == "decimal" and args.digits > bitseq.BUDGET_DIGITS:
+        raise bitseq.BudgetError(
+            f"--digits {args.digits}: 10^{args.digits} exceeds the {bitseq.DEFAULT_BUDGET}-bit budget"
         )
     u = bitseq.parse_universal(args.value)
     value = bitseq.decode_universal(u)
@@ -86,14 +60,9 @@ def _cmd_eval_left(args) -> int:
 
 
 def _cmd_complement(args) -> int:
-    out = bitseq.complement(bitseq.parse_universal(args.value))
-    text = str(out)
-    _emit(args, text, notation=text, rational=str(out.value))
-    return 0
-
-
-def _cmd_flip(args) -> int:
-    out = bitseq.flip(bitseq.parse_universal(args.value), raw=args.raw)
+    """The complement of a sequence (complement) or its mirror image (flip)."""
+    u = bitseq.parse_universal(args.value)
+    out = bitseq.flip(u, raw=args.raw) if args.command == "flip" else bitseq.complement(u)
     text = str(out)
     _emit(args, text, notation=text, rational=str(out.value))
     return 0
@@ -101,12 +70,12 @@ def _cmd_flip(args) -> int:
 
 def _cmd_bits(args) -> int:
     """The prefix of one stream (bits) or of the diagonal over several (diag)."""
-    if args.n > hyperops.DEFAULT_BUDGET:
-        raise hyperops.BudgetError(f"-n {args.n} exceeds the {hyperops.DEFAULT_BUDGET}-bit budget")
+    if args.n > bitseq.DEFAULT_BUDGET:
+        raise bitseq.BudgetError(f"-n {args.n} exceeds the {bitseq.DEFAULT_BUDGET}-bit budget")
     if args.command == "diag":
-        stream = streams.diagonal([_parse_stream(s) for s in args.stream])
+        stream = streams.diagonal([streams.parse_stream(s) for s in args.stream])
     else:
-        stream = streams.as_stream(_parse_stream(args.stream))
+        stream = streams.as_stream(streams.parse_stream(args.stream))
     text = format(stream.prefix(args.n), f"0{args.n}b") if args.n else ""
     _emit(args, text, bits=text)
     return 0
@@ -151,8 +120,8 @@ def _cmd_ord(args) -> int:
     v = ordinals.parse_ordinal(args.expr[0])
     if args.action == "fund":
         # the w-tower eps_0[n] has height n: refuse it before building it
-        if args.n > hyperops.DEFAULT_BUDGET:
-            raise hyperops.BudgetError(f"-n {args.n} exceeds the fund ceiling {hyperops.DEFAULT_BUDGET}")
+        if args.n > bitseq.DEFAULT_BUDGET:
+            raise bitseq.BudgetError(f"-n {args.n} exceeds the fund ceiling {bitseq.DEFAULT_BUDGET}")
         v = ordinals.fundamental(v, args.n)
     text = ordinals.format_ordinal(v)
     _emit(args, text, ordinal=text)
@@ -240,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flip", help="mirror a sequence around the point")
     p.add_argument("value")
     p.add_argument("--raw", action="store_true", help="skip canonicalization")
-    p.set_defaults(fn=_cmd_flip)
+    p.set_defaults(fn=_cmd_complement)
 
     p = sub.add_parser("bits", help="exact expansion prefix of a stream")
     p.add_argument("stream")
@@ -255,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--budget", type=int, default=hyperops.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=bitseq.DEFAULT_BUDGET)
     p.set_defaults(fn=_cmd_hyper)
 
     p = sub.add_parser("ord", help="ordinal arithmetic below eps_0")
@@ -268,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("normalize", "cmp", "table"))
     p.add_argument("expr", nargs="*")
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--budget", type=int, default=hyperops.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=bitseq.DEFAULT_BUDGET)
     p.add_argument("--max", type=int, default=5, help="rows for table")
     p.set_defaults(fn=_cmd_card)
 
@@ -324,10 +293,10 @@ def run(argv) -> int:
     sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
-    except hyperops.BudgetError as err:
+    except bitseq.BudgetError as err:
         print(f"error: {err}", file=sys.stderr)
         return BUDGET_ERROR
-    except _PARSE_EXCEPTIONS as err:
+    except bitseq.ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return PARSE_ERROR
     except (ValueError, TypeError) as err:

@@ -2,39 +2,23 @@
 exponentiation, level 2 power towers, and each level above iterates the
 one below, associating to the right.
 
-Results are exact integers unless they would not fit in `budget` bits.
-The size gate is sound in both directions: anything returned as Exact
-fits the budget, and anything reported as Exceeded provably does not.
-For a base with L bits, m**t needs more than t*(L-1) bits, so one gate,
-shared by powers and tower steps, can refuse a step before materializing
-it; a step that passes is at most about twice the budget and is computed
-exactly, then checked.
+Results are exact integers unless they would not fit in `budget` bits,
+by default the package's bit budget, bitseq.DEFAULT_BUDGET.  A value
+past it is returned as Exceeded, a statement of its size; raising
+bitseq.BudgetError for one is left to the callers.  The size gate is
+sound in both directions: anything returned as Exact fits the budget,
+and anything reported as Exceeded provably does not.  For a base with
+L bits, m**t needs more than t*(L-1) bits, so one gate, shared by powers
+and tower steps, can refuse a step before materializing it; a step that
+passes is at most about twice the budget and is computed exactly, then
+checked.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Union
 
-from .bitseq import Record
-
-DEFAULT_BUDGET = 1 << 20  # bits
-# the most digits d with 10^d below 2^DEFAULT_BUDGET, d log2(10) < DEFAULT_BUDGET;
-# log2(10) < 3.321928095 gives the same d, as no integer lies between the quotients
-BUDGET_DIGITS = DEFAULT_BUDGET * 10**9 // 3321928095
-
-
-class BudgetError(ValueError):
-    """A refusal: the exact value asked for would not fit its bit budget."""
-
-
-def _refuse_long_numerals(text: str):
-    """Refuse, unread, a text holding a decimal numeral with more digits
-    than any value within DEFAULT_BUDGET bits has."""
-    if len(text) > BUDGET_DIGITS + 1:
-        longest = max(map(len, re.findall(r"\d+", text)), default=0)
-        if longest > BUDGET_DIGITS + 1:
-            raise BudgetError(f"a {longest}-digit numeral exceeds the {DEFAULT_BUDGET}-bit budget")
+from .bitseq import DEFAULT_BUDGET, Record
 
 
 class Exact(Record):

@@ -37,14 +37,14 @@ import weakref
 from functools import lru_cache, total_ordering
 
 from . import hyperops
-from .bitseq import Record
+from .bitseq import DEFAULT_BUDGET, BudgetError, ParseError, Record, _refuse_long_numerals
 
 
-class OrdinalParseError(ValueError):
+class OrdinalParseError(ParseError):
     """Raised when text does not follow the ordinal grammar."""
 
 
-class OrdinalBudgetError(hyperops.BudgetError):
+class OrdinalBudgetError(BudgetError):
     """A power in the arithmetic would not fit the bit or term budget."""
 
 
@@ -312,10 +312,10 @@ def _pow_int(a: Ordinal, n: int) -> Ordinal:
 def _finite_pow(m: int, n: int) -> Ordinal:
     """m**n as an ordinal, refused past the default budget by the size
     gate of hyper(m, 1, n), called without hyper's refusal of n = 0."""
-    r = hyperops._pow_budgeted(m, n, hyperops.DEFAULT_BUDGET)
+    r = hyperops._pow_budgeted(m, n, DEFAULT_BUDGET)
     if isinstance(r, hyperops.Exceeded):
         raise OrdinalBudgetError(
-            f"finite power exceeds {hyperops.DEFAULT_BUDGET}-bit budget: {r.describe()}"
+            f"finite power exceeds {DEFAULT_BUDGET}-bit budget: {r.describe()}"
         )
     return from_int(r.value)
 
@@ -457,8 +457,8 @@ class _Cursor:
     grammar working on it raises is of the class the text's grammar
     names, so an ordinal inside a cardinal fails as a cardinal."""
 
-    def __init__(self, text: str, error: type[ValueError]):
-        hyperops._refuse_long_numerals(text)
+    def __init__(self, text: str, error: type[ParseError]):
+        _refuse_long_numerals(text)
         self.error = error
         end = _TOKENS.match(text).end()
         if text[end:].strip():

@@ -41,11 +41,12 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Callable, Union
 
-from .bitseq import Record, _written_value, decimal_str, fraction_prefix
+from .bitseq import ParseError, Record, _refuse_long_numerals, _written_value, decimal_str, fraction_prefix
 
 
-class StarStringError(ValueError):
-    """Raised when text is not a finite observation like '.110***'."""
+class StarStringError(ParseError):
+    """Raised when text is not a finite observation like '.110***', or
+    does not name a stream."""
 
 
 class StreamError(ValueError):
@@ -129,10 +130,6 @@ def register_algorithm(name: str, prefix_fn: Callable[[int], tuple[int, ...]]):
     _ALGORITHMS[name] = prefix_fn
 
 
-def has_algorithm(name: str) -> bool:
-    return name in _ALGORITHMS
-
-
 class CustomStream(Record):
     __slots__ = ("algorithm",)
     algorithm: str
@@ -157,6 +154,23 @@ PI_OVER_4 = PiOver4Stream()
 def rational(p: int, q: int) -> RationalStream:
     g = gcd(p, q) if 0 < p < q else 1  # out of range: the check names p/q as typed
     return RationalStream(p // g, q // g)
+
+
+def parse_stream(text: str) -> StreamDescriptor:
+    """The stream text names: p/q, pi/4, sqrt(p/q) or a registered algorithm."""
+    _refuse_long_numerals(text)
+    text = text.strip()
+    if text == "pi/4":
+        return PI_OVER_4
+    m = re.fullmatch(r"sqrt\((\d+)/(\d+)\)", text)
+    if m:
+        return SqrtStream(int(m.group(1)), int(m.group(2)))
+    m = re.fullmatch(r"(\d+)/(\d+)", text)
+    if m:
+        return rational(int(m.group(1)), int(m.group(2)))
+    if text in _ALGORITHMS:
+        return CustomStream(text)
+    raise StarStringError(f"unknown stream {text!r}; use p/q, pi/4 or sqrt(p/q)")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ import pytest
 
 from uns.bitseq import (
     LEFT,
+    PATTERN_BUDGET,
     RIGHT,
+    BudgetError,
     LeftPart,
     NotationError,
     PeriodicBits,
@@ -269,6 +271,16 @@ def test_encoders_emit_already_minimal_forms():
         u = encode_universal(random_rational(rng))
         assert normalize(u.left.bits, LEFT) == u.left.bits
         assert normalize(u.right.bits, RIGHT) == u.right.bits
+
+
+@pytest.mark.parametrize("orientation", [LEFT, RIGHT])
+def test_normalize_refuses_a_pattern_past_the_pattern_budget(orientation):
+    # (01) repeated through the preperiod: the whole budget, the value of (01)
+    at = PeriodicBits((0, 1) * (PATTERN_BUDGET // 2 - 1), (0, 1))
+    assert normalize(at, orientation) == normalize(PeriodicBits((), (0, 1)), orientation)
+    past = PeriodicBits((1,) + at.preperiod, at.period)
+    with pytest.raises(BudgetError, match=f"^a {PATTERN_BUDGET + 1}-bit pattern exceeds the 32768-bit pattern budget$"):
+        normalize(past, orientation)
 
 
 # ---------------------------------------------------------------------------

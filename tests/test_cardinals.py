@@ -33,7 +33,7 @@ from uns.cardinals import (
     set_to_nat,
     unification_table,
 )
-from uns.hyperops import BudgetError
+from uns.bitseq import BudgetError
 from uns.ordinals import OMEGA, from_int, ord_add, ord_mul
 from uns.streams import rational
 

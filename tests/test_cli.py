@@ -4,11 +4,12 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from uns import cli, hyperops
+from uns import bitseq, cli
 from uns.cli import BUDGET_ERROR, DOMAIN_ERROR, PARSE_ERROR, build_parser, run
 from uns.ordinals import MAX_DEPTH
 
@@ -66,7 +67,7 @@ def test_convert_to_decimal_refuses_negative_digit_counts(capsys, value):
 
 
 def test_convert_to_decimal_refuses_digit_counts_past_the_budget(capsys):
-    budget, most = hyperops.DEFAULT_BUDGET, 315652
+    budget, most = bitseq.DEFAULT_BUDGET, 315652
     # the widest power of ten that fits the budget, by its bit length
     assert (10**most).bit_length() <= budget < (10 ** (most + 1)).bit_length()
     assert text_of(capsys, ["convert", "(0)1.", "--to", "decimal", "--digits", str(most)]) == "1"
@@ -116,6 +117,67 @@ def test_flip_defaults_to_canonical(capsys):
     assert text_of(capsys, ["flip", "(1).", "--raw"]) == "(0).(1)"
 
 
+# A left pattern "(P)Q." at the pattern budget: 4096 copies of a 4-bit block,
+# and a preperiod of as many bits that differs in its last four, so the
+# minimal form is short and the test fast, though every bit is read.
+BLOCK, PRE = "0110" * 4096, "0110" * 4095 + "1011"
+
+
+def spelled(block: str, pre: str, orientation: str) -> Fraction:
+    """The value a written block and preperiod spell: b + a 2^n / (1 - 2^p) on
+    the left, (b + a / (2^p - 1)) / 2^n on the right."""
+    n, p = len(pre), len(block)
+    if orientation == "left":
+        return int(pre, 2) + Fraction(int(block, 2) << n, 1 - (1 << p))
+    return (int(pre or "0", 2) + Fraction(int(block, 2), (1 << p) - 1)) / (1 << n)
+
+
+@pytest.mark.parametrize(
+    "command, minimal",
+    [
+        (["convert", "--to", "notation"], "(0110)1011.(0)"),
+        (["complement"], "(1001)0101.(0)"),
+        (["flip"], "(0).1101(0110)"),
+    ],
+)
+def test_a_pattern_at_the_pattern_budget_is_answered(capsys, command, minimal):
+    assert bitseq.PATTERN_BUDGET == len(BLOCK) + len(PRE) == 32768
+    value = spelled(BLOCK, PRE, "left")
+    if command[0] == "complement":
+        value = -value
+    elif command[0] == "flip":  # the left bits, nearest the point first, go right
+        value = spelled(BLOCK[::-1], PRE[::-1], "right")
+    out = text_of(capsys, [command[0], f"({BLOCK}){PRE}.", *command[1:]])
+    assert out == minimal
+    assert bitseq.decode_universal(bitseq.parse_universal(out)) == value
+
+
+@pytest.mark.parametrize(
+    "command", [["convert", "--to", "notation"], ["convert", "--to", "set"], ["complement"], ["flip"]]
+)
+def test_a_pattern_past_the_pattern_budget_is_refused_before_any_loop(capsys, command):
+    start = time.process_time()
+    assert run([command[0], f"({BLOCK})1{PRE}.", *command[1:]]) == BUDGET_ERROR
+    assert time.process_time() - start < 0.1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: a 32769-bit pattern exceeds the 32768-bit pattern budget\n")
+
+
+@pytest.mark.parametrize("command", [["flip", "--raw"], ["convert", "--to", "rational"], ["eval-left"]])
+def test_commands_that_keep_the_pattern_as_written_take_any_length(capsys, command):
+    value = spelled(BLOCK, "1" + PRE, "left")
+    got = json_of(capsys, [command[0], f"({BLOCK})1{PRE}.", *command[1:]])
+    if command[0] == "flip":
+        assert got["notation"] == f"(0).{PRE[::-1]}1({BLOCK[::-1]})"
+        value = spelled(BLOCK[::-1], PRE[::-1] + "1", "right")
+    guard = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # the value has about 10^4 digits
+    try:
+        assert Fraction(got["rational"]) == value
+    finally:
+        sys.set_int_max_str_digits(guard)
+
+
 # ---------------------------------------------------------------------------
 # streams
 
@@ -151,7 +213,7 @@ def test_long_prefixes_keep_their_leading_zeros(capsys):
     "argv", [["bits", "1/3", "-n", "1048577"], ["bits", "e/4", "-n", "1048577"], ["diag", "1/3", "pi/4", "-n", "1048577"]]
 )
 def test_prefixes_past_the_bit_budget_are_refused(capsys, argv):
-    assert hyperops.DEFAULT_BUDGET == 1048576
+    assert bitseq.DEFAULT_BUDGET == 1048576
     start = time.process_time()
     assert run(argv) == BUDGET_ERROR
     assert time.process_time() - start < 0.5
@@ -259,7 +321,7 @@ def test_exact_integers_print_in_full(capsys, argv, value):
 )
 def test_numerals_past_the_budget_are_refused_unread(capsys, argv):
     numeral = "1" + "0" * 315653  # 10^315653, wider than 2^20 bits
-    assert (10**315653).bit_length() > hyperops.DEFAULT_BUDGET
+    assert (10**315653).bit_length() > bitseq.DEFAULT_BUDGET
     start = time.process_time()
     assert run([a.format(n=numeral) for a in argv]) == BUDGET_ERROR
     assert time.process_time() - start < 0.5
@@ -569,11 +631,11 @@ def test_a_fund_tower_taller_than_the_interpreter_stack_is_answered(capsys):
 
 
 def test_fund_refuses_an_index_past_the_ceiling_before_building(capsys):
-    n = hyperops.DEFAULT_BUDGET + 1
+    n = bitseq.DEFAULT_BUDGET + 1
     start = time.process_time()
     assert run(["ord", "fund", "eps_0", "-n", str(n)]) == BUDGET_ERROR
     assert time.process_time() - start < 1
-    assert capsys.readouterr().err == f"error: -n {n} exceeds the fund ceiling {hyperops.DEFAULT_BUDGET}\n"
+    assert capsys.readouterr().err == f"error: -n {n} exceeds the fund ceiling {bitseq.DEFAULT_BUDGET}\n"
 
 
 def test_text_past_the_nesting_limit_is_a_parse_error_without_traceback(capsys):

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from uns.cardinals import CardinalParseError
-from uns.hyperops import BudgetError
+from uns.bitseq import BudgetError
 from uns.ordinals import (
     EPSILON_0,
     OMEGA,

@@ -1,5 +1,6 @@
 import random
 import threading
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -7,12 +8,14 @@ import mpmath
 import pytest
 
 from uns import streams
+from uns.bitseq import BudgetError
 from uns.streams import (
     PI_OVER_4,
     BitStream,
     CompareResult,
     CustomStream,
     DyadicInterval,
+    RationalStream,
     SqrtStream,
     StarStringError,
     StreamError,
@@ -21,6 +24,7 @@ from uns.streams import (
     diagonal,
     dyadic_str,
     parse_star_string,
+    parse_stream,
     rational,
     register_algorithm,
 )
@@ -324,6 +328,33 @@ def test_custom_stream_rejects_bad_algorithm_output():
     register_algorithm("test-short", lambda n: (1,) * max(0, n - 1))
     with pytest.raises(StreamError):
         BitStream(CustomStream("test-short")).bits(3)
+
+
+@pytest.mark.parametrize(
+    "text, descriptor",
+    [
+        ("pi/4", PI_OVER_4),
+        (" sqrt(1/2) ", SqrtStream(1, 2)),
+        ("6/8", RationalStream(3, 4)),
+        ("test-named", CustomStream("test-named")),
+    ],
+)
+def test_parse_stream_names_each_kind_of_stream(text, descriptor):
+    register_algorithm("test-named", lambda n: (0,) * n)
+    assert parse_stream(text) == descriptor
+
+
+@pytest.mark.parametrize("text", ["e/4", "test-never-registered", "sqrt(1/2", "-1/3", ""])
+def test_parse_stream_rejects_unknown_names(text):
+    with pytest.raises(StarStringError, match="unknown stream"):
+        parse_stream(text)
+
+
+def test_parse_stream_refuses_a_numeral_past_the_budget_unread():
+    start = time.process_time()
+    with pytest.raises(BudgetError, match="^a 315654-digit numeral exceeds the 1048576-bit budget$"):
+        parse_stream("1/" + "3" * 315654)
+    assert time.process_time() - start < 0.5
 
 
 def test_bitstream_detects_unstable_descriptors():
