@@ -30,7 +30,8 @@ end in (1), so 3/4 is ".10(1)" and never ".11".
 The minimal form is computed one way: the encoders' digit loops, whose
 first repeated state gives the minimal preperiod and block.  normalize
 runs the same loop on a pattern's reduced value, and refuses a pattern
-longer than PATTERN_BUDGET bits.
+longer than PATTERN_BUDGET bits; parse_universal refuses a text of more
+than DEFAULT_BUDGET bits.
 
 The bottom layer also holds what every layer above shares: Record, the
 base of every immutable value; the bit budget and BudgetError, the base
@@ -532,7 +533,13 @@ _NOTATION = re.compile(
 
 
 def parse_universal(text: str) -> UniversalRational:
-    """Parse notation like "(0)10011.(10)" without normalizing it."""
+    """Parse notation like "(0)10011.(10)" without normalizing it.  A
+    text of more than DEFAULT_BUDGET bits is refused unread: the work
+    on a pattern's exact value grows with the square of its length."""
+    if len(text) > DEFAULT_BUDGET:
+        bits = text.count("0") + text.count("1")
+        if bits > DEFAULT_BUDGET:
+            raise BudgetError(f"a {bits}-bit pattern exceeds the {DEFAULT_BUDGET}-bit budget")
     m = _NOTATION.fullmatch(text.strip())
     if m is None:
         raise NotationError(f"not a two-way sequence: {text!r}")

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import combinations
-from typing import Mapping, Union
+from typing import Mapping, Union, get_args
 
 from . import hyperops
 from .bitseq import DEFAULT_BUDGET, BudgetError, ParseError, Record
@@ -172,21 +172,33 @@ class Aleph(_Term):
         return _intern(cls, (index,))
 
 
-class Pow2(_Term):
+class _Node(_Term):
+    """A composite expression, whose children are cardinal expressions."""
+
+    __slots__ = ()
+
+    def _check(self):
+        for child in self._fields:
+            if type(child) not in _CARDINALS:
+                raise TypeError(f"{type(self).__name__} of {child!r}: not a cardinal expression")
+
+
+class Pow2(_Node):
     __slots__ = ("operand",)
 
 
-class HyperCard(_Term):
+class HyperCard(_Node):
     __slots__ = ("base", "level", "arg")
 
 
-class Choose(_Term):
+class Choose(_Node):
     """The diagonal binomial: all ways to pick e elements out of e."""
 
     __slots__ = ("operand",)
 
 
 CardinalExpr = Union[FiniteCard, Aleph, Pow2, HyperCard, Choose]
+_CARDINALS = frozenset(get_args(CardinalExpr))
 
 ALEPH_0 = Aleph(ZERO)
 
@@ -325,10 +337,22 @@ def _compare_normals(n1: CardinalExpr, n2: CardinalExpr) -> Comparison:
     return (Comparison.LE, Comparison.EQ, Comparison.GE)[c + 1]
 
 
+def _infinite(e: CardinalExpr) -> bool:
+    """Whether e is surely infinite: False means finite or not known."""
+    if type(e) in (Pow2, Choose):
+        return _infinite(e.operand)
+    if type(e) is HyperCard:
+        # b * a is infinite for infinite b and a, and each level above
+        # multiplication is at least as large
+        return _infinite(e.base) and _infinite(e.arg)
+    return type(e) is Aleph
+
+
 def _as_hyper(e: CardinalExpr):
     if isinstance(e, HyperCard):
         return e._fields
-    if isinstance(e, (Pow2, Choose)):
+    # choose(e) is 2^e only for an infinite e (CBT): choose(n) of a finite n is 1
+    if type(e) is Pow2 or (type(e) is Choose and _infinite(e.operand)):
         return (FiniteCard(2), FiniteCard(1), e.operand)
     return None
 
@@ -338,7 +362,8 @@ def compare(
 ) -> Comparison:
     """Order two expressions without guessing: normalize both sides if
     possible, otherwise fall back to componentwise growth of the
-    explosive operator (2^e counting as hyper(2, 1, e))."""
+    explosive operator (2^e counting as hyper(2, 1, e), and so does
+    choose(e) of an infinite e)."""
 
     def try_norm(x):
         try:

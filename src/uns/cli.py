@@ -111,13 +111,8 @@ def _cmd_hyper(args) -> int:
 
 
 def _cmd_ord(args) -> int:
-    if args.action == "cmp":
-        a, b = (ordinals.parse_ordinal(e) for e in args.expr)
-        c = (a > b) - (a < b)
-        text = "<=>"[c + 1]
-        _emit(args, text, relation=text)
-        return 0
-    v = ordinals.parse_ordinal(args.expr[0])
+    """An ordinal's normal form (eval) or a step of its fundamental sequence (fund)."""
+    v = ordinals.parse_ordinal(args.expr)
     if args.action == "fund":
         # the w-tower eps_0[n] has height n: refuse it before building it
         if args.n > bitseq.DEFAULT_BUDGET:
@@ -128,30 +123,42 @@ def _cmd_ord(args) -> int:
     return 0
 
 
-def _cmd_card(args) -> int:
-    if args.action == "normalize":
-        expr = cardinals.parse_cardinal(args.expr[0])
-        normal, trace = cardinals.normalize_with_trace(expr, args.budget)
-        shown = args.format == "structured" or args.trace  # format the steps only if shown
-        steps = [
-            {
-                "rule": s.rule,
-                "before": cardinals.format_cardinal(s.before),
-                "after": cardinals.format_cardinal(s.after),
-            }
-            for s in (trace if shown else ())
-        ]
-        if args.trace and args.format != "structured":
-            for step in steps:
-                print(f"{step['rule']}: {step['before']} -> {step['after']}")
-        text = cardinals.format_cardinal(normal)
-        _emit(args, text, cardinal=text, trace=steps)
-        return 0
-    if args.action == "cmp":
-        e1, e2 = (cardinals.parse_cardinal(e) for e in args.expr)
-        rel = cardinals.compare(e1, e2, args.budget)
-        _emit(args, rel.value, relation=rel.value)
-        return 0
+def _cmd_ord_cmp(args) -> int:
+    a, b = ordinals.parse_ordinal(args.a), ordinals.parse_ordinal(args.b)
+    c = (a > b) - (a < b)
+    text = "<=>"[c + 1]
+    _emit(args, text, relation=text)
+    return 0
+
+
+def _cmd_card_normalize(args) -> int:
+    expr = cardinals.parse_cardinal(args.expr)
+    normal, trace = cardinals.normalize_with_trace(expr, args.budget)
+    shown = args.format == "structured" or args.trace  # format the steps only if shown
+    steps = [
+        {
+            "rule": s.rule,
+            "before": cardinals.format_cardinal(s.before),
+            "after": cardinals.format_cardinal(s.after),
+        }
+        for s in (trace if shown else ())
+    ]
+    if args.trace and args.format != "structured":
+        for step in steps:
+            print(f"{step['rule']}: {step['before']} -> {step['after']}")
+    text = cardinals.format_cardinal(normal)
+    _emit(args, text, cardinal=text, trace=steps)
+    return 0
+
+
+def _cmd_card_cmp(args) -> int:
+    a, b = cardinals.parse_cardinal(args.a), cardinals.parse_cardinal(args.b)
+    rel = cardinals.compare(a, b, args.budget)
+    _emit(args, rel.value, relation=rel.value)
+    return 0
+
+
+def _cmd_card_table(args) -> int:
     table = cardinals.unification_table(args.max)
     rows = [
         (
@@ -228,18 +235,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_hyper)
 
     p = sub.add_parser("ord", help="ordinal arithmetic below eps_0")
-    p.add_argument("action", choices=("eval", "cmp", "fund"))
-    p.add_argument("expr", nargs="+")
-    p.add_argument("-n", type=int, default=3, help="index for fund")
-    p.set_defaults(fn=_cmd_ord)
+    actions = p.add_subparsers(dest="action", required=True)
+    a = actions.add_parser("eval", help="Cantor normal form of an ordinal")
+    a.add_argument("expr")
+    a.set_defaults(fn=_cmd_ord)
+    a = actions.add_parser("cmp", help="order two ordinals")
+    a.add_argument("a")
+    a.add_argument("b")
+    a.set_defaults(fn=_cmd_ord_cmp)
+    a = actions.add_parser("fund", help="n-th step of a limit's fundamental sequence")
+    a.add_argument("expr")
+    a.add_argument("-n", type=int, default=3)
+    a.set_defaults(fn=_cmd_ord)
 
     p = sub.add_parser("card", help="symbolic cardinal rewriting")
-    p.add_argument("action", choices=("normalize", "cmp", "table"))
-    p.add_argument("expr", nargs="*")
-    p.add_argument("--trace", action="store_true")
-    p.add_argument("--budget", type=int, default=bitseq.DEFAULT_BUDGET)
-    p.add_argument("--max", type=int, default=5, help="rows for table")
-    p.set_defaults(fn=_cmd_card)
+    actions = p.add_subparsers(dest="action", required=True)
+    a = actions.add_parser("normalize", help="rewrite a cardinal to its normal form")
+    a.add_argument("expr")
+    a.add_argument("--trace", action="store_true")
+    a.add_argument("--budget", type=int, default=bitseq.DEFAULT_BUDGET)
+    a.set_defaults(fn=_cmd_card_normalize)
+    a = actions.add_parser("cmp", help="order two cardinals")
+    a.add_argument("a")
+    a.add_argument("b")
+    a.add_argument("--budget", type=int, default=bitseq.DEFAULT_BUDGET)
+    a.set_defaults(fn=_cmd_card_cmp)
+    a = actions.add_parser("table", help="the unification table of alephs")
+    a.add_argument("--max", type=int, default=5, help="rows")
+    a.set_defaults(fn=_cmd_card_table)
 
     p = sub.add_parser("diag", help="diagonal stream over other streams")
     p.add_argument("stream", nargs="*")
@@ -256,36 +279,9 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-# how many expressions each ord and card action takes
-_EXPRESSIONS = {
-    ("ord", "eval"): 1,
-    ("ord", "cmp"): 2,
-    ("ord", "fund"): 1,
-    ("card", "normalize"): 1,
-    ("card", "cmp"): 2,
-    ("card", "table"): 0,
-}
-
-
-def _validate_counts(parser, args):
-    want = _EXPRESSIONS.get((args.command, getattr(args, "action", None)))
-    if want is not None and len(args.expr) != want:
-        noun = "expression" if want == 1 else "expressions"
-        parser.error(
-            f"{args.command} {args.action} takes {want} {noun}, got {len(args.expr)}"
-        )
-
-
 def run(argv) -> int:
-    parser = _shared_parser()
     try:
-        args, rest = parser.parse_known_args(argv)
-        if args.command in ("ord", "card"):
-            args.expr = args.expr + [a for a in rest if not a.startswith("-")]
-            rest = [a for a in rest if a.startswith("-")]
-        if rest:
-            parser.error(f"unrecognized arguments: {' '.join(rest)}")
-        _validate_counts(parser, args)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as stop:
         return stop.code if stop.code else 0
     # the bit budgets bound every integer printed, so print them in full

@@ -366,6 +366,13 @@ def test_compare_stuck_against_powerset_uses_the_tower_view():
     assert compare(stuck, twin) == Comparison.EQ
 
 
+def test_compare_reads_choose_as_a_powerset_only_over_an_infinite_operand():
+    # choose(n) of a finite n is 1, so the tower view of 2^n does not hold
+    assert compare(parse_cardinal("choose(5)"), parse_cardinal("2^5")) is Comparison.UNKNOWN
+    assert compare(parse_cardinal("choose(choose(5))"), parse_cardinal("2^choose(5)")) is Comparison.UNKNOWN
+    assert compare(parse_cardinal("choose(aleph_0)"), parse_cardinal("2^aleph_0")) is Comparison.EQ
+
+
 def test_compare_gives_up_honestly():
     a = HyperCard(ALEPH_0, FiniteCard(3), ALEPH_0)
     b = HyperCard(aleph(1), FiniteCard(2), ALEPH_0)

@@ -163,6 +163,18 @@ def test_a_pattern_past_the_pattern_budget_is_refused_before_any_loop(capsys, co
     assert (out.out, out.err) == ("", "error: a 32769-bit pattern exceeds the 32768-bit pattern budget\n")
 
 
+@pytest.mark.parametrize(
+    "command", [["flip", "--raw"], ["convert", "--to", "rational"], ["convert", "--to", "decimal"], ["eval-left"]]
+)
+def test_a_text_past_the_bit_budget_is_refused_unread(capsys, command):
+    half = bitseq.DEFAULT_BUDGET // 2
+    start = time.process_time()
+    assert run([command[0], f"({'01' * (half // 2)})1{'0' * half}.", *command[1:]]) == BUDGET_ERROR
+    assert time.process_time() - start < 0.5
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: a 1048577-bit pattern exceeds the 1048576-bit budget\n")
+
+
 @pytest.mark.parametrize("command", [["flip", "--raw"], ["convert", "--to", "rational"], ["eval-left"]])
 def test_commands_that_keep_the_pattern_as_written_take_any_length(capsys, command):
     value = spelled(BLOCK, "1" + PRE, "left")
@@ -383,22 +395,44 @@ def test_ord_argument_counts(capsys):
     capsys.readouterr()
 
 
+# each case: argv, the count that is wrong, and argparse's usage line
+# (None for the top-level one) and error
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, wrong, expected",
     [
-        (["ord", "eval", "w", "w"], "ord eval takes 1 expression, got 2"),
-        (["ord", "cmp", "w"], "ord cmp takes 2 expressions, got 1"),
-        (["ord", "fund", "w^2", "w", "-n", "2"], "ord fund takes 1 expression, got 2"),
-        (["card", "normalize"], "card normalize takes 1 expression, got 0"),
-        (["card", "cmp", "aleph_0"], "card cmp takes 2 expressions, got 1"),
-        (["card", "table", "x"], "card table takes 0 expressions, got 1"),
+        (["ord", "eval", "w", "w"], "ord eval takes 1 expression, got 2", (None, "uns: error: unrecognized arguments: w")),
+        (
+            ["ord", "cmp", "w"],
+            "ord cmp takes 2 expressions, got 1",
+            ("usage: uns ord cmp [-h] a b\n", "uns ord cmp: error: the following arguments are required: b"),
+        ),
+        (
+            ["ord", "fund", "w^2", "w", "-n", "2"],
+            "ord fund takes 1 expression, got 2",
+            (None, "uns: error: unrecognized arguments: w"),
+        ),
+        (
+            ["card", "normalize"],
+            "card normalize takes 1 expression, got 0",
+            (
+                "usage: uns card normalize [-h] [--trace] [--budget BUDGET] expr\n",
+                "uns card normalize: error: the following arguments are required: expr",
+            ),
+        ),
+        (
+            ["card", "cmp", "aleph_0"],
+            "card cmp takes 2 expressions, got 1",
+            ("usage: uns card cmp [-h] [--budget BUDGET] a b\n", "uns card cmp: error: the following arguments are required: b"),
+        ),
+        (["card", "table", "x"], "card table takes 0 expressions, got 1", (None, "uns: error: unrecognized arguments: x")),
     ],
 )
-def test_argument_count_errors_say_what_is_wrong(capsys, argv, message):
-    assert run(argv) == PARSE_ERROR
+def test_argument_count_errors_say_what_is_wrong(capsys, argv, wrong, expected):
+    usage, message = expected
+    assert run(argv) == PARSE_ERROR, wrong
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == build_parser().format_usage() + f"uns: error: {message}\n"
+    assert out.err == (usage or build_parser().format_usage()) + f"{message}\n", wrong
 
 
 def test_ord_parse_error(capsys):
@@ -487,11 +521,33 @@ def test_options_may_come_before_or_between_expressions(capsys):
     out = text_of(capsys, ["card", "normalize", "--trace", "choose(aleph_2)"])
     assert out.split("\n") == ["CBT: choose(aleph_2) -> 2^aleph_2", "GCH: 2^aleph_2 -> aleph_3", "aleph_3"]
     assert text_of(capsys, ["card", "cmp", "aleph_0", "--budget", "64", "aleph_1"]) == "le"
-    assert text_of(capsys, ["ord", "cmp", "w", "-n", "2", "w^2"]) == "<"
+    assert text_of(capsys, ["ord", "fund", "-n", "3", "eps_0"]) == "w^(w^w)"
+    assert run(["ord", "cmp", "w", "-n", "2", "w^2"]) == PARSE_ERROR
+    assert capsys.readouterr().err.endswith("uns: error: unrecognized arguments: -n w^2\n")
     assert run(["card", "cmp", "aleph_0", "--bogus", "aleph_1"]) == PARSE_ERROR
     assert capsys.readouterr().err.endswith("uns: error: unrecognized arguments: --bogus\n")
     assert run(["flip", "(1).", "x"]) == PARSE_ERROR
     assert capsys.readouterr().err.endswith("uns: error: unrecognized arguments: x\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ord", "eval", "w", "-n", "5"],
+        ["ord", "cmp", "w", "1", "-n", "-7"],
+        ["ord", "fund", "eps_0", "--budget", "64"],
+        ["card", "normalize", "aleph_0", "--max", "3"],
+        ["card", "cmp", "aleph_0", "aleph_1", "--trace"],
+        ["card", "cmp", "aleph_0", "aleph_1", "--max", "3"],
+        ["card", "table", "--budget", "64"],
+        ["card", "table", "--trace"],
+    ],
+)
+def test_no_action_takes_another_actions_options(capsys, argv):
+    assert run(argv) == PARSE_ERROR
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "uns: error: unrecognized arguments: -" in out.err
 
 
 STUCK = "hyper(aleph_0, 2, aleph_0)"
@@ -810,7 +866,7 @@ def test_reused_parser_keeps_no_state_between_calls(capsys, monkeypatch):
             ["ord", "eval", "w", "w"],
             PARSE_ERROR,
             "",
-            usage + "uns: error: ord eval takes 1 expression, got 2\n",
+            usage + "uns: error: unrecognized arguments: w\n",
         ),
         (["ord", "eval", "w"], 0, "w\n", ""),
         (["bits", "2/3", "-n", "4"], 0, "1010\n", ""),

@@ -48,6 +48,12 @@ BAD = [
     pytest.param(lambda: FiniteCard(True), ValueError, lambda: FiniteCard(1), id="FiniteCard(True)"),
     pytest.param(lambda: FiniteCard(-1), ValueError, lambda: FiniteCard(1), id="FiniteCard(-1)"),
     pytest.param(lambda: Aleph(3), TypeError, lambda: aleph(3), id="Aleph(3)"),
+    pytest.param(lambda: Pow2(3), TypeError, lambda: Pow2(FiniteCard(3)), id="Pow2(3)"),
+    pytest.param(
+        lambda: HyperCard("a", None, 1.5), TypeError, lambda: HyperCard(FiniteCard(2), FiniteCard(1), ALEPH_0),
+        id="HyperCard('a', None, 1.5)",
+    ),
+    pytest.param(lambda: Choose(OMEGA), TypeError, lambda: Choose(ALEPH_0), id="Choose(OMEGA)"),
 ]
 
 
@@ -57,6 +63,13 @@ def test_interning_keeps_every_check(bad, error, valid):
     with pytest.raises(error):
         bad()
     assert valid() is kept
+
+
+def test_a_refused_cardinal_node_never_enters_the_table():
+    for bad in (lambda: Pow2(3), lambda: HyperCard("a", None, 1.5), lambda: Choose(OMEGA)):
+        with pytest.raises(TypeError, match="not a cardinal expression"):
+            bad()
+    assert not {(Pow2, 3), (HyperCard, "a", None, 1.5), (Choose, OMEGA)} & ordinals._TERMS.keys()
 
 
 def test_values_built_by_different_routes_are_one_object():
