@@ -13,9 +13,11 @@ block; an omitted block means "(0)".  The left block repeats leftward,
 the right block rightward.
 
 Left positions are indexed 0, 1, 2, ... moving away from the point and
-right positions 1, 2, 3, ...  Internally both sides are stored nearest
-the point first, so left index k-1 and right index k sit at the same
-list position and mirroring a number is a plain swap of the two sides.
+right positions 1, 2, 3, ...  A pattern keeps its bits as the '0'/'1'
+text they are written in, both sides stored nearest the point first: the
+right side as written, the left side reversed.  So left index k-1 and
+right index k sit at the same string position and mirroring a number is
+a plain swap of the two sides.
 
 A left sequence with preperiod value b (weights 2^i), repeating-block
 value a, preperiod length n and block length p evaluates to
@@ -81,10 +83,9 @@ class Record:
     """An immutable value whose fields are its class's __slots__.
 
     A direct subclass lists its fields in a __slots__ tuple, may give
-    defaults to the trailing ones in _defaults and leave some out of ==
-    and hash in _uncompared, and validates a new instance in _check.
-    Records are equal when they are of one class and their compared
-    fields are equal, and hash alike then; assigning a field raises
+    defaults to the trailing ones in _defaults, and validates a new
+    instance in _check.  Records are equal when they are of one class and
+    their fields are equal, and hash alike then; assigning a field raises
     AttributeError; pickling and copying rebuild through the constructor.
     A class that sets _interned builds its values itself, one object per
     value (see ordinals._Term), and keeps identity == and hash.
@@ -98,7 +99,6 @@ class Record:
 
     __slots__ = ()
     _defaults: dict = {}
-    _uncompared: tuple = ()
     _interned = False
 
     def __init_subclass__(cls, **kwargs):
@@ -114,7 +114,7 @@ class Record:
         body = [f"    _set_{n}(self, {n})" for n in fields]
         if cls._check is not Record._check:
             body.append("    _check(self)")
-        mine = "".join(f"self.{n}, " for n in fields if n not in cls._uncompared)
+        mine = "".join(f"self.{n}, " for n in fields)
         theirs = mine.replace("self.", "other.")
         source = (
             f"def __init__(self, {', '.join(params)}):\n" + ("\n".join(body) or "    pass") + "\n"
@@ -150,37 +150,40 @@ class Record:
 
 
 class PeriodicBits(Record):
-    """Bits stored nearest the binary point first, plus a repeating block.
+    """Bits as '0'/'1' text stored nearest the binary point first, plus a
+    repeating block.
 
     The block is never empty; an all-zero block encodes a terminating
     (or, on the left, nonnegative-integer) tail.
     """
 
     __slots__ = ("preperiod", "period")
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    preperiod: str
+    period: str
 
     def _check(self):
+        for bits in (self.preperiod, self.period):
+            if not isinstance(bits, str):
+                raise TypeError(f"bits must be '0'/'1' text, not {bits!r}")
+            if bits.strip("01"):  # what is left holds a character other than 0 and 1
+                raise ValueError(f"bad bits {bits!r}")
         if not self.period:
             raise ValueError("repeating block must be nonempty")
-        for b in self.preperiod + self.period:
-            if b not in (0, 1):
-                raise ValueError(f"bad bit {b!r}")
 
     def bit_at(self, i: int) -> int:
         """Bit at distance i from the point (0-based on the stored order)."""
         if i < 0:
             raise ValueError("negative bit position")
         if i < len(self.preperiod):
-            return self.preperiod[i]
-        return self.period[(i - len(self.preperiod)) % len(self.period)]
+            return int(self.preperiod[i])
+        return int(self.period[(i - len(self.preperiod)) % len(self.period)])
 
     @property
     def all_zero(self) -> bool:
-        return not any(self.preperiod) and not any(self.period)
+        return "1" not in self.preperiod and "1" not in self.period
 
 
-ZERO_BITS = PeriodicBits((), (0,))
+ZERO_BITS = PeriodicBits("", "0")
 
 
 def normalize(p: PeriodicBits, orientation: str) -> PeriodicBits:
@@ -205,14 +208,15 @@ def normalize(p: PeriodicBits, orientation: str) -> PeriodicBits:
     if num == 0:
         return ZERO_BITS
     if num == den:
-        return PeriodicBits((), (1,))
+        return PeriodicBits("", "1")
     return _right_digits(num, den)
 
 
+_NOT = str.maketrans("01", "10")
+
+
 def _bitnot(p: PeriodicBits) -> PeriodicBits:
-    return PeriodicBits(
-        tuple(1 - b for b in p.preperiod), tuple(1 - b for b in p.period)
-    )
+    return PeriodicBits(p.preperiod.translate(_NOT), p.period.translate(_NOT))
 
 
 class LeftPart(Record):
@@ -253,18 +257,11 @@ class RightPart(Record):
 
 
 class UniversalRational(Record):
-    """A two-way sequence: one left part, one right part.
+    """A two-way sequence: one left part, one right part."""
 
-    `canonical` marks outputs of the encoders and of canonicalize(); it
-    is display metadata and never takes part in equality.
-    """
-
-    __slots__ = ("left", "right", "canonical")
-    _defaults = {"canonical": False}
-    _uncompared = ("canonical",)
+    __slots__ = ("left", "right")
     left: LeftPart
     right: RightPart
-    canonical: bool
 
     @property
     def value(self) -> Fraction:
@@ -274,21 +271,13 @@ class UniversalRational(Record):
         return format_universal(self)
 
 
-def _written_value(bits: tuple[int, ...]) -> int:
-    # the bits read most significant first.  Bit-at-a-time shifting is
-    # quadratic in len(bits); int() parses binary text in linear time.
-    if not bits:
-        return 0
-    return int("".join(map(str, bits)), 2)
-
-
 def _ratio(p: PeriodicBits, orientation: str) -> tuple[int, int]:
     """The pattern's value as num / den with den > 0, not reduced."""
     block = (1 << len(p.period)) - 1
     if orientation == LEFT:  # stored order: weight 2^i at position i
-        b, a = _written_value(p.preperiod[::-1]), _written_value(p.period[::-1])
+        b, a = int("0" + p.preperiod[::-1], 2), int(p.period[::-1], 2)
         return b * block - (a << len(p.preperiod)), block
-    b, a = _written_value(p.preperiod), _written_value(p.period)
+    b, a = int("0" + p.preperiod, 2), int(p.period, 2)
     return b * block + a, block << len(p.preperiod)
 
 
@@ -300,14 +289,14 @@ def _left_digits(num: int, den: int) -> PeriodicBits:
     the minimal preperiod and block.
     """
     seen: dict[int, int] = {}
-    digits: list[int] = []
+    digits: list[str] = []
     while num not in seen:
         seen[num] = len(digits)
         bit = num & 1
-        digits.append(bit)
+        digits.append("01"[bit])
         num = (num - bit * den) // 2
     cut = seen[num]
-    return PeriodicBits(tuple(digits[:cut]), tuple(digits[cut:]))
+    return PeriodicBits("".join(digits[:cut]), "".join(digits[cut:]))
 
 
 def _right_digits(num: int, den: int) -> PeriodicBits:
@@ -318,18 +307,18 @@ def _right_digits(num: int, den: int) -> PeriodicBits:
     which becomes a zero followed by the (1)-tail.
     """
     seen: dict[int, int] = {}
-    digits: list[int] = []
+    digits: list[str] = []
     r = num
     while r and r not in seen:
         seen[r] = len(digits)
         r *= 2
-        digits.append(r // den)
+        digits.append("01"[r // den])
         r %= den
     if r == 0:
-        digits[-1] = 0
-        return PeriodicBits(tuple(digits), (1,))
+        digits[-1] = "0"
+        return PeriodicBits("".join(digits), "1")
     cut = seen[r]
-    return PeriodicBits(tuple(digits[:cut]), tuple(digits[cut:]))
+    return PeriodicBits("".join(digits[:cut]), "".join(digits[cut:]))
 
 
 def decode_left(l: LeftPart) -> Fraction:
@@ -387,7 +376,7 @@ def encode_universal(q: Fraction | int) -> UniversalRational:
     whole = q.numerator // q.denominator
     frac = q - whole
     right = encode_fraction(frac) if frac else RightPart(ZERO_BITS)
-    return UniversalRational(encode_integer(whole), right, canonical=True)
+    return UniversalRational(encode_integer(whole), right)
 
 
 def canonicalize(u: UniversalRational) -> UniversalRational:
@@ -398,10 +387,10 @@ def canonicalize(u: UniversalRational) -> UniversalRational:
     """
     lb = normalize(u.left.bits, LEFT)
     rb = normalize(u.right.bits, RIGHT)
-    if rb == PeriodicBits((), (1,)):
+    if rb == PeriodicBits("", "1"):
         left = encode_left_rational(decode_left(LeftPart(lb)) + 1)
-        return UniversalRational(left, RightPart(ZERO_BITS), canonical=True)
-    return UniversalRational(LeftPart(lb), RightPart(rb), canonical=True)
+        return UniversalRational(left, RightPart(ZERO_BITS))
+    return UniversalRational(LeftPart(lb), RightPart(rb))
 
 
 def complement(u: UniversalRational) -> UniversalRational:
@@ -445,10 +434,10 @@ def to_index_set(part: LeftPart | RightPart) -> IndexSetView:
     else:
         raise TypeError(f"not a sequence part: {part!r}")
     pre, per = part.bits.preperiod, part.bits.period
-    finite = tuple(base + i for i, b in enumerate(pre) if b)
+    finite = tuple(base + i for i, b in enumerate(pre) if b == "1")
     tail = None
-    if any(per):
-        offsets = tuple(j for j, b in enumerate(per) if b)
+    if "1" in per:
+        offsets = tuple(j for j, b in enumerate(per) if b == "1")
         tail = (base + len(pre), len(per), offsets)
     return IndexSetView(orientation, finite, tail)
 
@@ -463,30 +452,29 @@ def from_index_set(view: IndexSetView) -> LeftPart | RightPart:
 
     if view.tail is None:
         pre_len = max((i - base + 1 for i in view.finite), default=0)
-        per = (0,)
+        per = "0"
     else:
         start, stride, offsets = view.tail
         if stride < 1:
             raise ValueError("tail stride must be positive")
         if start < base:
             raise ValueError("tail starts before the first index")
-        if len(set(offsets)) != len(offsets) or any(
-            not 0 <= o < stride for o in offsets
-        ):
+        ones = set(offsets)
+        if len(ones) != len(offsets) or any(not 0 <= o < stride for o in offsets):
             raise ValueError("tail offsets must be distinct and below the stride")
         pre_len = start - base
-        per = tuple(1 if j in set(offsets) else 0 for j in range(stride))
+        per = "".join("1" if j in ones else "0" for j in range(stride))
 
-    pre = [0] * pre_len
+    pre = ["0"] * pre_len
     for i in view.finite:
         k = i - base
         if not 0 <= k < pre_len:
             raise ValueError(f"index {i} outside the finite range")
-        if pre[k]:
+        if pre[k] == "1":
             raise ValueError(f"index {i} listed twice")
-        pre[k] = 1
+        pre[k] = "1"
 
-    bits = PeriodicBits(tuple(pre), per)
+    bits = PeriodicBits("".join(pre), per)
     return LeftPart(bits) if view.orientation == LEFT else RightPart(bits)
 
 
@@ -543,13 +531,8 @@ def parse_universal(text: str) -> UniversalRational:
     m = _NOTATION.fullmatch(text.strip())
     if m is None:
         raise NotationError(f"not a two-way sequence: {text!r}")
-    lper = tuple(int(c) for c in reversed(m["lper"] or "0"))
-    lpre = tuple(int(c) for c in reversed(m["lpre"] or ""))
-    rpre = tuple(int(c) for c in m["rpre"] or "")
-    rper = tuple(int(c) for c in m["rper"] or "0")
-    return UniversalRational(
-        LeftPart(PeriodicBits(lpre, lper)), RightPart(PeriodicBits(rpre, rper))
-    )
+    left = PeriodicBits(m["lpre"][::-1], (m["lper"] or "0")[::-1])
+    return UniversalRational(LeftPart(left), RightPart(PeriodicBits(m["rpre"], m["rper"] or "0")))
 
 
 def parse_left(text: str) -> LeftPart:
@@ -563,17 +546,11 @@ def parse_left(text: str) -> LeftPart:
 
 
 def format_left(l: LeftPart) -> str:
-    pre, per = l.bits.preperiod, l.bits.period
-    per_s = "".join(str(b) for b in reversed(per))
-    pre_s = "".join(str(b) for b in reversed(pre))
-    return f"({per_s}){pre_s}."
+    return f"({l.bits.period[::-1]}){l.bits.preperiod[::-1]}."
 
 
 def format_right(r: RightPart) -> str:
-    pre, per = r.bits.preperiod, r.bits.period
-    pre_s = "".join(str(b) for b in pre)
-    per_s = "".join(str(b) for b in per)
-    return f".{pre_s}({per_s})"
+    return f".{r.bits.preperiod}({r.bits.period})"
 
 
 def format_universal(u: UniversalRational) -> str:

@@ -34,7 +34,7 @@ grammar (see ordinals), read from the same cursor as the cardinal text.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Mapping, Union, get_args
 
 from . import hyperops
@@ -376,7 +376,9 @@ def compare(
         return _compare_normals(n1, n2)
     h1, h2 = _as_hyper(e1), _as_hyper(e2)
     if h1 is not None and h2 is not None:
-        rels = {compare(c1, c2, budget) for c1, c2 in zip(h1, h2)}
+        # map, unlike a comprehension, adds no frame per level, so the
+        # fallback reaches every depth the parser admits
+        rels = set(map(compare, h1, h2, repeat(budget)))
         if rels == {Comparison.EQ}:
             return Comparison.EQ
         if rels <= {Comparison.LE, Comparison.EQ}:

@@ -94,8 +94,15 @@ def _cmd_interval(args) -> int:
     return 0
 
 
+def _budget(args) -> int:
+    """--budget, refused past the package's bit budget before any work."""
+    if args.budget > bitseq.DEFAULT_BUDGET:
+        raise bitseq.BudgetError(f"--budget {args.budget} exceeds the {bitseq.DEFAULT_BUDGET}-bit ceiling")
+    return args.budget
+
+
 def _cmd_hyper(args) -> int:
-    result = hyperops.hyper(args.m, args.k, args.n, args.budget)
+    result = hyperops.hyper(args.m, args.k, args.n, _budget(args))
     if isinstance(result, hyperops.Exceeded):
         description = result.describe()
         _emit(
@@ -132,8 +139,9 @@ def _cmd_ord_cmp(args) -> int:
 
 
 def _cmd_card_normalize(args) -> int:
+    budget = _budget(args)
     expr = cardinals.parse_cardinal(args.expr)
-    normal, trace = cardinals.normalize_with_trace(expr, args.budget)
+    normal, trace = cardinals.normalize_with_trace(expr, budget)
     shown = args.format == "structured" or args.trace  # format the steps only if shown
     steps = [
         {
@@ -152,8 +160,9 @@ def _cmd_card_normalize(args) -> int:
 
 
 def _cmd_card_cmp(args) -> int:
+    budget = _budget(args)
     a, b = cardinals.parse_cardinal(args.a), cardinals.parse_cardinal(args.b)
-    rel = cardinals.compare(a, b, args.budget)
+    rel = cardinals.compare(a, b, budget)
     _emit(args, rel.value, relation=rel.value)
     return 0
 

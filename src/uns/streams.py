@@ -41,7 +41,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Callable, Union
 
-from .bitseq import ParseError, Record, _refuse_long_numerals, _written_value, decimal_str, fraction_prefix
+from .bitseq import ParseError, Record, _refuse_long_numerals, decimal_str, fraction_prefix
 
 
 class StarStringError(ParseError):
@@ -141,7 +141,7 @@ class CustomStream(Record):
         bits = tuple(fn(n))
         if len(bits) != n or any(b not in (0, 1) for b in bits):
             raise StreamError(f"algorithm {self.algorithm!r} returned bad bits")
-        return _written_value(bits)
+        return int("".join("1" if b else "0" for b in bits), 2) if n else 0
 
 
 StreamDescriptor = Union[

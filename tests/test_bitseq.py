@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -70,8 +71,8 @@ def nonterminating_long_division(p: int, q: int, n: int) -> int:
 
 
 def random_periodic(rng: random.Random, max_pre=6, max_per=5) -> PeriodicBits:
-    pre = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, max_pre)))
-    per = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, max_per)))
+    pre = "".join(rng.choice("01") for _ in range(rng.randint(0, max_pre)))
+    per = "".join(rng.choice("01") for _ in range(rng.randint(1, max_per)))
     return PeriodicBits(pre, per)
 
 
@@ -220,10 +221,8 @@ def test_canonical_right_parts_never_terminate():
         value = random_rational(rng)
         u = encode_universal(value)
         if not u.right.is_zero:
-            assert any(u.right.bits.period)
-            assert not all(
-                b == 1 for b in u.right.bits.preperiod + u.right.bits.period
-            )
+            assert "1" in u.right.bits.period
+            assert "0" in u.right.bits.preperiod + u.right.bits.period
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +275,9 @@ def test_encoders_emit_already_minimal_forms():
 @pytest.mark.parametrize("orientation", [LEFT, RIGHT])
 def test_normalize_refuses_a_pattern_past_the_pattern_budget(orientation):
     # (01) repeated through the preperiod: the whole budget, the value of (01)
-    at = PeriodicBits((0, 1) * (PATTERN_BUDGET // 2 - 1), (0, 1))
-    assert normalize(at, orientation) == normalize(PeriodicBits((), (0, 1)), orientation)
-    past = PeriodicBits((1,) + at.preperiod, at.period)
+    at = PeriodicBits("01" * (PATTERN_BUDGET // 2 - 1), "01")
+    assert normalize(at, orientation) == normalize(PeriodicBits("", "01"), orientation)
+    past = PeriodicBits("1" + at.preperiod, at.period)
     with pytest.raises(BudgetError, match=f"^a {PATTERN_BUDGET + 1}-bit pattern exceeds the 32768-bit pattern budget$"):
         normalize(past, orientation)
 
@@ -349,7 +348,6 @@ def test_flip_is_a_bitwise_involution():
 def test_flip_canonical_mode_normalizes():
     out = flip(parse_universal("(1)."), raw=False)
     assert format_universal(out) == "(0)1.(0)"
-    assert out.canonical
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +390,15 @@ def test_index_set_rendering():
     )
 
 
+def test_from_index_set_builds_a_long_block_in_linear_time():
+    from uns.bitseq import IndexSetView
+
+    start = time.process_time()
+    part = from_index_set(IndexSetView(RIGHT, (), (1, PATTERN_BUDGET, tuple(range(0, PATTERN_BUDGET, 2)))))
+    assert time.process_time() - start < 0.5
+    assert part.bits == PeriodicBits("", "10" * (PATTERN_BUDGET // 2))
+
+
 def test_from_index_set_rejects_malformed_views():
     from uns.bitseq import IndexSetView
 
@@ -416,6 +423,24 @@ def test_notation_round_trip(text):
     assert parse_universal(format_universal(u)) == u
 
 
+@pytest.mark.parametrize(
+    "pre, per, error",
+    [
+        ((1, 0), (0, 1), TypeError),
+        ("10", (0,), TypeError),
+        (["1"], "0", TypeError),
+        (b"10", "0", TypeError),
+        ("12", "0", ValueError),
+        ("1 0", "0", ValueError),
+        ("", "01x", ValueError),
+        ("10", "", ValueError),
+    ],
+)
+def test_a_pattern_holds_only_bit_text(pre, per, error):
+    with pytest.raises(error):
+        PeriodicBits(pre, per)
+
+
 def test_parse_defaults_omitted_blocks_to_zero():
     assert parse_universal("101.") == parse_universal("(0)101.(0)")
 
@@ -436,6 +461,5 @@ def test_parse_left_requires_empty_right_side():
 def test_canonicalize_marks_and_minimizes():
     u = parse_universal("(00)0101.11(0)")
     c = canonicalize(u)
-    assert c.canonical
     assert decode_universal(c) == decode_universal(u)
     assert format_universal(c) == "(0)101.10(1)"

@@ -38,8 +38,8 @@ from uns.streams import dyadic_str  # noqa: E402
 
 
 def oracle_normalize(p: PeriodicBits, orientation: str) -> PeriodicBits:
-    pre = list(p.preperiod)
-    per = list(p.period)
+    pre = [int(b) for b in p.preperiod]
+    per = [int(b) for b in p.period]
 
     # primitive repeating block
     n = len(per)
@@ -61,7 +61,7 @@ def oracle_normalize(p: PeriodicBits, orientation: str) -> PeriodicBits:
         per.insert(0, per.pop())
         pre.pop()
 
-    return PeriodicBits(tuple(pre), tuple(per))
+    return PeriodicBits("".join(map(str, pre)), "".join(map(str, per)))
 
 
 def oracle_decimal(q: Fraction, digits: int) -> str:
@@ -79,14 +79,14 @@ def oracle_decimal(q: Fraction, digits: int) -> str:
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
-bits = st.integers(0, 1)
-runs = st.lists(bits, max_size=10).map(tuple)
-blocks = st.lists(bits, min_size=1, max_size=10).map(tuple)
+bits = st.sampled_from("01")
+runs = st.text("01", max_size=10)
+blocks = st.text("01", min_size=1, max_size=10)
 patterns = st.one_of(
     st.builds(PeriodicBits, runs, blocks),
     # constant tails: right values 0 and 1, terminating expansions
-    st.builds(lambda pre, b, k: PeriodicBits(pre, (b,) * k), runs, bits, st.integers(1, 6)),
-    st.builds(lambda b, n, k: PeriodicBits((b,) * n, (b,) * k), bits, st.integers(0, 6), st.integers(1, 6)),
+    st.builds(lambda pre, b, k: PeriodicBits(pre, b * k), runs, bits, st.integers(1, 6)),
+    st.builds(lambda b, n, k: PeriodicBits(b * n, b * k), bits, st.integers(0, 6), st.integers(1, 6)),
     # non-primitive blocks
     st.builds(lambda pre, blk, k: PeriodicBits(pre, blk * k), runs, blocks.map(lambda b: b[:4]), st.integers(2, 4)),
 )
@@ -103,14 +103,16 @@ rationals = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 500
 raw_universals = st.builds(
     lambda lb, rb: UniversalRational(LeftPart(lb), RightPart(rb)), patterns, patterns
 )
+# any text "(P)Q.R(S)" with both blocks written out
+written = st.builds(lambda p, q, r, s: f"({p}){q}.{r}({s})", blocks, runs, runs, blocks)
 
 
 @SETTINGS
 @given(patterns, orientations)
-@example(PeriodicBits((0, 0), (0, 0)), RIGHT)
-@example(PeriodicBits((1,), (1, 1)), RIGHT)
-@example(PeriodicBits((1, 1, 0), (0,)), RIGHT)
-@example(PeriodicBits((1, 0, 1), (1, 0)), LEFT)
+@example(PeriodicBits("00", "00"), RIGHT)
+@example(PeriodicBits("1", "11"), RIGHT)
+@example(PeriodicBits("110", "0"), RIGHT)
+@example(PeriodicBits("101", "10"), LEFT)
 def test_normalize_matches_the_oracle(p, orientation):
     assert normalize(p, orientation) == oracle_normalize(p, orientation)
 
@@ -146,9 +148,10 @@ def test_canonicalize_is_idempotent_and_keeps_the_value(u):
 
 
 @SETTINGS
-@given(raw_universals)
-def test_text_roundtrip_on_raw_forms(u):
+@given(raw_universals, written)
+def test_text_roundtrip_on_raw_forms(u, text):
     assert parse_universal(str(u)) == u
+    assert str(parse_universal(text)) == text
 
 
 @SETTINGS

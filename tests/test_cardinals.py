@@ -34,7 +34,7 @@ from uns.cardinals import (
     unification_table,
 )
 from uns.bitseq import BudgetError
-from uns.ordinals import OMEGA, from_int, ord_add, ord_mul
+from uns.ordinals import MAX_DEPTH, OMEGA, from_int, ord_add, ord_mul
 from uns.streams import rational
 
 # ---------------------------------------------------------------------------
@@ -371,6 +371,24 @@ def test_compare_reads_choose_as_a_powerset_only_over_an_infinite_operand():
     assert compare(parse_cardinal("choose(5)"), parse_cardinal("2^5")) is Comparison.UNKNOWN
     assert compare(parse_cardinal("choose(choose(5))"), parse_cardinal("2^choose(5)")) is Comparison.UNKNOWN
     assert compare(parse_cardinal("choose(aleph_0)"), parse_cardinal("2^aleph_0")) is Comparison.EQ
+
+
+def test_compare_answers_stuck_nests_at_every_depth_the_parser_admits():
+    stuck = "hyper(aleph_0, 2, aleph_0)"
+    d = MAX_DEPTH - 2  # chooses around the stuck hyper, one frame each
+    chain = "choose(" * d + stuck + ")" * d
+    shallower = "2^" + "choose(" * (d - 1) + stuck + ")" * (d - 1)
+    assert compare(parse_cardinal(chain), parse_cardinal(shallower)) is Comparison.EQ
+    with pytest.raises(CardinalParseError):
+        parse_cardinal("choose(" + chain + ")")
+    k = MAX_DEPTH - 1
+
+    def nest(leaf):
+        return "hyper(aleph_0, 2, " * k + leaf + ")" * k
+
+    assert compare(parse_cardinal(nest("aleph_0")), parse_cardinal(nest("aleph_1"))) is Comparison.LE
+    with pytest.raises(CardinalParseError):
+        parse_cardinal("hyper(aleph_0, 2, " + nest("aleph_0") + ")")
 
 
 def test_compare_gives_up_honestly():

@@ -3,6 +3,7 @@ grammar raises a bitseq.ParseError (exit 2) and every budget a
 bitseq.BudgetError (exit 4), and no error is both."""
 
 import ast
+import time
 from pathlib import Path
 
 import pytest
@@ -68,3 +69,31 @@ def test_the_shared_budget_and_bases_are_defined_only_in_bitseq():
             for name in set(names) & SHARED:
                 where.setdefault(name, []).append(path.stem)
     assert where == {name: ["bitseq"] for name in SHARED}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hyper", "2", "1", "2000000"],
+        ["card", "normalize", "2^2000000"],
+        ["card", "cmp", "2^2000000", "aleph_0"],
+        ["card", "normalize", "((("],
+    ],
+    ids=["hyper", "normalize", "cmp", "unparsed"],
+)
+def test_a_budget_past_the_bit_budget_is_refused_before_any_work(capsys, argv):
+    n = bitseq.DEFAULT_BUDGET + 1
+    start = time.process_time()
+    assert cli.run([*argv, "--budget", str(n)]) == cli.BUDGET_ERROR
+    assert time.process_time() - start < 0.5
+    assert capsys.readouterr() == ("", f"error: --budget {n} exceeds the {bitseq.DEFAULT_BUDGET}-bit ceiling\n")
+
+
+def test_budgets_up_to_the_bit_budget_are_read_and_small_ones_stay_domain_errors(capsys):
+    top = str(bitseq.DEFAULT_BUDGET)
+    assert cli.run(["hyper", "2", "1", "10", "--budget", top]) == 0
+    assert cli.run(["card", "normalize", "2^10", "--budget", top]) == 0
+    assert cli.run(["card", "cmp", "2^10", "1024", "--budget", top]) == 0
+    assert capsys.readouterr().out == "1024\n1024\neq\n"
+    assert cli.run(["hyper", "2", "1", "10", "--budget", "63"]) == cli.DOMAIN_ERROR
+    assert cli.run(["card", "normalize", "2^10", "--budget", "63"]) == cli.DOMAIN_ERROR

@@ -34,17 +34,17 @@ from uns.streams import (
     SqrtStream,
 )
 
-PB = PeriodicBits((1, 0), (0, 1))
+PB = PeriodicBits("10", "01")
 
 # a builder of a fresh value, and the value's repr
 CASES = [
-    (lambda: PeriodicBits((1, 0), (0, 1)), "PeriodicBits(preperiod=(1, 0), period=(0, 1))"),
-    (lambda: LeftPart(PeriodicBits((1,), (0,))), "LeftPart(bits=PeriodicBits(preperiod=(1,), period=(0,)))"),
-    (lambda: RightPart(PB), "RightPart(bits=PeriodicBits(preperiod=(1, 0), period=(0, 1)))"),
+    (lambda: PeriodicBits("10", "01"), "PeriodicBits(preperiod='10', period='01')"),
+    (lambda: LeftPart(PeriodicBits("1", "0")), "LeftPart(bits=PeriodicBits(preperiod='1', period='0'))"),
+    (lambda: RightPart(PB), "RightPart(bits=PeriodicBits(preperiod='10', period='01'))"),
     (
-        lambda: UniversalRational(LeftPart(), RightPart(PB), True),
-        "UniversalRational(left=LeftPart(bits=PeriodicBits(preperiod=(), period=(0,))), "
-        "right=RightPart(bits=PeriodicBits(preperiod=(1, 0), period=(0, 1))), canonical=True)",
+        lambda: UniversalRational(LeftPart(), RightPart(PB)),
+        "UniversalRational(left=LeftPart(bits=PeriodicBits(preperiod='', period='0')), "
+        "right=RightPart(bits=PeriodicBits(preperiod='10', period='01')))",
     ),
     (
         lambda: IndexSetView("right", (1,), (3, 2, (0,))),
@@ -158,16 +158,6 @@ def test_fields_of_equal_layout_stay_apart_across_classes():
     assert LeftPart(PB) != RightPart(PB)
     assert RationalStream(1, 3) != RationalStream(1, 5)
     assert Exceeded(2, 1, 3) != Exceeded(2, 1, Exceeded(2, 1, 3))
-
-
-def test_canonical_takes_no_part_in_equality_or_hash():
-    raw = UniversalRational(LeftPart(), RightPart(PB))
-    marked = UniversalRational(LeftPart(), RightPart(PB), canonical=True)
-    assert raw.canonical is False and marked.canonical is True
-    assert raw == marked and hash(raw) == hash(marked)
-    assert repr(raw) != repr(marked)
-    assert pickle.loads(pickle.dumps(marked)).canonical is True
-    assert raw != UniversalRational(LeftPart(PB), RightPart(PB))
 
 
 def test_defaults():
