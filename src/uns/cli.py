@@ -95,10 +95,10 @@ def _cmd_interval(args) -> int:
 
 
 def _budget(args) -> int:
-    """--budget, refused past the package's bit budget before any work."""
+    """--budget, refused below 64 bits or past the package's bit budget before any work."""
     if args.budget > bitseq.DEFAULT_BUDGET:
         raise bitseq.BudgetError(f"--budget {args.budget} exceeds the {bitseq.DEFAULT_BUDGET}-bit ceiling")
-    return args.budget
+    return hyperops._check_budget(args.budget)
 
 
 def _cmd_hyper(args) -> int:

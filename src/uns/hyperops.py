@@ -84,12 +84,18 @@ class Exceeded(Record):
 HyperResult = Union[Exact, Exceeded]
 
 
+def _check_budget(budget: int) -> int:
+    """budget, refused (ValueError) below 64 bits."""
+    if budget < 64:
+        raise ValueError(f"budget below 64 bits: {budget}")
+    return budget
+
+
 def _check_args(m, k, n, budget):
     for name, v in (("base", m), ("level", k), ("count", n)):
         if not isinstance(v, int) or v < 0:
             raise ValueError(f"bad {name} {v!r}")
-    if budget < 64:
-        raise ValueError(f"budget below 64 bits: {budget}")
+    _check_budget(budget)
     if k >= 1 and n == 0:
         raise ValueError(f"level {k} is undefined at count 0")
     if k >= 1 and m == 0 and n >= 2:

@@ -26,10 +26,21 @@ the tail after N terms is below |t_N| < 2^(26 - 47N).  The N terms are
 summed exactly by binary splitting (Haible and Papanikolaou, "Fast
 multiprecision evaluation of series of rational numbers", 1998); one
 division sized to the precision gives integer bounds, and the working
-precision doubles until they pinch the wanted bits.  Square roots use
-floor(sqrt(p/q) * 2^n) = isqrt(p * 4^n // q), exact because the value
-is irrational.  A rational p/q is read off one division, without its
-period: the first n bits are (p * 2^n - 1) // q (bitseq.fraction_prefix).
+precision doubles until they pinch the wanted bits.
+
+Square roots, of p/q and of 10005, are floor(sqrt(a/b) 2^n) =
+isqrt((a << 2n) // b), exact because sqrt(p/q) is irrational.  The
+builtin divides and is quadratic, so past a measured crossover
+_sqrt_ratio runs Newton's iteration z' = z + z (1 - m z^2) / 2 for
+1/sqrt(m), m = ab, with no division: each step doubles the precision
+and squares only the bits already correct, and a/sqrt(m) is the root
+(Brent and Zimmermann, Modern Computer Arithmetic, 2010, section 1.5).
+An exact fix-up against (a << 2n) // b then steps the result down while
+its square exceeds that integer and up while the next square does not,
+so the answer never rests on an error bound.
+
+A rational p/q is read off one division, without its period: the first
+n bits are (p * 2^n - 1) // q (bitseq.fraction_prefix).
 """
 
 from __future__ import annotations
@@ -103,7 +114,7 @@ class SqrtStream(Record):
             raise StreamError(f"sqrt({p}/{q}) is rational; use a rational stream")
 
     def prefix_bits(self, n: int) -> int:
-        return isqrt((self.numerator << (2 * n)) // self.denominator)
+        return _sqrt_ratio(self.numerator, self.denominator, n)
 
 
 class DiagonalStream(Record):
@@ -201,13 +212,50 @@ def _chudnovsky_split(a: int, b: int) -> tuple[int, int, int]:
 def _pi_over_4_bounds(prec: int) -> tuple[int, int]:
     """Integer bounds lo < pi/4 * 2^prec < hi, hi - lo = 3.  The N-term sum
     t/q is within 2^-prec of S > 2^23; cutting t and q to q's top prec + 64
-    bits moves t/q by under 2^(24 - prec - 63); and r = isqrt(10005 * 4^prec)
-    lies within 1 below sqrt(10005) 2^prec.  So for g = floor(106720 r q / t)
-    the value lies between g - 2^-21 and g + 1.02."""
+    bits moves t/q by under 2^(24 - prec - 63); and r = _sqrt_ratio(10005,
+    1, prec) lies within 1 below sqrt(10005) 2^prec.  So for g =
+    floor(106720 r q / t) the value lies between g - 2^-21 and g + 1.02."""
     _, q, t = _chudnovsky_split(0, _chudnovsky_terms(prec))
     cut = max(0, q.bit_length() - prec - 64)
-    g = 106720 * isqrt(10005 << 2 * prec) * (q >> cut) // (t >> cut)
+    g = 106720 * _sqrt_ratio(10005, 1, prec) * (q >> cut) // (t >> cut)
     return g - 1, g + 2
+
+
+_SQRT_CROSSOVER = 2048  # bits; below it math.isqrt is faster (BENCH_15.json)
+
+
+def _sqrt_ratio(a: int, b: int, n: int) -> int:
+    """floor(sqrt(a/b) 2^n) = isqrt((a << 2n) // b) for a, b >= 1.  Past the
+    crossover, Newton's z' = z + z (1 - m z^2) / 2 for 1/sqrt(m), m = ab,
+    runs at doubling precision from a 64-bit isqrt seed, squaring only the
+    bits already correct; sqrt(a/b) is a/sqrt(m).  An exact fix-up against
+    (a << 2n) // b then moves the root to the floor, whatever Newton's error."""
+    if n < _SQRT_CROSSOVER:
+        return isqrt((a << 2 * n) // b)
+    m = a * b
+    h = (m.bit_length() + 1) // 2  # 2^(h-1) <= sqrt(m) < 2^h
+    # z ~ 2^s / sqrt(m) carries p = s - h bits; a step from p bits keeps
+    # its error near one unit at 2p - 4 bits, and a.bit_length() + 2 guard
+    # bits keep a z / 2^(s - n) within about a unit of the root
+    steps, p = [], n + a.bit_length() + 2 - h
+    while p > 64:
+        steps.append(p)
+        p = (p + 5) // 2
+    s = p + h
+    z = isqrt((1 << 2 * s) // m)
+    for p in reversed(steps):
+        t = p + h
+        z = (z << (t - s)) + ((z * ((1 << 2 * s) - m * z * z)) >> (3 * s - t + 1))
+        s = t
+    r = (a * z) >> (s - n)
+    d = ((a << 2 * n) // b) - r * r  # N - r^2 for N = (a << 2n) // b
+    while d < 0:  # r^2 > N
+        d += 2 * r - 1
+        r -= 1
+    while d > 2 * r:  # (r + 1)^2 <= N
+        r += 1
+        d -= 2 * r - 1
+    return r
 
 
 # ---------------------------------------------------------------------------

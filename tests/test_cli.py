@@ -474,6 +474,22 @@ def test_card_budget_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        (["hyper", "2", "1", "10"], "63"),
+        (["card", "normalize", "aleph_0"], "1"),
+        (["card", "normalize", "aleph_0"], "-5"),
+        (["card", "normalize", "((("], "0"),
+        (["card", "cmp", "aleph_0", "aleph_1"], "0"),
+    ],
+    ids=["hyper", "normalize", "normalize-negative", "normalize-unparsed", "cmp"],
+)
+def test_a_budget_below_64_bits_is_refused_before_any_work(capsys, argv, budget):
+    assert run([*argv, "--budget", budget]) == DOMAIN_ERROR
+    assert capsys.readouterr() == ("", f"error: budget below 64 bits: {budget}\n")
+
+
 def test_ordinal_power_past_the_budget_is_refused(capsys):
     t0 = time.monotonic()
     assert run(["ord", "eval", "9^9^9"]) == BUDGET_ERROR

@@ -11,6 +11,9 @@ level below, at and one level past the parser's depth limit: the parser
 answers or refuses them, and the interpreter's recursion limit is never
 what stops them.  Hypothesis raises that limit while a test runs, so
 tests/test_cli.py checks the same forms under the interpreter's own.
+A share of the draws asks for long answers: pi/4 and square-root
+prefixes on both sides of the square-root kernel's crossover, and
+values whose decimals pass the interpreter's 4300-digit guard.
 """
 
 import io
@@ -23,6 +26,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from test_cli import NESTINGS  # noqa: E402
+from uns import streams  # noqa: E402
 from uns.cli import run  # noqa: E402
 
 COMMANDS = (
@@ -128,15 +132,39 @@ def deep_argv(draw):
     return argv
 
 
+@st.composite
+def long_argv(draw):
+    """bits or diag on pi/4 or a square root, -n across the root's crossover,
+    or a call whose decimal answer passes 4300 digits."""
+    c = streams._SQRT_CROSSOVER
+    n = str(draw(st.one_of(st.integers(c, 3 * c), st.integers(c - 34, c + 2), st.integers(-3, c))))
+    roots = st.one_of(
+        st.sampled_from(("pi/4", "sqrt(1/2)", "sqrt(2/3)")),
+        st.builds("sqrt({}/{})".format, st.integers(0, 1000), st.integers(0, 1000)),
+    )
+    big = st.sampled_from(
+        (["hyper", "2", "1", "20000"], ["convert", "(0)10011.(10)", "--to", "decimal", "--digits", "5000"],
+         ["card", "normalize", "2^20000"])
+    )
+    return draw(
+        st.one_of(
+            roots.map(lambda r: ["bits", r, "-n", n]),
+            st.lists(roots, min_size=1, max_size=3).map(lambda rs: ["diag", *rs, "-n", n]),
+            big,
+        )
+    )
+
+
 TOKENS = st.one_of(
     st.sampled_from(COMMANDS), st.sampled_from(FLAGS), INTS, STREAMS, SEQUENCES, ORDS, CARDS
 )
-ARGV = st.one_of(shaped_argv(), deep_argv(), st.lists(TOKENS, max_size=6))
+ARGV = st.one_of(shaped_argv(), deep_argv(), long_argv(), st.lists(TOKENS, max_size=6))
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(ARGV)
 def test_any_argv_gets_a_promised_exit_code_and_no_traceback(argv):
+    streams.as_stream.cache_clear()  # long prefixes are computed, not served from earlier memos
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = run(argv)

@@ -6,6 +6,10 @@ interval of n bits traps the exact value.  The values come from routes
 that do not read the library's bits: p/q itself, squares of the
 endpoints, mpmath at raised precision, and for a diagonal over
 rationals the closed form (head + 2/3) / 2^k of its bits.
+
+The square-root kernel floor(sqrt(a/b) 2^n) is checked on both sides of
+its crossover against its defining inequality r^2 b <= a 4^n < (r+1)^2 b,
+which calls no isqrt, and against the builtin it replaces.
 """
 
 from fractions import Fraction
@@ -15,10 +19,18 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 mpmath = pytest.importorskip("mpmath")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from uns.streams import PI_OVER_4, BitStream, DiagonalStream, SqrtStream, rational  # noqa: E402
+from uns.streams import (  # noqa: E402
+    _SQRT_CROSSOVER,
+    PI_OVER_4,
+    BitStream,
+    DiagonalStream,
+    SqrtStream,
+    _sqrt_ratio,
+    rational,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -95,3 +107,37 @@ def test_interval_traps_the_exact_value(stream, n):
     iv = BitStream(descriptor).interval(n)
     assert iv.hi - iv.lo == Fraction(1, 1 << n)
     assert traps(iv.lo, iv.hi, n)
+
+
+C = _SQRT_CROSSOVER
+PRECISIONS = st.one_of(
+    st.integers(C - 2, C + 2),
+    st.sampled_from([(1 << k) - d for k in range((3 * C).bit_length()) for d in (0, 1)]),
+    st.integers(0, C - 1),
+    st.integers(C, 3 * C),
+)
+
+
+@st.composite
+def ratios(draw, n):
+    """(a, b): pi/4's 10005/1, a small p/q, or one whose (a << 2n) // b is
+    a perfect square or one below one: a = N c + e and b = c 4^n, 0 <= e < c."""
+    kind = draw(st.sampled_from(("10005", "p/q", "square")))
+    if kind == "10005":
+        return 10005, 1
+    if kind == "p/q":
+        return draw(st.integers(1, 1000)), draw(st.integers(1, 1000))
+    r, c = draw(st.integers(2, 1 << (n + 1))), draw(st.integers(1, 1000))
+    return (r * r - draw(st.sampled_from((0, 1)))) * c + draw(st.integers(0, c - 1)), c << (2 * n)
+
+
+@SETTINGS
+@given(PRECISIONS.flatmap(lambda n: st.tuples(st.just(n), ratios(n))))
+@example((C - 1, (10005, 1)))
+@example((C, (1, 2)))
+@example((C, ((3 << (2 * C + 1)) ** 2 - 1, 1 << (2 * C))))
+def test_sqrt_ratio_is_the_floor_of_the_root(case):
+    n, (a, b) = case
+    r = _sqrt_ratio(a, b, n)
+    assert r * r * b <= a << (2 * n) < (r + 1) ** 2 * b
+    assert r == isqrt((a << (2 * n)) // b)
