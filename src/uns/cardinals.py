@@ -23,8 +23,10 @@ rule covers, or a finite blow-up past the budget.
 Expression nodes are hash-consed like the ordinals, as ordinals._Term
 records: equal expressions are one object, so == and hash are identity
 and O(1), and aleph indices go through the ordinals' memoized arithmetic
-(1024 entries per operation).  No rule deepens a term, so the parser's
-depth limit bounds the recursive walks below.
+(1024 entries per operation).  all_single_steps keeps the steps of each
+term under each budget in the same memo, so the states of an exploration,
+which share most of their subterms, pay once for each.  No rule deepens
+a term, so the parser's depth limit bounds the recursive walks below.
 
 Text forms: "aleph_0", "aleph_(w+1)", "2^aleph_3", "hyper(3, 2,
 aleph_0)", "choose(aleph_2)".  An aleph index is a sum of the ordinal
@@ -46,6 +48,7 @@ from .ordinals import (
     Ordinal,
     _Cursor,
     _intern,
+    _memo,
     _ordinal_expr,
     _Term,
     from_int,
@@ -305,16 +308,52 @@ def all_single_steps(
     """Every one-rule rewrite of e, at any position.  Fuel for the
     confluence checks: exploring all of these from a root expression
     visits every reduction order."""
+    return list(_single_steps(e, budget))
+
+
+# memo misses of _single_steps running one inside another.  Each costs two
+# interpreter frames, the memo's and the function's, so the miss at
+# _NESTED_MAX fills the memo for its kids bottom-up first: the misses of
+# the fill nest one more level and no further, at any depth.
+_nested = 0
+_NESTED_MAX = 200
+
+
+@_memo
+def _single_steps(e: CardinalExpr, budget: int) -> tuple:
+    # memoized on the interned term, so the subterms that the states of an
+    # exploration share have their steps computed once
+    global _nested
     out = []
     root = _root_step(e, budget)
     if root is not None:
         out.append(root)
     if type(e) in _RULES:
         kids = e._fields
-        for i, kid in enumerate(kids):
-            for rule, new_kid in all_single_steps(kid, budget):
-                out.append((rule, type(e)(*kids[:i], new_kid, *kids[i + 1 :])))
-    return out
+        _nested += 1
+        try:
+            if _nested == _NESTED_MAX:
+                _fill(kids, budget)
+            for i, kid in enumerate(kids):
+                for rule, new_kid in _single_steps(kid, budget):
+                    out.append((rule, type(e)(*kids[:i], new_kid, *kids[i + 1 :])))
+        finally:
+            _nested -= 1
+    return tuple(out)
+
+
+def _fill(kids: tuple, budget: int):
+    """Memo entries for every subterm of kids, each after its own kids,
+    so that none of these misses nests another."""
+    pending, seen = [(kid, False) for kid in kids], set()
+    while pending:
+        x, expanded = pending.pop()
+        if expanded:
+            _single_steps(x, budget)
+        elif type(x) in _RULES and x not in seen:
+            seen.add(x)
+            pending.append((x, True))
+            pending += [(kid, False) for kid in x._fields]
 
 
 class Comparison(Enum):
@@ -483,7 +522,7 @@ def _cardinal_expr(cur: _Cursor) -> CardinalExpr:
     """The cardinal at the cursor, one parser frame per node."""
     tok = cur.descend()
     if tok is None:
-        raise CardinalParseError("unexpected end of expression")
+        raise cur.unexpected(tok)
     if tok.isdigit():
         if cur.peek() != "^":
             value = FiniteCard(int(tok))
@@ -514,7 +553,7 @@ def _cardinal_expr(cur: _Cursor) -> CardinalExpr:
         value = Choose(_cardinal_expr(cur))
         cur.expect(")")
     else:
-        raise CardinalParseError(f"unexpected token {tok!r}")
+        raise cur.unexpected(tok)
     cur.depth -= 1
     return value
 

@@ -10,13 +10,15 @@ arithmetic.
 Terms are hash-consed: every Ordinal, EPSILON_0 and every cardinal node
 is a _Term, the bitseq.Record made once per distinct value and kept in
 a weak-valued table, so equality is identity, hashing is O(1), and the
-check that exponents strictly decrease runs once per value.  Walks over
+check that exponents strictly decrease runs once per value; the
+naturals below 16 are built at import and stay alive.  Walks over
 exponents run in loops, so towers of any height work.  ord_add,
-ord_mul, ord_pow and ord_cmp share one memo policy, least recently used
-with 1024 entries each.  Finite powers pass the hyperops size gate and
-are refused with OrdinalBudgetError past the default bit budget; so is
-an infinite base raised to a finite power whose normal form would have
-more than TERM_BUDGET terms.
+ord_mul, ord_pow and ord_cmp share one memo policy, _memo, least
+recently used with 1024 entries per operation; cardinals memoizes the
+rewrite steps of a term with it too.  Finite powers pass the hyperops
+size gate and are refused with OrdinalBudgetError past the default bit
+budget; so is an infinite base raised to a finite power whose normal
+form would have more than TERM_BUDGET terms.
 
 Text grammar (parse_ordinal / format_ordinal), shared with cardinal
 text, where an aleph index is a sum:
@@ -27,7 +29,9 @@ text, where an aleph index is a sum:
     atom    := 'w' | 'eps_0' | NATURAL | '(' sum ')'
 
 One tokenizer and one cursor serve both grammars, and the three levels
-are parsed by precedence climbing in a single function.
+are parsed by precedence climbing in a single loop, whose stack of
+waiting frames counts against MAX_DEPTH as the cardinal grammar's
+recursion does.
 """
 
 from __future__ import annotations
@@ -63,10 +67,18 @@ MAX_DEPTH = 800
 # term leaves the table when its last user drops it; a strong table would
 # have to evict live terms, and an evicted term rebuilt would be a second
 # object equal to the first.
-_TERMS: dict[tuple, weakref.KeyedRef] = {}
+_TERMS: dict[tuple, _Ref] = {}
 
 
-def _forget(ref: weakref.KeyedRef):
+class _Ref(weakref.ref):
+    """A weak reference that carries its table key: weakref.KeyedRef
+    without its Python-level constructor, which cost more than the rest
+    of building a term."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref):
     if _TERMS.get(ref.key) is ref:
         del _TERMS[ref.key]
 
@@ -84,7 +96,8 @@ def _intern(cls, fields: tuple):
     for name, value in zip(cls.__slots__, fields):
         object.__setattr__(term, name, value)
     term._check()
-    _TERMS[key] = weakref.KeyedRef(term, _forget, key)
+    ref = _TERMS[key] = _Ref(term, _forget)
+    ref.key = key
     return term
 
 
@@ -197,14 +210,17 @@ class EpsilonZero(_Term):
 EPSILON_0 = EpsilonZero()
 
 ZERO = Ordinal()
-ONE = Ordinal(((ZERO, 1),))
+# the naturals below 16, which the parser and the rewriter read most, built
+# once and kept alive; larger ones are looked up in the table
+_NATURALS = (ZERO, *(Ordinal(((ZERO, n),)) for n in range(1, 16)))
+ONE = _NATURALS[1]
 OMEGA = Ordinal(((ONE, 1),))
 
 
 def from_int(n: int) -> Ordinal:
     if type(n) is not int or n < 0:
         raise ValueError(f"not a natural number: {n!r}")
-    return _cnf(((ZERO, n),)) if n else ZERO
+    return _NATURALS[n] if n < 16 else _cnf(((ZERO, n),))
 
 
 def omega_power(exp: "Ordinal | int", coeff: int = 1) -> Ordinal:
@@ -446,8 +462,10 @@ def cardinality_of(a) -> Cardinality:
 # One token set serves ordinal and cardinal text; the ordinal grammar
 # rejects the cardinal-only tokens as unexpected.  _TOKENS matches the
 # longest run of tokens, so text is split in two passes of the regex
-# engine rather than one match call per token.
-_ATOM = r"aleph_\(|aleph_\d+|hyper|choose|eps_0|w|\d+|[\^(),+*]"
+# engine rather than one match call per token.  No two alternatives start
+# with the same character, so their order only sets how soon the engine
+# finds one: the most frequent come first.
+_ATOM = r"[w\^(),+*]|\d+|eps_0|aleph_(?:\(|\d+)|hyper|choose"
 _TOKEN = re.compile(rf"\s*({_ATOM})")
 _TOKENS = re.compile(rf"(?:\s*(?:{_ATOM}))*")
 
@@ -479,19 +497,28 @@ class _Cursor:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def take(self):
-        self.pos += 1  # reads the token itself: the parser's most frequent call
+        # the cardinal grammar's read; the ordinal loop reads the list itself
+        self.pos += 1
         return self.tokens[self.pos - 1] if self.pos <= len(self.tokens) else None
+
+    def unexpected(self, tok):
+        """The error for a token, or for the end (None), no rule allows."""
+        return self.error("unexpected end of expression" if tok is None else f"unexpected token {tok!r}")
 
     def expect(self, wanted: str):
         tok = self.take()
         if tok != wanted:
-            raise self.error(f"expected {wanted!r}, found {tok!r}")
+            found = "end of expression" if tok is None else repr(tok)
+            raise self.error(f"expected {wanted!r}, found {found}")
 
     def finish(self, value):
         if self.peek() is not None:
             raise self.error(f"trailing tokens at {self.peek()!r}")
         return value
 
+
+# the operand tokens read without int(): w, eps_0 and the naturals below 16
+_OPERANDS = dict(zip(map(str, range(16)), _NATURALS), w=OMEGA, eps_0=EPSILON_0)
 
 # operator -> (precedence, operation, precedence of its right operand)
 _BINARY = {
@@ -501,36 +528,55 @@ _BINARY = {
 }
 
 
-def _ordinal_expr(cur: _Cursor, min_prec: int = 1):
-    """The value of the longest expression at the cursor whose operators
-    bind at least as tightly as min_prec, by precedence climbing.  One
-    frame per parenthesis level, two per w^( level."""
-    tok = cur.descend()
-    if tok == "(":
-        value = _ordinal_expr(cur)
-        cur.expect(")")
-    elif tok == "w":
-        value = OMEGA
-    elif tok == "eps_0":
-        value = EPSILON_0
-    elif tok is not None and tok.isdigit():
-        value = from_int(int(tok))
-    else:
-        raise cur.error(f"unexpected token {tok!r}")
-    while (binary := _BINARY.get(cur.peek())) is not None:
-        prec, op, right_prec = binary
-        if prec < min_prec:
-            break
-        cur.take()
-        value = op(_no_eps(cur, value), _no_eps(cur, _ordinal_expr(cur, right_prec)))
-    cur.depth -= 1
-    return value
-
-
-def _no_eps(cur: _Cursor, v):
-    if isinstance(v, EpsilonZero):
-        raise cur.error("eps_0 only stands alone")
-    return v
+def _ordinal_expr(cur: _Cursor):
+    """The value of the sum at the cursor, by precedence climbing in one
+    loop.  A frame parses one operand and the operators after it that
+    bind at least as tightly as its min_prec.  A frame that meets '(' or
+    an operator waits on a stack, with its min_prec, its left operand and
+    the operation (both None for '('), while a new frame parses what it
+    waits for.  So one frame counts per parenthesis level, two per w^(
+    level, and the operations run left to right as they complete."""
+    tokens, pos, end = cur.tokens, cur.pos, len(cur.tokens)
+    room = MAX_DEPTH - cur.depth  # the frames this expression may hold
+    binary_of = _BINARY.get
+    waiting = []
+    min_prec = 1
+    while True:  # a new frame: its operand
+        if len(waiting) >= room:
+            raise cur.error(f"input nested deeper than {MAX_DEPTH} parser levels")
+        tok = tokens[pos] if pos < end else None
+        pos += 1
+        if tok == "(":
+            frame = (min_prec, None, None)
+            min_prec = 1
+        else:
+            value = _OPERANDS.get(tok)
+            if value is None:
+                if tok is None or not tok.isdigit():
+                    raise cur.unexpected(tok)
+                value = from_int(int(tok))
+            while True:  # its operators, then the frames it completes
+                binary = binary_of(tokens[pos]) if pos < end else None
+                if binary is not None and binary[0] >= min_prec:
+                    if value is EPSILON_0:
+                        raise cur.error("eps_0 only stands alone")
+                    pos += 1
+                    frame = (min_prec, value, binary[1])
+                    min_prec = binary[2]
+                    break
+                if not waiting:
+                    cur.pos = pos
+                    return value
+                min_prec, left, op = waiting.pop()
+                if op is None:
+                    cur.pos = pos
+                    cur.expect(")")
+                    pos += 1
+                elif value is EPSILON_0:
+                    raise cur.error("eps_0 only stands alone")
+                else:
+                    value = op(left, value)
+        waiting.append(frame)
 
 
 def parse_ordinal(text: str) -> Ordinal | EpsilonZero:

@@ -298,6 +298,38 @@ def test_single_steps_on_irreducible_forms_is_empty():
     assert all_single_steps(Choose(FiniteCard(5))) == []
 
 
+def test_single_steps_are_a_fresh_list_each_call():
+    e = HyperCard(Pow2(ALEPH_0), ALEPH_0, Choose(ALEPH_0))
+    first = all_single_steps(e)
+    want = list(first)
+    first.clear()
+    first.append(("GCH", ALEPH_0))
+    assert all_single_steps(e) == want
+    assert all_single_steps(e) is not all_single_steps(e)
+
+
+def test_single_steps_refuse_under_a_small_budget_whatever_was_answered():
+    e = Pow2(FiniteCard(100))
+    for _ in range(2):
+        with pytest.raises(FiniteBudgetError):
+            all_single_steps(e, 64)
+        assert all_single_steps(e) == [("finite", FiniteCard(2**100))]
+    with pytest.raises(FiniteBudgetError):
+        all_single_steps(Choose(Pow2(e)), 64)
+
+
+@pytest.mark.parametrize("leaf, rule", [("aleph_0", "GCH"), ("hyper(2, 2, aleph_0)", "CT"), ("2^3", "finite")])
+def test_single_steps_reach_every_depth_the_parser_admits(leaf, rule):
+    # a fresh chain as deep as the parser allows: the memo's misses nest
+    # two interpreter frames per level, so the walk must not recurse past
+    # a bounded depth
+    k = (MAX_DEPTH - 3) // 2  # two nodes per level below
+    e = parse_cardinal("choose(2^" * k + leaf + ")" * k)
+    steps = all_single_steps(e)
+    assert [r for r, _ in steps] == [rule]
+    assert all_single_steps(Pow2(e)) == [(rule, Pow2(steps[0][1]))]
+
+
 def test_every_rewrite_order_reaches_the_same_end():
     leaves = [FiniteCard(2), FiniteCard(3), ALEPH_0, aleph(1)]
     exprs = []

@@ -753,6 +753,49 @@ def test_each_nesting_form_is_answered_to_the_limit_and_refused_past_it(capsys, 
     assert capsys.readouterr().err == f"error: input nested deeper than {MAX_DEPTH} parser levels\n"
 
 
+# an aleph index nested j levels deep inside k chooses: the cardinal frames
+# (a choose, the aleph node) and the ordinal ones (the index's top frame, a
+# parenthesis, two per w^( level) count against one MAX_DEPTH.  Each form:
+# the index at j levels, its value, and the frames one level adds
+HANDOFFS = {
+    "parentheses": (lambda j: "(" * j + "w" + ")" * j, lambda j: "w", 1),
+    "towers": (lambda j: "w^(" * j + "w" + ")" * j, lambda j: "w^(" * (j - 1) + "w^w" + ")" * (j - 1), 2),
+}
+
+
+@pytest.mark.parametrize("form", HANDOFFS)
+@pytest.mark.parametrize("k", [0, 2, 398, 796])
+def test_cardinal_and_ordinal_frames_share_one_depth_limit(capsys, form, k):
+    index, value, frames = HANDOFFS[form]
+    # k chooses, the aleph node and the index's top frame, then j levels
+    j = (MAX_DEPTH - 2 - k) // frames
+    assert k + frames * j == MAX_DEPTH - 2
+
+    def nest(k, j):
+        return "choose(" * k + "aleph_(" + index(j) + ")" + ")" * k
+
+    answer = f"aleph_({value(j)} + {k})" if k else f"aleph_({value(j)})"
+    assert text_of(capsys, ["card", "normalize", nest(k, j)]) == answer
+    for deeper in (nest(k + 1, j), nest(k, j + 1)):
+        assert run(["card", "normalize", deeper]) == PARSE_ERROR
+        assert capsys.readouterr().err == f"error: input nested deeper than {MAX_DEPTH} parser levels\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["ord", "eval", "w^"], "unexpected end of expression"),
+        (["ord", "eval", "(w"], "expected ')', found end of expression"),
+        (["card", "normalize", "choose(aleph_0"], "expected ')', found end of expression"),
+        (["card", "normalize", "aleph_(w +"], "unexpected end of expression"),
+        (["card", "normalize", "hyper(2, 3"], "expected ',', found end of expression"),
+    ],
+)
+def test_end_of_input_is_named_as_such(capsys, argv, err):
+    assert run(argv) == PARSE_ERROR
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_a_closed_stdout_exits_1_without_traceback():
     # a megabit of output outgrows the pipe, so the write meets the closed end
     src = str(Path(cli.__file__).parent.parent)

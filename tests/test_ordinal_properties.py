@@ -11,13 +11,28 @@ the evaluator's value interns to, so a stale or mis-keyed memo entry
 shows as a wrong value or as a second object.
 """
 
+import re
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from uns.ordinals import Ordinal, ord_add, ord_cmp, ord_mul, ord_pow  # noqa: E402
+from uns.ordinals import (  # noqa: E402
+    EPSILON_0,
+    OMEGA,
+    Ordinal,
+    OrdinalBudgetError,
+    OrdinalParseError,
+    format_ordinal,
+    from_int,
+    ord_add,
+    ord_cmp,
+    ord_mul,
+    ord_pow,
+    parse_ordinal,
+)
 
 Z = ()
 ONE = ((Z, 1),)
@@ -140,3 +155,99 @@ def test_laws_give_one_object(a, b, c):
     assert ord_add(ord_add(x, y), z) is ord_add(x, ord_add(y, z))
     assert ord_mul(ord_mul(x, y), z) is ord_mul(x, ord_mul(y, z))
     assert ord_mul(x, ord_add(y, z)) is ord_add(ord_mul(x, y), ord_mul(x, z))
+
+
+# ---------------------------------------------------------------------------
+# the text form
+
+
+@SETTINGS
+@given(cnfs(3))
+def test_printed_ordinals_parse_back_to_the_same_object(a):
+    x = lift(a)
+    assert parse_ordinal(format_ordinal(x)) is x
+
+
+class _Descent:
+    """The grammar of the ordinals docstring by recursive descent, one
+    function per level, evaluating as it reads: an operation runs once
+    its right operand is read, and eps_0 is refused as an operand, the
+    left one as soon as its operator is read."""
+
+    def __init__(self, text):
+        if not re.fullmatch(r"(\s*(eps_0|\d+|[w+*^()]))*\s*", text):
+            raise OrdinalParseError("not made of tokens")  # before any arithmetic
+        self.tokens, self.i = re.findall(r"eps_0|\d+|\S", text), 0
+
+    def take(self, wanted=None):
+        tok = self.tokens[self.i] if self.i < len(self.tokens) else None
+        if wanted is None or tok == wanted:
+            self.i += 1
+            return tok
+        return None
+
+    def operand(self, v):
+        if v is EPSILON_0:
+            raise OrdinalParseError("eps_0 only stands alone")
+        return v
+
+    def binary(self, sign, op, part):
+        v = part()
+        while self.take(sign):
+            v = op(self.operand(v), self.operand(part()))
+        return v
+
+    def sum(self):
+        return self.binary("+", ord_add, lambda: self.binary("*", ord_mul, self.power))
+
+    def power(self):
+        v = self.atom()
+        return ord_pow(self.operand(v), self.operand(self.power())) if self.take("^") else v
+
+    def atom(self):
+        tok = self.take()
+        if tok == "(":
+            v = self.sum()
+            if not self.take(")"):
+                raise OrdinalParseError("unclosed parenthesis")
+            return v
+        if tok in ("w", "eps_0") or (tok or "x").isdigit():
+            return OMEGA if tok == "w" else EPSILON_0 if tok == "eps_0" else from_int(int(tok))
+        raise OrdinalParseError(f"unexpected {tok!r}")
+
+    def parse(self):
+        v = self.sum()
+        if self.take() is not None:
+            raise OrdinalParseError("trailing tokens")
+        return v
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (OrdinalParseError, OrdinalBudgetError) as err:
+        return type(err)
+
+
+# texts over the grammar's alphabet: grammatical ones, the same with a run
+# of random tokens inserted anywhere, and runs of random tokens alone, so
+# that values, parse errors and budget refusals all come up
+_EXPRS = st.recursive(
+    st.sampled_from(["w", "w", "eps_0", "0", "1", "2", "3", "12", "1001", "12^12", "9^9^9"]),
+    lambda inner: st.tuples(inner, st.sampled_from(["+", "*", "^", " + ", " * "]), inner, st.booleans()).map(
+        lambda t: ("({}{}{})" if t[3] else "{}{}{}").format(*t[:3])
+    ),
+    max_leaves=8,
+)
+_NOISE = st.lists(st.sampled_from(["w", "eps_0", "0", "12", "+", "*", "^", "(", ")", " "]), max_size=10).map("".join)
+_TEXTS = st.one_of(
+    _EXPRS,
+    st.tuples(_EXPRS, _NOISE, st.integers(0, 40)).map(lambda t: t[0][: t[2]] + t[1] + t[0][t[2] :]),
+    _NOISE,
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_TEXTS)
+def test_the_parser_agrees_with_recursive_descent(text):
+    assert _outcome(parse_ordinal, text) is _outcome(lambda t: _Descent(t).parse(), text)

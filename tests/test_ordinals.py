@@ -81,6 +81,14 @@ def test_from_int_rejects_negatives():
         from_int(-1)
 
 
+def test_from_int_gives_the_one_term_of_each_natural():
+    for n in (0, 1, 15, 16, 17, 10**30):
+        assert from_int(n) is Ordinal(((ZERO, n),) if n else ()) is parse_ordinal(str(n))
+    for bad in (1.0, True, "3", -16):
+        with pytest.raises(ValueError):
+            from_int(bad)
+
+
 def test_omega_dominates_every_natural():
     for i in range(100):
         assert from_int(i) < W
@@ -425,6 +433,24 @@ def test_eps_zero_stands_alone_in_the_grammar():
         parse_ordinal("eps_0 + 1")
     with pytest.raises(OrdinalParseError):
         parse_ordinal("w^eps_0")
+
+
+def test_eps_zero_is_refused_where_it_meets_an_operator():
+    # on the left of an operator it is refused before the right operand
+    # is read, so before that operand's nesting or arithmetic
+    with pytest.raises(OrdinalParseError, match="^eps_0 only stands alone$"):
+        parse_ordinal("eps_0 + " + "(" * 900)
+    with pytest.raises(OrdinalParseError, match="^eps_0 only stands alone$"):
+        parse_ordinal("eps_0 * 9^9^9")
+    # on the right, once the operand is read, before the operation runs;
+    # an operation runs as soon as its right operand is read
+    with pytest.raises(OrdinalParseError, match="^eps_0 only stands alone$"):
+        parse_ordinal("9^(eps_0) + ((")
+    with pytest.raises(OrdinalParseError, match="^expected '\\)', found end of expression$"):
+        parse_ordinal("w + (eps_0")
+    with pytest.raises(OrdinalBudgetError):
+        parse_ordinal("9^9^9 + (eps_0")
+    assert parse_ordinal("((eps_0))") is EPSILON_0
 
 
 def test_power_is_right_associative_in_the_grammar():

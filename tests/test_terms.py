@@ -153,3 +153,27 @@ def test_intern_table_drops_dead_terms():
     assert not any(ref() for ref in alive)
     # a w^n entry still in the table would keep its exponent's entry
     assert not any((Ordinal, ((ZERO, n),)) in table for n in own)
+
+
+def test_a_late_forget_leaves_the_live_entry_of_its_key_alone():
+    """A dead term's reference may reach _forget after the value was
+    interned again; the entry of the new term must stay."""
+    n = 10**12 + 7
+    key = (Ordinal, ((ZERO, n),))
+    first = from_int(n)
+    stale = ordinals._TERMS[key]
+    del first
+    gc.collect()
+    assert stale() is None and key not in ordinals._TERMS
+    again = from_int(n)
+    live = ordinals._TERMS[key]
+    assert live is not stale and live() is again
+    ordinals._forget(stale)
+    assert ordinals._TERMS[key] is live
+    assert from_int(n) is again
+
+
+def test_the_naturals_below_16_stay_in_the_table():
+    gc.collect()
+    for n in range(16):
+        assert ordinals._TERMS[(Ordinal, ((ZERO, n),) if n else ())]() is from_int(n)
