@@ -37,7 +37,8 @@ than DEFAULT_BUDGET bits.
 
 The bottom layer also holds what every layer above shares: Record, the
 base of every immutable value; the bit budget and BudgetError, the base
-of every refusal; and ParseError, the base of every grammar's error.
+of every refusal; ParseError, the base of every grammar's error; and
+_int_str, which prints an integer past the interpreter's digit limit.
 """
 
 from __future__ import annotations
@@ -555,6 +556,19 @@ def format_right(r: RightPart) -> str:
 
 def format_universal(u: UniversalRational) -> str:
     return format_left(u.left) + format_right(u.right)[1:]
+
+
+def _int_str(n: int) -> str:
+    """str(n) for n >= 0, also past the interpreter's digit limit: there the
+    digits come off in 512-digit chunks by divmod, touching no global setting."""
+    try:
+        return str(n)
+    except ValueError:
+        chunks, unit = [], 10**512  # under 640, the least limit the interpreter accepts
+    while n >= unit:
+        n, r = divmod(n, unit)
+        chunks.append(f"{r:0512d}")
+    return str(n) + "".join(reversed(chunks))
 
 
 def decimal_str(value: Fraction, digits: int) -> str:

@@ -40,7 +40,7 @@ from itertools import combinations, repeat
 from typing import Mapping, Union, get_args
 
 from . import hyperops
-from .bitseq import DEFAULT_BUDGET, BudgetError, ParseError, Record
+from .bitseq import DEFAULT_BUDGET, BudgetError, ParseError, Record, _int_str
 from .ordinals import (
     ONE,
     ZERO,
@@ -565,10 +565,10 @@ def parse_cardinal(text: str) -> CardinalExpr:
 
 def format_cardinal(e: CardinalExpr) -> str:
     if type(e) is FiniteCard:
-        return str(e.value)
+        return _int_str(e.value)
     if type(e) is Aleph:
         if e.index.is_finite:
-            return f"aleph_{e.index.to_int()}"
+            return f"aleph_{_int_str(e.index.to_int())}"
         return f"aleph_({e.index})"
     entry = _RULES.get(type(e))
     if entry is None:

@@ -41,7 +41,7 @@ import weakref
 from functools import lru_cache, total_ordering
 
 from . import hyperops
-from .bitseq import DEFAULT_BUDGET, BudgetError, ParseError, Record, _refuse_long_numerals
+from .bitseq import DEFAULT_BUDGET, BudgetError, ParseError, Record, _int_str, _refuse_long_numerals
 
 
 class OrdinalParseError(ParseError):
@@ -444,7 +444,7 @@ class Cardinality(Record):
         return self.finite is None
 
     def __str__(self):
-        return "aleph_0" if self.finite is None else str(self.finite)
+        return "aleph_0" if self.finite is None else _int_str(self.finite)
 
 
 def cardinality_of(a) -> Cardinality:
@@ -602,13 +602,14 @@ def format_ordinal(a) -> str:
         for i, (e, c) in enumerate(x):
             if i:
                 out.append(" + ")
-            times = f"*{c}" if c > 1 else ""
             if e.is_zero:
-                out.append(str(c))
-            elif e is ONE:
+                out.append(_int_str(c))
+                continue
+            times = f"*{_int_str(c)}" if c > 1 else ""
+            if e is ONE:
                 out.append("w" + times)
             elif e.is_finite:
-                out.append(f"w^{e.to_int()}{times}")
+                out.append(f"w^{_int_str(e.to_int())}{times}")
             elif e is OMEGA:
                 out.append("w^w" + times)
             else:

@@ -7,7 +7,9 @@ nonterminating binary expansion as one integer.  as_stream gives equal
 descriptors one shared BitStream, whose memo, an integer and its length
 behind a lock, makes every prefix a prefix of every longer one; that
 memo, bounded to the 1024 most recently used descriptors, is the
-module's only cache.  Bits become a tuple only in BitStream.bits.
+module's one cache of answers; the other thing it keeps is pi/4's longest
+binary split, one tuple of four integers, about 0.7 MB at the 2^20-bit
+budget.  Bits become a tuple only in BitStream.bits.
 
 The first n bits pin the value into a dyadic interval of width 2^-n;
 nothing on the boundary is ever claimed, the value only lies in the
@@ -22,9 +24,10 @@ A = 13591409, B = 545140134, C = 640320.  The terms alternate and shrink:
 is 1.88e-14 < 2^-45 at k = 0 and below 1728 / C^3 < 2^-47 for k >= 1,
 where 216(k+1)^3 (A + Bk) minus the numerator is a cubic in k, positive
 at 1, with positive coefficients but the constant.  As |t_1| < 2^-21,
-the tail after N terms is below |t_N| < 2^(26 - 47N).  The N terms are
-summed exactly by binary splitting (Haible and Papanikolaou, "Fast
-multiprecision evaluation of series of rational numbers", 1998); one
+the tail after N terms is below |t_N| < 2^(26 - 47N).  The first N terms
+are summed exactly by binary splitting (Haible and Papanikolaou, "Fast
+multiprecision evaluation of series of rational numbers", 1998), extended
+by exact combination of the kept split with the split of the new terms; one
 division sized to the precision gives integer bounds, and the working
 precision doubles until they pinch the wanted bits.
 
@@ -162,23 +165,24 @@ StreamDescriptor = Union[
 PI_OVER_4 = PiOver4Stream()
 
 
-def rational(p: int, q: int) -> RationalStream:
+def _lowest_terms(p: int, q: int) -> tuple[int, int]:
     g = gcd(p, q) if 0 < p < q else 1  # out of range: the check names p/q as typed
-    return RationalStream(p // g, q // g)
+    return p // g, q // g
+
+
+def rational(p: int, q: int) -> RationalStream:
+    return RationalStream(*_lowest_terms(p, q))
 
 
 def parse_stream(text: str) -> StreamDescriptor:
-    """The stream text names: p/q, pi/4, sqrt(p/q) or a registered algorithm."""
+    """The stream text names: p/q or sqrt(p/q), in lowest terms, pi/4 or a registered algorithm."""
     _refuse_long_numerals(text)
     text = text.strip()
     if text == "pi/4":
         return PI_OVER_4
-    m = re.fullmatch(r"sqrt\((\d+)/(\d+)\)", text)
+    m = re.fullmatch(r"(sqrt\()?(\d+)/(\d+)(?(1)\))", text)  # p/q or sqrt(p/q)
     if m:
-        return SqrtStream(int(m.group(1)), int(m.group(2)))
-    m = re.fullmatch(r"(\d+)/(\d+)", text)
-    if m:
-        return rational(int(m.group(1)), int(m.group(2)))
+        return (SqrtStream if m[1] else RationalStream)(*_lowest_terms(int(m[2]), int(m[3])))
     if text in _ALGORITHMS:
         return CustomStream(text)
     raise StarStringError(f"unknown stream {text!r}; use p/q, pi/4 or sqrt(p/q)")
@@ -189,6 +193,8 @@ def parse_stream(text: str) -> StreamDescriptor:
 
 
 _A, _B, _C3 = 13591409, 545140134, 640320**3 // 24  # the series' A, B and C^3 / 24
+# the longest split made so far, (N, p, q, t) of terms 0..N-1, swapped whole: no lock
+_pi_split = (0, 1, 1, 0)
 
 
 def _chudnovsky_terms(prec: int) -> int:
@@ -214,8 +220,18 @@ def _pi_over_4_bounds(prec: int) -> tuple[int, int]:
     t/q is within 2^-prec of S > 2^23; cutting t and q to q's top prec + 64
     bits moves t/q by under 2^(24 - prec - 63); and r = _sqrt_ratio(10005,
     1, prec) lies within 1 below sqrt(10005) 2^prec.  So for g =
-    floor(106720 r q / t) the value lies between g - 2^-21 and g + 1.02."""
-    _, q, t = _chudnovsky_split(0, _chudnovsky_terms(prec))
+    floor(106720 r q / t) the value lies between g - 2^-21 and g + 1.02.
+
+    Past the kept split's N terms only the new ones are split and combined
+    with it as halves are; fewer split afresh.  Exact integers make the bounds
+    a function of prec alone.  The root's p1 p2 stays: the next extension needs p."""
+    global _pi_split
+    n, split = _chudnovsky_terms(prec), _pi_split
+    if n > split[0]:
+        k, p1, q1, t1 = split
+        p2, q2, t2 = _chudnovsky_split(k, n)
+        _pi_split = split = (n, p1 * p2, q1 * q2, t1 * q2 + p1 * t2)
+    q, t = split[2:] if n == split[0] else _chudnovsky_split(0, n)[1:]
     cut = max(0, q.bit_length() - prec - 64)
     g = 106720 * _sqrt_ratio(10005, 1, prec) * (q >> cut) // (t >> cut)
     return g - 1, g + 2

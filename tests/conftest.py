@@ -1,5 +1,7 @@
 import sys
 
+import pytest
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One visible verdict line per acceptance criterion, capture or not."""
@@ -10,3 +12,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for num, verdict, label in sorted(verdicts):
         terminalreporter.write_line(f"[criterion {num:02d}] {verdict} - {label}")
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default limit on integer text, whatever an earlier
+    test or the environment set, for one test."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(saved)

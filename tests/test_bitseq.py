@@ -1,5 +1,7 @@
 import random
+import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from uns.bitseq import (
     PeriodicBits,
     RightPart,
     UniversalRational,
+    _int_str,
     canonicalize,
     complement,
     decode_left,
@@ -463,3 +466,9 @@ def test_canonicalize_marks_and_minimizes():
     c = canonicalize(u)
     assert decode_universal(c) == decode_universal(u)
     assert format_universal(c) == "(0)101.10(1)"
+
+
+def test_int_str_writes_every_integer_past_the_digit_limit(default_digit_limit):
+    values = [0, 7, 10**4299, 10**4300, 10**5000 - 1, 10**6000 + 7, 3**20000, 10**512, 10**1024 + 10**511]
+    assert [_int_str(v) for v in values] == [str(Decimal(v)) for v in values]  # Decimal has no digit limit
+    assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits

@@ -1,3 +1,4 @@
+import decimal
 import pickle
 
 import pytest
@@ -498,6 +499,12 @@ def test_fusion_infinitesimal_cardinalities_follow_the_ladder():
 )
 def test_parse_format_round_trip(text):
     assert format_cardinal(parse_cardinal(text)) == text
+
+
+def test_finite_values_past_the_interpreter_digit_limit_are_printed(default_digit_limit):
+    two, nine = str(decimal.Decimal(2**20000)), str(decimal.Decimal(9**5000))  # Decimal has no digit limit
+    assert format_cardinal(normalize(parse_cardinal("2^20000"))) == two
+    assert format_cardinal(parse_cardinal("aleph_(9^5000)")) == f"aleph_{nine}"
 
 
 def test_parse_accepts_spacing_variants():

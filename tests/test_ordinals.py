@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import random
 import re
@@ -460,6 +461,16 @@ def test_power_is_right_associative_in_the_grammar():
 def test_repr_is_distinct_from_display():
     assert format_ordinal(W) == "w"
     assert "Ordinal" in repr(W)
+
+
+def test_finite_parts_past_the_interpreter_digit_limit_are_printed(default_digit_limit):
+    digits = str(decimal.Decimal(9**5000))  # 4772 digits; Decimal has no digit limit
+    a = parse_ordinal("9^5000")
+    assert format_ordinal(a) == str(a) == digits
+    assert repr(a) == f"Ordinal<{digits}>"
+    assert str(cardinality_of(a)) == digits
+    big = parse_ordinal("w^(9^5000)*9^5000 + w*9^5000 + 9^5000")
+    assert format_ordinal(big) == f"w^{digits}*{digits} + w*{digits} + {digits}"
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,79 @@ def test_pi_over_4_retries_when_the_bounds_do_not_pinch(monkeypatch):
     assert precs == [332, 664]
 
 
+@pytest.mark.parametrize("n, m", [(1, 2), (1, 9), (2, 3), (5, 6), (7, 40), (13, 14), (40, 100), (64, 131)])
+def test_adjacent_splits_combine_into_the_split_of_their_union(n, m):
+    p1, q1, t1 = streams._chudnovsky_split(0, n)
+    p2, q2, t2 = streams._chudnovsky_split(n, m)
+    assert (p1 * p2, q1 * q2, t1 * q2 + p1 * t2) == streams._chudnovsky_split(0, m)
+
+
+def fresh_pi_over_4_bounds(prec: int) -> tuple[int, int]:
+    """The bounds from a split of all the terms made afresh, with no kept split."""
+    _, q, t = streams._chudnovsky_split(0, streams._chudnovsky_terms(prec))
+    cut = max(0, q.bit_length() - prec - 64)
+    g = 106720 * streams._sqrt_ratio(10005, 1, prec) * (q >> cut) // (t >> cut)
+    return g - 1, g + 2
+
+
+def test_pi_over_4_bounds_do_not_depend_on_the_order_of_requests(monkeypatch):
+    monkeypatch.setattr(streams, "_pi_split", (0, 1, 1, 0))
+    rising = [64, 100, 101, 470, 1000, 2048, 4000, 9000]
+    repeated = [9000, 9000, 4000, 4000]
+    falling = [8000, 3000, 700, 47, 1]
+    doubling = [332, 664, 1328, 2656, 5312, 10624, 21248]
+    for prec in rising + repeated + falling + doubling:
+        assert streams._pi_over_4_bounds(prec) == fresh_pi_over_4_bounds(prec), prec
+    # falling requests left the kept split alone; it holds the longest one
+    n = streams._chudnovsky_terms(21248)
+    assert streams._pi_split == (n, *streams._chudnovsky_split(0, n))
+
+
+def test_pi_over_4_splits_only_the_terms_it_has_not_kept(monkeypatch):
+    monkeypatch.setattr(streams, "_pi_split", (0, 1, 1, 0))
+    split, calls = streams._chudnovsky_split, []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return split(a, b)
+
+    monkeypatch.setattr(streams, "_chudnovsky_split", spy)
+    n1, n2, n3 = map(streams._chudnovsky_terms, (1000, 2000, 3000))
+    streams._pi_over_4_bounds(1000)
+    assert calls[0] == (0, n1)
+    calls.clear()
+    streams._pi_over_4_bounds(3000)  # extends: no term below n1 is split again
+    assert calls[0] == (n1, n3) and min(calls)[0] == n1
+    calls.clear()
+    streams._pi_over_4_bounds(2000)  # fewer terms: split afresh, the kept split stays
+    assert calls[0] == (0, n2) and streams._pi_split[0] == n3
+    calls.clear()
+    streams._pi_over_4_bounds(3000)
+    assert calls == []
+
+
+def test_threads_extending_pi_at_once_all_get_its_bits(monkeypatch):
+    monkeypatch.setattr(streams, "_pi_split", (0, 1, 1, 0))
+    top = 12000
+    want = mpmath_pi_quarter_floor(top)
+    start = threading.Barrier(4)
+    wrong = []
+
+    def worker(offset):
+        start.wait()
+        for n in range(500 + 97 * offset, top, 731):
+            if PI_OVER_4.prefix_bits(n) != want >> (top - n):
+                wrong.append(n)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert wrong == []
+    assert PI_OVER_4.prefix_bits(top) == want
+
+
 def test_pi_over_4_prefixes_are_stable_under_extension():
     short = PI_OVER_4.prefix_bits(50)
     assert PI_OVER_4.prefix_bits(200) >> 150 == short
@@ -337,6 +410,7 @@ def test_custom_stream_rejects_bad_algorithm_output():
         (" sqrt(1/2) ", SqrtStream(1, 2)),
         ("6/8", RationalStream(3, 4)),
         ("test-named", CustomStream("test-named")),
+        ("sqrt(2/6)", SqrtStream(1, 3)),
     ],
 )
 def test_parse_stream_names_each_kind_of_stream(text, descriptor):
@@ -348,6 +422,12 @@ def test_parse_stream_names_each_kind_of_stream(text, descriptor):
 def test_parse_stream_rejects_unknown_names(text):
     with pytest.raises(StarStringError, match="unknown stream"):
         parse_stream(text)
+
+
+def test_parse_stream_reduces_a_square_root_before_its_checks():
+    with pytest.raises(StreamError, match=r"^sqrt\(4/9\) is rational; use a rational stream$"):
+        parse_stream("sqrt(8/18)")
+    assert as_stream(parse_stream("sqrt(2/6)")).prefix(64) == SqrtStream(1, 3).prefix_bits(64)
 
 
 def test_parse_stream_refuses_a_numeral_past_the_budget_unread():
