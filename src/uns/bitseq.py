@@ -38,7 +38,9 @@ than DEFAULT_BUDGET bits.
 The bottom layer also holds what every layer above shares: Record, the
 base of every immutable value; the bit budget and BudgetError, the base
 of every refusal; ParseError, the base of every grammar's error; and
-_int_str, which prints an integer past the interpreter's digit limit.
+the package's two crossings of decimal text, _int_str, which prints an
+integer or a Fraction, and _read_int, which reads an integer.  Both work
+past the interpreter's limit on integer text and leave it as it is.
 """
 
 from __future__ import annotations
@@ -558,33 +560,68 @@ def format_universal(u: UniversalRational) -> str:
     return format_left(u.left) + format_right(u.right)[1:]
 
 
-def _int_str(n: int) -> str:
-    """str(n) for n >= 0, also past the interpreter's digit limit: there the
-    digits come off in 512-digit chunks by divmod, touching no global setting."""
+def _int_str(n: int | Fraction) -> str:
+    """str(n) for an integer or a Fraction, also past the interpreter's digit
+    limit: there an integer's digits come off in 512-digit chunks by divmod,
+    and a Fraction prints as its two integers, touching no global setting."""
     try:
         return str(n)
     except ValueError:
-        chunks, unit = [], 10**512  # under 640, the least limit the interpreter accepts
+        pass
+    if isinstance(n, Fraction):
+        den = n.denominator
+        return _int_str(n.numerator) + ("" if den == 1 else f"/{_int_str(den)}")
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks, unit = [], 10**512  # under 640, the least limit the interpreter accepts
     while n >= unit:
         n, r = divmod(n, unit)
         chunks.append(f"{r:0512d}")
-    return str(n) + "".join(reversed(chunks))
+    return sign + str(n) + "".join(reversed(chunks))
+
+
+_DECIMAL = re.compile(r"\s*([+-]?)(\d+)\s*")
+
+
+def _read_int(text: str) -> int:
+    """int(text), also past the interpreter's digit limit: there the digits
+    are read in 512-digit chunks, joined pairwise, touching no global
+    setting.  A numeral longer than any value within DEFAULT_BUDGET bits
+    is refused unread."""
+    if len(text) > BUDGET_DIGITS + 1:
+        _refuse_long_numerals(text)
+    try:
+        return int(text)
+    except ValueError:
+        m = _DECIMAL.fullmatch(text)
+        if m is None:
+            raise
+    digits = m[2]
+    # chunks least significant first, each pass joining neighbours: a
+    # balanced tree of products, where one running total would be quadratic
+    parts = [int(digits[max(0, i - 512) : i]) for i in range(len(digits), 0, -512)]
+    unit = 10**512
+    while len(parts) > 1:
+        high = parts[1::2] + [0] * (len(parts) % 2)
+        parts = [lo + hi * unit for lo, hi in zip(parts[::2], high)]
+        unit *= unit
+    return -parts[0] if m[1] == "-" else parts[0]
 
 
 def decimal_str(value: Fraction, digits: int) -> str:
     """Decimal of value truncated to `digits` places, ending in "…"
     when it does not terminate there."""
     if digits < 0:
-        raise ValueError(f"bad digit count {digits}")
+        raise ValueError(f"bad digit count {_int_str(digits)}")
     sign = "-" if value < 0 else ""
     value = abs(value)
     whole, rest = divmod(value.numerator, value.denominator)
+    head = sign + _int_str(whole)
     if rest == 0:
-        return f"{sign}{whole}"
+        return head
     if digits == 0:
-        return f"{sign}{whole}…"
+        return f"{head}…"
     scaled, left = divmod(rest * 10**digits, value.denominator)
-    frac = str(scaled).rjust(digits, "0")
+    frac = _int_str(scaled).rjust(digits, "0")
     if left == 0:
-        return f"{sign}{whole}.{frac.rstrip('0')}"
-    return f"{sign}{whole}.{frac}…"
+        return f"{head}.{frac.rstrip('0')}"
+    return f"{head}.{frac}…"

@@ -40,7 +40,7 @@ from itertools import combinations, repeat
 from typing import Mapping, Union, get_args
 
 from . import hyperops
-from .bitseq import DEFAULT_BUDGET, BudgetError, ParseError, Record, _int_str
+from .bitseq import DEFAULT_BUDGET, BudgetError, ParseError, Record, _int_str, _read_int
 from .ordinals import (
     ONE,
     ZERO,
@@ -525,8 +525,8 @@ def _cardinal_expr(cur: _Cursor) -> CardinalExpr:
         raise cur.unexpected(tok)
     if tok.isdigit():
         if cur.peek() != "^":
-            value = FiniteCard(int(tok))
-        elif int(tok) != 2:
+            value = FiniteCard(_read_int(tok))
+        elif _read_int(tok) != 2:
             raise CardinalParseError("only 2^ denotes a powerset")
         else:
             cur.take()
@@ -538,7 +538,7 @@ def _cardinal_expr(cur: _Cursor) -> CardinalExpr:
             raise CardinalParseError("aleph indices stay below eps_0")
         value = Aleph(index)
     elif tok.startswith("aleph_"):
-        value = aleph(int(tok[len("aleph_") :]))
+        value = aleph(_read_int(tok[len("aleph_") :]))
     elif tok == "hyper":
         cur.expect("(")
         base = _cardinal_expr(cur)

@@ -33,13 +33,14 @@ def _emit(args, text: str, **fields):
 
 def _cmd_convert(args) -> int:
     if args.to == "decimal" and args.digits > bitseq.BUDGET_DIGITS:
+        digits = bitseq._int_str(args.digits)
         raise bitseq.BudgetError(
-            f"--digits {args.digits}: 10^{args.digits} exceeds the {bitseq.DEFAULT_BUDGET}-bit budget"
+            f"--digits {digits}: 10^{digits} exceeds the {bitseq.DEFAULT_BUDGET}-bit budget"
         )
     u = bitseq.parse_universal(args.value)
     value = bitseq.decode_universal(u)
     if args.to == "rational":
-        text = str(value)
+        text = bitseq._int_str(value)
         _emit(args, text, rational=text)
     elif args.to == "notation":
         text = str(bitseq.canonicalize(u))
@@ -54,7 +55,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_eval_left(args) -> int:
-    text = str(bitseq.parse_left(args.value).value)
+    text = bitseq._int_str(bitseq.parse_left(args.value).value)
     _emit(args, text, rational=text)
     return 0
 
@@ -64,14 +65,16 @@ def _cmd_complement(args) -> int:
     u = bitseq.parse_universal(args.value)
     out = bitseq.flip(u, raw=args.raw) if args.command == "flip" else bitseq.complement(u)
     text = str(out)
-    _emit(args, text, notation=text, rational=str(out.value))
+    _emit(args, text, notation=text, rational=bitseq._int_str(out.value))
     return 0
 
 
 def _cmd_bits(args) -> int:
     """The prefix of one stream (bits) or of the diagonal over several (diag)."""
     if args.n > bitseq.DEFAULT_BUDGET:
-        raise bitseq.BudgetError(f"-n {args.n} exceeds the {bitseq.DEFAULT_BUDGET}-bit budget")
+        raise bitseq.BudgetError(
+            f"-n {bitseq._int_str(args.n)} exceeds the {bitseq.DEFAULT_BUDGET}-bit budget"
+        )
     if args.command == "diag":
         stream = streams.diagonal([streams.parse_stream(s) for s in args.stream])
     else:
@@ -87,9 +90,9 @@ def _cmd_interval(args) -> int:
     _emit(
         args,
         text,
-        lo=str(box.lo),
-        hi=str(box.hi),
-        width=str(box.width),
+        lo=bitseq._int_str(box.lo),
+        hi=bitseq._int_str(box.hi),
+        width=bitseq._int_str(box.width),
     )
     return 0
 
@@ -97,7 +100,9 @@ def _cmd_interval(args) -> int:
 def _budget(args) -> int:
     """--budget, refused below 64 bits or past the package's bit budget before any work."""
     if args.budget > bitseq.DEFAULT_BUDGET:
-        raise bitseq.BudgetError(f"--budget {args.budget} exceeds the {bitseq.DEFAULT_BUDGET}-bit ceiling")
+        raise bitseq.BudgetError(
+            f"--budget {bitseq._int_str(args.budget)} exceeds the {bitseq.DEFAULT_BUDGET}-bit ceiling"
+        )
     return hyperops._check_budget(args.budget)
 
 
@@ -112,7 +117,7 @@ def _cmd_hyper(args) -> int:
             description=description,
         )
         return BUDGET_ERROR
-    text = str(result.value)
+    text = bitseq._int_str(result.value)
     _emit(args, text, value=text)
     return 0
 
@@ -123,7 +128,8 @@ def _cmd_ord(args) -> int:
     if args.action == "fund":
         # the w-tower eps_0[n] has height n: refuse it before building it
         if args.n > bitseq.DEFAULT_BUDGET:
-            raise bitseq.BudgetError(f"-n {args.n} exceeds the fund ceiling {bitseq.DEFAULT_BUDGET}")
+            n = bitseq._int_str(args.n)
+            raise bitseq.BudgetError(f"-n {n} exceeds the fund ceiling {bitseq.DEFAULT_BUDGET}")
         v = ordinals.fundamental(v, args.n)
     text = ordinals.format_ordinal(v)
     _emit(args, text, ordinal=text)
@@ -193,6 +199,18 @@ def _cmd_card_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_arg(text: str) -> int:
+    """An integer argument, read as int reads it, past the interpreter's
+    digit limit too."""
+    try:
+        return bitseq._read_int(text)
+    except bitseq.BudgetError as err:  # argparse would quote the whole numeral
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
+_int_arg.__name__ = "int"  # argparse names it in "invalid int value: ..."
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="uns",
@@ -211,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("rational", "notation", "set", "decimal"),
         default="rational",
     )
-    p.add_argument("--digits", type=int, default=12)
+    p.add_argument("--digits", type=_int_arg, default=12)
     p.set_defaults(fn=_cmd_convert)
 
     p = sub.add_parser("eval-left", help="rational value of a left sequence")
@@ -229,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bits", help="exact expansion prefix of a stream")
     p.add_argument("stream")
-    p.add_argument("-n", type=int, default=16)
+    p.add_argument("-n", type=_int_arg, default=16)
     p.set_defaults(fn=_cmd_bits)
 
     p = sub.add_parser("interval", help="interval pinned by an observation")
@@ -237,10 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_interval)
 
     p = sub.add_parser("hyper", help="explosive operator m (x)^k n")
-    p.add_argument("m", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("--budget", type=int, default=bitseq.DEFAULT_BUDGET)
+    p.add_argument("m", type=_int_arg)
+    p.add_argument("k", type=_int_arg)
+    p.add_argument("n", type=_int_arg)
+    p.add_argument("--budget", type=_int_arg, default=bitseq.DEFAULT_BUDGET)
     p.set_defaults(fn=_cmd_hyper)
 
     p = sub.add_parser("ord", help="ordinal arithmetic below eps_0")
@@ -254,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.set_defaults(fn=_cmd_ord_cmp)
     a = actions.add_parser("fund", help="n-th step of a limit's fundamental sequence")
     a.add_argument("expr")
-    a.add_argument("-n", type=int, default=3)
+    a.add_argument("-n", type=_int_arg, default=3)
     a.set_defaults(fn=_cmd_ord)
 
     p = sub.add_parser("card", help="symbolic cardinal rewriting")
@@ -262,20 +280,20 @@ def build_parser() -> argparse.ArgumentParser:
     a = actions.add_parser("normalize", help="rewrite a cardinal to its normal form")
     a.add_argument("expr")
     a.add_argument("--trace", action="store_true")
-    a.add_argument("--budget", type=int, default=bitseq.DEFAULT_BUDGET)
+    a.add_argument("--budget", type=_int_arg, default=bitseq.DEFAULT_BUDGET)
     a.set_defaults(fn=_cmd_card_normalize)
     a = actions.add_parser("cmp", help="order two cardinals")
     a.add_argument("a")
     a.add_argument("b")
-    a.add_argument("--budget", type=int, default=bitseq.DEFAULT_BUDGET)
+    a.add_argument("--budget", type=_int_arg, default=bitseq.DEFAULT_BUDGET)
     a.set_defaults(fn=_cmd_card_cmp)
     a = actions.add_parser("table", help="the unification table of alephs")
-    a.add_argument("--max", type=int, default=5, help="rows")
+    a.add_argument("--max", type=_int_arg, default=5, help="rows")
     a.set_defaults(fn=_cmd_card_table)
 
     p = sub.add_parser("diag", help="diagonal stream over other streams")
     p.add_argument("stream", nargs="*")
-    p.add_argument("-n", type=int, default=16)
+    p.add_argument("-n", type=_int_arg, default=16)
     p.set_defaults(fn=_cmd_bits)
 
     return top
@@ -293,9 +311,6 @@ def run(argv) -> int:
         args = _shared_parser().parse_args(argv)
     except SystemExit as stop:
         return stop.code if stop.code else 0
-    # the bit budgets bound every integer printed, so print them in full
-    digit_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except bitseq.BudgetError as err:
@@ -310,8 +325,6 @@ def run(argv) -> int:
     except RecursionError:  # a last guard: the parsers refuse deep text first
         print("error: input nested too deeply to evaluate", file=sys.stderr)
         return DOMAIN_ERROR
-    finally:
-        sys.set_int_max_str_digits(digit_limit)
 
 
 def main():

@@ -41,7 +41,15 @@ import weakref
 from functools import lru_cache, total_ordering
 
 from . import hyperops
-from .bitseq import DEFAULT_BUDGET, BudgetError, ParseError, Record, _int_str, _refuse_long_numerals
+from .bitseq import (
+    DEFAULT_BUDGET,
+    BudgetError,
+    ParseError,
+    Record,
+    _int_str,
+    _read_int,
+    _refuse_long_numerals,
+)
 
 
 class OrdinalParseError(ParseError):
@@ -412,8 +420,10 @@ def fundamental(a, n: int) -> Ordinal:
     for a = p + w^e, p + w^(e-1)*n if e is a successor, else p + w^(e[n]),
     a chain down the last exponents and back up.  Each new term is below
     the last exponent of its p, so the terms join in normal-form order."""
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int):
         raise ValueError(f"bad index {n!r}")
+    if n < 1:
+        raise ValueError(f"bad index {_int_str(n)}")
     if isinstance(a, EpsilonZero):
         return omega_hyper(2, n)
     a = _coerce(a)
@@ -517,7 +527,7 @@ class _Cursor:
         return value
 
 
-# the operand tokens read without int(): w, eps_0 and the naturals below 16
+# the operand tokens read without _read_int: w, eps_0 and the naturals below 16
 _OPERANDS = dict(zip(map(str, range(16)), _NATURALS), w=OMEGA, eps_0=EPSILON_0)
 
 # operator -> (precedence, operation, precedence of its right operand)
@@ -554,7 +564,7 @@ def _ordinal_expr(cur: _Cursor):
             if value is None:
                 if tok is None or not tok.isdigit():
                     raise cur.unexpected(tok)
-                value = from_int(int(tok))
+                value = from_int(_read_int(tok))
             while True:  # its operators, then the frames it completes
                 binary = binary_of(tokens[pos]) if pos < end else None
                 if binary is not None and binary[0] >= min_prec:

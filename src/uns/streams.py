@@ -55,7 +55,18 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Callable, Union
 
-from .bitseq import ParseError, Record, _refuse_long_numerals, decimal_str, fraction_prefix
+from .bitseq import (
+    BUDGET_DIGITS,
+    DEFAULT_BUDGET,
+    BudgetError,
+    ParseError,
+    Record,
+    _int_str,
+    _read_int,
+    _refuse_long_numerals,
+    decimal_str,
+    fraction_prefix,
+)
 
 
 class StarStringError(ParseError):
@@ -79,9 +90,9 @@ class RationalStream(Record):
     def _check(self):
         p, q = self.numerator, self.denominator
         if q <= 0 or not 0 < p < q:
-            raise StreamError(f"{p}/{q} is not strictly between 0 and 1")
+            raise StreamError(f"{_int_str(p)}/{_int_str(q)} is not strictly between 0 and 1")
         if gcd(p, q) != 1:
-            raise StreamError(f"{p}/{q} is not reduced")
+            raise StreamError(f"{_int_str(p)}/{_int_str(q)} is not reduced")
 
     def prefix_bits(self, n: int) -> int:
         return fraction_prefix(Fraction(self.numerator, self.denominator), n)
@@ -110,11 +121,11 @@ class SqrtStream(Record):
     def _check(self):
         p, q = self.numerator, self.denominator
         if q <= 0 or not 0 < p < q:
-            raise StreamError(f"sqrt({p}/{q}) is not strictly between 0 and 1")
+            raise StreamError(f"sqrt({_int_str(p)}/{_int_str(q)}) is not strictly between 0 and 1")
         if gcd(p, q) != 1:
-            raise StreamError(f"{p}/{q} is not reduced")
+            raise StreamError(f"{_int_str(p)}/{_int_str(q)} is not reduced")
         if isqrt(p) ** 2 == p and isqrt(q) ** 2 == q:
-            raise StreamError(f"sqrt({p}/{q}) is rational; use a rational stream")
+            raise StreamError(f"sqrt({_int_str(p)}/{_int_str(q)}) is rational; use a rational stream")
 
     def prefix_bits(self, n: int) -> int:
         return _sqrt_ratio(self.numerator, self.denominator, n)
@@ -182,7 +193,7 @@ def parse_stream(text: str) -> StreamDescriptor:
         return PI_OVER_4
     m = re.fullmatch(r"(sqrt\()?(\d+)/(\d+)(?(1)\))", text)  # p/q or sqrt(p/q)
     if m:
-        return (SqrtStream if m[1] else RationalStream)(*_lowest_terms(int(m[2]), int(m[3])))
+        return (SqrtStream if m[1] else RationalStream)(*_lowest_terms(_read_int(m[2]), _read_int(m[3])))
     if text in _ALGORITHMS:
         return CustomStream(text)
     raise StarStringError(f"unknown stream {text!r}; use p/q, pi/4 or sqrt(p/q)")
@@ -320,7 +331,7 @@ class BitStream:
     def prefix(self, n: int) -> int:
         """The first n bits as one n-bit integer."""
         if n < 0:
-            raise ValueError(f"bad prefix length {n!r}")
+            raise ValueError(f"bad prefix length {_int_str(n)}")
         with self._lock:
             if n > self._length:
                 fresh = self.descriptor.prefix_bits(n)
@@ -357,13 +368,18 @@ _STAR = re.compile(r"\.([01]*)\*+(?:\.\.\.|…|⋯)?")
 
 def parse_star_string(text: str) -> DyadicInterval:
     """A finite observation: '.110***' means three known bits, so the
-    value sits in (0.75, 0.875)."""
+    value sits in (0.75, 0.875).  More than BUDGET_DIGITS known bits are
+    refused before any arithmetic: the interval's decimal form needs 10^k
+    for k known bits."""
     m = _STAR.fullmatch(text.strip())
     if m is None:
         raise StarStringError(f"not a star string: {text!r}")
     known = m.group(1)
+    k = len(known)
+    if k > BUDGET_DIGITS:
+        raise BudgetError(f"a {k}-bit observation: 10^{k} exceeds the {DEFAULT_BUDGET}-bit budget")
     value = int(known, 2) if known else 0
-    return DyadicInterval(Fraction(value, 1 << len(known)), len(known))
+    return DyadicInterval(Fraction(value, 1 << k), k)
 
 
 class CompareResult(Record):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from uns.bitseq import (
+    BUDGET_DIGITS,
     LEFT,
     PATTERN_BUDGET,
     RIGHT,
@@ -17,6 +18,7 @@ from uns.bitseq import (
     RightPart,
     UniversalRational,
     _int_str,
+    _read_int,
     canonicalize,
     complement,
     decode_left,
@@ -470,5 +472,40 @@ def test_canonicalize_marks_and_minimizes():
 
 def test_int_str_writes_every_integer_past_the_digit_limit(default_digit_limit):
     values = [0, 7, 10**4299, 10**4300, 10**5000 - 1, 10**6000 + 7, 3**20000, 10**512, 10**1024 + 10**511]
+    values += [-v for v in values if v]
     assert [_int_str(v) for v in values] == [str(Decimal(v)) for v in values]  # Decimal has no digit limit
     assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+
+
+def test_int_str_writes_a_fraction_as_its_two_integers(default_digit_limit):
+    big, odd = str(Decimal(3**20000)), str(Decimal(2**20000 + 1))
+    assert _int_str(Fraction(-7, 3)) == "-7/3" and _int_str(Fraction(6, 3)) == "2"
+    assert _int_str(Fraction(3**20000, 2**20000 + 1)) == f"{big}/{odd}"
+    assert _int_str(Fraction(-(3**20000), 2)) == f"-{big}/2"
+    assert _int_str(Fraction(1, 2**20000 + 1)) == f"1/{odd}"
+    assert _int_str(Fraction(3**20000)) == big
+
+
+@pytest.mark.parametrize("length", [1, 511, 512, 513, 1024, 1025, 4300, 4301, 5000, 9 * 512 + 3, 40000])
+def test_read_int_reads_what_int_reads_past_the_digit_limit(default_digit_limit, length):
+    rng = random.Random(length)
+    text = "".join(rng.choice("0123456789") for _ in range(length))
+    value = int(Decimal(text))  # Decimal has no digit limit
+    for written, sign in [(text, 1), (f"-{text}", -1), (f"+{text}", 1), (f" {text}\n", 1)]:
+        assert _read_int(written) == sign * value
+    assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+
+
+@pytest.mark.parametrize("text", ["", "-", "1-2", "9" * 5000 + "x", "x" + "9" * 5000, "1 2", "9" * 4000 + "_" + "9" * 4000])
+def test_read_int_refuses_what_int_refuses(default_digit_limit, text):
+    with pytest.raises(ValueError) as caught:
+        _read_int(text)
+    assert not isinstance(caught.value, BudgetError)
+
+
+def test_read_int_refuses_a_numeral_past_the_budget_unread(default_digit_limit):
+    assert _read_int("9" * (BUDGET_DIGITS + 1)) == 10 ** (BUDGET_DIGITS + 1) - 1  # the most digits allowed
+    start = time.process_time()
+    with pytest.raises(BudgetError, match="a 315654-digit numeral exceeds the 1048576-bit budget"):
+        _read_int("1" + "0" * (BUDGET_DIGITS + 1))
+    assert time.process_time() - start < 0.1

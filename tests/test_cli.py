@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from uns import bitseq, cli
+from uns import bitseq, cli, streams
 from uns.cli import BUDGET_ERROR, DOMAIN_ERROR, PARSE_ERROR, build_parser, run
 from uns.ordinals import MAX_DEPTH
 
@@ -274,6 +274,16 @@ def test_interval_of_star_string(capsys):
     assert out == "(0.75, 0.875) width 0.125"
 
 
+def test_observations_past_the_digit_budget_are_refused_unread(capsys):
+    k = bitseq.BUDGET_DIGITS
+    assert streams.parse_star_string(f".{'1' * k}*").bits == k  # the interval alone is cheap
+    start = time.process_time()
+    assert run(["interval", f".{'1' * (k + 1)}*"]) == BUDGET_ERROR
+    assert time.process_time() - start < 0.5
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: a 315653-bit observation: 10^315653 exceeds the 1048576-bit budget\n"
+
+
 def test_interval_rejects_garbage(capsys):
     assert run(["interval", "110"]) == PARSE_ERROR
     capsys.readouterr()
@@ -309,8 +319,9 @@ def test_hyper_budget_exit_code(capsys):
         (["card", "normalize", "2^20000"], 2**20000),
         (["ord", "eval", "9^9^5"], 9 ** 9**5),
         (["--format", "structured", "hyper", "2", "1", "20000"], 2**20000),
+        (["hyper", "2", "0", "9" * 5000], 2 * (10**5000 - 1)),
     ],
-    ids=["hyper", "card", "ord", "structured"],
+    ids=["hyper", "card", "ord", "structured", "hyper-argument"],
 )
 def test_exact_integers_print_in_full(capsys, argv, value):
     guard = sys.get_int_max_str_digits()
@@ -339,6 +350,76 @@ def test_numerals_past_the_budget_are_refused_unread(capsys, argv):
     assert time.process_time() - start < 0.5
     out = capsys.readouterr()
     assert out.out == "" and out.err == "error: a 315654-digit numeral exceeds the 1048576-bit budget\n"
+
+
+NINES = "9" * 5000  # past the interpreter's default limit of 4300 digits
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["hyper", "1", "3", NINES], 0, "1\n", ""),
+        (["bits", "1/3", "-n", NINES], BUDGET_ERROR, "", f"error: -n {NINES} exceeds the 1048576-bit budget\n"),
+        (["ord", "fund", "w", "-n", NINES], BUDGET_ERROR, "", f"error: -n {NINES} exceeds the fund ceiling 1048576\n"),
+        (
+            ["convert", "(0).(01)", "--to", "decimal", "--digits", NINES],
+            BUDGET_ERROR,
+            "",
+            f"error: --digits {NINES}: 10^{NINES} exceeds the 1048576-bit budget\n",
+        ),
+        (["card", "cmp", "1", "2", "--budget", NINES], BUDGET_ERROR, "", f"error: --budget {NINES} exceeds the 1048576-bit ceiling\n"),
+        (["hyper", "2", "1", "3", "--budget", f"-{NINES}"], DOMAIN_ERROR, "", f"error: budget below 64 bits: -{NINES}\n"),
+        (["hyper", "2", f"-{NINES}", "3"], DOMAIN_ERROR, "", f"error: bad level -{NINES}\n"),
+        (["hyper", "2", NINES, "0"], DOMAIN_ERROR, "", f"error: level {NINES} is undefined at count 0\n"),
+        (["bits", "1/3", "-n", f"-{NINES}"], DOMAIN_ERROR, "", f"error: bad prefix length -{NINES}\n"),
+        (["ord", "fund", "w", "-n", f"-{NINES}"], DOMAIN_ERROR, "", f"error: bad index -{NINES}\n"),
+        (["convert", "(0).(01)", "--to", "decimal", "--digits", f"-{NINES}"], DOMAIN_ERROR, "", f"error: bad digit count -{NINES}\n"),
+        (["card", "table", "--max", NINES], DOMAIN_ERROR, "", "error: table rows run from 0 to at most 10\n"),
+    ],
+    ids=[
+        "hyper",
+        "bits-n",
+        "fund-n",
+        "digits",
+        "budget",
+        "negative-budget",
+        "negative-level",
+        "level-at-count-0",
+        "negative-bits-n",
+        "negative-fund-n",
+        "negative-digits",
+        "max",
+    ],
+)
+def test_integer_arguments_past_the_digit_guard_are_read_in_full(capsys, default_digit_limit, argv, code, out, err):
+    assert run(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_an_integer_argument_past_the_budget_is_refused_unread(capsys):
+    # a kernel caps one argument at 128 KiB, so only an in-process caller can pass it
+    numeral = "1" + "0" * 315653
+    start = time.process_time()
+    assert run(["bits", "1/3", "-n", numeral]) == PARSE_ERROR
+    assert time.process_time() - start < 0.5
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.endswith(
+        "uns bits: error: argument -n: a 315654-digit numeral exceeds the 1048576-bit budget\n"
+    )
+
+
+def test_run_leaves_the_interpreters_digit_guard_alone(capsys, monkeypatch, default_digit_limit):
+    seen = []
+
+    def probe(n):
+        seen.append(sys.get_int_max_str_digits())
+        return (0, 1) * (n // 2)
+
+    monkeypatch.setattr(streams, "_ALGORITHMS", dict(streams._ALGORITHMS))
+    streams.register_algorithm("digit-guard-probe", probe)
+    sys.set_int_max_str_digits(4321)  # the caller's own value
+    assert text_of(capsys, ["bits", "digit-guard-probe", "-n", "6"]) == "010101"
+    assert seen == [4321] and sys.get_int_max_str_digits() == 4321
 
 
 def test_numerals_within_the_budget_are_read_in_full(capsys):

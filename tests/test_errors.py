@@ -3,7 +3,9 @@ grammar raises a bitseq.ParseError (exit 2) and every budget a
 bitseq.BudgetError (exit 4), and no error is both."""
 
 import ast
+import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -53,7 +55,7 @@ def test_the_bases_are_the_ones_the_package_exports():
         assert issubclass(error, ParseError)
 
 
-SHARED = {"DEFAULT_BUDGET", "BUDGET_DIGITS", "BudgetError", "ParseError", "_refuse_long_numerals"}
+SHARED = {"DEFAULT_BUDGET", "BUDGET_DIGITS", "BudgetError", "ParseError", "_refuse_long_numerals", "_int_str", "_read_int"}
 
 
 def test_the_shared_budget_and_bases_are_defined_only_in_bitseq():
@@ -97,3 +99,25 @@ def test_budgets_up_to_the_bit_budget_are_read_and_small_ones_stay_domain_errors
     assert capsys.readouterr().out == "1024\n1024\neq\n"
     assert cli.run(["hyper", "2", "1", "10", "--budget", "63"]) == cli.DOMAIN_ERROR
     assert cli.run(["card", "normalize", "2^10", "--budget", "63"]) == cli.DOMAIN_ERROR
+
+
+NINES = "9" * 5000  # past the interpreter's default limit of 4300 digits
+
+
+def test_numerals_past_the_digit_limit_are_read_and_printed_exactly(default_digit_limit):
+    for text in (NINES, f"w^{NINES}*{NINES} + {NINES}"):
+        assert ordinals.format_ordinal(ordinals.parse_ordinal(text)) == text
+    for text in (NINES, f"aleph_{NINES}"):
+        assert cardinals.format_cardinal(cardinals.parse_cardinal(text)) == text
+    thirds = "3" * 5000
+    s = streams.parse_stream(f"1/{thirds}")
+    assert f"{bitseq._int_str(s.numerator)}/{bitseq._int_str(s.denominator)}" == f"1/{thirds}"
+    for text in (f"{thirds}/7", f"sqrt({NINES}/{thirds})"):
+        with pytest.raises(streams.StreamError) as caught:
+            streams.parse_stream(text)
+        assert str(caught.value).startswith(f"{text} is not")
+    out = bitseq.decimal_str(Fraction(1, 3), 5000)
+    assert out == f"0.{thirds}…" and bitseq._read_int(out[2:-1]) == 10**5000 // 3
+    out = bitseq.decimal_str(Fraction(-(10**5000) - 1, 2), 1)  # a whole part of 5000 digits
+    assert out == f"-5{'0' * 4999}.5" and bitseq._read_int(out[:-2]) == -(10**5000) // 2
+    assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits

@@ -3,7 +3,8 @@ modules below it, so a lower layer never depends on an upper one.  The
 package's __init__ sits above the stack and re-exports all of it.  Every
 package import sits at module level, where the order is visible; none
 hides in a function body.  Every cache has a literal bound, every
-private helper is used, and no float is written, made or divided out.
+private helper is used, no float is written, made or divided out, and
+no module switches the interpreter's limit on integer text.
 Start-up loads no module the package does not use: no dataclasses, and
 so no inspect."""
 
@@ -179,6 +180,36 @@ def test_no_floats_in_the_library(path):
 )
 def test_the_float_check_finds_literals_calls_and_division(source, clean):
     assert (not list(_float_uses(ast.parse(source)))) == clean
+
+
+def _digit_limit_switches(tree):
+    """Lines that call or import sys.set_int_max_str_digits, a setting of
+    the whole interpreter that a library call has no business changing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias) and node.name == "set_int_max_str_digits":
+            yield f"line {node.lineno}: imports set_int_max_str_digits"
+        elif isinstance(node, ast.Call) and _name(node.func) == "set_int_max_str_digits":
+            yield f"line {node.lineno}: calls set_int_max_str_digits"
+
+
+@pytest.mark.parametrize("path", [*MODULES, Path(uns.__file__)], ids=lambda p: p.stem)
+def test_no_module_switches_the_interpreters_digit_limit(path):
+    problems = list(_digit_limit_switches(ast.parse(path.read_text(encoding="utf-8"))))
+    assert not problems, f"{path.stem}: {problems}"
+
+
+@pytest.mark.parametrize(
+    "source, clean",
+    [
+        ("import sys\nlimit = sys.get_int_max_str_digits()", True),
+        ("from .bitseq import _int_str\ntext = _int_str(n)", True),
+        ("import sys\nsys.set_int_max_str_digits(0)", False),
+        ("import sys as s\ns.set_int_max_str_digits(limit)", False),
+        ("from sys import set_int_max_str_digits as lift\nlift(0)", False),
+    ],
+)
+def test_the_digit_limit_check_finds_calls_and_imports(source, clean):
+    assert (not list(_digit_limit_switches(ast.parse(source)))) == clean
 
 
 def _imported_modules(tree):
