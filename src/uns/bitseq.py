@@ -40,7 +40,9 @@ base of every immutable value; the bit budget and BudgetError, the base
 of every refusal; ParseError, the base of every grammar's error; and
 the package's two crossings of decimal text, _int_str, which prints an
 integer or a Fraction, and _read_int, which reads an integer.  Both work
-past the interpreter's limit on integer text and leave it as it is.
+past the interpreter's limit on integer text and leave it as it is;
+_show quotes a value in an error message through _int_str, an integer
+past a bound by its size.
 """
 
 from __future__ import annotations
@@ -356,7 +358,7 @@ def encode_fraction(q: Fraction) -> RightPart:
     """
     q = Fraction(q)
     if not 0 < q < 1:
-        raise ValueError(f"{q} is not strictly between 0 and 1")
+        raise ValueError(f"{_int_str(q)} is not strictly between 0 and 1")
     return RightPart(_right_digits(q.numerator, q.denominator))
 
 
@@ -369,7 +371,7 @@ def fraction_prefix(q: Fraction, n: int) -> int:
     """
     q = Fraction(q)
     if not 0 < q < 1:
-        raise ValueError(f"{q} is not strictly between 0 and 1")
+        raise ValueError(f"{_int_str(q)} is not strictly between 0 and 1")
     return ((q.numerator << n) - 1) // q.denominator
 
 
@@ -472,9 +474,9 @@ def from_index_set(view: IndexSetView) -> LeftPart | RightPart:
     for i in view.finite:
         k = i - base
         if not 0 <= k < pre_len:
-            raise ValueError(f"index {i} outside the finite range")
+            raise ValueError(f"index {_show(i)} outside the finite range")
         if pre[k] == "1":
-            raise ValueError(f"index {i} listed twice")
+            raise ValueError(f"index {_show(i)} listed twice")
         pre[k] = "1"
 
     bits = PeriodicBits("".join(pre), per)
@@ -579,6 +581,17 @@ def _int_str(n: int | Fraction) -> str:
     return sign + str(n) + "".join(reversed(chunks))
 
 
+def _show(x, max_bits: int = 1 << 16) -> str:
+    """x as an error message quotes it: repr(x), but an integer through
+    _int_str up to max_bits bits and past that by its size, since its
+    digits take time quadratic in their number to write."""
+    if type(x) is not int:
+        return repr(x)
+    if x.bit_length() <= max_bits:
+        return _int_str(x)
+    return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit integer>"
+
+
 _DECIMAL = re.compile(r"\s*([+-]?)(\d+)\s*")
 
 
@@ -587,8 +600,7 @@ def _read_int(text: str) -> int:
     are read in 512-digit chunks, joined pairwise, touching no global
     setting.  A numeral longer than any value within DEFAULT_BUDGET bits
     is refused unread."""
-    if len(text) > BUDGET_DIGITS + 1:
-        _refuse_long_numerals(text)
+    _refuse_long_numerals(text)
     try:
         return int(text)
     except ValueError:
@@ -609,9 +621,13 @@ def _read_int(text: str) -> int:
 
 def decimal_str(value: Fraction, digits: int) -> str:
     """Decimal of value truncated to `digits` places, ending in "…"
-    when it does not terminate there."""
+    when it does not terminate there.  More than BUDGET_DIGITS places are
+    refused before any arithmetic, as they need 10^digits."""
     if digits < 0:
-        raise ValueError(f"bad digit count {_int_str(digits)}")
+        raise ValueError(f"bad digit count {_show(digits)}")
+    if digits > BUDGET_DIGITS:
+        shown = _show(digits)
+        raise BudgetError(f"a decimal of {shown} places: 10^{shown} exceeds the {DEFAULT_BUDGET}-bit budget")
     sign = "-" if value < 0 else ""
     value = abs(value)
     whole, rest = divmod(value.numerator, value.denominator)

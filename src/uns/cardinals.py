@@ -40,7 +40,7 @@ from itertools import combinations, repeat
 from typing import Mapping, Union, get_args
 
 from . import hyperops
-from .bitseq import DEFAULT_BUDGET, BudgetError, ParseError, Record, _int_str, _read_int
+from .bitseq import DEFAULT_BUDGET, BudgetError, ParseError, Record, _int_str, _read_int, _show
 from .ordinals import (
     ONE,
     ZERO,
@@ -116,7 +116,7 @@ EMPTY_SET = PureSet()
 def nat_to_set(n: int) -> PureSet:
     """Von Neumann numeral: each number is the set of the smaller ones."""
     if not isinstance(n, int) or n < 0:
-        raise ValueError(f"not a natural number: {n!r}")
+        raise ValueError(f"not a natural number: {_show(n)}")
     s = EMPTY_SET
     for _ in range(n):
         s = PureSet(s.members | {s})
@@ -162,7 +162,7 @@ class FiniteCard(_Term):
     def __new__(cls, value):
         # exactly int: 2.0 and True hash like 2 and 1 and would find theirs
         if type(value) is not int or value < 0:
-            raise ValueError(f"bad finite cardinal {value!r}")
+            raise ValueError(f"bad finite cardinal {_show(value)}")
         return _intern(cls, (value,))
 
 

@@ -33,7 +33,7 @@ def _emit(args, text: str, **fields):
 
 def _cmd_convert(args) -> int:
     if args.to == "decimal" and args.digits > bitseq.BUDGET_DIGITS:
-        digits = bitseq._int_str(args.digits)
+        digits = bitseq._show(args.digits)
         raise bitseq.BudgetError(
             f"--digits {digits}: 10^{digits} exceeds the {bitseq.DEFAULT_BUDGET}-bit budget"
         )
@@ -73,7 +73,7 @@ def _cmd_bits(args) -> int:
     """The prefix of one stream (bits) or of the diagonal over several (diag)."""
     if args.n > bitseq.DEFAULT_BUDGET:
         raise bitseq.BudgetError(
-            f"-n {bitseq._int_str(args.n)} exceeds the {bitseq.DEFAULT_BUDGET}-bit budget"
+            f"-n {bitseq._show(args.n)} exceeds the {bitseq.DEFAULT_BUDGET}-bit budget"
         )
     if args.command == "diag":
         stream = streams.diagonal([streams.parse_stream(s) for s in args.stream])
@@ -101,7 +101,7 @@ def _budget(args) -> int:
     """--budget, refused below 64 bits or past the package's bit budget before any work."""
     if args.budget > bitseq.DEFAULT_BUDGET:
         raise bitseq.BudgetError(
-            f"--budget {bitseq._int_str(args.budget)} exceeds the {bitseq.DEFAULT_BUDGET}-bit ceiling"
+            f"--budget {bitseq._show(args.budget)} exceeds the {bitseq.DEFAULT_BUDGET}-bit ceiling"
         )
     return hyperops._check_budget(args.budget)
 
@@ -128,7 +128,7 @@ def _cmd_ord(args) -> int:
     if args.action == "fund":
         # the w-tower eps_0[n] has height n: refuse it before building it
         if args.n > bitseq.DEFAULT_BUDGET:
-            n = bitseq._int_str(args.n)
+            n = bitseq._show(args.n)
             raise bitseq.BudgetError(f"-n {n} exceeds the fund ceiling {bitseq.DEFAULT_BUDGET}")
         v = ordinals.fundamental(v, args.n)
     text = ordinals.format_ordinal(v)

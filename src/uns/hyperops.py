@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .bitseq import DEFAULT_BUDGET, Record, _int_str
+from .bitseq import DEFAULT_BUDGET, Record, _show
 
 
 class Exact(Record):
@@ -30,9 +30,7 @@ def _show_int(x: int) -> str:
     # an output choice: a count picked up from an evaluated subterm can be
     # millions of bits wide, and naming its size bounds how long a
     # description gets
-    if x.bit_length() <= 12000:
-        return _int_str(x)
-    return f"<{x.bit_length()}-bit integer>"
+    return _show(x, 12000)
 
 
 class Exceeded(Record):
@@ -88,19 +86,17 @@ HyperResult = Union[Exact, Exceeded]
 def _check_budget(budget: int) -> int:
     """budget, refused (ValueError) below 64 bits."""
     if budget < 64:
-        raise ValueError(f"budget below 64 bits: {_int_str(budget)}")
+        raise ValueError(f"budget below 64 bits: {_show(budget)}")
     return budget
 
 
 def _check_args(m, k, n, budget):
     for name, v in (("base", m), ("level", k), ("count", n)):
-        if not isinstance(v, int):
-            raise ValueError(f"bad {name} {v!r}")
-        if v < 0:
-            raise ValueError(f"bad {name} {_int_str(v)}")
+        if not isinstance(v, int) or v < 0:
+            raise ValueError(f"bad {name} {_show(v)}")
     _check_budget(budget)
     if k >= 1 and n == 0:
-        raise ValueError(f"level {_int_str(k)} is undefined at count 0")
+        raise ValueError(f"level {_show(k)} is undefined at count 0")
     if k >= 1 and m == 0 and n >= 2:
         # expanding 0 at any level hits the undefined count-0 case
         raise ValueError("base 0 only supports count 1 above level 0")

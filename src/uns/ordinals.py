@@ -49,6 +49,7 @@ from .bitseq import (
     _int_str,
     _read_int,
     _refuse_long_numerals,
+    _show,
 )
 
 
@@ -135,7 +136,7 @@ class Ordinal(_Term):
                 raise TypeError(f"exponent {exp!r} is not an ordinal")
             # exactly int: 1.0 and True hash like 1 and would find ONE
             if type(coeff) is not int or coeff < 1:
-                raise ValueError(f"bad coefficient {coeff!r}")
+                raise ValueError(f"bad coefficient {_show(coeff)}")
         return _intern(cls, (terms,))
 
     def _check(self):
@@ -227,7 +228,7 @@ OMEGA = Ordinal(((ONE, 1),))
 
 def from_int(n: int) -> Ordinal:
     if type(n) is not int or n < 0:
-        raise ValueError(f"not a natural number: {n!r}")
+        raise ValueError(f"not a natural number: {_show(n)}")
     return _NATURALS[n] if n < 16 else _cnf(((ZERO, n),))
 
 
@@ -319,7 +320,7 @@ def _pow_int(a: Ordinal, n: int) -> Ordinal:
     terms = k + (n - 1) * (k - 1) if a.is_successor else k
     if terms > TERM_BUDGET:
         raise OrdinalBudgetError(
-            f"power {n} of a {k}-term ordinal would have {terms} terms, "
+            f"power {_int_str(n)} of a {k}-term ordinal would have {_int_str(terms)} terms, "
             f"over the {TERM_BUDGET}-term budget"
         )
     result = ONE
@@ -387,9 +388,9 @@ def omega_hyper(k: int, n: int) -> Ordinal:
     which leave normal-form territory, so they are rejected.
     """
     if not isinstance(k, int) or k < 0:
-        raise ValueError(f"bad level {k!r}")
+        raise ValueError(f"bad level {_show(k)}")
     if not isinstance(n, int) or n < 1:
-        raise ValueError(f"bad count {n!r}")
+        raise ValueError(f"bad count {_show(n)}")
     if k == 0:
         return ord_mul(OMEGA, from_int(n))
     if n == 1:
@@ -401,7 +402,7 @@ def omega_hyper(k: int, n: int) -> Ordinal:
         for _ in range(n - 1):
             t = ord_pow(OMEGA, t)
         return t
-    raise ValueError(f"level {k} with count {n} exceeds the w-tower range")
+    raise ValueError(f"level {_show(k)} with count {_show(n)} exceeds the w-tower range")
 
 
 def omega_hyper_limit(k: int) -> Ordinal | EpsilonZero:
@@ -412,7 +413,7 @@ def omega_hyper_limit(k: int) -> Ordinal | EpsilonZero:
         return ord_pow(OMEGA, OMEGA)
     if k == 2:
         return EPSILON_0
-    raise ValueError(f"no limit tracked above level 2 (got {k})")
+    raise ValueError(f"no limit tracked above level 2 (got {_show(k)})")
 
 
 def fundamental(a, n: int) -> Ordinal:
@@ -420,10 +421,8 @@ def fundamental(a, n: int) -> Ordinal:
     for a = p + w^e, p + w^(e-1)*n if e is a successor, else p + w^(e[n]),
     a chain down the last exponents and back up.  Each new term is below
     the last exponent of its p, so the terms join in normal-form order."""
-    if not isinstance(n, int):
-        raise ValueError(f"bad index {n!r}")
-    if n < 1:
-        raise ValueError(f"bad index {_int_str(n)}")
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"bad index {_show(n)}")
     if isinstance(a, EpsilonZero):
         return omega_hyper(2, n)
     a = _coerce(a)

@@ -56,14 +56,12 @@ from math import gcd, isqrt
 from typing import Callable, Union
 
 from .bitseq import (
-    BUDGET_DIGITS,
-    DEFAULT_BUDGET,
-    BudgetError,
     ParseError,
     Record,
     _int_str,
     _read_int,
     _refuse_long_numerals,
+    _show,
     decimal_str,
     fraction_prefix,
 )
@@ -331,7 +329,7 @@ class BitStream:
     def prefix(self, n: int) -> int:
         """The first n bits as one n-bit integer."""
         if n < 0:
-            raise ValueError(f"bad prefix length {_int_str(n)}")
+            raise ValueError(f"bad prefix length {_show(n)}")
         with self._lock:
             if n > self._length:
                 fresh = self.descriptor.prefix_bits(n)
@@ -368,18 +366,13 @@ _STAR = re.compile(r"\.([01]*)\*+(?:\.\.\.|…|⋯)?")
 
 def parse_star_string(text: str) -> DyadicInterval:
     """A finite observation: '.110***' means three known bits, so the
-    value sits in (0.75, 0.875).  More than BUDGET_DIGITS known bits are
-    refused before any arithmetic: the interval's decimal form needs 10^k
-    for k known bits."""
+    value sits in (0.75, 0.875)."""
     m = _STAR.fullmatch(text.strip())
     if m is None:
         raise StarStringError(f"not a star string: {text!r}")
     known = m.group(1)
-    k = len(known)
-    if k > BUDGET_DIGITS:
-        raise BudgetError(f"a {k}-bit observation: 10^{k} exceeds the {DEFAULT_BUDGET}-bit budget")
     value = int(known, 2) if known else 0
-    return DyadicInterval(Fraction(value, 1 << k), k)
+    return DyadicInterval(Fraction(value, 1 << len(known)), len(known))
 
 
 class CompareResult(Record):

@@ -19,8 +19,10 @@ from uns.bitseq import (
     UniversalRational,
     _int_str,
     _read_int,
+    _show,
     canonicalize,
     complement,
+    decimal_str,
     decode_left,
     decode_right,
     decode_universal,
@@ -508,4 +510,20 @@ def test_read_int_refuses_a_numeral_past_the_budget_unread(default_digit_limit):
     start = time.process_time()
     with pytest.raises(BudgetError, match="a 315654-digit numeral exceeds the 1048576-bit budget"):
         _read_int("1" + "0" * (BUDGET_DIGITS + 1))
+    assert time.process_time() - start < 0.1
+
+
+def test_show_quotes_an_integer_in_full_up_to_its_bound_and_by_size_past_it(default_digit_limit):
+    assert [_show(x) for x in (0, -7, "7", 7.0, True, None)] == ["0", "-7", "'7'", "7.0", "True", "None"]
+    assert _show(2**65536 - 1) == str(Decimal(2**65536 - 1))  # the bound itself, 65536 bits
+    assert _show(2**65536) == "<65537-bit integer>" and _show(-(2**65536)) == "-<65537-bit integer>"
+    assert _show(2**12000, 12000) == "<12001-bit integer>" and _show(2**12000 - 1, 12000) == _int_str(2**12000 - 1)
+
+
+def test_decimal_str_refuses_more_places_than_the_budget_before_any_arithmetic():
+    start = time.process_time()
+    with pytest.raises(BudgetError, match=f"a decimal of {BUDGET_DIGITS + 1} places: 10\\^{BUDGET_DIGITS + 1} exceeds"):
+        decimal_str(Fraction(1, 2), BUDGET_DIGITS + 1)
+    with pytest.raises(BudgetError, match="a decimal of <65537-bit integer> places"):
+        decimal_str(Fraction(1, 2), 2**65536)
     assert time.process_time() - start < 0.1

@@ -281,7 +281,7 @@ def test_observations_past_the_digit_budget_are_refused_unread(capsys):
     assert run(["interval", f".{'1' * (k + 1)}*"]) == BUDGET_ERROR
     assert time.process_time() - start < 0.5
     out = capsys.readouterr()
-    assert out.out == "" and out.err == "error: a 315653-bit observation: 10^315653 exceeds the 1048576-bit budget\n"
+    assert out.out == "" and out.err == "error: a decimal of 315653 places: 10^315653 exceeds the 1048576-bit budget\n"
 
 
 def test_interval_rejects_garbage(capsys):
@@ -375,6 +375,12 @@ NINES = "9" * 5000  # past the interpreter's default limit of 4300 digits
         (["ord", "fund", "w", "-n", f"-{NINES}"], DOMAIN_ERROR, "", f"error: bad index -{NINES}\n"),
         (["convert", "(0).(01)", "--to", "decimal", "--digits", f"-{NINES}"], DOMAIN_ERROR, "", f"error: bad digit count -{NINES}\n"),
         (["card", "table", "--max", NINES], DOMAIN_ERROR, "", "error: table rows run from 0 to at most 10\n"),
+        (
+            ["ord", "eval", f"(w+1)^{NINES}"],
+            BUDGET_ERROR,
+            "",
+            f"error: power {NINES} of a 2-term ordinal would have 1{'0' * 5000} terms, over the 1000-term budget\n",
+        ),
     ],
     ids=[
         "hyper",
@@ -389,6 +395,7 @@ NINES = "9" * 5000  # past the interpreter's default limit of 4300 digits
         "negative-fund-n",
         "negative-digits",
         "max",
+        "ord-power",
     ],
 )
 def test_integer_arguments_past_the_digit_guard_are_read_in_full(capsys, default_digit_limit, argv, code, out, err):
@@ -406,6 +413,25 @@ def test_an_integer_argument_past_the_budget_is_refused_unread(capsys):
     assert out.out == "" and out.err.endswith(
         "uns bits: error: argument -n: a 315654-digit numeral exceeds the 1048576-bit budget\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, quoted",
+    [
+        (["bits", "1/3", "-n", "9" * 100000], "-n <332193-bit integer> exceeds the 1048576-bit budget"),
+        (["ord", "fund", "w", "-n", "9" * 100000], "-n <332193-bit integer> exceeds the fund ceiling 1048576"),
+        (
+            ["convert", "1", "--to", "decimal", "--digits", "9" * 100000],
+            "--digits <332193-bit integer>: 10^<332193-bit integer> exceeds the 1048576-bit budget",
+        ),
+        (["hyper", "2", "1", "3", "--budget", "9" * 100000], "--budget <332193-bit integer> exceeds the 1048576-bit ceiling"),
+    ],
+    ids=["bits-n", "fund-n", "digits", "budget"],
+)
+def test_a_long_integer_argument_is_refused_by_its_size(capsys, argv, quoted):
+    # writing 100000 digits back into the message would take time quadratic in their number
+    assert run(argv) == BUDGET_ERROR
+    assert capsys.readouterr() == ("", f"error: {quoted}\n")
 
 
 def test_run_leaves_the_interpreters_digit_guard_alone(capsys, monkeypatch, default_digit_limit):

@@ -5,6 +5,7 @@ bitseq.BudgetError (exit 4), and no error is both."""
 import ast
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -55,7 +56,16 @@ def test_the_bases_are_the_ones_the_package_exports():
         assert issubclass(error, ParseError)
 
 
-SHARED = {"DEFAULT_BUDGET", "BUDGET_DIGITS", "BudgetError", "ParseError", "_refuse_long_numerals", "_int_str", "_read_int"}
+SHARED = {
+    "DEFAULT_BUDGET",
+    "BUDGET_DIGITS",
+    "BudgetError",
+    "ParseError",
+    "_refuse_long_numerals",
+    "_int_str",
+    "_read_int",
+    "_show",
+}
 
 
 def test_the_shared_budget_and_bases_are_defined_only_in_bitseq():
@@ -120,4 +130,64 @@ def test_numerals_past_the_digit_limit_are_read_and_printed_exactly(default_digi
     assert out == f"0.{thirds}…" and bitseq._read_int(out[2:-1]) == 10**5000 // 3
     out = bitseq.decimal_str(Fraction(-(10**5000) - 1, 2), 1)  # a whole part of 5000 digits
     assert out == f"-5{'0' * 4999}.5" and bitseq._read_int(out[:-2]) == -(10**5000) // 2
+    assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+
+
+def int_text(n):
+    return str(Decimal(n))  # Decimal has no digit limit
+
+
+BIG = 10**5000 + 1  # 16610 bits: written in full, though past the default limit
+BIG_TEXT = int_text(BIG)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ordinals.from_int(-BIG), f"not a natural number: -{BIG_TEXT}"),
+        (lambda: ordinals.Ordinal(((ordinals.ZERO, -BIG),)), f"bad coefficient -{BIG_TEXT}"),
+        (lambda: ordinals.omega_hyper(-BIG, 1), f"bad level -{BIG_TEXT}"),
+        (lambda: ordinals.omega_hyper(0, -BIG), f"bad count -{BIG_TEXT}"),
+        (lambda: ordinals.omega_hyper(BIG, BIG), f"level {BIG_TEXT} with count {BIG_TEXT} exceeds the w-tower range"),
+        (lambda: ordinals.omega_hyper_limit(BIG), f"no limit tracked above level 2 (got {BIG_TEXT})"),
+        (lambda: ordinals.fundamental(ordinals.OMEGA, -BIG), f"bad index -{BIG_TEXT}"),
+        (
+            lambda: ordinals.ord_pow(ordinals.parse_ordinal("w+1"), BIG),
+            f"power {BIG_TEXT} of a 2-term ordinal would have {int_text(BIG + 1)} terms, over the 1000-term budget",
+        ),
+        (lambda: cardinals.nat_to_set(-BIG), f"not a natural number: -{BIG_TEXT}"),
+        (lambda: cardinals.FiniteCard(-BIG), f"bad finite cardinal -{BIG_TEXT}"),
+        (lambda: hyperops.hyper(2, -BIG, 3), f"bad level -{BIG_TEXT}"),
+        (lambda: hyperops.hyper(2, 1, 3, budget=-BIG), f"budget below 64 bits: -{BIG_TEXT}"),
+        (lambda: streams.as_stream(streams.parse_stream("1/3")).prefix(-BIG), f"bad prefix length -{BIG_TEXT}"),
+        (lambda: bitseq.decimal_str(Fraction(1, 3), -BIG), f"bad digit count -{BIG_TEXT}"),
+        (lambda: bitseq.encode_fraction(Fraction(BIG, 3)), f"{BIG_TEXT}/3 is not strictly between 0 and 1"),
+        (
+            lambda: bitseq.decimal_str(Fraction(1, 3), BIG),
+            f"a decimal of {BIG_TEXT} places: 10^{BIG_TEXT} exceeds the 1048576-bit budget",
+        ),
+    ],
+    ids=[
+        "from_int",
+        "coefficient",
+        "omega-level",
+        "omega-count",
+        "omega-range",
+        "omega-limit",
+        "fundamental",
+        "ordinal-power",
+        "nat_to_set",
+        "finite-card",
+        "hyper-level",
+        "hyper-budget",
+        "prefix",
+        "digit-count",
+        "encode_fraction",
+        "decimal-places",
+    ],
+)
+def test_messages_quote_integers_past_the_digit_limit(default_digit_limit, call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
     assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
