@@ -30,7 +30,8 @@ a term, so the parser's depth limit bounds the recursive walks below.
 
 Text forms: "aleph_0", "aleph_(w+1)", "2^aleph_3", "hyper(3, 2,
 aleph_0)", "choose(aleph_2)".  An aleph index is a sum of the ordinal
-grammar (see ordinals), read from the same cursor as the cardinal text.
+grammar (see ordinals): one loop, ordinals._parse, reads both, the
+composite nodes and aleph_( being forms of the table CARDINAL.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ from .ordinals import (
     ZERO,
     EpsilonZero,
     Ordinal,
-    _Cursor,
+    ORDINAL,
     _intern,
     _memo,
-    _ordinal_expr,
+    _parse,
     _Term,
     from_int,
     ord_add,
@@ -262,6 +263,38 @@ _RULES = {
             lambda e, budget: _successor(e.arg)),
     )),
 }
+
+
+def _read_cardinal(tok: str, following, error: type[ParseError]):
+    """The cardinal operand that CARDINAL's dict does not name: a numeral,
+    the 2^ form when ^ follows the numeral 2, or aleph_N."""
+    if tok.isdigit():
+        if following != "^":
+            return FiniteCard(_read_int(tok))
+        if _read_int(tok) != 2:
+            raise error("only 2^ denotes a powerset")
+        return _POW2
+    if tok.startswith("aleph_"):
+        return aleph(_read_int(tok[len("aleph_") :]))
+    raise error(f"unexpected token {tok!r}")
+
+
+def _indexed_aleph(index) -> Aleph:
+    if isinstance(index, EpsilonZero):
+        raise CardinalParseError("aleph indices stay below eps_0")
+    return Aleph(index)
+
+
+# The cardinal grammar of ordinals._parse.  Its forms are the composite
+# nodes and aleph_(, whose index is read in the ordinal grammar; the 2^
+# form comes from _read_cardinal, as 2 alone is a numeral.
+CARDINAL = ({"aleph_0": ALEPH_0}, _read_cardinal, {})
+_POW2 = (Pow2, "^", ((CARDINAL, None),))
+CARDINAL[0].update({
+    "hyper": (HyperCard, "(", ((CARDINAL, ","), (CARDINAL, ","), (CARDINAL, ")"))),
+    "choose": (Choose, "(", ((CARDINAL, ")"),)),
+    "aleph_(": (_indexed_aleph, None, ((ORDINAL, ")"),)),
+})
 
 
 def _root_step(e: CardinalExpr, budget: int):
@@ -518,49 +551,8 @@ def attach_infinitesimal(descriptor: StreamDescriptor, alpha: Ordinal | int) -> 
 # text form
 
 
-def _cardinal_expr(cur: _Cursor) -> CardinalExpr:
-    """The cardinal at the cursor, one parser frame per node."""
-    tok = cur.descend()
-    if tok is None:
-        raise cur.unexpected(tok)
-    if tok.isdigit():
-        if cur.peek() != "^":
-            value = FiniteCard(_read_int(tok))
-        elif _read_int(tok) != 2:
-            raise CardinalParseError("only 2^ denotes a powerset")
-        else:
-            cur.take()
-            value = Pow2(_cardinal_expr(cur))
-    elif tok == "aleph_(":
-        index = _ordinal_expr(cur)
-        cur.expect(")")
-        if isinstance(index, EpsilonZero):
-            raise CardinalParseError("aleph indices stay below eps_0")
-        value = Aleph(index)
-    elif tok.startswith("aleph_"):
-        value = aleph(_read_int(tok[len("aleph_") :]))
-    elif tok == "hyper":
-        cur.expect("(")
-        base = _cardinal_expr(cur)
-        cur.expect(",")
-        level = _cardinal_expr(cur)
-        cur.expect(",")
-        arg = _cardinal_expr(cur)
-        cur.expect(")")
-        value = HyperCard(base, level, arg)
-    elif tok == "choose":
-        cur.expect("(")
-        value = Choose(_cardinal_expr(cur))
-        cur.expect(")")
-    else:
-        raise cur.unexpected(tok)
-    cur.depth -= 1
-    return value
-
-
 def parse_cardinal(text: str) -> CardinalExpr:
-    cur = _Cursor(text, CardinalParseError)
-    return cur.finish(_cardinal_expr(cur))
+    return _parse(text, CardinalParseError, CARDINAL)
 
 
 def format_cardinal(e: CardinalExpr) -> str:

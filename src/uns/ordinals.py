@@ -28,10 +28,10 @@ text, where an aleph index is a sum:
     power   := atom ('^' power)?          right associative
     atom    := 'w' | 'eps_0' | NATURAL | '(' sum ')'
 
-One tokenizer and one cursor serve both grammars, and the three levels
-are parsed by precedence climbing in a single loop, whose stack of
-waiting frames counts against MAX_DEPTH as the cardinal grammar's
-recursion does.
+One tokenizer and one loop, _parse, read both grammars, each given as
+data: in ORDINAL the three levels are the precedences of + * ^ and a
+parenthesis is a form, as the cardinal nodes are in cardinals.CARDINAL.
+One stack holds the waiting forms and operators of both.
 """
 
 from __future__ import annotations
@@ -320,7 +320,7 @@ def _pow_int(a: Ordinal, n: int) -> Ordinal:
     terms = k + (n - 1) * (k - 1) if a.is_successor else k
     if terms > TERM_BUDGET:
         raise OrdinalBudgetError(
-            f"power {_int_str(n)} of a {k}-term ordinal would have {_int_str(terms)} terms, "
+            f"power {_show(n)} of a {k}-term ordinal would have {_show(terms)} terms, "
             f"over the {TERM_BUDGET}-term budget"
         )
     result = ONE
@@ -479,120 +479,114 @@ _TOKEN = re.compile(rf"\s*({_ATOM})")
 _TOKENS = re.compile(rf"(?:\s*(?:{_ATOM}))*")
 
 
-class _Cursor:
-    """Tokens of one text, read front to back.  Every error it or a
-    grammar working on it raises is of the class the text's grammar
-    names, so an ordinal inside a cardinal fails as a cardinal."""
-
-    def __init__(self, text: str, error: type[ParseError]):
-        _refuse_long_numerals(text)
-        self.error = error
-        end = _TOKENS.match(text).end()
-        if text[end:].strip():
-            raise error(f"bad token at {text[end:]!r}")
-        self.tokens = _TOKEN.findall(text, 0, end)
-        self.pos = 0
-        self.depth = 0
-
-    def descend(self):
-        """Enter one more grammar frame, which leaves with depth -= 1, and
-        take its first token."""
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise self.error(f"input nested deeper than {MAX_DEPTH} parser levels")
-        return self.take()
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        # the cardinal grammar's read; the ordinal loop reads the list itself
-        self.pos += 1
-        return self.tokens[self.pos - 1] if self.pos <= len(self.tokens) else None
-
-    def unexpected(self, tok):
-        """The error for a token, or for the end (None), no rule allows."""
-        return self.error("unexpected end of expression" if tok is None else f"unexpected token {tok!r}")
-
-    def expect(self, wanted: str):
-        tok = self.take()
-        if tok != wanted:
-            found = "end of expression" if tok is None else repr(tok)
-            raise self.error(f"expected {wanted!r}, found {found}")
-
-    def finish(self, value):
-        if self.peek() is not None:
-            raise self.error(f"trailing tokens at {self.peek()!r}")
-        return value
+def _tokens(text: str, error: type[ParseError]) -> list[str]:
+    """The tokens of text, or error naming where the tokens stop."""
+    _refuse_long_numerals(text)
+    end = _TOKENS.match(text).end()
+    if text[end:].strip():
+        raise error(f"bad token at {text[end:]!r}")
+    return _TOKEN.findall(text, 0, end)
 
 
-# the operand tokens read without _read_int: w, eps_0 and the naturals below 16
-_OPERANDS = dict(zip(map(str, range(16)), _NATURALS), w=OMEGA, eps_0=EPSILON_0)
-
-# operator -> (precedence, operation, precedence of its right operand)
-_BINARY = {
-    "+": (1, ord_add, 2),
-    "*": (2, ord_mul, 3),
-    "^": (3, ord_pow, 3),  # right associative
-}
+def _expected(wanted: str, tok, error: type[ParseError]):
+    return error(f"expected {wanted!r}, found {'end of expression' if tok is None else repr(tok)}")
 
 
-def _ordinal_expr(cur: _Cursor):
-    """The value of the sum at the cursor, by precedence climbing in one
-    loop.  A frame parses one operand and the operators after it that
-    bind at least as tightly as its min_prec.  A frame that meets '(' or
-    an operator waits on a stack, with its min_prec, its left operand and
-    the operation (both None for '('), while a new frame parses what it
-    waits for.  So one frame counts per parenthesis level, two per w^(
-    level, and the operations run left to right as they complete."""
-    tokens, pos, end = cur.tokens, cur.pos, len(cur.tokens)
-    room = MAX_DEPTH - cur.depth  # the frames this expression may hold
-    binary_of = _BINARY.get
-    waiting = []
-    min_prec = 1
-    while True:  # a new frame: its operand
-        if len(waiting) >= room:
-            raise cur.error(f"input nested deeper than {MAX_DEPTH} parser levels")
-        tok = tokens[pos] if pos < end else None
+def _read_natural(tok: str, following, error: type[ParseError]):
+    """The ordinal operand that ORDINAL's dict does not name: a natural."""
+    if not tok.isdigit():
+        raise error(f"unexpected token {tok!r}")
+    return from_int(_read_int(tok))
+
+
+# A grammar of _parse is data: a dict of the values and forms its operand
+# tokens name, a reader for its other operand tokens (given the token, the
+# next one or None, and the error class), and its binary operators, each with
+# its precedence, its operation and the precedence of its right operand.
+# A form is a node read in parts: its builder, the literal token after its
+# head (or None), and for each operand its grammar and the literal token
+# after it (or None).  cardinals defines CARDINAL.
+ORDINAL = (
+    dict(zip(map(str, range(16)), _NATURALS), w=OMEGA, eps_0=EPSILON_0),
+    _read_natural,
+    {"+": (1, ord_add, 2), "*": (2, ord_mul, 3), "^": (3, ord_pow, 3)},  # ^ right associative
+)
+ORDINAL[0]["("] = (lambda x: x, None, ((ORDINAL, ")"),))
+
+
+def _parse(text: str, error: type[ParseError], grammar: tuple):
+    """The value of text in grammar, by Pratt's top down operator
+    precedence in one loop.  While an operand is read, the frames waiting
+    on it stand on one stack: a form's, with the min_prec and grammar
+    around it and its operands so far, or an operator's, with min_prec,
+    the left operand and the operation.  So a parenthesis or a cardinal
+    node is one frame, a w^( level two, and operations run left to right
+    as they complete.  Every error is of the class error."""
+    tokens = _tokens(text, error)
+    tokens.append(None)  # the end, which no rule reads past
+    operands, read, binary = grammar
+    stack = []
+    pos, min_prec = 0, 1
+    while True:  # an operand
+        if len(stack) >= MAX_DEPTH:
+            raise error(f"input nested deeper than {MAX_DEPTH} parser levels")
+        tok = tokens[pos]
         pos += 1
-        if tok == "(":
-            frame = (min_prec, None, None)
+        value = operands.get(tok)
+        if value is None:
+            if tok is None:
+                raise error("unexpected end of expression")
+            value = read(tok, tokens[pos], error)
+        if type(value) is tuple:  # a form: the literal after its head, then its first operand
+            wanted = value[1]
+            if wanted is not None:
+                if tokens[pos] != wanted:
+                    raise _expected(wanted, tokens[pos], error)
+                pos += 1
+            stack.append((min_prec, grammar, value, ()))
+            operands, read, binary = grammar = value[2][0][0]
             min_prec = 1
-        else:
-            value = _OPERANDS.get(tok)
-            if value is None:
-                if tok is None or not tok.isdigit():
-                    raise cur.unexpected(tok)
-                value = from_int(_read_int(tok))
-            while True:  # its operators, then the frames it completes
-                binary = binary_of(tokens[pos]) if pos < end else None
-                if binary is not None and binary[0] >= min_prec:
-                    if value is EPSILON_0:
-                        raise cur.error("eps_0 only stands alone")
-                    pos += 1
-                    frame = (min_prec, value, binary[1])
-                    min_prec = binary[2]
-                    break
-                if not waiting:
-                    cur.pos = pos
-                    return value
-                min_prec, left, op = waiting.pop()
-                if op is None:
-                    cur.pos = pos
-                    cur.expect(")")
-                    pos += 1
-                elif value is EPSILON_0:
-                    raise cur.error("eps_0 only stands alone")
-                else:
-                    value = op(left, value)
-        waiting.append(frame)
+            continue
+        while True:  # its operators, then the frames it completes
+            op = binary.get(tokens[pos])
+            if op is not None and op[0] >= min_prec:
+                if value is EPSILON_0:
+                    raise error("eps_0 only stands alone")
+                pos += 1
+                stack.append((min_prec, value, op[1], None))
+                min_prec = op[2]
+                break
+            if not stack:
+                if tokens[pos] is not None:
+                    raise error(f"trailing tokens at {tokens[pos]!r}")
+                return value
+            min_prec, held, step, args = stack.pop()
+            if args is None:  # an operator frame: held is the left operand, step the operation
+                if value is EPSILON_0:
+                    raise error("eps_0 only stands alone")
+                value = step(held, value)
+                continue
+            args += (value,)  # a form frame: held is the grammar around it, step the form
+            i = len(args)
+            parts = step[2]
+            wanted = parts[i - 1][1]
+            if wanted is not None:
+                if tokens[pos] != wanted:
+                    raise _expected(wanted, tokens[pos], error)
+                pos += 1
+            if i < len(parts):  # the form's next operand
+                stack.append((min_prec, held, step, args))
+                operands, read, binary = grammar = parts[i][0]
+                min_prec = 1
+                break
+            value = step[0](*args)
+            operands, read, binary = grammar = held
 
 
 def parse_ordinal(text: str) -> Ordinal | EpsilonZero:
-    cur = _Cursor(text, OrdinalParseError)
-    if cur.peek() is None:
+    if not text.strip():  # no token, as the tokenizer skips only whitespace
         raise OrdinalParseError("empty ordinal expression")
-    return cur.finish(_ordinal_expr(cur))
+    return _parse(text, OrdinalParseError, ORDINAL)
 
 
 def format_ordinal(a) -> str:

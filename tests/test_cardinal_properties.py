@@ -8,8 +8,12 @@ a).  The oracle normalizes the children left to right, then rewrites
 the root while a rule applies; finite values come from the budgeted
 integer operators, as the docstring says.  A small budget makes finite
 blow-ups common.
+
+The parser is checked against a recursive-descent reader of the same
+grammar, one method per rule, on texts of such trees.
 """
 
+import re
 from collections import Counter
 
 import pytest
@@ -19,18 +23,22 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from uns import hyperops  # noqa: E402
+from uns.bitseq import BudgetError, _refuse_long_numerals  # noqa: E402
 from uns.cardinals import (  # noqa: E402
     Aleph,
+    CardinalParseError,
     Choose,
     FiniteBudgetError,
     FiniteCard,
     HyperCard,
     NoRuleError,
     Pow2,
+    aleph,
     all_single_steps,
     normalize_with_trace,
+    parse_cardinal,
 )
-from uns.ordinals import Ordinal  # noqa: E402
+from uns.ordinals import EPSILON_0, OMEGA, Ordinal, from_int, ord_add, ord_mul, ord_pow  # noqa: E402
 
 BUDGET = 64
 Z = ()
@@ -188,3 +196,177 @@ def test_single_steps_are_oracle_rules_at_one_position(e):
     if isinstance(got, list):
         got = Counter(got)
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the text form
+
+
+class _Descent:
+    """Cardinal text by recursive descent, one method per rule of the
+    grammar and, for an aleph index, per level of the ordinal grammar,
+    with the parser's messages.  An ordinal operation runs once its right
+    operand is read, and eps_0 is refused as an operand, the left one as
+    soon as its operator is read.  The texts drawn below stay far from
+    the nesting limit, which this reader does not count."""
+
+    TOKEN = re.compile(r"\s*(aleph_\(|aleph_\d+|hyper|choose|eps_0|w|\d+|[\^(),+*])")
+
+    def __init__(self, text):
+        _refuse_long_numerals(text)
+        self.tokens, self.i = [], 0
+        pos = 0
+        while text[pos:].strip():
+            m = self.TOKEN.match(text, pos)
+            if m is None:
+                raise CardinalParseError(f"bad token at {text[pos:]!r}")
+            self.tokens.append(m[1])
+            pos = m.end()
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+    def unexpected(self, tok):
+        return CardinalParseError("unexpected end of expression" if tok is None else f"unexpected token {tok!r}")
+
+    def expect(self, wanted):
+        tok = self.take()
+        if tok != wanted:
+            found = "end of expression" if tok is None else repr(tok)
+            raise CardinalParseError(f"expected {wanted!r}, found {found}")
+
+    def parse(self):
+        value = self.cardinal()
+        if self.peek() is not None:
+            raise CardinalParseError(f"trailing tokens at {self.peek()!r}")
+        return value
+
+    def cardinal(self):
+        tok = self.take()
+        if tok is None:
+            raise self.unexpected(tok)
+        if tok.isdigit():
+            if self.peek() != "^":
+                return FiniteCard(int(tok))
+            if int(tok) != 2:
+                raise CardinalParseError("only 2^ denotes a powerset")
+            self.take()
+            return Pow2(self.cardinal())
+        if tok == "aleph_(":
+            index = self.sum()
+            self.expect(")")
+            if index is EPSILON_0:
+                raise CardinalParseError("aleph indices stay below eps_0")
+            return Aleph(index)
+        if tok.startswith("aleph_"):
+            return aleph(int(tok[len("aleph_") :]))
+        if tok == "hyper":
+            self.expect("(")
+            base = self.cardinal()
+            self.expect(",")
+            level = self.cardinal()
+            self.expect(",")
+            arg = self.cardinal()
+            self.expect(")")
+            return HyperCard(base, level, arg)
+        if tok == "choose":
+            self.expect("(")
+            operand = self.cardinal()
+            self.expect(")")
+            return Choose(operand)
+        raise self.unexpected(tok)
+
+    def operand(self, v):
+        if v is EPSILON_0:
+            raise CardinalParseError("eps_0 only stands alone")
+        return v
+
+    def binary(self, sign, op, part):
+        v = part()
+        while self.peek() == sign:
+            self.operand(v)
+            self.take()
+            v = op(v, self.operand(part()))
+        return v
+
+    def sum(self):
+        return self.binary("+", ord_add, lambda: self.binary("*", ord_mul, self.power))
+
+    def power(self):
+        v = self.atom()
+        if self.peek() != "^":
+            return v
+        self.operand(v)
+        self.take()
+        return ord_pow(v, self.operand(self.power()))
+
+    def atom(self):
+        tok = self.take()
+        if tok == "(":
+            v = self.sum()
+            self.expect(")")
+            return v
+        if tok == "w":
+            return OMEGA
+        if tok == "eps_0":
+            return EPSILON_0
+        if tok is not None and tok.isdigit():
+            return from_int(int(tok))
+        raise self.unexpected(tok)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except (CardinalParseError, BudgetError) as err:
+        return type(err), str(err)
+
+
+# texts of cardinal trees whose aleph indices are ordinal sums, spaced
+# variously; the same with a run of random tokens inserted anywhere; and
+# runs of random tokens alone, so that values, parse errors and budget
+# refusals (a finite power or a term count past its budget in an index)
+# all come up
+_INDICES = st.recursive(
+    st.sampled_from(["w", "w", "eps_0", "0", "1", "3", "12", "9^9^9", "(w+1)^2000"]),
+    lambda inner: st.tuples(inner, st.sampled_from(["+", "*", "^", " + ", " * "]), inner, st.booleans()).map(
+        lambda t: ("({}{}{})" if t[3] else "{}{}{}").format(*t[:3])
+    ),
+    max_leaves=5,
+)
+_COMMA = st.sampled_from([", ", ",", " , "])
+_CARDINAL_TEXTS = st.recursive(
+    st.one_of(
+        st.sampled_from(["0", "1", "2", "5", "aleph_0", "aleph_2", "aleph_12"]),
+        _INDICES.map("aleph_({})".format),
+    ),
+    lambda inner: st.one_of(
+        inner.map("2^{}".format),
+        inner.map("choose({})".format),
+        st.tuples(inner, _COMMA, inner, _COMMA, inner).map(lambda t: "hyper({}{}{}{}{})".format(*t)),
+    ),
+    max_leaves=6,
+)
+_TOKENS = st.lists(
+    st.sampled_from(
+        ["2", "3", "^", "aleph_0", "aleph_(", "hyper", "choose", "(", ")", ",", "w", "+", "eps_0", " ", "x"]
+    ),
+    max_size=8,
+).map("".join)
+_PARSE_TEXTS = st.one_of(
+    _CARDINAL_TEXTS,
+    st.tuples(_CARDINAL_TEXTS, _TOKENS, st.integers(0, 60)).map(lambda t: t[0][: t[2]] + t[1] + t[0][t[2] :]),
+    _TOKENS,
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_PARSE_TEXTS)
+def test_the_parser_agrees_with_recursive_descent(text):
+    got, want = _parsed(parse_cardinal, text), _parsed(lambda t: _Descent(t).parse(), text)
+    assert got is want if not isinstance(want, tuple) else got == want

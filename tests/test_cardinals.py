@@ -1,5 +1,6 @@
 import decimal
 import pickle
+import sys
 
 import pytest
 
@@ -35,7 +36,7 @@ from uns.cardinals import (
     unification_table,
 )
 from uns.bitseq import BudgetError
-from uns.ordinals import MAX_DEPTH, OMEGA, from_int, ord_add, ord_mul
+from uns.ordinals import MAX_DEPTH, OMEGA, from_int, ord_add, ord_mul, ord_pow, parse_ordinal
 from uns.streams import rational
 
 # ---------------------------------------------------------------------------
@@ -422,6 +423,29 @@ def test_compare_answers_stuck_nests_at_every_depth_the_parser_admits():
     assert compare(parse_cardinal(nest("aleph_0")), parse_cardinal(nest("aleph_1"))) is Comparison.LE
     with pytest.raises(CardinalParseError):
         parse_cardinal("hyper(aleph_0, 2, " + nest("aleph_0") + ")")
+
+
+def test_parsing_to_the_depth_limit_takes_no_interpreter_frame_per_level():
+    # the deepest nests of three forms, parsed 50 frames below the recursion
+    # limit: a parser that recursed once per level would overflow
+    k, j = MAX_DEPTH - 1, (MAX_DEPTH - 1) // 2
+    texts = ("2^" * k + "aleph_0", "hyper(2, 2, " * k + "aleph_0" + ")" * k)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        powers, hypers = map(parse_cardinal, texts)
+        tower = parse_ordinal("w^(" * j + "w" + ")" * j)
+    finally:
+        sys.setrecursionlimit(limit)
+    want = [ALEPH_0, ALEPH_0, OMEGA]
+    for _ in range(k):
+        want[:2] = Pow2(want[0]), HyperCard(FiniteCard(2), FiniteCard(2), want[1])
+    for _ in range(j):
+        want[2] = ord_pow(OMEGA, want[2])
+    assert [powers, hypers, tower] == want
 
 
 def test_compare_gives_up_honestly():

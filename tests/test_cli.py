@@ -425,8 +425,12 @@ def test_an_integer_argument_past_the_budget_is_refused_unread(capsys):
             "--digits <332193-bit integer>: 10^<332193-bit integer> exceeds the 1048576-bit budget",
         ),
         (["hyper", "2", "1", "3", "--budget", "9" * 100000], "--budget <332193-bit integer> exceeds the 1048576-bit ceiling"),
+        (
+            ["ord", "eval", "(w+1)^" + "9" * 100000],
+            "power <332193-bit integer> of a 2-term ordinal would have <332193-bit integer> terms, over the 1000-term budget",
+        ),
     ],
-    ids=["bits-n", "fund-n", "digits", "budget"],
+    ids=["bits-n", "fund-n", "digits", "budget", "ord-power"],
 )
 def test_a_long_integer_argument_is_refused_by_its_size(capsys, argv, quoted):
     # writing 100000 digits back into the message would take time quadratic in their number

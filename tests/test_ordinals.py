@@ -18,7 +18,7 @@ from uns.ordinals import (
     OrdinalBudgetError,
     OrdinalParseError,
     TERM_BUDGET,
-    _Cursor,
+    _tokens,
     cardinality_of,
     format_ordinal,
     from_int,
@@ -515,7 +515,7 @@ def test_tokenizer_matches_the_per_token_loop():
     for text in texts:
         for error in (OrdinalParseError, CardinalParseError):
             want = _outcome(_old_tokens, text, error)
-            got = _outcome(lambda t, e: _Cursor(t, e).tokens, text, error)
+            got = _outcome(_tokens, text, error)
             assert got == want, text
             bad += isinstance(want, tuple)
     assert 0 < bad < 2 * len(texts)  # both outcomes are exercised
