@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 stdout closed by its reader, 2 unparseable or
 too deeply nested input, 3 domain error, 4 budget exceeded.  --format
 structured emits one JSON object on stdout.
+
+The grammar is one table, _COMMANDS.  run reads a well-formed argv from
+it directly, and leaves any other (--help, usage errors) to build_parser's.
 """
 
 from __future__ import annotations
@@ -211,92 +214,134 @@ def _int_arg(text: str) -> int:
 _int_arg.__name__ = "int"  # argparse names it in "invalid int value: ..."
 
 
+# Each command path, () the top level, with its help text (the top level's
+# description), handler, and arguments as add_argument's name and keyword
+# arguments.  A path without a handler takes one of the paths below it, in
+# the dest _SUBCOMMAND names for its depth.
+_BUDGET = ("--budget", {"type": _int_arg, "default": bitseq.DEFAULT_BUDGET})
+_COMMANDS = {
+    (): ("two-way binary sequences, bit streams, explosive operators, ordinals and symbolic cardinals",
+         None, [("--format", {"choices": ("text", "structured"), "default": "text"})]),
+    ("convert",): ("re-render a two-way sequence", _cmd_convert, [
+        ("value", {}),
+        ("--to", {"choices": ("rational", "notation", "set", "decimal"), "default": "rational"}),
+        ("--digits", {"type": _int_arg, "default": 12}),
+    ]),
+    ("eval-left",): ("rational value of a left sequence", _cmd_eval_left, [("value", {})]),
+    ("complement",): ("bitwise complement (negation)", _cmd_complement, [("value", {})]),
+    ("flip",): ("mirror a sequence around the point", _cmd_complement, [
+        ("value", {}),
+        ("--raw", {"action": "store_true", "default": False, "help": "skip canonicalization"}),
+    ]),
+    ("bits",): ("exact expansion prefix of a stream", _cmd_bits,
+                [("stream", {}), ("-n", {"type": _int_arg, "default": 16})]),
+    ("interval",): ("interval pinned by an observation", _cmd_interval,
+                    [("observation", {"help": "e.g. '.110***'"})]),
+    ("hyper",): ("explosive operator m (x)^k n", _cmd_hyper,
+                 [(name, {"type": _int_arg}) for name in "mkn"] + [_BUDGET]),
+    ("ord",): ("ordinal arithmetic below eps_0", None, []),
+    ("ord", "eval"): ("Cantor normal form of an ordinal", _cmd_ord, [("expr", {})]),
+    ("ord", "cmp"): ("order two ordinals", _cmd_ord_cmp, [("a", {}), ("b", {})]),
+    ("ord", "fund"): ("n-th step of a limit's fundamental sequence", _cmd_ord,
+                      [("expr", {}), ("-n", {"type": _int_arg, "default": 3})]),
+    ("card",): ("symbolic cardinal rewriting", None, []),
+    ("card", "normalize"): ("rewrite a cardinal to its normal form", _cmd_card_normalize, [
+        ("expr", {}), ("--trace", {"action": "store_true", "default": False}), _BUDGET,
+    ]),
+    ("card", "cmp"): ("order two cardinals", _cmd_card_cmp, [("a", {}), ("b", {}), _BUDGET]),
+    ("card", "table"): ("the unification table of alephs", _cmd_card_table,
+                        [("--max", {"type": _int_arg, "default": 5, "help": "rows"})]),
+    ("diag",): ("diagonal stream over other streams", _cmd_bits,
+                [("stream", {"nargs": "*"}), ("-n", {"type": _int_arg, "default": 16})]),
+}
+_SUBCOMMAND = ("command", "action")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="uns",
-        description="two-way binary sequences, bit streams, explosive "
-        "operators, ordinals and symbolic cardinals",
-    )
-    top.add_argument(
-        "--format", choices=("text", "structured"), default="text"
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("convert", help="re-render a two-way sequence")
-    p.add_argument("value")
-    p.add_argument(
-        "--to",
-        choices=("rational", "notation", "set", "decimal"),
-        default="rational",
-    )
-    p.add_argument("--digits", type=_int_arg, default=12)
-    p.set_defaults(fn=_cmd_convert)
-
-    p = sub.add_parser("eval-left", help="rational value of a left sequence")
-    p.add_argument("value")
-    p.set_defaults(fn=_cmd_eval_left)
-
-    p = sub.add_parser("complement", help="bitwise complement (negation)")
-    p.add_argument("value")
-    p.set_defaults(fn=_cmd_complement)
-
-    p = sub.add_parser("flip", help="mirror a sequence around the point")
-    p.add_argument("value")
-    p.add_argument("--raw", action="store_true", help="skip canonicalization")
-    p.set_defaults(fn=_cmd_complement)
-
-    p = sub.add_parser("bits", help="exact expansion prefix of a stream")
-    p.add_argument("stream")
-    p.add_argument("-n", type=_int_arg, default=16)
-    p.set_defaults(fn=_cmd_bits)
-
-    p = sub.add_parser("interval", help="interval pinned by an observation")
-    p.add_argument("observation", help="e.g. '.110***'")
-    p.set_defaults(fn=_cmd_interval)
-
-    p = sub.add_parser("hyper", help="explosive operator m (x)^k n")
-    p.add_argument("m", type=_int_arg)
-    p.add_argument("k", type=_int_arg)
-    p.add_argument("n", type=_int_arg)
-    p.add_argument("--budget", type=_int_arg, default=bitseq.DEFAULT_BUDGET)
-    p.set_defaults(fn=_cmd_hyper)
-
-    p = sub.add_parser("ord", help="ordinal arithmetic below eps_0")
-    actions = p.add_subparsers(dest="action", required=True)
-    a = actions.add_parser("eval", help="Cantor normal form of an ordinal")
-    a.add_argument("expr")
-    a.set_defaults(fn=_cmd_ord)
-    a = actions.add_parser("cmp", help="order two ordinals")
-    a.add_argument("a")
-    a.add_argument("b")
-    a.set_defaults(fn=_cmd_ord_cmp)
-    a = actions.add_parser("fund", help="n-th step of a limit's fundamental sequence")
-    a.add_argument("expr")
-    a.add_argument("-n", type=_int_arg, default=3)
-    a.set_defaults(fn=_cmd_ord)
-
-    p = sub.add_parser("card", help="symbolic cardinal rewriting")
-    actions = p.add_subparsers(dest="action", required=True)
-    a = actions.add_parser("normalize", help="rewrite a cardinal to its normal form")
-    a.add_argument("expr")
-    a.add_argument("--trace", action="store_true")
-    a.add_argument("--budget", type=_int_arg, default=bitseq.DEFAULT_BUDGET)
-    a.set_defaults(fn=_cmd_card_normalize)
-    a = actions.add_parser("cmp", help="order two cardinals")
-    a.add_argument("a")
-    a.add_argument("b")
-    a.add_argument("--budget", type=_int_arg, default=bitseq.DEFAULT_BUDGET)
-    a.set_defaults(fn=_cmd_card_cmp)
-    a = actions.add_parser("table", help="the unification table of alephs")
-    a.add_argument("--max", type=_int_arg, default=5, help="rows")
-    a.set_defaults(fn=_cmd_card_table)
-
-    p = sub.add_parser("diag", help="diagonal stream over other streams")
-    p.add_argument("stream", nargs="*")
-    p.add_argument("-n", type=_int_arg, default=16)
-    p.set_defaults(fn=_cmd_bits)
-
+    """A new parser for the grammar of _COMMANDS."""
+    subparsers = {}
+    for path, (text, fn, arguments) in _COMMANDS.items():
+        if path:
+            p = subparsers[path[:-1]].add_parser(path[-1], help=text)
+        else:
+            p = top = argparse.ArgumentParser(prog="uns", description=text)
+        for name, kwargs in arguments:
+            p.add_argument(name, **kwargs)
+        if fn:
+            p.set_defaults(fn=fn)
+        else:
+            subparsers[path] = p.add_subparsers(dest=_SUBCOMMAND[len(path)], required=True)
     return top
+
+
+def _value(kwargs: dict, text: str):
+    """text converted by kwargs' type and checked against its choices; None
+    where argparse would refuse it or might take it for an option."""
+    if text.startswith("-"):
+        return None
+    try:
+        value = kwargs.get("type", str)(text)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return value if value in kwargs.get("choices", (value,)) else None
+
+
+def _level(text, fn, arguments):
+    """A _COMMANDS entry as _read_argv reads it: the handler, options by name
+    with dests, defaults by dest, operands, and whether nargs="*" takes them."""
+    options = {n: (n.lstrip("-").replace("-", "_"), kw) for n, kw in arguments if n.startswith("-")}
+    defaults = {dest: kw.get("default") for dest, kw in options.values()}
+    named = [(n, kw) for n, kw in arguments if not n.startswith("-")]
+    return fn, options, defaults, named, [kw.get("nargs") for _, kw in named] == ["*"]
+
+
+_LEVELS = {path: _level(*entry) for path, entry in _COMMANDS.items()}
+
+
+def _read_argv(argv):
+    """build_parser().parse_args(argv) for argv of exact command names and
+    option strings, each option once, and one unbroken run of operands per
+    level; else None, for argparse to read: an abbreviation, --to=set, -n5,
+    a value or operand starting with "-" (-h, --, -1), a repeated option,
+    an option between operands, a wrong count, a bad value, a non-str."""
+    if not isinstance(argv, (list, tuple)) or not all(type(token) is str for token in argv):
+        return None
+    found, path, tokens = {}, (), iter(argv)
+    while True:
+        fn, options, defaults, named, many = _LEVELS[path]
+        found.update(defaults)
+        operands, closed, unread = [], False, dict(options)
+        for token in tokens:
+            if token in unread:  # an option read once is not read again
+                closed = bool(operands)
+                dest, kwargs = unread.pop(token)
+                # "-" stands for a missing value, which _value refuses
+                value = kwargs.get("action") == "store_true" or _value(kwargs, next(tokens, "-"))
+                if value is None:
+                    return None
+                found[dest] = value
+            elif token.startswith("-") or closed:
+                return None
+            else:
+                operands.append(token)
+                if not fn:
+                    break
+        if fn:
+            break
+        if not operands or path + (operands[0],) not in _LEVELS:
+            return None
+        found[_SUBCOMMAND[len(path)]] = operands[0]
+        path += (operands[0],)
+    if many:
+        found[named[0][0]] = operands
+    elif len(operands) == len(named):
+        for (name, kwargs), text in zip(named, operands):
+            found[name] = value = _value(kwargs, text)
+            if value is None:
+                return None
+    else:
+        return None
+    return argparse.Namespace(**found, fn=fn)
 
 
 @functools.lru_cache(maxsize=1)
@@ -307,10 +352,12 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    try:
-        args = _shared_parser().parse_args(argv)
-    except SystemExit as stop:
-        return stop.code if stop.code else 0
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _shared_parser().parse_args(argv)
+        except SystemExit as stop:
+            return stop.code if stop.code else 0
     try:
         return args.fn(args)
     except bitseq.BudgetError as err:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import re
 import weakref
+from _weakref import _remove_dead_weakref
 from functools import lru_cache, total_ordering
 
 from . import hyperops
@@ -88,13 +89,21 @@ class _Ref(weakref.ref):
 
 
 def _forget(ref: _Ref):
-    if _TERMS.get(ref.key) is ref:
-        del _TERMS[ref.key]
+    _remove_dead_weakref(_TERMS, ref.key)
 
 
 def _intern(cls, fields: tuple):
     """The one term of class cls with these fields: found in the table,
-    or built, checked by its _check and recorded."""
+    or built, checked by its _check and recorded.
+
+    _check runs Python code, so another thread may build and record an
+    equal term meanwhile.  The term is recorded with dict.setdefault, and
+    a dead entry is removed with _remove_dead_weakref (the removal
+    weakref.WeakValueDictionary uses), which only removes an entry whose
+    term is dead.  Each is one atomic step under the GIL, because hashing
+    and comparing a key runs no Python code: a key holds classes, ints,
+    tuples of them and interned terms, whose hash and == are identity.  So
+    every thread gets the term recorded first, while it lives."""
     key = (cls, *fields)
     ref = _TERMS.get(key)
     if ref is not None:
@@ -105,8 +114,12 @@ def _intern(cls, fields: tuple):
     for name, value in zip(cls.__slots__, fields):
         object.__setattr__(term, name, value)
     term._check()
-    ref = _TERMS[key] = _Ref(term, _forget)
+    ref = _Ref(term, _forget)
     ref.key = key
+    while (first := _TERMS.setdefault(key, ref)) is not ref:
+        if (live := first()) is not None:
+            return live
+        _remove_dead_weakref(_TERMS, key)
     return term
 
 

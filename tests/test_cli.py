@@ -995,6 +995,42 @@ def test_run_builds_its_parser_at_most_once(monkeypatch, capsys):
     assert len(built) <= 1
 
 
+def test_well_formed_argv_builds_no_parser(monkeypatch, capsys):
+    """The well-formed argvs of test_reused_parser_keeps_no_state_between_calls
+    are read from the command table; the parser is built for the first argv
+    left to argparse."""
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._shared_parser.cache_clear()
+    well_formed = [
+        (["flip", "(1).", "--raw"], 0),
+        (["flip", "(1)."], 0),
+        (["card", "normalize", "choose(aleph_2)", "--trace"], 0),
+        (["card", "normalize", "choose(aleph_2)"], 0),
+        (["--format", "structured", "convert", "(0)10011.(10)"], 0),
+        (["convert", "(0)10011.(10)"], 0),
+        (["hyper", "2", "1", "70", "--budget", "64"], BUDGET_ERROR),
+        (["hyper", "2", "1", "70"], 0),
+        (["ord", "eval", "w"], 0),
+        (["bits", "2/3", "-n", "4"], 0),
+        (["bits", "2/3"], 0),
+        (["diag", "2/3", "-n", "4"], 0),
+        (["diag", "-n", "4"], 0),
+    ]
+    for argv, code in well_formed:
+        assert run(argv) == code, argv
+    assert built == []
+    assert run(["hyper", "2", "3"]) == PARSE_ERROR
+    capsys.readouterr()
+    assert len(built) == 1
+
+
 def test_build_parser_returns_a_new_parser_each_time():
     first, second = build_parser(), build_parser()
     assert first is not second

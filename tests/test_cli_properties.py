@@ -13,7 +13,9 @@ what stops them.  Hypothesis raises that limit while a test runs, so
 tests/test_cli.py checks the same forms under the interpreter's own.
 A share of the draws asks for long answers: pi/4 and square-root
 prefixes on both sides of the square-root kernel's crossover, and
-values whose decimals pass the interpreter's 4300-digit guard.
+values whose decimals pass the interpreter's 4300-digit guard.  The
+same draws check that the command table's argv reader, wherever it
+answers, answers as argparse does.
 """
 
 import io
@@ -26,8 +28,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from test_cli import NESTINGS  # noqa: E402
-from uns import streams  # noqa: E402
-from uns.cli import run  # noqa: E402
+from uns import cli, streams  # noqa: E402
+from uns.cli import build_parser, run  # noqa: E402
 
 COMMANDS = (
     "convert", "eval-left", "complement", "flip", "bits",
@@ -173,3 +175,91 @@ def test_any_argv_gets_a_promised_exit_code_and_no_traceback(argv):
     assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert "nested too deeply to evaluate" not in err.getvalue()
+
+
+PARSER = build_parser()
+
+
+def _parse(argv):
+    """What argparse makes of argv: a namespace, or None where it exits."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return PARSER.parse_args(argv)
+    except SystemExit:
+        return None
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(ARGV)
+def test_the_argv_reader_agrees_with_argparse(argv):
+    read = cli._read_argv(argv)
+    assert read is None or read == _parse(argv), argv
+
+
+BIG = "9" * 315654  # one digit past any value within the bit budget
+
+
+# argvs the reader declines, and run's answer to each, which argparse
+# gives: exit code, stdout and the end of stderr
+@pytest.mark.parametrize(
+    "argv, code, stdout, stderr",
+    [
+        (["bits", "1/3", "-n5"], 0, "01010\n", ""),
+        (["convert", "(0)10011.(10)", "--to=set"], 0, "-{4,1,0 : 1,3,5,7,...}+\n", ""),
+        (["--form", "structured", "bits", "1/3"], 0, '{"command": "bits", "bits": "0101010101010101"}\n', ""),
+        (["bits", "--", "1/3"], 0, "0101010101010101\n", ""),
+        (["hyper", "2", "-1", "3"], 3, "", "error: bad level -1\n"),
+        (["bits", "1/3", "-n", "-4"], 3, "", "error: bad prefix length -4\n"),
+        (["card", "cmp", "aleph_0", "--budget", "64", "aleph_1"], 0, "le\n", ""),
+        (["diag", "1/3", "-n", "5", "1/5"], 2, "", "uns: error: unrecognized arguments: 1/5\n"),
+        (["bits", "1/3", "-n", "3", "-n", "5"], 0, "01010\n", ""),
+        (["--format", "structured", "--format", "text", "ord", "eval", "w"], 0, "w\n", ""),
+        (["card", "normalize", "aleph_0", "--trace", "--trace"], 0, "aleph_0\n", ""),
+        (["bits", "-n", "4"], 2, "", "uns bits: error: the following arguments are required: stream\n"),
+        (
+            ["convert", "(0)10011.(10)", "--to", "hex"],
+            2,
+            "",
+            "uns convert: error: argument --to: invalid choice: 'hex' "
+            "(choose from 'rational', 'notation', 'set', 'decimal')\n",
+        ),
+        (["hyper", "2", "x", "3"], 2, "", "uns hyper: error: argument k: invalid int value: 'x'\n"),
+        (
+            ["bits", "1/3", "-n", BIG],
+            2,
+            "",
+            "usage: uns bits [-h] [-n N] stream\n"
+            "uns bits: error: argument -n: a 315654-digit numeral exceeds the 1048576-bit budget\n",
+        ),
+        (
+            ["hyper", "2", "3", BIG],
+            2,
+            "",
+            "uns hyper: error: argument n: a 315654-digit numeral exceeds the 1048576-bit budget\n",
+        ),
+    ],
+    ids=lambda value: " ".join(token[:12] for token in value) if isinstance(value, list) else "",
+)
+def test_argv_outside_the_plain_form_is_left_to_argparse(capsys, argv, code, stdout, stderr):
+    assert cli._read_argv(argv) is None
+    assert run(argv) == code
+    out = capsys.readouterr()
+    assert out.out == stdout and out.err.endswith(stderr)
+
+
+@pytest.mark.parametrize("path", list(cli._COMMANDS), ids=lambda path: " ".join(path) or "uns")
+def test_help_at_every_level_is_left_to_argparse(capsys, monkeypatch, path):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [*path, "-h"]
+    assert cli._read_argv(argv) is None
+    with pytest.raises(SystemExit) as stop:
+        build_parser().parse_args(argv)
+    assert stop.value.code == 0
+    help_text = capsys.readouterr().out
+    assert run(argv) == 0
+    assert capsys.readouterr() == (help_text, "")
+
+
+@pytest.mark.parametrize("argv", [["bits", 1], ["bits", "1/3", "-n", 5], ["bits", None], None])
+def test_argv_that_is_not_a_list_of_str_is_left_to_argparse(argv):
+    assert cli._read_argv(argv) is None

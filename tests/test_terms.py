@@ -5,6 +5,8 @@ check a constructor makes."""
 import copy
 import gc
 import pickle
+import sys
+import threading
 import weakref
 
 import pytest
@@ -171,6 +173,57 @@ def test_a_late_forget_leaves_the_live_entry_of_its_key_alone():
     ordinals._forget(stale)
     assert ordinals._TERMS[key] is live
     assert from_int(n) is again
+
+
+def test_a_dead_entry_found_when_recording_is_replaced():
+    """A term found dead when its value is recorded again (its _forget
+    not yet run) gives way to the new term."""
+    n = 10**12 + 11
+    key = (Ordinal, ((ZERO, n),))
+    first = from_int(n)
+    dead = ordinals._Ref(first)  # no callback: nothing removes it
+    dead.key = key
+    del first
+    gc.collect()
+    assert dead() is None and key not in ordinals._TERMS
+    ordinals._TERMS[key] = dead
+    again = from_int(n)
+    assert ordinals._TERMS[key] is not dead and ordinals._TERMS[key]() is again
+    assert from_int(n) is again
+
+
+def test_threads_building_equal_terms_get_one_object():
+    """Four threads parse the same ordinal texts at once, switching threads
+    as often as the interpreter allows.  Each text must give one object in
+    every thread: between a term's lookup and its record, _check runs
+    Python code, where another thread may record an equal term."""
+    workers, count = 4, 100
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(5):
+            # each exponent 10**6 + ... is new to the process, so every text is built here
+            texts = [
+                f"w^(w^{10**6 + trial * count + i}*4+{i % 7 + 1})*8 + w^{i % 9 + 2}*3 + w*{i + 2} + 1"
+                for i in range(count)
+            ]
+            results = [None] * workers
+            start = threading.Barrier(workers, timeout=30)
+
+            def parse_all(k):
+                start.wait()
+                results[k] = [parse_ordinal(text) for text in texts]
+
+            threads = [threading.Thread(target=parse_all, args=(k,)) for k in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            doubled = [text for i, text in enumerate(texts) if len({id(r[i]) for r in results}) > 1]
+            assert not doubled, f"trial {trial}: {len(doubled)} texts gave two objects, first {doubled[0]}"
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_the_naturals_below_16_stay_in_the_table():
