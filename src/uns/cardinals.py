@@ -25,8 +25,14 @@ records: equal expressions are one object, so == and hash are identity
 and O(1), and aleph indices go through the ordinals' memoized arithmetic
 (1024 entries per operation).  all_single_steps keeps the steps of each
 term under each budget in the same memo, so the states of an exploration,
-which share most of their subterms, pay once for each.  No rule deepens
-a term, so the parser's depth limit bounds the recursive walks below.
+which share most of their subterms, pay once for each; normalize reads a
+node's step there once its kids are normal alephs, so the memo keeps the
+intermediate terms of a chain alive and the next call finds them rather
+than building them again.  A step with a finite kid is computed and not
+recorded, as that kid and the value the finite rule makes of it may be
+of any size.  A term keeps its text from its first print
+(ordinals._kept).  No rule deepens a term, so the parser's depth limit
+bounds the recursive walks below.
 
 Text forms: "aleph_0", "aleph_(w+1)", "2^aleph_3", "hyper(3, 2,
 aleph_0)", "choose(aleph_2)".  An aleph index is a sum of the ordinal
@@ -49,6 +55,7 @@ from .ordinals import (
     Ordinal,
     ORDINAL,
     _intern,
+    _kept,
     _memo,
     _parse,
     _Term,
@@ -315,20 +322,41 @@ def normalize_with_trace(
     applications in order.  Raises NoRuleError on a stuck expression and
     FiniteBudgetError when a finite value cannot be materialized."""
     trace: list[RewriteStep] = []
+    return _walk(e, budget, trace), tuple(trace)
 
-    def walk(x: CardinalExpr) -> CardinalExpr:
-        if type(x) not in _RULES:
-            return x
-        x = type(x)(*map(walk, x._fields))
-        while (step := _root_step(x, budget)) is not None:
-            rule, after = step
-            trace.append(RewriteStep(rule, x, after))
-            x = after
-        if type(x) in _RULES:
-            raise NoRuleError(x)
+
+def _walk(x: CardinalExpr, budget: int, trace: list) -> CardinalExpr:
+    """x normalized, its kids first, with its rule applications appended
+    to trace.  A module function, as a closure that calls itself holds
+    itself, and each call would leave its frames and trace to the cyclic
+    collector.  The loop, unlike a comprehension, adds no frame per level,
+    and unlike map it calls _walk from Python, not from C, which costs a
+    fraction of entering the interpreter afresh at every level."""
+    if type(x) not in _RULES:
         return x
-
-    return walk(e), tuple(trace)
+    kids = []
+    for kid in x._fields:
+        kids.append(_walk(kid, budget, trace))
+    x = type(x)(*kids)
+    while type(x) in _RULES:
+        if FiniteCard in map(type, x._fields):
+            # computed, not recorded: a finite kid, and the value the finite
+            # rule makes of it, may be of any size, and the memo counts
+            # entries, not bits
+            step = _root_step(x, budget)
+        else:
+            # x's kids are alephs, so its steps in the memo of _single_steps
+            # are at most one, at the root; the memo's entries keep the
+            # terms of a chain alive for the next call, which finds them
+            # instead of rebuilding them
+            steps = _single_steps(x, budget)
+            step = steps[0] if steps else None
+        if step is None:
+            raise NoRuleError(x)
+        rule, after = step
+        trace.append(RewriteStep(rule, x, after))
+        x = after
+    return x
 
 
 def normalize(e: CardinalExpr, budget: int = DEFAULT_BUDGET) -> CardinalExpr:
@@ -368,6 +396,8 @@ def _single_steps(e: CardinalExpr, budget: int) -> tuple:
             if _nested == _NESTED_MAX:
                 _fill(kids, budget)
             for i, kid in enumerate(kids):
+                if type(kid) not in _RULES:
+                    continue  # a leaf has no step, and needs no entry
                 for rule, new_kid in _single_steps(kid, budget):
                     out.append((rule, type(e)(*kids[:i], new_kid, *kids[i + 1 :])))
         finally:
@@ -556,13 +586,18 @@ def parse_cardinal(text: str) -> CardinalExpr:
 
 
 def format_cardinal(e: CardinalExpr) -> str:
-    if type(e) is FiniteCard:
-        return _int_str(e.value)
-    if type(e) is Aleph:
-        if e.index.is_finite:
-            return f"aleph_{_int_str(e.index.to_int())}"
-        return f"aleph_({e.index})"
-    entry = _RULES.get(type(e))
-    if entry is None:
+    if type(e) not in _CARDINALS:
         raise TypeError(f"not a cardinal expression: {e!r}")
-    return entry[0] % tuple(map(format_cardinal, e._fields))
+    text = getattr(e, "_text", None)
+    if text is not None:
+        return text
+    if type(e) is FiniteCard:
+        text = _int_str(e.value)
+    elif type(e) is Aleph:
+        if e.index.is_finite:
+            text = f"aleph_{_int_str(e.index.to_int())}"
+        else:
+            text = f"aleph_({e.index})"
+    else:
+        text = _RULES[type(e)][0] % tuple(map(format_cardinal, e._fields))
+    return _kept(e, text)

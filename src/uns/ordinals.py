@@ -11,11 +11,14 @@ Terms are hash-consed: every Ordinal, EPSILON_0 and every cardinal node
 is a _Term, the bitseq.Record made once per distinct value and kept in
 a weak-valued table, so equality is identity, hashing is O(1), and the
 check that exponents strictly decrease runs once per value; the
-naturals below 16 are built at import and stay alive.  Walks over
+naturals below 16 are built at import and stay alive.  A term keeps its
+text from its first print, unless that is longer than _TEXT_KEPT
+characters, as a finite value of many digits is.  Walks over
 exponents run in loops, so towers of any height work.  ord_add,
 ord_mul, ord_pow and ord_cmp share one memo policy, _memo, least
 recently used with 1024 entries per operation; cardinals memoizes the
-rewrite steps of a term with it too.  Finite powers pass the hyperops
+rewrite steps of a term with it too, which normalize and
+all_single_steps both read.  Finite powers pass the hyperops
 size gate and are refused with OrdinalBudgetError past the default bit
 budget; so is an infinite base raised to a finite power whose normal
 form would have more than TERM_BUDGET terms.
@@ -127,9 +130,11 @@ class _Term(Record):
     """A Record built once per distinct value by _intern, so == and hash
     are object identity, O(1) on any tree.  A subclass that takes other
     than exactly its fields, or must check their types before the
-    lookup, defines __new__ itself."""
+    lookup, defines __new__ itself.  _text is not a field: unset when the
+    term is built, it keeps the term's text from its first print on (see
+    _kept)."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_text")
     _interned = True
 
     def __new__(cls, *fields):
@@ -199,6 +204,19 @@ class Ordinal(_Term):
 
     def __repr__(self) -> str:
         return f"Ordinal<{format_ordinal(self)}>"
+
+
+# the longest text a term keeps: a finite value of more digits is printed
+# again each time rather than held as long as the term lives
+_TEXT_KEPT = 4096
+_keep_text = _Term._text.__set__  # the slot's own setter, past Record's refusal
+
+
+def _kept(term: _Term, text: str) -> str:
+    """text, which is term's, kept on term if it is short enough."""
+    if len(text) <= _TEXT_KEPT:
+        _keep_text(term, text)
+    return text
 
 
 def _cnf(terms: tuple) -> Ordinal:
@@ -608,6 +626,9 @@ def format_ordinal(a) -> str:
     a = _coerce(a)
     if a.is_zero:
         return "0"
+    text = getattr(a, "_text", None)
+    if text is not None:
+        return text
     out = []
     pending = [a.terms]  # text, and runs of terms, still to write, the next one last
     while pending:
@@ -635,4 +656,4 @@ def format_ordinal(a) -> str:
                     pending += (x[i + 1 :], " + ")
                 pending += (")" + times, e.terms)
                 break
-    return "".join(out)
+    return _kept(a, "".join(out))

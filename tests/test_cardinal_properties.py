@@ -13,6 +13,7 @@ The parser is checked against a recursive-descent reader of the same
 grammar, one method per rule, on texts of such trees.
 """
 
+import gc
 import re
 from collections import Counter
 
@@ -21,8 +22,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule  # noqa: E402
 
-from uns import hyperops  # noqa: E402
+from uns import cardinals, hyperops, ordinals  # noqa: E402
 from uns.bitseq import BudgetError, _refuse_long_numerals  # noqa: E402
 from uns.cardinals import (  # noqa: E402
     Aleph,
@@ -35,6 +37,7 @@ from uns.cardinals import (  # noqa: E402
     Pow2,
     aleph,
     all_single_steps,
+    format_cardinal,
     normalize_with_trace,
     parse_cardinal,
 )
@@ -169,21 +172,32 @@ def trees(depth):
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
-@SETTINGS
-@given(trees(4))
-def test_normalize_matches_the_oracle(e):
+def oracle_answer(e):
+    """The oracle's normal form of e, as a tree, and its trace in terms; or
+    the library's class of what it raised."""
+
     def oracle():
         trace = []
         return oracle_normalize(e, trace), [(r, lift(b), lift(a)) for r, b, a in trace]
 
+    return outcome(oracle)
+
+
+def library_answer(term):
     def library():
-        nf, trace = normalize_with_trace(lift(e), BUDGET)
+        nf, trace = normalize_with_trace(term, BUDGET)
         return nf, [(s.rule, s.before, s.after) for s in trace]
 
-    want = outcome(oracle)
+    return outcome(library)
+
+
+@SETTINGS
+@given(trees(4))
+def test_normalize_matches_the_oracle(e):
+    want = oracle_answer(e)
     if isinstance(want, tuple):
         want = (lift(want[0]), want[1])
-    assert outcome(library) == want
+    assert library_answer(lift(e)) == want
 
 
 @SETTINGS
@@ -196,6 +210,131 @@ def test_single_steps_are_oracle_rules_at_one_position(e):
     if isinstance(got, list):
         got = Counter(got)
     assert got == want
+
+
+def ordinal_text(a):
+    """The printed form of a CNF tuple, written from the ordinal grammar:
+    terms joined by " + ", w^1 as w, and a parenthesis only around an
+    exponent that is neither a natural nor w."""
+    if not a:
+        return "0"
+    out = []
+    for e, c in a:
+        times = f"*{c}" if c > 1 else ""
+        if not e:
+            out.append(str(c))
+        elif e == W:
+            out.append("w" + times)
+        elif len(e) == 1 and e[0][0] == Z:
+            out.append(f"w^{e[0][1]}{times}")
+        elif e == ((W, 1),):
+            out.append("w^w" + times)
+        else:
+            out.append(f"w^({ordinal_text(e)}){times}")
+    return " + ".join(out)
+
+
+def cardinal_text(e):
+    """The printed form of a tree, from the cardinal grammar."""
+    tag = e[0]
+    if tag == "fin":
+        return str(e[1])
+    if tag == "aleph":
+        a = e[1]
+        if not a or (len(a) == 1 and a[0][0] == Z):
+            return f"aleph_{a[0][1] if a else 0}"
+        return f"aleph_({ordinal_text(a)})"
+    return {"pow2": "2^{}", "choose": "choose({})", "hyper": "hyper({}, {}, {})"}[tag].format(*map(cardinal_text, e[1:]))
+
+
+# the rules below draw their trees inside, as the state machine writes
+# the repr of a rule's arguments, and that of trees(4) runs to hundreds of kB
+TREES = trees(4)
+
+
+class KeptState(RuleBasedStateMachine):
+    """The state that outlives a call: the intern table, the step memo of
+    _single_steps and the text each printed term keeps.  The rules build,
+    normalize, explore and print trees, clear the memo, and drop every
+    reference the machine holds before a collection, so calls meet the
+    memo cold, warm and just cleared.  After every rule, each answer the
+    machine has checked is still the oracle's, each tree it holds is
+    still the one object it was, and each kept text is a fresh print's."""
+
+    def __init__(self):
+        super().__init__()
+        self.held = {}  # tree or CNF tuple -> the term built for it
+        self.answers = {}  # tree -> the oracle's answer
+
+    def hold(self, e):
+        """The term of tree e, held with those of its subtrees and indices."""
+        term = self.held[e] = lift(e)
+        if e[0] == "aleph":
+            self.held[e[1]] = term.index
+        elif e[0] != "fin":
+            for kid in e[1:]:
+                self.hold(kid)
+        return term
+
+    def term_answer(self, e):
+        want = self.answers[e]
+        return (self.held[want[0]], want[1]) if isinstance(want, tuple) else want
+
+    @rule(data=st.data())
+    def normalize(self, data):
+        e = data.draw(TREES)
+        want = self.answers[e] = oracle_answer(e)
+        if isinstance(want, tuple):
+            self.hold(want[0])
+        assert library_answer(self.hold(e)) == self.term_answer(e)
+
+    @rule(data=st.data())
+    def explore(self, data):
+        e = data.draw(TREES)
+        want = outcome(oracle_steps, e)
+        got = outcome(all_single_steps, self.hold(e), BUDGET)
+        if isinstance(want, list):
+            want = Counter((rule, self.hold(x)) for rule, x in want)
+            got = Counter(got)
+        assert got == want
+
+    @rule(data=st.data())
+    def show(self, data):
+        e = data.draw(TREES)
+        term = self.hold(e)
+        shown = format_cardinal(term)
+        assert shown == cardinal_text(e)
+        assert format_cardinal(term) is shown is term._text
+
+    @rule()
+    def clear_memo(self):
+        cardinals._single_steps.cache_clear()
+
+    @rule()
+    def drop(self):
+        self.held.clear()
+        self.answers.clear()
+        gc.collect()
+        assert all(ref() is not None for ref in ordinals._TERMS.values())
+
+    @invariant()
+    def kept_state_agrees(self):
+        for e in self.answers:
+            assert library_answer(lift(e)) == self.term_answer(e)
+        for e, term in self.held.items():
+            if e and isinstance(e[0], str):
+                assert lift(e) is term
+                shown = cardinal_text(e)
+            else:
+                assert lift_ordinal(e) is term
+                shown = ordinal_text(e)
+            assert getattr(term, "_text", shown) == shown
+
+
+KeptState.TestCase.settings = settings(
+    max_examples=25, stateful_step_count=12, deadline=None, derandomize=True, database=None
+)
+TestKeptState = KeptState.TestCase
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import decimal
+import gc
 import pickle
 import sys
+import tracemalloc
 
 import pytest
 
@@ -36,6 +38,7 @@ from uns.cardinals import (
     unification_table,
 )
 from uns.bitseq import BudgetError
+from uns.cli import run
 from uns.ordinals import MAX_DEPTH, OMEGA, from_int, ord_add, ord_mul, ord_pow, parse_ordinal
 from uns.streams import rational
 
@@ -158,6 +161,54 @@ def test_trace_records_each_local_rewrite():
     assert steps[1].before == Choose(aleph(2))
     assert steps[1].after == Pow2(aleph(2))
     assert steps[-1].after == out
+
+
+def test_rewriting_leaves_no_cyclic_garbage(capsys):
+    """A call's trace, terms and frames are freed as it returns, with the
+    step memo cold or warm, and none waits in a reference cycle for the
+    collector."""
+    d = 270
+    text = "choose(" * (d // 2) + "2^" * (d - d // 2) + "aleph_0" + ")" * (d // 2)
+    stuck = "choose(" * 10 + "hyper(aleph_0, 2, aleph_0)" + ")" * 10
+    calls = {
+        "normalize_with_trace": lambda: normalize_with_trace(c(text)),
+        "compare": lambda: compare(c(text), c(text)),
+        "compare stuck": lambda: compare(c(stuck), c("2^" + stuck)),
+        "run": lambda: run(["--format", "structured", "card", "normalize", "--trace", text]),
+    }
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            for memo in ("cold", "warm"):
+                if memo == "cold":
+                    cardinals._single_steps.cache_clear()
+                gc.collect()
+                call()
+                assert gc.collect() == 0, f"{name}, {memo} memo"
+    finally:
+        gc.enable()
+    assert f'"after": "aleph_{d}"' in capsys.readouterr().out
+
+
+def test_normalizing_large_finite_values_keeps_none_of_them():
+    """The step memo counts entries, not bits, so normalize records no step
+    with a finite kid: neither the values the finite rule makes nor the
+    large operands of a collapse or a stuck node outlive their call."""
+    big = 1 << 19
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(big, big - 64, -1):
+            assert normalize(Pow2(FiniteCard(n))) == FiniteCard(1 << n)
+            assert normalize(HyperCard(FiniteCard(1 << n), FiniteCard(1), ALEPH_0)) is aleph(1)
+            with pytest.raises(NoRuleError):
+                normalize(Choose(FiniteCard(1 << n)))
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20  # 64 values of 2^19 bits are 4 MB
 
 
 def test_aleph_indices_can_be_infinite_ordinals():

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from uns import bitseq, cli, streams
+from uns.cardinals import FiniteCard
 from uns.cli import BUDGET_ERROR, DOMAIN_ERROR, PARSE_ERROR, build_parser, run
-from uns.ordinals import MAX_DEPTH
+from uns.ordinals import MAX_DEPTH, from_int
 
 
 def text_of(capsys, argv, code=0):
@@ -313,19 +314,25 @@ def test_hyper_budget_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, value",
+    "argv, value, term",
     [
-        (["hyper", "2", "1", "20000"], 2**20000),
-        (["card", "normalize", "2^20000"], 2**20000),
-        (["ord", "eval", "9^9^5"], 9 ** 9**5),
-        (["--format", "structured", "hyper", "2", "1", "20000"], 2**20000),
-        (["hyper", "2", "0", "9" * 5000], 2 * (10**5000 - 1)),
+        (["hyper", "2", "1", "20000"], 2**20000, None),
+        (["card", "normalize", "2^20000"], 2**20000, FiniteCard),
+        (["ord", "eval", "9^9^5"], 9 ** 9**5, from_int),
+        (["ord", "eval", "9" * 5000], 10**5000 - 1, from_int),
+        (["--format", "structured", "hyper", "2", "1", "20000"], 2**20000, None),
+        (["hyper", "2", "0", "9" * 5000], 2 * (10**5000 - 1), None),
     ],
-    ids=["hyper", "card", "ord", "structured", "hyper-argument"],
+    ids=["hyper", "card", "ord", "ord-numeral", "structured", "hyper-argument"],
 )
-def test_exact_integers_print_in_full(capsys, argv, value):
+def test_exact_integers_print_in_full(capsys, argv, value, term):
+    # the answer's term, held so that both runs print this one object: a
+    # text past 4096 characters is printed each time, never kept on it
+    held = term and term(value)
     guard = sys.get_int_max_str_digits()
     out = text_of(capsys, argv)
+    assert text_of(capsys, argv) == out
+    assert not hasattr(held, "_text")
     assert sys.get_int_max_str_digits() == guard  # run restores the interpreter's guard
     if argv[0] == "--format":
         out = json.loads(out)["value"]

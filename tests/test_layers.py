@@ -3,8 +3,9 @@ modules below it, so a lower layer never depends on an upper one.  The
 package's __init__ sits above the stack and re-exports all of it.  Every
 package import sits at module level, where the order is visible; none
 hides in a function body.  Every cache has a literal bound, every
-private helper is used, no float is written, made or divided out, and
-no module switches the interpreter's limit on integer text.
+private helper is used, no float is written, made or divided out, no
+module switches the interpreter's limit on integer text, and no nested
+function refers to itself.
 Start-up loads no module the package does not use: no dataclasses, and
 so no inspect."""
 
@@ -144,6 +145,48 @@ def test_no_dead_helpers():
 )
 def test_the_dead_helper_check_finds_unreferenced_helpers(sources, dead):
     assert _dead_helpers([ast.parse(s) for s in sources]) == dead
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _self_referencing_closures(tree):
+    """Lines of functions, nested in another, that refer to their own name.
+    Such a closure holds the cell that holds it, so every call of the
+    function around it leaves a reference cycle, and with it the call's
+    frames and locals, for the cyclic collector to find."""
+    nested = {
+        node
+        for outer in ast.walk(tree)
+        if isinstance(outer, _FUNCTIONS)
+        for stmt in outer.body
+        for node in ast.walk(stmt)
+        if isinstance(node, _FUNCTIONS)
+    }
+    for fn in sorted(nested, key=lambda fn: fn.lineno):
+        if any(isinstance(n, ast.Name) and n.id == fn.name for n in ast.walk(fn)):
+            yield f"line {fn.lineno}: {fn.name} refers to itself"
+
+
+@pytest.mark.parametrize("path", [*MODULES, Path(uns.__file__)], ids=lambda p: p.stem)
+def test_no_closure_refers_to_itself(path):
+    problems = list(_self_referencing_closures(ast.parse(path.read_text(encoding="utf-8"))))
+    assert not problems, f"{path.stem}: {problems}"
+
+
+@pytest.mark.parametrize(
+    "source, clean",
+    [
+        ("def f(n):\n    return f(n - 1) if n else 0", True),
+        ("def f():\n    def g(n):\n        return n\n    return g(g(1))", True),
+        ("class C:\n    def m(self):\n        return self.m()", True),
+        ("def f():\n    def g(n):\n        return g(n - 1)\n    return g(3)", False),
+        ("def f():\n    async def g():\n        await g()\n    return g", False),
+        ("def f():\n    def g():\n        def h():\n            return h\n        return h\n    return g", False),
+    ],
+)
+def test_the_closure_check_finds_nested_functions_naming_themselves(source, clean):
+    assert (not list(_self_referencing_closures(ast.parse(source)))) == clean
 
 
 def _float_uses(tree):

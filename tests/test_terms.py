@@ -21,6 +21,7 @@ from uns.cardinals import (
     HyperCard,
     Pow2,
     aleph,
+    format_cardinal,
     normalize,
     parse_cardinal,
 )
@@ -31,6 +32,7 @@ from uns.ordinals import (
     ZERO,
     EpsilonZero,
     Ordinal,
+    format_ordinal,
     from_int,
     omega_power,
     ord_add,
@@ -134,6 +136,23 @@ def test_constructors_keep_their_positional_form():
     with pytest.raises(TypeError):
         HyperCard(ALEPH_0)
     assert repr(Pow2(FiniteCard(1))) == "Pow2(operand=FiniteCard(value=1))"
+
+
+def test_a_term_keeps_its_short_text_from_its_first_print():
+    """Printing fills _text, which is no field and cannot be assigned, and a
+    second print reads it; kids and aleph indices keep theirs as well."""
+    index = parse_ordinal("w^(w + 1)*3 + w^7*2 + 123457")
+    term = Choose(Pow2(Aleph(index)))
+    assert not any(hasattr(x, "_text") for x in (term, term.operand, index))
+    text = format_cardinal(term)
+    assert text == "choose(2^aleph_(w^(w + 1)*3 + w^7*2 + 123457))"
+    assert format_cardinal(term) is text is term._text
+    assert term.operand._text == text[len("choose(") : -1]
+    assert format_ordinal(index) is index._text == str(index) == text[len("choose(2^aleph_(") : -2]
+    assert term._fields == (term.operand,) and term.__reduce__() == (Choose, (term.operand,))
+    with pytest.raises(AttributeError):
+        setattr(term, "_text", "aleph_0")
+    assert format_cardinal(term) is text
 
 
 def test_intern_table_drops_dead_terms():
