@@ -38,9 +38,12 @@ _sqrt_ratio runs Newton's iteration z' = z + z (1 - m z^2) / 2 for
 1/sqrt(m), m = ab, with no division: each step doubles the precision
 and squares only the bits already correct, and a/sqrt(m) is the root
 (Brent and Zimmermann, Modern Computer Arithmetic, 2010, section 1.5).
-An exact fix-up against (a << 2n) // b then steps the result down while
-its square exceeds that integer and up while the next square does not,
-so the answer never rests on an error bound.
+The last step's exact residual bounds its error, as |t_N| bounds pi's
+tail: Newton's result and that result plus the bound enclose the root,
+and where they agree on the first n bits, those bits are the floor.
+Only where they do not, mostly where the root is a dyadic rational whose
+bits all lie within the first n, does an exact fix-up square the result,
+compare it with (a << 2n) // b and step it to the floor.
 
 A rational p/q is read off one division, without its period: the first
 n bits are (p * 2^n - 1) // q (bitseq.fraction_prefix).
@@ -120,10 +123,11 @@ class SqrtStream(Record):
         p, q = self.numerator, self.denominator
         if q <= 0 or not 0 < p < q:
             raise StreamError(f"sqrt({_int_str(p)}/{_int_str(q)}) is not strictly between 0 and 1")
-        if gcd(p, q) != 1:
-            raise StreamError(f"{_int_str(p)}/{_int_str(q)} is not reduced")
-        if isqrt(p) ** 2 == p and isqrt(q) ** 2 == q:
+        g = gcd(p, q)
+        if isqrt(p // g) ** 2 == p // g and isqrt(q // g) ** 2 == q // g:
             raise StreamError(f"sqrt({_int_str(p)}/{_int_str(q)}) is rational; use a rational stream")
+        if g != 1:
+            raise StreamError(f"{_int_str(p)}/{_int_str(q)} is not reduced")
 
     def prefix_bits(self, n: int) -> int:
         return _sqrt_ratio(self.numerator, self.denominator, n)
@@ -174,13 +178,18 @@ StreamDescriptor = Union[
 PI_OVER_4 = PiOver4Stream()
 
 
-def _lowest_terms(p: int, q: int) -> tuple[int, int]:
-    g = gcd(p, q) if 0 < p < q else 1  # out of range: the check names p/q as typed
-    return p // g, q // g
+def _lowest_terms(kind: type, p: int, q: int) -> StreamDescriptor:
+    """kind(p, q) in lowest terms.  A pair refused there is refused by the
+    name it was typed with: out of range, or a root that is rational."""
+    g = gcd(p, q) or 1
+    try:
+        return kind(p // g, q // g)
+    except StreamError:
+        return kind(p, q)  # raises too, naming p/q: the range and the root's rationality do not change with g
 
 
 def rational(p: int, q: int) -> RationalStream:
-    return RationalStream(*_lowest_terms(p, q))
+    return _lowest_terms(RationalStream, p, q)
 
 
 def parse_stream(text: str) -> StreamDescriptor:
@@ -191,7 +200,7 @@ def parse_stream(text: str) -> StreamDescriptor:
         return PI_OVER_4
     m = re.fullmatch(r"(sqrt\()?(\d+)/(\d+)(?(1)\))", text)  # p/q or sqrt(p/q)
     if m:
-        return (SqrtStream if m[1] else RationalStream)(*_lowest_terms(_read_int(m[2]), _read_int(m[3])))
+        return _lowest_terms(SqrtStream if m[1] else RationalStream, _read_int(m[2]), _read_int(m[3]))
     if text in _ALGORITHMS:
         return CustomStream(text)
     raise StarStringError(f"unknown stream {text!r}; use p/q, pi/4 or sqrt(p/q)")
@@ -253,26 +262,55 @@ def _sqrt_ratio(a: int, b: int, n: int) -> int:
     """floor(sqrt(a/b) 2^n) = isqrt((a << 2n) // b) for a, b >= 1.  Past the
     crossover, Newton's z' = z + z (1 - m z^2) / 2 for 1/sqrt(m), m = ab,
     runs at doubling precision from a 64-bit isqrt seed, squaring only the
-    bits already correct; sqrt(a/b) is a/sqrt(m).  An exact fix-up against
-    (a << 2n) // b then moves the root to the floor, whatever Newton's error."""
+    bits already correct; sqrt(a/b) is a/sqrt(m).
+
+    The last step bounds its own error (Brent and Zimmermann, 2010, section
+    3.5).  It takes z ~ 2^s / sqrt(m) to t bits through the exact residual
+    res = 2^(2s) - m z^2.  For u = z / 2^s > 0 and eps = res / 2^(2s),
+    m u^2 = 1 - eps, so 1/sqrt(m) = u (1 - eps)^(-1/2).  For |eps| < 1/2,
+    0 <= (1 - eps)^(-1/2) - 1 - eps/2 <= (3/4) eps^2: below 0 the function
+    is convex with value and slope 0 at 0 and second derivative at most
+    3/4, and above 0 its binomial series has positive coefficients falling
+    from 3/8, so the tail is at most (3/8) eps^2 / (1 - eps).  The step
+    floors u (1 + eps/2) 2^t to z', and (3/4) u eps^2 2^t = (3/4) z res^2
+    2^(t - 5s) < 2^e for e = max(0, bitlen(z) + 2 bitlen(res) + t - 5s).  So
+    for Y = a z', Y <= sqrt(a/b) 2^t < Y + a (2^e + 1), and where both ends
+    shifted right by t - n agree, that is the floor, and no square is
+    taken.  32 guard bits past Newton's error make that the usual case.
+    Otherwise (no step ran, |eps| >= 1/2, or the interval holds a multiple
+    of 2^(t - n), as when the root is a dyadic rational of at most n bits)
+    _sqrt_fix_up steps the result to the floor by one exact square."""
     if n < _SQRT_CROSSOVER:
         return isqrt((a << 2 * n) // b)
     m = a * b
     h = (m.bit_length() + 1) // 2  # 2^(h-1) <= sqrt(m) < 2^h
     # z ~ 2^s / sqrt(m) carries p = s - h bits; a step from p bits keeps
-    # its error near one unit at 2p - 4 bits, and a.bit_length() + 2 guard
-    # bits keep a z / 2^(s - n) within about a unit of the root
-    steps, p = [], n + a.bit_length() + 2 - h
+    # its error near one unit at 2p - 4 bits, and a.bit_length() + 34 guard
+    # bits keep a z / 2^(s - n) within about 2^-32 units of the root
+    steps, p = [], n + a.bit_length() + 34 - h
     while p > 64:
         steps.append(p)
         p = (p + 5) // 2
     s = p + h
     z = isqrt((1 << 2 * s) // m)
+    certified = False  # with no step, nothing bounds the seed's error
     for p in reversed(steps):
         t = p + h
-        z = (z << (t - s)) + ((z * ((1 << 2 * s) - m * z * z)) >> (3 * s - t + 1))
+        res = (1 << 2 * s) - m * z * z
+        certified = z > 0 and res.bit_length() < 2 * s  # |eps| < 1/2
+        e = max(0, z.bit_length() + 2 * res.bit_length() + t - 5 * s)
+        z = (z << (t - s)) + ((z * res) >> (3 * s - t + 1))
         s = t
-    r = (a * z) >> (s - n)
+    y, k = a * z, s - n
+    r = y >> k
+    if certified and r == (y + a * ((1 << e) + 1)) >> k:
+        return r
+    return _sqrt_fix_up(a, b, n, r)
+
+
+def _sqrt_fix_up(a: int, b: int, n: int, r: int) -> int:
+    """isqrt((a << 2n) // b), stepped to from r by one exact square: down
+    while the square exceeds that integer, up while the next one does not."""
     d = ((a << 2 * n) // b) - r * r  # N - r^2 for N = (a << 2n) // b
     while d < 0:  # r^2 > N
         d += 2 * r - 1

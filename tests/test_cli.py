@@ -270,6 +270,21 @@ def test_out_of_range_fraction_is_named_as_typed(capsys, argv, shown):
     assert (out.out, out.err) == ("", f"error: {shown} is not strictly between 0 and 1\n")
 
 
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["bits", "sqrt(8/18)"], "sqrt(8/18)"),
+        (["bits", "sqrt(3/12)"], "sqrt(3/12)"),
+        (["bits", "sqrt(4/9)"], "sqrt(4/9)"),
+        (["diag", "2/3", "sqrt(2/8)", "-n", "3"], "sqrt(2/8)"),
+    ],
+)
+def test_rational_root_is_named_as_typed(capsys, argv, shown):
+    assert run(argv) == DOMAIN_ERROR
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {shown} is rational; use a rational stream\n")
+
+
 def test_interval_of_star_string(capsys):
     out = text_of(capsys, ["interval", ".110***"])
     assert out == "(0.75, 0.875) width 0.125"

@@ -425,7 +425,8 @@ def test_parse_stream_rejects_unknown_names(text):
 
 
 def test_parse_stream_reduces_a_square_root_before_its_checks():
-    with pytest.raises(StreamError, match=r"^sqrt\(4/9\) is rational; use a rational stream$"):
+    # a rational root is refused by the name it was typed with
+    with pytest.raises(StreamError, match=r"^sqrt\(8/18\) is rational; use a rational stream$"):
         parse_stream("sqrt(8/18)")
     assert as_stream(parse_stream("sqrt(2/6)")).prefix(64) == SqrtStream(1, 3).prefix_bits(64)
 
