@@ -320,7 +320,9 @@ def normalize_with_trace(
 ) -> tuple[CardinalExpr, tuple[RewriteStep, ...]]:
     """Bottom-up rewriting to an aleph or a finite value, with the rule
     applications in order.  Raises NoRuleError on a stuck expression and
-    FiniteBudgetError when a finite value cannot be materialized."""
+    FiniteBudgetError when a finite value cannot be materialized; a budget
+    hyperops refuses is refused before any rewriting."""
+    hyperops._check_budget(budget)
     trace: list[RewriteStep] = []
     return _walk(e, budget, trace), tuple(trace)
 
@@ -369,6 +371,7 @@ def all_single_steps(
     """Every one-rule rewrite of e, at any position.  Fuel for the
     confluence checks: exploring all of these from a root expression
     visits every reduction order."""
+    hyperops._check_budget(budget)
     return list(_single_steps(e, budget))
 
 
@@ -466,6 +469,7 @@ def compare(
     possible, otherwise fall back to componentwise growth of the
     explosive operator (2^e counting as hyper(2, 1, e), and so does
     choose(e) of an infinite e)."""
+    hyperops._check_budget(budget)
 
     def try_norm(x):
         try:

@@ -74,10 +74,6 @@ def _cmd_complement(args) -> int:
 
 def _cmd_bits(args) -> int:
     """The prefix of one stream (bits) or of the diagonal over several (diag)."""
-    if args.n > bitseq.DEFAULT_BUDGET:
-        raise bitseq.BudgetError(
-            f"-n {bitseq._show(args.n)} exceeds the {bitseq.DEFAULT_BUDGET}-bit budget"
-        )
     if args.command == "diag":
         stream = streams.diagonal([streams.parse_stream(s) for s in args.stream])
     else:
@@ -100,17 +96,8 @@ def _cmd_interval(args) -> int:
     return 0
 
 
-def _budget(args) -> int:
-    """--budget, refused below 64 bits or past the package's bit budget before any work."""
-    if args.budget > bitseq.DEFAULT_BUDGET:
-        raise bitseq.BudgetError(
-            f"--budget {bitseq._show(args.budget)} exceeds the {bitseq.DEFAULT_BUDGET}-bit ceiling"
-        )
-    return hyperops._check_budget(args.budget)
-
-
 def _cmd_hyper(args) -> int:
-    result = hyperops.hyper(args.m, args.k, args.n, _budget(args))
+    result = hyperops.hyper(args.m, args.k, args.n, args.budget)
     if isinstance(result, hyperops.Exceeded):
         description = result.describe()
         _emit(
@@ -129,10 +116,6 @@ def _cmd_ord(args) -> int:
     """An ordinal's normal form (eval) or a step of its fundamental sequence (fund)."""
     v = ordinals.parse_ordinal(args.expr)
     if args.action == "fund":
-        # the w-tower eps_0[n] has height n: refuse it before building it
-        if args.n > bitseq.DEFAULT_BUDGET:
-            n = bitseq._show(args.n)
-            raise bitseq.BudgetError(f"-n {n} exceeds the fund ceiling {bitseq.DEFAULT_BUDGET}")
         v = ordinals.fundamental(v, args.n)
     text = ordinals.format_ordinal(v)
     _emit(args, text, ordinal=text)
@@ -148,9 +131,8 @@ def _cmd_ord_cmp(args) -> int:
 
 
 def _cmd_card_normalize(args) -> int:
-    budget = _budget(args)
     expr = cardinals.parse_cardinal(args.expr)
-    normal, trace = cardinals.normalize_with_trace(expr, budget)
+    normal, trace = cardinals.normalize_with_trace(expr, args.budget)
     shown = args.format == "structured" or args.trace  # format the steps only if shown
     steps = [
         {
@@ -169,9 +151,8 @@ def _cmd_card_normalize(args) -> int:
 
 
 def _cmd_card_cmp(args) -> int:
-    budget = _budget(args)
     a, b = cardinals.parse_cardinal(args.a), cardinals.parse_cardinal(args.b)
-    rel = cardinals.compare(a, b, budget)
+    rel = cardinals.compare(a, b, args.budget)
     _emit(args, rel.value, relation=rel.value)
     return 0
 

@@ -3,7 +3,7 @@ exponentiation, level 2 power towers, and each level above iterates the
 one below, associating to the right.
 
 Results are exact integers unless they would not fit in `budget` bits,
-by default the package's bit budget, bitseq.DEFAULT_BUDGET.  A value
+from 64 up to the package's bit budget, bitseq.DEFAULT_BUDGET.  A value
 past it is returned as Exceeded, a statement of its size; raising
 bitseq.BudgetError for one is left to the callers.  The size gate is
 sound in both directions: anything returned as Exact fits the budget,
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .bitseq import DEFAULT_BUDGET, Record, _show
+from .bitseq import DEFAULT_BUDGET, BudgetError, Record, _show
 
 
 class Exact(Record):
@@ -83,18 +83,19 @@ class Exceeded(Record):
 HyperResult = Union[Exact, Exceeded]
 
 
-def _check_budget(budget: int) -> int:
-    """budget, refused (ValueError) below 64 bits."""
+def _check_budget(budget: int):
+    """Refuse a budget below 64 bits, or past the bit budget: it may only lower it."""
     if budget < 64:
         raise ValueError(f"budget below 64 bits: {_show(budget)}")
-    return budget
+    if budget > DEFAULT_BUDGET:
+        raise BudgetError(f"budget {_show(budget)} exceeds the {DEFAULT_BUDGET}-bit ceiling")
 
 
 def _check_args(m, k, n, budget):
+    _check_budget(budget)
     for name, v in (("base", m), ("level", k), ("count", n)):
         if not isinstance(v, int) or v < 0:
             raise ValueError(f"bad {name} {_show(v)}")
-    _check_budget(budget)
     if k >= 1 and n == 0:
         raise ValueError(f"level {_show(k)} is undefined at count 0")
     if k >= 1 and m == 0 and n >= 2:

@@ -21,7 +21,8 @@ rewrite steps of a term with it too, which normalize and
 all_single_steps both read.  Finite powers pass the hyperops
 size gate and are refused with OrdinalBudgetError past the default bit
 budget; so is an infinite base raised to a finite power whose normal
-form would have more than TERM_BUDGET terms.
+form would have more than TERM_BUDGET terms, and a w-tower taller than
+TOWER_BUDGET levels.
 
 Text grammar (parse_ordinal / format_ordinal), shared with cardinal
 text, where an aleph index is a sum:
@@ -67,6 +68,10 @@ class OrdinalBudgetError(BudgetError):
 
 # the most terms a power a^n of an infinite base may have
 TERM_BUDGET = 1000
+# the tallest w-tower omega_hyper(2, n) builds: a level costs about 16 us
+# and 360 bytes, so 2^16 levels take about 1.3 s, as the slowest answers
+# within the bit budget do
+TOWER_BUDGET = 1 << 16
 
 # the most nested parser frames, refused below the interpreter's recursion
 # limit: a parenthesis level or a cardinal node is one, a w^( level two
@@ -416,7 +421,8 @@ def omega_hyper(k: int, n: int) -> Ordinal:
     level 2 the w-tower of height n.
 
     Levels k >= 3 with n >= 2 would need w-towers of transfinite height,
-    which leave normal-form territory, so they are rejected.
+    which leave normal-form territory, so they are rejected.  A tower
+    taller than TOWER_BUDGET levels is refused before it is built.
     """
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"bad level {_show(k)}")
@@ -429,6 +435,8 @@ def omega_hyper(k: int, n: int) -> Ordinal:
     if k == 1:
         return ord_pow(OMEGA, from_int(n))
     if k == 2:
+        if n > TOWER_BUDGET:
+            raise OrdinalBudgetError(f"tower height {_show(n)} exceeds the {TOWER_BUDGET}-level budget")
         t = OMEGA
         for _ in range(n - 1):
             t = ord_pow(OMEGA, t)

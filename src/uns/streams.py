@@ -9,7 +9,8 @@ behind a lock, makes every prefix a prefix of every longer one; that
 memo, bounded to the 1024 most recently used descriptors, is the
 module's one cache of answers; the other thing it keeps is pi/4's longest
 binary split, one tuple of four integers, about 0.7 MB at the 2^20-bit
-budget.  Bits become a tuple only in BitStream.bits.
+budget.  BitStream.prefix refuses a prefix longer than that budget, and
+bits become a tuple only in BitStream.bits.
 
 The first n bits pin the value into a dyadic interval of width 2^-n;
 nothing on the boundary is ever claimed, the value only lies in the
@@ -59,6 +60,8 @@ from math import gcd, isqrt
 from typing import Callable, Union
 
 from .bitseq import (
+    DEFAULT_BUDGET,
+    BudgetError,
     ParseError,
     Record,
     _int_str,
@@ -365,9 +368,11 @@ class BitStream:
         self._lock = threading.Lock()
 
     def prefix(self, n: int) -> int:
-        """The first n bits as one n-bit integer."""
+        """The first n bits as one n-bit integer, refused past the bit budget."""
         if n < 0:
             raise ValueError(f"bad prefix length {_show(n)}")
+        if n > DEFAULT_BUDGET:
+            raise BudgetError(f"prefix length {_show(n)} exceeds the {DEFAULT_BUDGET}-bit budget")
         with self._lock:
             if n > self._length:
                 fresh = self.descriptor.prefix_bits(n)

@@ -221,9 +221,9 @@ def test_long_prefixes_keep_their_leading_zeros(capsys):
     assert json_of(capsys, ["bits", "1/1000", "-n", "12"])["bits"] == "000000000100"
 
 
-# refused before the stream is read: e/4 is no stream, and no prefix is computed
+# refused before any prefix is computed
 @pytest.mark.parametrize(
-    "argv", [["bits", "1/3", "-n", "1048577"], ["bits", "e/4", "-n", "1048577"], ["diag", "1/3", "pi/4", "-n", "1048577"]]
+    "argv", [["bits", "1/3", "-n", "1048577"], ["bits", "pi/4", "-n", "1048577"], ["diag", "1/3", "pi/4", "-n", "1048577"]]
 )
 def test_prefixes_past_the_bit_budget_are_refused(capsys, argv):
     assert bitseq.DEFAULT_BUDGET == 1048576
@@ -231,7 +231,12 @@ def test_prefixes_past_the_bit_budget_are_refused(capsys, argv):
     assert run(argv) == BUDGET_ERROR
     assert time.process_time() - start < 0.5
     out = capsys.readouterr()
-    assert (out.out, out.err) == ("", "error: -n 1048577 exceeds the 1048576-bit budget\n")
+    assert (out.out, out.err) == ("", "error: prefix length 1048577 exceeds the 1048576-bit budget\n")
+
+
+def test_an_unknown_stream_past_the_bit_budget_reads_as_malformed(capsys):
+    assert run(["bits", "e/4", "-n", "1048577"]) == PARSE_ERROR
+    assert capsys.readouterr() == ("", "error: unknown stream 'e/4'; use p/q, pi/4 or sqrt(p/q)\n")
 
 
 def test_a_prefix_of_the_whole_bit_budget_is_answered(capsys):
@@ -381,15 +386,16 @@ NINES = "9" * 5000  # past the interpreter's default limit of 4300 digits
     "argv, code, out, err",
     [
         (["hyper", "1", "3", NINES], 0, "1\n", ""),
-        (["bits", "1/3", "-n", NINES], BUDGET_ERROR, "", f"error: -n {NINES} exceeds the 1048576-bit budget\n"),
-        (["ord", "fund", "w", "-n", NINES], BUDGET_ERROR, "", f"error: -n {NINES} exceeds the fund ceiling 1048576\n"),
+        (["bits", "1/3", "-n", NINES], BUDGET_ERROR, "", f"error: prefix length {NINES} exceeds the 1048576-bit budget\n"),
+        (["ord", "fund", "eps_0", "-n", NINES], BUDGET_ERROR, "", f"error: tower height {NINES} exceeds the 65536-level budget\n"),
+        (["ord", "fund", "w", "-n", NINES], 0, f"{NINES}\n", ""),
         (
             ["convert", "(0).(01)", "--to", "decimal", "--digits", NINES],
             BUDGET_ERROR,
             "",
             f"error: --digits {NINES}: 10^{NINES} exceeds the 1048576-bit budget\n",
         ),
-        (["card", "cmp", "1", "2", "--budget", NINES], BUDGET_ERROR, "", f"error: --budget {NINES} exceeds the 1048576-bit ceiling\n"),
+        (["card", "cmp", "1", "2", "--budget", NINES], BUDGET_ERROR, "", f"error: budget {NINES} exceeds the 1048576-bit ceiling\n"),
         (["hyper", "2", "1", "3", "--budget", f"-{NINES}"], DOMAIN_ERROR, "", f"error: budget below 64 bits: -{NINES}\n"),
         (["hyper", "2", f"-{NINES}", "3"], DOMAIN_ERROR, "", f"error: bad level -{NINES}\n"),
         (["hyper", "2", NINES, "0"], DOMAIN_ERROR, "", f"error: level {NINES} is undefined at count 0\n"),
@@ -408,6 +414,7 @@ NINES = "9" * 5000  # past the interpreter's default limit of 4300 digits
         "hyper",
         "bits-n",
         "fund-n",
+        "fund-n-finite",
         "digits",
         "budget",
         "negative-budget",
@@ -440,13 +447,13 @@ def test_an_integer_argument_past_the_budget_is_refused_unread(capsys):
 @pytest.mark.parametrize(
     "argv, quoted",
     [
-        (["bits", "1/3", "-n", "9" * 100000], "-n <332193-bit integer> exceeds the 1048576-bit budget"),
-        (["ord", "fund", "w", "-n", "9" * 100000], "-n <332193-bit integer> exceeds the fund ceiling 1048576"),
+        (["bits", "1/3", "-n", "9" * 100000], "prefix length <332193-bit integer> exceeds the 1048576-bit budget"),
+        (["ord", "fund", "eps_0", "-n", "9" * 100000], "tower height <332193-bit integer> exceeds the 65536-level budget"),
         (
             ["convert", "1", "--to", "decimal", "--digits", "9" * 100000],
             "--digits <332193-bit integer>: 10^<332193-bit integer> exceeds the 1048576-bit budget",
         ),
-        (["hyper", "2", "1", "3", "--budget", "9" * 100000], "--budget <332193-bit integer> exceeds the 1048576-bit ceiling"),
+        (["hyper", "2", "1", "3", "--budget", "9" * 100000], "budget <332193-bit integer> exceeds the 1048576-bit ceiling"),
         (
             ["ord", "eval", "(w+1)^" + "9" * 100000],
             "power <332193-bit integer> of a 2-term ordinal would have <332193-bit integer> terms, over the 1000-term budget",
@@ -608,19 +615,20 @@ def test_card_budget_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, budget",
+    "argv, budget, code, err",
     [
-        (["hyper", "2", "1", "10"], "63"),
-        (["card", "normalize", "aleph_0"], "1"),
-        (["card", "normalize", "aleph_0"], "-5"),
-        (["card", "normalize", "((("], "0"),
-        (["card", "cmp", "aleph_0", "aleph_1"], "0"),
+        (["hyper", "2", "1", "10"], "63", DOMAIN_ERROR, "budget below 64 bits: 63"),
+        (["card", "normalize", "aleph_0"], "1", DOMAIN_ERROR, "budget below 64 bits: 1"),
+        (["card", "normalize", "aleph_0"], "-5", DOMAIN_ERROR, "budget below 64 bits: -5"),
+        # the rewriter refuses the budget, so text it is never given reads as malformed
+        (["card", "normalize", "((("], "0", PARSE_ERROR, "unexpected token '('"),
+        (["card", "cmp", "aleph_0", "aleph_1"], "0", DOMAIN_ERROR, "budget below 64 bits: 0"),
     ],
     ids=["hyper", "normalize", "normalize-negative", "normalize-unparsed", "cmp"],
 )
-def test_a_budget_below_64_bits_is_refused_before_any_work(capsys, argv, budget):
-    assert run([*argv, "--budget", budget]) == DOMAIN_ERROR
-    assert capsys.readouterr() == ("", f"error: budget below 64 bits: {budget}\n")
+def test_a_budget_below_64_bits_is_refused_before_any_work(capsys, argv, budget, code, err):
+    assert run([*argv, "--budget", budget]) == code
+    assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 def test_ordinal_power_past_the_budget_is_refused(capsys):
@@ -840,7 +848,7 @@ def test_fund_refuses_an_index_past_the_ceiling_before_building(capsys):
     start = time.process_time()
     assert run(["ord", "fund", "eps_0", "-n", str(n)]) == BUDGET_ERROR
     assert time.process_time() - start < 1
-    assert capsys.readouterr().err == f"error: -n {n} exceeds the fund ceiling {bitseq.DEFAULT_BUDGET}\n"
+    assert capsys.readouterr().err == f"error: tower height {n} exceeds the 65536-level budget\n"
 
 
 def test_text_past_the_nesting_limit_is_a_parse_error_without_traceback(capsys):

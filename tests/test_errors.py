@@ -84,21 +84,51 @@ def test_the_shared_budget_and_bases_are_defined_only_in_bitseq():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, code, err",
     [
-        ["hyper", "2", "1", "2000000"],
-        ["card", "normalize", "2^2000000"],
-        ["card", "cmp", "2^2000000", "aleph_0"],
-        ["card", "normalize", "((("],
+        (["hyper", "2", "1", "2000000"], cli.BUDGET_ERROR, "budget 1048577 exceeds the 1048576-bit ceiling"),
+        (["card", "normalize", "2^2000000"], cli.BUDGET_ERROR, "budget 1048577 exceeds the 1048576-bit ceiling"),
+        (["card", "cmp", "2^2000000", "aleph_0"], cli.BUDGET_ERROR, "budget 1048577 exceeds the 1048576-bit ceiling"),
+        # the rewriter refuses the budget, so text it is never given reads as malformed
+        (["card", "normalize", "((("], cli.PARSE_ERROR, "unexpected token '('"),
     ],
     ids=["hyper", "normalize", "cmp", "unparsed"],
 )
-def test_a_budget_past_the_bit_budget_is_refused_before_any_work(capsys, argv):
+def test_a_budget_past_the_bit_budget_is_refused_before_any_work(capsys, argv, code, err):
     n = bitseq.DEFAULT_BUDGET + 1
     start = time.process_time()
-    assert cli.run([*argv, "--budget", str(n)]) == cli.BUDGET_ERROR
+    assert cli.run([*argv, "--budget", str(n)]) == code
     assert time.process_time() - start < 0.5
-    assert capsys.readouterr() == ("", f"error: --budget {n} exceeds the {bitseq.DEFAULT_BUDGET}-bit ceiling\n")
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+TOP = bitseq.DEFAULT_BUDGET
+TALL = ordinals.TOWER_BUDGET + 1
+CEILING = f"budget {TOP + 1} exceeds the {TOP}-bit ceiling"
+TOWER = f"tower height {TALL} exceeds the {TALL - 1}-level budget"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: streams.as_stream(streams.PI_OVER_4).prefix(TOP + 1), BudgetError,
+            f"prefix length {TOP + 1} exceeds the {TOP}-bit budget"),
+        (lambda: ordinals.omega_hyper(2, TALL), ordinals.OrdinalBudgetError, TOWER),
+        (lambda: ordinals.fundamental(ordinals.EPSILON_0, TALL), ordinals.OrdinalBudgetError, TOWER),
+        (lambda: hyperops.hyper(2, 1, 3, TOP + 1), BudgetError, CEILING),
+        (lambda: cardinals.normalize(cardinals.ALEPH_0, TOP + 1), BudgetError, CEILING),
+        (lambda: cardinals.all_single_steps(cardinals.ALEPH_0, TOP + 1), BudgetError, CEILING),
+        (lambda: cardinals.compare(cardinals.ALEPH_0, cardinals.aleph(1), TOP + 1), BudgetError, CEILING),
+        (lambda: cardinals.normalize(cardinals.ALEPH_0, 10), ValueError, "budget below 64 bits: 10"),
+    ],
+    ids=["prefix", "omega_hyper", "fundamental", "hyper", "normalize", "all_single_steps", "compare", "normalize-floor"],
+)
+def test_each_budget_is_refused_by_the_library_function_that_spends_it(call, error, message):
+    start = time.process_time()
+    with pytest.raises(error) as caught:
+        call()
+    assert time.process_time() - start < 0.1
+    assert str(caught.value) == message
 
 
 def test_budgets_up_to_the_bit_budget_are_read_and_small_ones_stay_domain_errors(capsys):
