@@ -42,6 +42,7 @@ composite nodes and aleph_( being forms of the table CARDINAL.
 
 from __future__ import annotations
 
+import threading
 from enum import Enum
 from itertools import combinations, repeat
 from typing import Mapping, Union, get_args
@@ -375,11 +376,17 @@ def all_single_steps(
     return list(_single_steps(e, budget))
 
 
-# memo misses of _single_steps running one inside another.  Each costs two
-# interpreter frames, the memo's and the function's, so the miss at
-# _NESTED_MAX fills the memo for its kids bottom-up first: the misses of
-# the fill nest one more level and no further, at any depth.
-_nested = 0
+class _Nested(threading.local):
+    """The memo misses of _single_steps running one inside another in this
+    thread, whose stack they use.  Each costs two interpreter frames, the
+    memo's and the function's, so the miss at _NESTED_MAX fills the memo
+    for its kids bottom-up first: the misses of the fill nest one more
+    level and no further, at any depth."""
+
+    depth = 0
+
+
+_nested = _Nested()
 _NESTED_MAX = 200
 
 
@@ -387,16 +394,15 @@ _NESTED_MAX = 200
 def _single_steps(e: CardinalExpr, budget: int) -> tuple:
     # memoized on the interned term, so the subterms that the states of an
     # exploration share have their steps computed once
-    global _nested
     out = []
     root = _root_step(e, budget)
     if root is not None:
         out.append(root)
     if type(e) in _RULES:
         kids = e._fields
-        _nested += 1
+        _nested.depth += 1
         try:
-            if _nested == _NESTED_MAX:
+            if _nested.depth == _NESTED_MAX:
                 _fill(kids, budget)
             for i, kid in enumerate(kids):
                 if type(kid) not in _RULES:
@@ -404,7 +410,7 @@ def _single_steps(e: CardinalExpr, budget: int) -> tuple:
                 for rule, new_kid in _single_steps(kid, budget):
                     out.append((rule, type(e)(*kids[:i], new_kid, *kids[i + 1 :])))
         finally:
-            _nested -= 1
+            _nested.depth -= 1
     return tuple(out)
 
 

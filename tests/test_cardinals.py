@@ -2,6 +2,7 @@ import decimal
 import gc
 import pickle
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -381,6 +382,46 @@ def test_single_steps_reach_every_depth_the_parser_admits(leaf, rule):
     steps = all_single_steps(e)
     assert [r for r, _ in steps] == [rule]
     assert all_single_steps(Pow2(e)) == [(rule, Pow2(steps[0][1]))]
+
+
+def test_each_thread_counts_its_own_nesting_of_single_steps(monkeypatch):
+    # thread A stops inside the fill of a 300-deep nest, 200 misses down;
+    # thread B's 600-deep chain must then still fill at 200 of its own
+    budget = 999_983  # a budget no other test uses: every step is a miss
+    nest = parse_cardinal("choose(" * 300 + "aleph_0" + ")" * 300)
+    inner = Choose(ALEPH_0)
+    parked, release = threading.Event(), threading.Event()
+    root_step = cardinals._root_step
+
+    def parking_root_step(e, budget):
+        if e is inner and not parked.is_set():
+            parked.set()
+            release.wait(10)
+        return root_step(e, budget)
+
+    monkeypatch.setattr(cardinals, "_root_step", parking_root_step)
+    results = {}
+
+    def run(name, e):
+        try:
+            results[name] = all_single_steps(e, budget)
+        except RecursionError as err:
+            results[name] = err
+
+    a = threading.Thread(target=run, args=("a", nest))
+    a.start()
+    try:
+        assert parked.wait(10)
+        b = threading.Thread(target=run, args=("b", parse_cardinal("2^" * 600 + "aleph_1")))
+        b.start()
+        b.join(10)
+        assert not b.is_alive()
+    finally:
+        release.set()
+        a.join(10)
+    assert not a.is_alive()
+    assert [rule for rule, _ in results["b"]] == ["GCH"]
+    assert [rule for rule, _ in results["a"]] == ["CBT"]
 
 
 def test_every_rewrite_order_reaches_the_same_end():
