@@ -30,10 +30,12 @@ nonterminating canonical form: terminating expansions are rewritten to
 end in (1), so 3/4 is ".10(1)" and never ".11".
 
 The minimal form is computed one way: the encoders' digit loops, whose
-first repeated state gives the minimal preperiod and block.  normalize
-runs the same loop on a pattern's reduced value, and refuses a pattern
-longer than PATTERN_BUDGET bits; parse_universal refuses a text of more
-than DEFAULT_BUDGET bits.
+first repeated state gives the minimal preperiod and block.  They keep
+only the states that can recur, those of the block, and refuse a block
+longer than PATTERN_BUDGET bits.  normalize runs the same loop on a
+pattern's reduced value, and refuses a pattern longer than
+PATTERN_BUDGET bits; parse_universal refuses a text of more than
+DEFAULT_BUDGET bits.
 
 The bottom layer also holds what every layer above shares: Record, the
 base of every immutable value; the bit budget and BudgetError, the base
@@ -286,17 +288,29 @@ def _ratio(p: PeriodicBits, orientation: str) -> tuple[int, int]:
     return b * block + a, block << len(p.preperiod)
 
 
+def _record(seen: dict, state: int, position: int):
+    """Record a state of a digit loop, refusing a block past PATTERN_BUDGET
+    bits: every recorded state lies in the block."""
+    if len(seen) == PATTERN_BUDGET:
+        raise BudgetError(f"a block of more than {PATTERN_BUDGET} bits exceeds the pattern budget")
+    seen[state] = position
+
+
 def _left_digits(num: int, den: int) -> PeriodicBits:
     """Two-adic digits of num / den, den odd.
 
     Digits come from the parity of the running numerator; the numerator
     state determines the whole tail, so the first repeated state gives
-    the minimal preperiod and block.
+    the minimal preperiod and block.  The step maps [-den, 0] onto
+    itself one to one (x/2 for an even x, (x - den)/2 for an odd one have
+    one preimage there each) and moves any other state toward it, so a
+    state recurs only there, and only such states are recorded.
     """
     seen: dict[int, int] = {}
     digits: list[str] = []
     while num not in seen:
-        seen[num] = len(digits)
+        if -den <= num <= 0:
+            _record(seen, num, len(digits))
         bit = num & 1
         digits.append("01"[bit])
         num = (num - bit * den) // 2
@@ -309,13 +323,18 @@ def _right_digits(num: int, den: int) -> PeriodicBits:
 
     The remainder determines the tail, so the first repeated remainder
     gives the minimal split.  A terminating expansion ends in a one,
-    which becomes a zero followed by the (1)-tail.
+    which becomes a zero followed by the (1)-tail.  For den = 2^a d, d
+    odd, doubling modulo den permutes the multiples of 2^a and makes
+    every remainder one within a steps, so a remainder recurs only as
+    such a multiple, and only those are recorded.
     """
     seen: dict[int, int] = {}
     digits: list[str] = []
+    low = (den & -den) - 1  # the bits below den's power of two
     r = num
     while r and r not in seen:
-        seen[r] = len(digits)
+        if not r & low:
+            _record(seen, r, len(digits))
         r *= 2
         digits.append("01"[r // den])
         r %= den
@@ -353,8 +372,8 @@ def encode_integer(z: int) -> LeftPart:
 def encode_fraction(q: Fraction) -> RightPart:
     """Canonical right sequence of q in (0, 1).
 
-    The period can be as long as den - 1 bits; for a prefix use
-    fraction_prefix.
+    The period can be as long as den - 1 bits, and one past
+    PATTERN_BUDGET bits is refused; for a prefix use fraction_prefix.
     """
     q = Fraction(q)
     if not 0 < q < 1:

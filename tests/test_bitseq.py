@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -287,6 +288,41 @@ def test_normalize_refuses_a_pattern_past_the_pattern_budget(orientation):
     past = PeriodicBits("1" + at.preperiod, at.period)
     with pytest.raises(BudgetError, match=f"^a {PATTERN_BUDGET + 1}-bit pattern exceeds the 32768-bit pattern budget$"):
         normalize(past, orientation)
+
+
+# 2 has order 2^15 modulo this factor of 2^16384 + 1, so its inverse
+# repeats every PATTERN_BUDGET bits on both sides
+F14_FACTOR = 116928085873074369829035993834596371340386703423373313
+
+
+@pytest.mark.parametrize("encode", [encode_left_rational, encode_fraction])
+def test_a_block_past_the_pattern_budget_is_refused(encode):
+    assert pow(2, PATTERN_BUDGET // 2, F14_FACTOR) == F14_FACTOR - 1
+    assert len(encode(Fraction(1, F14_FACTOR)).bits.period) == PATTERN_BUDGET
+    start = time.process_time()
+    with pytest.raises(BudgetError, match="^a block of more than 32768 bits exceeds the pattern budget$"):
+        encode(Fraction(1, 1000003))
+    assert time.process_time() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: encode_integer(1 << PATTERN_BUDGET),
+        lambda: encode_fraction(Fraction(1, 1 << PATTERN_BUDGET)),
+        lambda: canonicalize(parse_universal("(0)" + "1" * (PATTERN_BUDGET - 1) + ".(1)")),
+    ],
+    ids=["integer", "fraction", "canonicalize"],
+)
+def test_a_long_preperiod_is_walked_without_recording_it(call):
+    # a preperiod state never recurs, so its 32768 wide states are not kept
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 # ---------------------------------------------------------------------------
