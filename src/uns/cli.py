@@ -1,8 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 stdout closed by its reader, 2 unparseable or
-too deeply nested input, 3 domain error, 4 budget exceeded.  --format
-structured emits one JSON object on stdout.
+too deeply nested input, 3 domain error, 4 budget exceeded.  Each budget
+is refused by the library function that spends it, and run maps the
+error to its code; only --digits is checked here, before the value is
+read.  --format structured emits one JSON object on stdout.
 
 The grammar is one table, _COMMANDS.  run reads a well-formed argv from
 it directly, and leaves any other (--help, usage errors) to build_parser's.

@@ -334,6 +334,22 @@ def test_hyper_budget_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, description",
+    [
+        (["hyper", "1099511627776", "0", "1099511627776", "--budget", "64"], "64-bit budget: 1099511627776 * 1099511627776"),
+        (
+            ["hyper", "3", "200000", "3"],
+            "1048576-bit budget: level-200000 explosion of 3 at height (level-199999 explosion of 3 at height 3)",
+        ),
+    ],
+    ids=["level-0", "past-the-deep-level"],
+)
+def test_hyper_describes_a_value_past_the_budget(capsys, argv, description):
+    assert run(argv) == BUDGET_ERROR
+    assert capsys.readouterr() == (f"exceeds {description}\n", "")
+
+
+@pytest.mark.parametrize(
     "argv, value, term",
     [
         (["hyper", "2", "1", "20000"], 2**20000, None),

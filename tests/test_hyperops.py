@@ -1,5 +1,6 @@
 import pytest
 
+from uns import hyperops
 from uns.hyperops import DEFAULT_BUDGET, Exact, Exceeded, hyper, monotone_check
 
 # ---------------------------------------------------------------------------
@@ -168,6 +169,16 @@ def test_monotone_sweep_counts_unmaterializable_corners():
 def test_monotone_check_with_tight_budget_still_consistent():
     report = monotone_check((2, 3), (0, 2), (2, 3), budget=64)
     assert report.ok
+
+
+def test_monotone_check_reports_both_kinds_of_violation(monkeypatch):
+    # Exceeded below Exact, and a larger Exact below a smaller one
+    results = {2: Exceeded(2, 0, 2), 3: Exact(5), 4: Exact(4)}
+    monkeypatch.setattr(hyperops, "hyper", lambda m, k, n, budget: results[n])
+    report = monotone_check((2, 2), (0, 0), (2, 4))
+    assert not report.ok
+    assert (report.points, report.comparable_pairs, report.skipped_pairs) == (3, 3, 0)
+    assert report.violations == (((2, 0, 2), (2, 0, 3)), ((2, 0, 2), (2, 0, 4)), ((2, 0, 3), (2, 0, 4)))
 
 
 def test_monotone_check_over_an_empty_range_is_vacuous():
