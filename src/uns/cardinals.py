@@ -400,9 +400,10 @@ def _single_steps(e: CardinalExpr, budget: int) -> tuple:
         out.append(root)
     if type(e) in _RULES:
         kids = e._fields
-        _nested.depth += 1
+        depth = _nested.depth + 1
+        _nested.depth = depth
         try:
-            if _nested.depth == _NESTED_MAX:
+            if depth == _NESTED_MAX:
                 _fill(kids, budget)
             for i, kid in enumerate(kids):
                 if type(kid) not in _RULES:
@@ -410,7 +411,7 @@ def _single_steps(e: CardinalExpr, budget: int) -> tuple:
                 for rule, new_kid in _single_steps(kid, budget):
                     out.append((rule, type(e)(*kids[:i], new_kid, *kids[i + 1 :])))
         finally:
-            _nested.depth -= 1
+            _nested.depth = depth - 1
     return tuple(out)
 
 
