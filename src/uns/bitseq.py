@@ -302,9 +302,9 @@ def _left_digits(num: int, den: int) -> PeriodicBits:
     Digits come from the parity of the running numerator; the numerator
     state determines the whole tail, so the first repeated state gives
     the minimal preperiod and block.  The step maps [-den, 0] onto
-    itself one to one (x/2 for an even x, (x - den)/2 for an odd one have
-    one preimage there each) and moves any other state toward it, so a
-    state recurs only there, and only such states are recorded.
+    itself one to one (each y there comes from 2y or 2y + den, whichever
+    lies there) and moves any other state toward it, so a state recurs
+    only there, and only such states are recorded.
     """
     seen: dict[int, int] = {}
     digits: list[str] = []

@@ -322,7 +322,7 @@ def normalize_with_trace(
     """Bottom-up rewriting to an aleph or a finite value, with the rule
     applications in order.  Raises NoRuleError on a stuck expression and
     FiniteBudgetError when a finite value cannot be materialized; a budget
-    hyperops refuses is refused before any rewriting."""
+    outside 64 to DEFAULT_BUDGET bits is refused before any rewriting."""
     hyperops._check_budget(budget)
     trace: list[RewriteStep] = []
     return _walk(e, budget, trace), tuple(trace)
