@@ -383,7 +383,8 @@ class _Nested(threading.local):
     for its kids bottom-up first: the misses of the fill nest one more
     level and no further, at any depth."""
 
-    depth = 0
+    def __init__(self):
+        self.depth = [0]  # boxed, so a miss reads the thread-local once
 
 
 _nested = _Nested()
@@ -400,8 +401,9 @@ def _single_steps(e: CardinalExpr, budget: int) -> tuple:
         out.append(root)
     if type(e) in _RULES:
         kids = e._fields
-        depth = _nested.depth + 1
-        _nested.depth = depth
+        box = _nested.depth
+        depth = box[0] + 1
+        box[0] = depth
         try:
             if depth == _NESTED_MAX:
                 _fill(kids, budget)
@@ -411,7 +413,7 @@ def _single_steps(e: CardinalExpr, budget: int) -> tuple:
                 for rule, new_kid in _single_steps(kid, budget):
                     out.append((rule, type(e)(*kids[:i], new_kid, *kids[i + 1 :])))
         finally:
-            _nested.depth = depth - 1
+            box[0] = depth - 1
     return tuple(out)
 
 
