@@ -387,7 +387,7 @@ def test_single_steps_reach_every_depth_the_parser_admits(leaf, rule):
 def test_each_thread_counts_its_own_nesting_of_single_steps(monkeypatch):
     # thread A stops inside the fill of a 300-deep nest, 200 misses down;
     # thread B's 600-deep chain must then still fill at 200 of its own
-    budget = 999_983  # a budget no other test uses: every step is a miss
+    cardinals._single_steps.cache_clear()  # so every step below is a miss
     nest = parse_cardinal("choose(" * 300 + "aleph_0" + ")" * 300)
     inner = Choose(ALEPH_0)
     parked, release = threading.Event(), threading.Event()
@@ -404,7 +404,7 @@ def test_each_thread_counts_its_own_nesting_of_single_steps(monkeypatch):
 
     def run(name, e):
         try:
-            results[name] = all_single_steps(e, budget)
+            results[name] = all_single_steps(e)
         except RecursionError as err:
             results[name] = err
 
