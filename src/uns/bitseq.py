@@ -29,13 +29,13 @@ limit of their partial sums, always in [0, 1].  Values in (0, 1) get a
 nonterminating canonical form: terminating expansions are rewritten to
 end in (1), so 3/4 is ".10(1)" and never ".11".
 
-The minimal form is computed one way: the encoders' digit loops, whose
-first repeated state gives the minimal preperiod and block.  They keep
-only the states that can recur, those of the block, and refuse a block
-longer than PATTERN_BUDGET bits.  normalize runs the same loop on a
-pattern's reduced value, and refuses a pattern longer than
-PATTERN_BUDGET bits; parse_universal refuses a text of more than
-DEFAULT_BUDGET bits.
+The minimal form is read off the value in lowest terms (Hardy and
+Wright, ch. 9): for a denominator 2^a d, d odd, the right preperiod is
+the quotient by d in a bits, the left one is walked until the running
+numerator enters [-d, 0], and each block, of the order of 2 modulo d
+in bits, is refused past PATTERN_BUDGET bits.  normalize refuses a
+pattern longer than PATTERN_BUDGET bits and expands its reduced value
+so; parse_universal refuses a text of more than DEFAULT_BUDGET bits.
 
 The bottom layer also holds what every layer above shares: Record, the
 base of every immutable value; the bit budget and BudgetError, the base
@@ -199,8 +199,8 @@ def normalize(p: PeriodicBits, orientation: str) -> PeriodicBits:
     Right orientation therefore puts terminating expansions of nonzero
     values on the (1)-tail, e.g. ".11(0)" -> ".10(1)"; the right value 1
     (all ones, e.g. from complementing a zero tail) stays "(1)".  The
-    loops take time quadratic in the pattern's length, which is refused
-    past PATTERN_BUDGET bits, and run on the reduced value.
+    reduced value is expanded again, in time quadratic in the pattern's
+    length, which is refused past PATTERN_BUDGET bits.
     """
     if orientation not in (LEFT, RIGHT):
         raise ValueError(f"bad orientation {orientation!r}")
@@ -288,61 +288,59 @@ def _ratio(p: PeriodicBits, orientation: str) -> tuple[int, int]:
     return b * block + a, block << len(p.preperiod)
 
 
-def _record(seen: dict, state: int, position: int):
-    """Record a state of a digit loop, refusing a block past PATTERN_BUDGET
-    bits: every recorded state lies in the block."""
-    if len(seen) == PATTERN_BUDGET:
-        raise BudgetError(f"a block of more than {PATTERN_BUDGET} bits exceeds the pattern budget")
-    seen[state] = position
+def _block(num: int, d: int) -> str:
+    """The repeating block of num / d, 0 < num < d, d odd and lowest terms.
+
+    Its length n is the order of 2 modulo d (Hardy and Wright, An
+    Introduction to the Theory of Numbers, ch. 9), found by doubling one
+    residue; a block past PATTERN_BUDGET bits is refused.  Since
+    num / d = B / (2^n - 1) with B = num (2^n - 1) / d, B written in n
+    bits is the block, most significant bit first.
+    """
+    n, x = 1, 2
+    while x != 1:
+        if n == PATTERN_BUDGET:
+            raise BudgetError(f"a block of more than {PATTERN_BUDGET} bits exceeds the pattern budget")
+        n, x = n + 1, 2 * x % d
+    return bin((1 << n) | num * ((1 << n) - 1) // d)[3:]
 
 
 def _left_digits(num: int, den: int) -> PeriodicBits:
-    """Two-adic digits of num / den, den odd.
+    """Two-adic digits of num / den, den odd and in lowest terms.
 
-    Digits come from the parity of the running numerator; the numerator
-    state determines the whole tail, so the first repeated state gives
-    the minimal preperiod and block.  The step maps [-den, 0] onto
-    itself one to one (each y there comes from 2y or 2y + den, whichever
-    lies there) and moves any other state toward it, so a state recurs
-    only there, and only such states are recorded.
+    Digits come from the parity of the running numerator.  The step maps
+    [-den, 0] onto itself one to one (each y there comes from 2y or
+    2y + den, whichever lies there) and moves any other state toward it,
+    so the preperiod is walked until the state s enters [-den, 0], where
+    the digits start to repeat.  s = 0 gives the block (0), s = -den the
+    block (1), and otherwise s / den = B / (1 - 2^n) for the n-bit B of
+    _block(-s, den), whose bits, least significant first, are the block.
     """
-    seen: dict[int, int] = {}
     digits: list[str] = []
-    while num not in seen:
-        if -den <= num <= 0:
-            _record(seen, num, len(digits))
+    while not -den <= num <= 0:
         bit = num & 1
         digits.append("01"[bit])
-        num = (num - bit * den) // 2
-    cut = seen[num]
-    return PeriodicBits("".join(digits[:cut]), "".join(digits[cut:]))
+        num = (num - bit * den) >> 1
+    period = "0" if num == 0 else "1" if num == -den else _block(-num, den)[::-1]
+    return PeriodicBits("".join(digits), period)
 
 
 def _right_digits(num: int, den: int) -> PeriodicBits:
-    """Base-2 long division of num / den, strictly between 0 and 1.
+    """Base-2 expansion of num / den, strictly between 0 and 1 and in
+    lowest terms.
 
-    The remainder determines the tail, so the first repeated remainder
-    gives the minimal split.  A terminating expansion ends in a one,
-    which becomes a zero followed by the (1)-tail.  For den = 2^a d, d
-    odd, doubling modulo den permutes the multiples of 2^a and makes
-    every remainder one within a steps, so a remainder recurs only as
-    such a multiple, and only those are recorded.
+    For den = 2^a d, d odd, num / den = (q + r / d) / 2^a with q, r the
+    quotient and remainder of num by d: the preperiod is q in a bits and
+    the block that of r / d.  A terminating expansion (d = 1) ends in a
+    one, which becomes a zero followed by the (1)-tail.
     """
-    seen: dict[int, int] = {}
-    digits: list[str] = []
-    low = (den & -den) - 1  # the bits below den's power of two
-    r = num
-    while r and r not in seen:
-        if not r & low:
-            _record(seen, r, len(digits))
-        r *= 2
-        digits.append("01"[r // den])
-        r %= den
-    if r == 0:
-        digits[-1] = "0"
-        return PeriodicBits("".join(digits), "1")
-    cut = seen[r]
-    return PeriodicBits("".join(digits[:cut]), "".join(digits[cut:]))
+    a = (den & -den).bit_length() - 1
+    d = den >> a
+    q, r = divmod(num, d)
+    head = bin((1 << a) | q)[3:]
+    if d == 1:
+        return PeriodicBits(head[:-1] + "0", "1")
+    return PeriodicBits(head, _block(r, d))
 
 
 def decode_left(l: LeftPart) -> Fraction:

@@ -104,8 +104,6 @@ def _check_args(m, k, n, budget):
 
 
 def _pow_budgeted(m: int, n: int, budget: int) -> HyperResult:
-    if m <= 1:
-        return Exact(m**n)
     L = m.bit_length()
     if n * (L - 1) + 1 > budget:
         return Exceeded(m, 1, n)
@@ -116,8 +114,6 @@ def _pow_budgeted(m: int, n: int, budget: int) -> HyperResult:
 
 
 def _tower_budgeted(m: int, n: int, budget: int) -> HyperResult:
-    if m == 1:
-        return Exact(1)
     t = m
     for _ in range(n - 1):
         step = _pow_budgeted(m, t, budget)
@@ -128,16 +124,6 @@ def _tower_budgeted(m: int, n: int, budget: int) -> HyperResult:
 
 
 _DEEP_LEVEL = 1 << 17
-
-
-def _tower_of_twos_tops(height: int, budget: int) -> bool:
-    """True only when a tower of `height` twos provably exceeds budget."""
-    t, bl = 2, budget.bit_length()
-    for _ in range(height - 1):
-        if t >= bl:
-            return True  # the next tower step alone has more bits than budget
-        t = 2**t
-    return t > budget
 
 
 def _climb(m: int, k: int, n: int, budget: int) -> HyperResult:
@@ -169,14 +155,13 @@ def _climb(m: int, k: int, n: int, budget: int) -> HyperResult:
         j, v = level - 1, acc
         if m == 2 and v == 2:
             result = Exact(4)  # 2 at any level applied twice
-        elif v == 1:
-            result = Exact(m)
         elif j == 2:
             result = _tower_budgeted(m, v, budget)
-        elif j > _DEEP_LEVEL and _tower_of_twos_tops(j, budget):
+        elif j > _DEEP_LEVEL:
             # with m >= 2 and either v >= 3 or m >= 3, the value here is
-            # at least a tower of j twos: walking down j levels one frame
-            # at a time would only spell out a failure already certain
+            # at least a tower of j twos, past any budget from six twos on:
+            # walking down j levels one frame at a time would only spell
+            # out a failure already certain
             result = Exceeded(m, j, v)
         else:
             frames.append([j, v - 1, m])

@@ -312,12 +312,12 @@ def _sqrt_ratio(a: int, b: int, n: int) -> int:
 
 
 def _sqrt_fix_up(a: int, b: int, n: int, r: int) -> int:
-    """isqrt((a << 2n) // b), stepped to from r by one exact square: down
-    while the square exceeds that integer, up while the next one does not."""
+    """isqrt((a << 2n) // b), stepped up to from r by one exact square,
+    while the next square does not exceed that integer.  r never starts
+    above it: the isqrt seed is a lower bound of 2^s / sqrt(m), Newton's
+    map u (3 - m u^2) / 2 never exceeds 1 / sqrt(m), its maximum, and
+    every floor lowers it, so r^2 <= a 4^n / b."""
     d = ((a << 2 * n) // b) - r * r  # N - r^2 for N = (a << 2n) // b
-    while d < 0:  # r^2 > N
-        d += 2 * r - 1
-        r -= 1
     while d > 2 * r:  # (r + 1)^2 <= N
         r += 1
         d -= 2 * r - 1

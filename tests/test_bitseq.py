@@ -44,6 +44,7 @@ from uns.bitseq import (
     render_universal_set,
     to_index_set,
 )
+from uns.cli import run
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -323,6 +324,41 @@ def test_a_long_preperiod_is_walked_without_recording_it(call):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+# a block of 32768 random bits, within the pattern budget, and the value
+# 1/(2^16384 + 1), whose block is as long on both sides
+WIDE_BLOCK = format(random.Random(27).getrandbits(PATTERN_BUDGET), f"0{PATTERN_BUDGET}b")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run(["convert", f".({WIDE_BLOCK})", "--to", "notation"]),
+        lambda: encode_fraction(Fraction(1, (1 << PATTERN_BUDGET // 2) + 1)),
+        lambda: encode_left_rational(Fraction(1, (1 << PATTERN_BUDGET // 2) + 1)),
+    ],
+    ids=["cli-convert", "fraction", "left"],
+)
+def test_a_wide_block_is_read_off_without_recording_its_states(call, capsys):
+    # a block's states are as wide as its denominator: keeping its 32768
+    # remainders would take tens of MB and most of a second
+    start = time.process_time()
+    call()
+    cpu = time.process_time() - start
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert cpu < 0.3
+
+
+def test_a_wide_block_is_printed_as_given(capsys):
+    assert run(["convert", f".({WIDE_BLOCK})", "--to", "notation"]) == 0
+    assert capsys.readouterr().out == f"(0).({WIDE_BLOCK})\n"
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ values.  Decimal text is checked against digit-by-digit long division.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -91,12 +92,33 @@ patterns = st.one_of(
     st.builds(lambda pre, blk, k: PeriodicBits(pre, blk * k), runs, blocks.map(lambda b: b[:4]), st.integers(2, 4)),
 )
 orientations = st.sampled_from((LEFT, RIGHT))
-odd_denominator = st.builds(
-    Fraction, st.integers(-(10**6), 10**6), st.integers(0, 3000).map(lambda k: 2 * k + 1)
+
+
+def mersenne_factor(ks: list[int], c: int) -> int:
+    """A factor of the lcm of the 2^|k| + sign(k), up to about 2^64 for
+    |k| <= 21: 2 has an order modulo it that divides the lcm of the
+    2|k|, at most 15960, so its blocks stay within the pattern budget."""
+    d = lcm(*((1 << abs(k)) + (1 if k > 0 else -1) for k in ks))
+    return d // gcd(d, c)
+
+
+wide_odd = st.builds(
+    mersenne_factor,
+    st.lists(st.sampled_from([k for k in range(-21, 22) if k]), min_size=3, max_size=3),
+    st.integers(1, 1 << 20),
+)
+# numerators of up to about 2000 bits, so that long preperiods are walked
+wide_numerators = st.integers(0, 2000).flatmap(lambda b: st.integers(-(1 << b), 1 << b))
+odd_denominator = st.one_of(
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(0, 3000).map(lambda k: 2 * k + 1)),
+    st.builds(Fraction, wide_numerators, wide_odd),
 )
 unit_interval = st.one_of(
     st.builds(lambda a, b: Fraction(a, a + b), st.integers(1, 10**4), st.integers(1, 10**4)),
     st.builds(lambda k, a: Fraction(2 * a + 1, 1 << k), st.integers(1, 40), st.integers(0, 2**30))
+    .filter(lambda q: q < 1),
+    # a preperiod of up to 2000 bits before a wide odd part's block
+    st.builds(lambda x, d, a: Fraction(x % (d << a) or 1, d << a), wide_numerators, wide_odd, st.integers(0, 2000))
     .filter(lambda q: q < 1),
 )
 rationals = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 5000))
@@ -119,6 +141,8 @@ def test_normalize_matches_the_oracle(p, orientation):
 
 @SETTINGS
 @given(odd_denominator)
+@example(Fraction(-(1 << 2000) - 1, mersenne_factor([21, -20, 19], 1)))
+@example(Fraction((1 << 2000) + 1, (1 << 61) - 1))
 def test_left_roundtrip_gives_the_minimal_form(q):
     part = encode_left_rational(q)
     assert decode_left(part) == q
@@ -127,6 +151,7 @@ def test_left_roundtrip_gives_the_minimal_form(q):
 
 @SETTINGS
 @given(unit_interval)
+@example(Fraction(1, mersenne_factor([21, -20, 19], 1) << 2000))
 def test_right_roundtrip_gives_the_minimal_form(q):
     part = encode_fraction(q)
     assert decode_right(part) == q

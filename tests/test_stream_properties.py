@@ -166,10 +166,12 @@ def test_sqrt_ratio_is_the_floor_of_the_root(case):
 
 
 def spy_on_fix_up(monkeypatch):
-    """The (a, b, n) of every call of _sqrt_fix_up, from now on."""
+    """The (a, b, n) of every call of _sqrt_fix_up, from now on; each
+    must enter at or below the floor, as it only steps up."""
     calls = []
 
     def spy(a, b, n, r):
+        assert r * r <= (a << 2 * n) // b
         calls.append((a, b, n))
         return _sqrt_fix_up(a, b, n, r)
 
