@@ -31,18 +31,20 @@ end in (1), so 3/4 is ".10(1)" and never ".11".
 
 The minimal form is read off the value in lowest terms (Hardy and
 Wright, ch. 9): for a denominator 2^a d, d odd, the right preperiod is
-the quotient by d in a bits, the left one is walked until the running
-numerator enters [-d, 0], and each block, of the order of 2 modulo d
-in bits, is refused past PATTERN_BUDGET bits.  normalize refuses a
-pattern longer than PATTERN_BUDGET bits and expands its reduced value
-so; parse_universal refuses a text of more than DEFAULT_BUDGET bits.
+the quotient by d in a bits, the left one is read 2-adically, as the
+value modulo a power of two, up to where the running numerator enters
+[-d, 0], and each block, of the order of 2 modulo d in bits, is refused
+past PATTERN_BUDGET bits.  normalize refuses a pattern longer than
+PATTERN_BUDGET bits and expands its reduced value so; parse_universal
+refuses a text of more than DEFAULT_BUDGET bits.
 
 The bottom layer also holds what every layer above shares: Record, the
 base of every immutable value; the bit budget and BudgetError, the base
-of every refusal; ParseError, the base of every grammar's error; and
-the package's two crossings of decimal text, _int_str, which prints an
-integer or a Fraction, and _read_int, which reads an integer.  Both work
-past the interpreter's limit on integer text and leave it as it is;
+of every refusal; ParseError, the base of every grammar's error; _memo,
+the one memo policy, least recently used with 1024 entries per function;
+and the package's two crossings of decimal text, _int_str, which prints
+an integer or a Fraction, and _read_int, which reads an integer.  Both
+work past the interpreter's limit on integer text and leave it as it is;
 _show quotes a value in an error message through _int_str, an integer
 past a bound by its size.
 """
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import attrgetter
 
@@ -63,6 +66,12 @@ DEFAULT_BUDGET = 1 << 20  # bits
 BUDGET_DIGITS = DEFAULT_BUDGET * 10**9 // 3321928095
 # the longest pattern, preperiod and block together, that normalize walks
 PATTERN_BUDGET = 1 << 15  # bits
+
+# The one memo policy of the package: least recently used entries go past
+# 1024 per function.  Keys of the ordinal and cardinal memos are interned
+# terms, hashed by identity; typed, so 1, 1.0 and True stay apart on their
+# way to ordinals._coerce.
+_memo = lru_cache(maxsize=1024, typed=True)
 
 
 class BudgetError(ValueError):
@@ -315,8 +324,18 @@ def _left_digits(num: int, den: int) -> PeriodicBits:
     the digits start to repeat.  s = 0 gives the block (0), s = -den the
     block (1), and otherwise s / den = B / (1 - 2^n) for the n-bit B of
     _block(-s, den), whose bits, least significant first, are the block.
+
+    The state stays out of [-den, 0] for the first k steps, k the bit
+    length of |num| less that of den, as |num| > 2^j den for j < k.  Those
+    k digits are the low k bits of num / den read 2-adically, and they
+    are read at once: num = low den + 2^k s, so low = num / den mod 2^k
+    and s = (num - low den) / 2^k, within (-3 den, 2 den), from where the
+    walk takes a few steps.
     """
-    digits: list[str] = []
+    k = max(0, abs(num).bit_length() - den.bit_length())
+    low = num * pow(den, -1, 1 << k) & ((1 << k) - 1)
+    digits = [bin((1 << k) | low)[3:][::-1]]
+    num = (num - low * den) >> k
     while not -den <= num <= 0:
         bit = num & 1
         digits.append("01"[bit])

@@ -22,9 +22,10 @@ rule covers, or a finite blow-up past the budget.
 
 Expression nodes are hash-consed like the ordinals, as ordinals._Term
 records: equal expressions are one object, so == and hash are identity
-and O(1), and aleph indices go through the ordinals' memoized arithmetic
-(1024 entries per operation).  all_single_steps keeps the steps of each
-term under each budget in the same memo, so the states of an exploration,
+and O(1), and aleph indices go through the ordinals' memoized arithmetic.
+all_single_steps keeps the steps of each term under each budget in a
+memo of the package's one policy, bitseq._memo, least recently used with
+1024 entries, so the states of an exploration,
 which share most of their subterms, pay once for each; normalize reads a
 node's step there once its kids are normal alephs, so the memo keeps the
 intermediate terms of a chain alive and the next call finds them rather
@@ -48,7 +49,7 @@ from itertools import combinations, repeat
 from typing import Mapping, Union, get_args
 
 from . import hyperops
-from .bitseq import DEFAULT_BUDGET, BudgetError, ParseError, Record, _int_str, _read_int, _show
+from .bitseq import DEFAULT_BUDGET, BudgetError, ParseError, Record, _int_str, _memo, _read_int, _show
 from .ordinals import (
     ONE,
     ZERO,
@@ -57,7 +58,6 @@ from .ordinals import (
     ORDINAL,
     _intern,
     _kept,
-    _memo,
     _parse,
     _Term,
     from_int,
@@ -99,8 +99,17 @@ class FiniteBudgetError(UnnormalizableError, BudgetError):
 # ---------------------------------------------------------------------------
 # hereditarily finite sets
 
+# the most members of a set that nat_to_set or powerset builds: the numeral
+# 1024 holds 523776 members in all its sets together, 23 MB
+SET_BUDGET = 1024
+
 
 class PureSet(Record):
+    """A hereditarily finite set.  Its text lists the members in order of
+    size, then of their sorted members, and is refused past
+    DEFAULT_BUDGET characters: a numeral's text holds every smaller one's,
+    so it doubles with each member."""
+
     __slots__ = ("members",)
     _defaults = {"members": frozenset()}
     members: frozenset[PureSet]
@@ -111,12 +120,55 @@ class PureSet(Record):
     def __contains__(self, other):
         return other in self.members
 
-    def _key(self):
-        return (len(self.members), tuple(sorted(m._key() for m in self.members)))
-
     def __str__(self):
-        inner = sorted(self.members, key=PureSet._key)
-        return "{" + ", ".join(str(m) for m in inner) + "}"
+        # lengths and sort keys are made once per set object, each after
+        # its members', as one numeral recurs in every larger one; the text
+        # is then written in order, each set as often as it is printed
+        order = _bottom_up(self)
+        size: dict = {}
+        for s in order:
+            size[id(s)] = sum(size[id(m)] + 2 for m in s.members) or 2
+        if size[id(self)] > DEFAULT_BUDGET:
+            raise BudgetError(
+                f"a {_show(size[id(self)])}-character set text exceeds the {DEFAULT_BUDGET}-character budget"
+            )
+        key: dict = {}
+        inner: dict = {}
+        for s in order:
+            inner[id(s)] = members = sorted(s.members, key=lambda m: key[id(m)])
+            key[id(s)] = (len(members), tuple(key[id(m)] for m in members))
+        pieces, stack = [], [self]
+        while stack:
+            s = stack.pop()
+            if type(s) is str:
+                pieces.append(s)
+                continue
+            pieces.append("{")
+            stack.append("}")
+            for i, m in enumerate(reversed(inner[id(s)])):
+                stack += (", ", m) if i else (m,)
+        return "".join(pieces)
+
+
+def _bottom_up(s: PureSet) -> list:
+    """The set objects in s and s itself, each once and after its members,
+    told apart by id as s holds them all.  A stack of the sets being
+    walked, each with its members still to see, stands in for recursion,
+    as sets may nest deeper than Python calls; no member of one of them
+    is on the stack, as no set is in a member of itself."""
+    seen = {id(s)}
+    order, stack = [], [(s, iter(s.members))]
+    while stack:
+        top, members = stack[-1]
+        for m in members:
+            if id(m) not in seen:
+                seen.add(id(m))
+                stack.append((m, iter(m.members)))
+                break
+        else:
+            stack.pop()
+            order.append(top)
+    return order
 
 
 EMPTY_SET = PureSet()
@@ -126,6 +178,8 @@ def nat_to_set(n: int) -> PureSet:
     """Von Neumann numeral: each number is the set of the smaller ones."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"not a natural number: {_show(n)}")
+    if n > SET_BUDGET:
+        raise BudgetError(f"numeral {_show(n)} exceeds the {SET_BUDGET}-member set budget")
     s = EMPTY_SET
     for _ in range(n):
         s = PureSet(s.members | {s})
@@ -140,6 +194,8 @@ def set_to_nat(s: PureSet) -> int:
 
 
 def powerset(s: PureSet) -> PureSet:
+    if 1 << len(s) > SET_BUDGET:
+        raise BudgetError(f"the powerset of a {len(s)}-member set exceeds the {SET_BUDGET}-member set budget")
     members = list(s.members)
     subsets = set()
     for r in range(len(members) + 1):

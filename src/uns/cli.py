@@ -13,7 +13,6 @@ it directly, and leaves any other (--help, usage errors) to build_parser's.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -327,7 +326,7 @@ def _read_argv(argv):
     return argparse.Namespace(**found, fn=fn)
 
 
-@functools.lru_cache(maxsize=1)
+@bitseq._memo
 def _shared_parser() -> argparse.ArgumentParser:
     """The parser every `run` reuses: parsing leaves no state on it, as
     each call gets a fresh namespace filled from the defaults."""

@@ -33,6 +33,16 @@ def _show_int(x: int) -> str:
     return _show(x, 12000)
 
 
+# the words around a count at each level, head and tail, {m} the base and
+# {k} the level; the level-3 entry serves every higher level
+_WORDING = {
+    0: ("{m} * ", ""),
+    1: ("{m}^", ""),
+    2: ("a power tower of ", " copies of {m}"),
+    3: ("level-{k} explosion of {m} at height ", ""),
+}
+
+
 class Exceeded(Record):
     """Structural stand-in for a value past the budget: base applied at
     `level` to `pending`, which is a count or a nested Exceeded."""
@@ -43,38 +53,19 @@ class Exceeded(Record):
     pending: Union[int, "Exceeded"]
 
     def describe(self) -> str:
-        # assembled as prefix pieces plus one joined suffix of closing
-        # parens; wrap chains can be tens of thousands of layers deep
-        # when a high-level fold fails far down, so no per-layer copying
-        chain = [self]
-        while isinstance(chain[-1].pending, Exceeded):
-            chain.append(chain[-1].pending)
-        parts = []
-        for node in chain[:-1]:
-            if node.level == 0:
-                parts.append(f"{_show_int(node.base)} * (")
-            elif node.level == 1:
-                parts.append(f"{_show_int(node.base)}^(")
-            else:
-                parts.append(
-                    f"level-{_show_int(node.level)} explosion of "
-                    f"{_show_int(node.base)} at height ("
-                )
-        last = chain[-1]
-        count = _show_int(last.pending)
-        if last.level == 0:
-            parts.append(f"{_show_int(last.base)} * {count}")
-        elif last.level == 1:
-            parts.append(f"{_show_int(last.base)}^{count}")
-        elif last.level == 2:
-            parts.append(f"a power tower of {count} copies of {_show_int(last.base)}")
-        else:
-            parts.append(
-                f"level-{_show_int(last.level)} explosion of "
-                f"{_show_int(last.base)} at height {count}"
-            )
-        parts.append(")" * (len(chain) - 1))
-        return "".join(parts)
+        # each node puts its head and tail around its count, and a nested
+        # node is its parent's count, in parentheses; chains can be tens of
+        # thousands of layers deep when a high-level fold fails far down, so
+        # the pieces are joined once, with no per-layer copying
+        heads, tails = [], []
+        node = self
+        while isinstance(node, Exceeded):
+            head, tail = _WORDING.get(node.level, _WORDING[3])
+            m = _show_int(node.base)
+            heads.append(head.format(m=m, k=_show_int(node.level)))
+            tails.append(tail.format(m=m))
+            node = node.pending
+        return "(".join(heads) + _show_int(node) + ")".join(reversed(tails))
 
     def __str__(self) -> str:
         return self.describe()
@@ -103,30 +94,27 @@ def _check_args(m, k, n, budget):
         raise ValueError("base 0 only supports count 1 above level 0")
 
 
-def _pow_budgeted(m: int, n: int, budget: int) -> HyperResult:
+def _pow_budgeted(m: int, n: int, budget: int) -> int | Exceeded:
     L = m.bit_length()
     if n * (L - 1) + 1 > budget:
         return Exceeded(m, 1, n)
     v = m**n
-    if v.bit_length() > budget:
-        return Exceeded(m, 1, n)
-    return Exact(v)
+    return v if v.bit_length() <= budget else Exceeded(m, 1, n)
 
 
-def _tower_budgeted(m: int, n: int, budget: int) -> HyperResult:
+def _tower_budgeted(m: int, n: int, budget: int) -> int | Exceeded:
     t = m
     for _ in range(n - 1):
-        step = _pow_budgeted(m, t, budget)
-        if isinstance(step, Exceeded):
+        t = _pow_budgeted(m, t, budget)
+        if isinstance(t, Exceeded):
             return Exceeded(m, 2, n)
-        t = step.value
-    return Exact(t)
+    return t
 
 
 _DEEP_LEVEL = 1 << 17
 
 
-def _climb(m: int, k: int, n: int, budget: int) -> HyperResult:
+def _climb(m: int, k: int, n: int, budget: int) -> int | Exceeded:
     """Fold for levels 3 and up.  An explicit frame stack stands in for
     recursion: rewritten expressions can ask for levels in the tens of
     thousands (for instance after an inner value evaluates to 65536),
@@ -134,7 +122,7 @@ def _climb(m: int, k: int, n: int, budget: int) -> HyperResult:
     [level, steps_left, acc]: acc still needs steps_left applications
     of m at level-1."""
     frames = [[k, n - 1, m]]
-    result: HyperResult | None = None
+    result: int | Exceeded | None = None
     while frames:
         level, steps, acc = frames[-1]
         if result is not None:
@@ -146,15 +134,15 @@ def _climb(m: int, k: int, n: int, budget: int) -> HyperResult:
                 result = r if steps == 1 else Exceeded(m, level, r)
                 continue
             frames[-1][1] = steps - 1
-            frames[-1][2] = r.value
+            frames[-1][2] = r
             continue
         if steps == 0:
             frames.pop()
-            result = Exact(acc)
+            result = acc
             continue
         j, v = level - 1, acc
         if m == 2 and v == 2:
-            result = Exact(4)  # 2 at any level applied twice
+            result = 4  # 2 at any level applied twice
         elif j == 2:
             result = _tower_budgeted(m, v, budget)
         elif j > _DEEP_LEVEL:
@@ -174,16 +162,16 @@ def hyper(m: int, k: int, n: int, budget: int = DEFAULT_BUDGET) -> HyperResult:
     _check_args(m, k, n, budget)
     if k == 0:
         v = m * n
-        return Exact(v) if v.bit_length() <= budget else Exceeded(m, 0, n)
-    if n == 1:
-        return Exact(m)
-    if m == 1:
-        return Exact(1)
-    if k == 1:
-        return _pow_budgeted(m, n, budget)
-    if k == 2:
-        return _tower_budgeted(m, n, budget)
-    return _climb(m, k, n, budget)
+        r = v if v.bit_length() <= budget else Exceeded(m, 0, n)
+    elif n == 1 or m == 1:
+        r = m
+    elif k == 1:
+        r = _pow_budgeted(m, n, budget)
+    elif k == 2:
+        r = _tower_budgeted(m, n, budget)
+    else:
+        r = _climb(m, k, n, budget)
+    return r if isinstance(r, Exceeded) else Exact(r)
 
 
 class MonotoneReport(Record):

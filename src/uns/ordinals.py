@@ -15,10 +15,9 @@ naturals below 16 are built at import and stay alive.  A term keeps its
 text from its first print, unless that is longer than _TEXT_KEPT
 characters, as a finite value of many digits is.  Walks over
 exponents run in loops, so towers of any height work.  ord_add,
-ord_mul, ord_pow and ord_cmp share one memo policy, _memo, least
-recently used with 1024 entries per operation; cardinals memoizes the
-rewrite steps of a term with it too, which normalize and
-all_single_steps both read.  Finite powers pass the hyperops
+ord_mul, ord_pow and ord_cmp are memoized by the package's one memo
+policy, bitseq._memo, least recently used with 1024 entries per
+operation.  Finite powers pass the hyperops
 size gate and are refused with OrdinalBudgetError past the default bit
 budget; so is an infinite base raised to a finite power whose normal
 form would have more than TERM_BUDGET terms, and a w-tower taller than
@@ -43,7 +42,7 @@ from __future__ import annotations
 import re
 import weakref
 from _weakref import _remove_dead_weakref
-from functools import lru_cache, total_ordering
+from functools import total_ordering
 
 from . import hyperops
 from .bitseq import (
@@ -52,6 +51,7 @@ from .bitseq import (
     ParseError,
     Record,
     _int_str,
+    _memo,
     _read_int,
     _refuse_long_numerals,
     _show,
@@ -282,12 +282,6 @@ def _coerce(x) -> Ordinal:
     raise TypeError(f"not an ordinal: {x!r}")
 
 
-# The one memo policy of the arithmetic: least recently used entries go
-# past 1024 per operation.  Keys are interned terms, hashed by identity;
-# typed, so 1, 1.0 and True stay apart on their way to _coerce.
-_memo = lru_cache(maxsize=1024, typed=True)
-
-
 @_memo
 def ord_cmp(a: Ordinal, b: Ordinal) -> int:
     """-1, 0 or 1; lexicographic on the normal-form terms."""
@@ -378,7 +372,7 @@ def _finite_pow(m: int, n: int) -> Ordinal:
         raise OrdinalBudgetError(
             f"finite power exceeds {DEFAULT_BUDGET}-bit budget: {r.describe()}"
         )
-    return from_int(r.value)
+    return from_int(r)
 
 
 @_memo

@@ -5,9 +5,10 @@ square root, a diagonal over other streams, or a registered custom
 algorithm) whose prefix_bits(n) is the first n bits of the value's
 nonterminating binary expansion as one integer.  as_stream gives equal
 descriptors one shared BitStream, whose memo, an integer and its length
-behind a lock, makes every prefix a prefix of every longer one; that
-memo, bounded to the 1024 most recently used descriptors, is the
-module's one cache of answers; the other thing it keeps is pi/4's longest
+behind a lock, makes every prefix a prefix of every longer one; kept for
+the 1024 most recently used descriptors by the package's one memo
+policy, bitseq._memo, those memos are the module's one cache of
+answers; the other thing it keeps is pi/4's longest
 binary split, one tuple of four integers, about 0.7 MB at the 2^20-bit
 budget.  BitStream.prefix refuses a prefix longer than that budget, and
 bits become a tuple only in BitStream.bits.
@@ -55,7 +56,6 @@ from __future__ import annotations
 import re
 import threading
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt
 from typing import Callable, Union
 
@@ -65,6 +65,7 @@ from .bitseq import (
     ParseError,
     Record,
     _int_str,
+    _memo,
     _read_int,
     _refuse_long_numerals,
     _show,
@@ -394,7 +395,7 @@ class BitStream:
         return f"BitStream({self.descriptor!r})"
 
 
-@lru_cache(maxsize=1024)
+@_memo
 def as_stream(descriptor: StreamDescriptor) -> BitStream:
     """The shared stream of a descriptor; equal descriptors share memos."""
     return BitStream(descriptor)

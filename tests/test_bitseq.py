@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -306,6 +307,18 @@ def test_a_block_past_the_pattern_budget_is_refused(encode):
     assert time.process_time() - start < 0.5
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_long_left_preperiod_is_read_at_once(sign):
+    # the first 2^17 digits of +-2^(2^17) are read off the value 2-adically,
+    # not walked one at a time over a 2^17-bit numerator
+    start = time.process_time()
+    part = encode_integer(sign * (1 << 2**17))
+    assert time.process_time() - start < 0.05
+    # 2^k is a one after k zeros, -2^k the same zeros before all ones
+    want = PeriodicBits("0" * 2**17 + "1", "0") if sign > 0 else PeriodicBits("0" * 2**17, "1")
+    assert part.bits == want
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -487,6 +500,34 @@ def test_from_index_set_rejects_malformed_views():
         from_index_set(IndexSetView(RIGHT, (0,), None))  # below base
     with pytest.raises(ValueError):
         from_index_set(IndexSetView(LEFT, (5,), (2, 1, (0,))))  # past tail
+
+
+@pytest.mark.parametrize(
+    "view, message",
+    [
+        (("up", (), None), "bad orientation 'up'"),
+        ((LEFT, (), (0, 0, ())), "tail stride must be positive"),
+        ((RIGHT, (), (0, 2, (0,))), "tail starts before the first index"),
+        ((LEFT, (), (0, 2, (1, 1))), "tail offsets must be distinct and below the stride"),
+        ((RIGHT, (2, 2), (4, 1, ())), "index 2 listed twice"),
+    ],
+    ids=["orientation", "stride", "start", "offsets", "twice"],
+)
+def test_from_index_set_says_what_is_wrong(view, message):
+    from uns.bitseq import IndexSetView
+
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        from_index_set(IndexSetView(*view))
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    # -59 = ...11000101 in two's complement, 2/3 = .101010... and 5 = 101
+    [(Fraction(-59), "-{...,9,8,7,6,2,0}"), (Fraction(2, 3), "{1,3,5,7,...}+"), (Fraction(5), "-{2,0}")],
+    ids=["left-only", "right-only", "integer"],
+)
+def test_a_one_sided_value_renders_one_set(value, text):
+    assert render_universal_set(encode_universal(value)) == text
 
 
 # ---------------------------------------------------------------------------

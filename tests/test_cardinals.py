@@ -1,8 +1,10 @@
 import decimal
 import gc
 import pickle
+import re
 import sys
 import threading
+import time
 import tracemalloc
 
 import pytest
@@ -78,7 +80,7 @@ def test_powerset_of_empty():
 def test_diagonal_witness_is_never_in_the_image():
     s = nat_to_set(4)
     for trial in range(3):
-        members = sorted(s.members, key=PureSet._key)
+        members = sorted(s.members, key=len)
         f = {}
         for i, x in enumerate(members):
             chosen = [m for j, m in enumerate(members) if (i + j + trial) % 2]
@@ -104,6 +106,57 @@ def test_set_to_nat_rejects_non_numerals():
     )
     with pytest.raises(ValueError):
         set_to_nat(pair)
+
+
+def numeral_text(n: int) -> str:
+    texts = ["{}"]
+    for _ in range(n):
+        texts.append("{" + ", ".join(texts) + "}")
+    return texts[n]
+
+
+def test_a_numeral_prints_every_smaller_one_once_each():
+    # 786430 characters, within the budget: the sort order of each smaller
+    # numeral is found once, not once for every numeral that holds it
+    assert len(numeral_text(18)) == 786430
+    start = time.process_time()
+    text = str(nat_to_set(18))
+    assert time.process_time() - start < 0.5
+    assert text == numeral_text(18)
+
+
+def singletons(n: int) -> PureSet:
+    # n distinct members, {}, {{}}, {{{}}}, ..., each built from the last
+    chain = [EMPTY_SET]
+    for _ in range(n - 1):
+        chain.append(PureSet(frozenset([chain[-1]])))
+    return PureSet(frozenset(chain))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: nat_to_set(1025), "numeral 1025 exceeds the 1024-member set budget"),
+        (lambda: set_to_nat(singletons(1025)), "numeral 1025 exceeds the 1024-member set budget"),
+        (lambda: powerset(singletons(11)), "the powerset of a 11-member set exceeds the 1024-member set budget"),
+        (lambda: str(nat_to_set(19)), "a 1572862-character set text exceeds the 1048576-character budget"),
+    ],
+    ids=["numeral", "set_to_nat", "powerset", "text"],
+)
+def test_finite_sets_are_refused_past_their_budgets_before_any_work(call, message):
+    start = time.process_time()
+    with pytest.raises(BudgetError, match=f"^{re.escape(message)}$"):
+        call()
+    assert time.process_time() - start < 0.1
+
+
+def test_the_largest_sets_within_the_budgets_are_built():
+    largest = nat_to_set(cardinals.SET_BUDGET)
+    assert len(largest) == 1024
+    assert len(powerset(singletons(10))) == 1024
+    # numeral n prints in 3 * 2^n - 2 characters, so {1024} in 3 * 2^1024
+    with pytest.raises(BudgetError, match=f"^a {3 * 2**1024}-character set text exceeds"):
+        str(PureSet(frozenset([largest])))
 
 
 # ---------------------------------------------------------------------------

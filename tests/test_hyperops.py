@@ -130,6 +130,16 @@ def test_describe_reads_as_a_tower_at_level_two():
     assert out.describe() == "a power tower of 65536 copies of 2"
 
 
+def test_nested_statements_take_the_innermost_wording_of_their_level():
+    # hyper nests only levels 3 and up; a statement built by hand at level
+    # 2 reads as a tower whose height is the nested statement
+    inner = Exceeded(3, 1, 5)
+    assert Exceeded(7, 2, inner).describe() == "a power tower of (3^5) copies of 7"
+    assert Exceeded(7, 0, inner).describe() == "7 * (3^5)"
+    assert Exceeded(7, 1, Exceeded(3, 0, 5)).describe() == "7^(3 * 5)"
+    assert Exceeded(7, 4, inner).describe() == "level-4 explosion of 7 at height (3^5)"
+
+
 # ---------------------------------------------------------------------------
 # domain
 

@@ -2,10 +2,10 @@
 modules below it, so a lower layer never depends on an upper one.  The
 package's __init__ sits above the stack and re-exports all of it.  Every
 package import sits at module level, where the order is visible; none
-hides in a function body.  Every cache has a literal bound, every
-private helper is used, no float is written, made or divided out, no
-module switches the interpreter's limit on integer text, and no nested
-function refers to itself.
+hides in a function body.  Every cache has a literal bound and is made
+by bitseq's one memo policy, every private helper is used, no float is
+written, made or divided out, no module switches the interpreter's limit
+on integer text, and no nested function refers to itself.
 Start-up loads no module the package does not use: no dataclasses, and
 so no inspect."""
 
@@ -105,6 +105,38 @@ def test_every_cache_is_bounded(path):
 )
 def test_the_cache_check_tells_bounded_from_unbounded(source, bounded):
     assert (not list(_unbounded_caches(ast.parse(source)))) == bounded
+
+
+def _cache_makers(tree):
+    """Lines that name functools' lru_cache or cache, imported or read off
+    the module: only bitseq, which owns the one memo policy, may."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias) and node.name in ("lru_cache", "cache"):
+            yield f"line {node.lineno}: imports {node.name}"
+        elif isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache"):
+            yield f"line {node.lineno}: names {node.attr}"
+
+
+@pytest.mark.parametrize("path", [p for p in [*MODULES, Path(uns.__file__)] if p.stem != "bitseq"], ids=lambda p: p.stem)
+def test_only_bitseq_makes_a_memo(path):
+    problems = list(_cache_makers(ast.parse(path.read_text(encoding="utf-8"))))
+    assert not problems, f"{path.stem}: {problems}"
+
+
+@pytest.mark.parametrize(
+    "source, clean",
+    [
+        ("from .bitseq import _memo\n@_memo\ndef f(): pass", True),
+        ("from . import bitseq\n@bitseq._memo\ndef f(): pass", True),
+        ("from functools import total_ordering", True),
+        ("from functools import lru_cache\n@lru_cache(maxsize=8)\ndef f(): pass", False),
+        ("from functools import cache as keep", False),
+        ("import functools\n@functools.lru_cache(maxsize=1)\ndef f(): pass", False),
+        ("import functools as ft\nmemo = ft.cache", False),
+    ],
+)
+def test_the_memo_check_finds_every_functools_cache(source, clean):
+    assert (not list(_cache_makers(ast.parse(source)))) == clean
 
 
 def _dead_helpers(trees):

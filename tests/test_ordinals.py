@@ -226,6 +226,16 @@ def test_omega_power_helper():
     assert omega_power(2) == o("w^2")
 
 
+def test_operators_are_the_arithmetic():
+    pool = [ZERO, ONE, from_int(3), OMEGA, parse_ordinal("w+2"), parse_ordinal("w^w*2+w")]
+    for a, b in itertools.product(pool, [*pool, 0, 2]):
+        assert a + b is ord_add(a, b)
+        assert a * b is ord_mul(a, b)
+        assert a**b is ord_pow(a, b)
+    # (w+2)^2 = (w+2) w + (w+2) 2 = w^2 + w*2 + 2, and once more by w+2
+    assert str(parse_ordinal("w+2") ** 3) == "w^3 + w^2*2 + w*2 + 2"
+
+
 # ---------------------------------------------------------------------------
 # towers
 

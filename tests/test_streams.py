@@ -343,6 +343,10 @@ def test_streams_memoize_and_share_state():
     assert a.bits(12) == (1, 0) * 6
 
 
+def test_a_stream_shows_its_descriptor():
+    assert repr(as_stream(rational(2, 3))) == "BitStream(RationalStream(numerator=2, denominator=3))"
+
+
 def test_stream_memo_is_bounded():
     assert as_stream.cache_info().maxsize == 1024
     for q in range(3, 1103):
