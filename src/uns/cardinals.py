@@ -56,6 +56,8 @@ from .ordinals import (
     EpsilonZero,
     Ordinal,
     ORDINAL,
+    _cnf,
+    _Form,
     _intern,
     _kept,
     _parse,
@@ -108,7 +110,8 @@ class PureSet(Record):
     """A hereditarily finite set.  Its text lists the members in order of
     size, then of their sorted members, and is refused past
     DEFAULT_BUDGET characters: a numeral's text holds every smaller one's,
-    so it doubles with each member."""
+    so it doubles with each member.  Its repr is Record's, and past the
+    same budget names the set by its member count."""
 
     __slots__ = ("members",)
     _defaults = {"members": frozenset()}
@@ -121,33 +124,48 @@ class PureSet(Record):
         return other in self.members
 
     def __str__(self):
-        # lengths and sort keys are made once per set object, each after
-        # its members', as one numeral recurs in every larger one; the text
-        # is then written in order, each set as often as it is printed
-        order = _bottom_up(self)
-        size: dict = {}
-        for s in order:
-            size[id(s)] = sum(size[id(m)] + 2 for m in s.members) or 2
-        if size[id(self)] > DEFAULT_BUDGET:
-            raise BudgetError(
-                f"a {_show(size[id(self)])}-character set text exceeds the {DEFAULT_BUDGET}-character budget"
-            )
-        key: dict = {}
-        inner: dict = {}
-        for s in order:
-            inner[id(s)] = members = sorted(s.members, key=lambda m: key[id(m)])
+        return _set_text(self, "{", "}", "{}", sort=True)
+
+    def __repr__(self):
+        try:
+            return _set_text(self, "PureSet(members=frozenset({", "}))", "PureSet(members=frozenset())", sort=False)
+        except BudgetError:
+            return f"PureSet(<{len(self)} members>)"
+
+
+def _set_text(top: PureSet, head: str, tail: str, empty: str, sort: bool) -> str:
+    """top written with each set as head, its members joined by ", ", then
+    tail, or as empty when it has none, members sorted if sort is set, and
+    refused past DEFAULT_BUDGET characters.  Lengths and sort keys are
+    made once per set object, each after its members', as one numeral
+    recurs in every larger one; the text is then written in order, each
+    set as often as it is printed."""
+    order = _bottom_up(top)
+    size: dict = {}
+    for s in order:  # head, the members with ", " between each two, tail
+        size[id(s)] = len(head) + sum(size[id(m)] + 2 for m in s.members) - 2 + len(tail) if s.members else len(empty)
+    if size[id(top)] > DEFAULT_BUDGET:
+        raise BudgetError(f"a {_show(size[id(top)])}-character set text exceeds the {DEFAULT_BUDGET}-character budget")
+    key: dict = {}
+    inner: dict = {}
+    for s in order:
+        inner[id(s)] = members = list(s.members)
+        if sort:
+            members.sort(key=lambda m: key[id(m)])
             key[id(s)] = (len(members), tuple(key[id(m)] for m in members))
-        pieces, stack = [], [self]
-        while stack:
-            s = stack.pop()
-            if type(s) is str:
-                pieces.append(s)
-                continue
-            pieces.append("{")
-            stack.append("}")
+    pieces, stack = [], [top]
+    while stack:
+        s = stack.pop()
+        if type(s) is str:
+            pieces.append(s)
+        elif not s.members:
+            pieces.append(empty)
+        else:
+            pieces.append(head)
+            stack.append(tail)
             for i, m in enumerate(reversed(inner[id(s)])):
                 stack += (", ", m) if i else (m,)
-        return "".join(pieces)
+    return "".join(pieces)
 
 
 def _bottom_up(s: PureSet) -> list:
@@ -189,7 +207,11 @@ def nat_to_set(n: int) -> PureSet:
 def set_to_nat(s: PureSet) -> int:
     n = len(s)
     if s != nat_to_set(n):
-        raise ValueError(f"{s} is not a numeral")
+        try:
+            named = str(s)
+        except BudgetError:
+            named = f"the {n}-member set"
+        raise ValueError(f"{named} is not a numeral")
     return n
 
 
@@ -346,18 +368,18 @@ def _read_cardinal(tok: str, following, error: type[ParseError]):
 def _indexed_aleph(index) -> Aleph:
     if isinstance(index, EpsilonZero):
         raise CardinalParseError("aleph indices stay below eps_0")
-    return Aleph(index)
+    return Aleph(_cnf(index))
 
 
 # The cardinal grammar of ordinals._parse.  Its forms are the composite
 # nodes and aleph_(, whose index is read in the ordinal grammar; the 2^
 # form comes from _read_cardinal, as 2 alone is a numeral.
 CARDINAL = ({"aleph_0": ALEPH_0}, _read_cardinal, {})
-_POW2 = (Pow2, "^", ((CARDINAL, None),))
+_POW2 = _Form((Pow2, "^", ((CARDINAL, None),)))
 CARDINAL[0].update({
-    "hyper": (HyperCard, "(", ((CARDINAL, ","), (CARDINAL, ","), (CARDINAL, ")"))),
-    "choose": (Choose, "(", ((CARDINAL, ")"),)),
-    "aleph_(": (_indexed_aleph, None, ((ORDINAL, ")"),)),
+    "hyper": _Form((HyperCard, "(", ((CARDINAL, ","), (CARDINAL, ","), (CARDINAL, ")")))),
+    "choose": _Form((Choose, "(", ((CARDINAL, ")"),))),
+    "aleph_(": _Form((_indexed_aleph, None, ((ORDINAL, ")"),))),
 })
 
 

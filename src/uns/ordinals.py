@@ -34,7 +34,12 @@ text, where an aleph index is a sum:
 One tokenizer and one loop, _parse, read both grammars, each given as
 data: in ORDINAL the three levels are the precedences of + * ^ and a
 parenthesis is a form, as the cardinal nodes are in cardinals.CARDINAL.
-One stack holds the waiting forms and operators of both.
+One stack holds the waiting forms and operators of both.  While ordinal
+text is read, a value is its tuple of terms, so a parse interns each
+term of its result once: + is ord_add's addition on the tuples, * by a
+natural scales the leading coefficient, and w^x is the term (x, 1), x
+interned as it becomes an exponent; other products and powers intern
+their operands and run ord_mul or ord_pow.
 """
 
 from __future__ import annotations
@@ -297,18 +302,31 @@ def ord_cmp(a: Ordinal, b: Ordinal) -> int:
     return 0
 
 
+def _add_terms(a: tuple, b: tuple) -> tuple:
+    """The terms of a + b from theirs: the terms of a below b's leading
+    exponent are absorbed, and a term of a with that very exponent takes
+    b's leading coefficient on."""
+    if not b:
+        return a
+    eb, cb = b[0]
+    for i, (e, c) in enumerate(a):
+        if e is eb:
+            return a[:i] + ((eb, c + cb),) + b[1:]
+        if ord_cmp(e, eb) < 0:
+            return a[:i] + b
+    return a + b
+
+
+def _scale(a: tuple, n: int) -> tuple:
+    # the terms of a * n for nonzero a and a natural n >= 1: n copies of a
+    # absorb all but the leading term of each copy but the last
+    return ((a[0][0], a[0][1] * n),) + a[1:]
+
+
 @_memo
 def ord_add(a, b) -> Ordinal:
     a, b = _coerce(a), _coerce(b)
-    if not b.terms:
-        return a
-    eb, cb = b.terms[0]
-    for i, (e, c) in enumerate(a.terms):
-        if e is eb:
-            return _cnf(a.terms[:i] + ((eb, c + cb),) + b.terms[1:])
-        if ord_cmp(e, eb) < 0:
-            return _cnf(a.terms[:i] + b.terms)
-    return _cnf(a.terms + b.terms)
+    return _cnf(_add_terms(a.terms, b.terms))
 
 
 @_memo
@@ -320,10 +338,10 @@ def ord_mul(a, b) -> Ordinal:
     a, b = _coerce(a), _coerce(b)
     if not a.terms or not b.terms:
         return ZERO
-    e0, c0 = a.terms[0]
+    e0 = a.terms[0][0]
     terms = tuple((ord_add(e0, f), d) for f, d in b.terms if f is not ZERO)
     if b.terms[-1][0] is ZERO:
-        terms += ((e0, c0 * b.terms[-1][1]),) + a.terms[1:]
+        terms += _scale(a.terms, b.terms[-1][1])
     return _cnf(terms)
 
 
@@ -515,6 +533,10 @@ _TOKENS = re.compile(rf"(?:\s*(?:{_ATOM}))*")
 def _tokens(text: str, error: type[ParseError]) -> list[str]:
     """The tokens of text, or error naming where the tokens stop."""
     _refuse_long_numerals(text)
+    # findall alone would not do: where no token follows a run of
+    # whitespace, it tries again from each later start in the run, so a
+    # text ending in n spaces costs O(n^2).  The anchored match finds the
+    # end of the tokens in one pass, and findall then never fails a match.
     end = _TOKENS.match(text).end()
     if text[end:].strip():
         raise error(f"bad token at {text[end:]!r}")
@@ -526,25 +548,49 @@ def _expected(wanted: str, tok, error: type[ParseError]):
 
 
 def _read_natural(tok: str, following, error: type[ParseError]):
-    """The ordinal operand that ORDINAL's dict does not name: a natural."""
+    """The ordinal operand that ORDINAL's dict does not name: a natural,
+    as its terms."""
     if not tok.isdigit():
         raise error(f"unexpected token {tok!r}")
-    return from_int(_read_int(tok))
+    n = _read_int(tok)
+    return ((ZERO, n),) if n else ()
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    # a * b: by a natural, ord_mul's scaling; else ord_mul on the interned two
+    if not a or not b:
+        return ()
+    if b[0][0] is ZERO:
+        return _scale(a, b[0][1])
+    return ord_mul(_cnf(a), _cnf(b)).terms
+
+
+def _power(a: tuple, b: tuple) -> tuple:
+    # a ^ b: w^b is the one term (b, 1); else ord_pow on the interned two
+    if a == OMEGA.terms:
+        return ((_cnf(b), 1),)
+    return ord_pow(_cnf(a), _cnf(b)).terms
+
+
+class _Form(tuple):
+    """A node read in parts: its builder, the literal token after its head
+    (or None), and for each operand its grammar and the literal token after
+    it (or None).  Its own type tells it from an ordinal's terms."""
+
+    __slots__ = ()
 
 
 # A grammar of _parse is data: a dict of the values and forms its operand
 # tokens name, a reader for its other operand tokens (given the token, the
 # next one or None, and the error class), and its binary operators, each with
 # its precedence, its operation and the precedence of its right operand.
-# A form is a node read in parts: its builder, the literal token after its
-# head (or None), and for each operand its grammar and the literal token
-# after it (or None).  cardinals defines CARDINAL.
+# cardinals defines CARDINAL.
 ORDINAL = (
-    dict(zip(map(str, range(16)), _NATURALS), w=OMEGA, eps_0=EPSILON_0),
+    dict(zip(map(str, range(16)), (n.terms for n in _NATURALS)), w=OMEGA.terms, eps_0=EPSILON_0),
     _read_natural,
-    {"+": (1, ord_add, 2), "*": (2, ord_mul, 3), "^": (3, ord_pow, 3)},  # ^ right associative
+    {"+": (1, _add_terms, 2), "*": (2, _times, 3), "^": (3, _power, 3)},  # ^ right associative
 )
-ORDINAL[0]["("] = (lambda x: x, None, ((ORDINAL, ")"),))
+ORDINAL[0]["("] = _Form((lambda x: x, None, ((ORDINAL, ")"),)))
 
 
 def _parse(text: str, error: type[ParseError], grammar: tuple):
@@ -570,7 +616,7 @@ def _parse(text: str, error: type[ParseError], grammar: tuple):
             if tok is None:
                 raise error("unexpected end of expression")
             value = read(tok, tokens[pos], error)
-        if type(value) is tuple:  # a form: the literal after its head, then its first operand
+        if type(value) is _Form:  # the literal after its head, then its first operand
             wanted = value[1]
             if wanted is not None:
                 if tokens[pos] != wanted:
@@ -619,7 +665,8 @@ def _parse(text: str, error: type[ParseError], grammar: tuple):
 def parse_ordinal(text: str) -> Ordinal | EpsilonZero:
     if not text.strip():  # no token, as the tokenizer skips only whitespace
         raise OrdinalParseError("empty ordinal expression")
-    return _parse(text, OrdinalParseError, ORDINAL)
+    value = _parse(text, OrdinalParseError, ORDINAL)
+    return value if value is EPSILON_0 else _cnf(value)
 
 
 def format_ordinal(a) -> str:

@@ -150,6 +150,34 @@ def test_finite_sets_are_refused_past_their_budgets_before_any_work(call, messag
     assert time.process_time() - start < 0.1
 
 
+def reference_repr(s: PureSet) -> str:
+    # Record's repr, by recursion
+    inner = ", ".join(map(reference_repr, s.members))
+    return f"PureSet(members=frozenset({{{inner}}}))" if inner else "PureSet(members=frozenset())"
+
+
+def test_a_set_repr_is_records_within_the_budget_and_names_the_member_count_past_it():
+    for s in (*map(nat_to_set, range(8)), singletons(6), powerset(nat_to_set(3))):
+        assert repr(s) == reference_repr(s)
+    # no recursion: a chain deeper than the interpreter's stack is written out
+    chain = EMPTY_SET
+    for _ in range(5000):
+        chain = PureSet(frozenset([chain]))
+    assert repr(chain) == "PureSet(members=frozenset({" * 5000 + "PureSet(members=frozenset())" + "}))" * 5000
+    start = time.process_time()
+    assert repr(nat_to_set(40)) == "PureSet(<40 members>)"
+    assert repr(nat_to_set(16)) == "PureSet(<16 members>)"  # 1966078 characters at full length
+    assert time.process_time() - start < 0.1
+
+
+def test_set_to_nat_names_a_long_set_by_its_member_count():
+    # its text is past the budget, which is not the reason for the refusal
+    with pytest.raises(ValueError, match="^the 1-member set is not a numeral$"):
+        set_to_nat(PureSet(frozenset([nat_to_set(19)])))
+    with pytest.raises(ValueError, match="^{{{}}} is not a numeral$"):
+        set_to_nat(PureSet(frozenset([nat_to_set(1)])))
+
+
 def test_the_largest_sets_within_the_budgets_are_built():
     largest = nat_to_set(cardinals.SET_BUDGET)
     assert len(largest) == 1024

@@ -16,7 +16,7 @@ import re
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from uns.ordinals import (  # noqa: E402
@@ -166,6 +166,78 @@ def test_laws_give_one_object(a, b, c):
 def test_printed_ordinals_parse_back_to_the_same_object(a):
     x = lift(a)
     assert parse_ordinal(format_ordinal(x)) is x
+
+
+# texts shaped like the benchmark's: CNFs of exponent depth <= 2 and
+# coefficients 1-5, in their canonical spelling or respelled through each
+# shortcut of the parser's arithmetic, and parenthesized sums times a
+# natural or raised to a small power
+
+
+@st.composite
+def _spelled(draw, a, vary):
+    """A text of the CNF a: each term w^e*c with e spelled again, and if
+    vary, coefficients split in two (w*2 + w), an absorbed natural in front
+    (3 + w) and a zero summand (n*0, 0*w) somewhere."""
+    parts = []
+    for e, c in a:
+        if e == Z:
+            parts.append(str(c))
+            continue
+        if e == ONE:
+            base = "w"
+        elif len(e) == 1 and e[0][0] == Z:
+            base = f"w^{e[0][1]}"
+        else:
+            base = f"w^({draw(_spelled(e, vary))})"
+        split = draw(st.integers(1, c)) if vary else c
+        parts += [base if k == 1 else f"{base}*{k}" for k in (split, c - split) if k]
+    if vary and a and a[0][0] != Z and draw(st.booleans()):
+        parts.insert(0, str(draw(st.integers(1, 9))))
+    if vary and draw(st.booleans()):
+        zero = draw(st.sampled_from(["0*w", "5*0", "0*(w^2 + 3)", "(w + 1)*0", "0*0", "00"]))
+        parts.insert(draw(st.integers(0, len(parts))), zero)
+    return " + ".join(parts) or "0"
+
+
+_NATURALS = [(str(n), ((Z, n),) if n else Z) for n in range(6)]
+_INFINITE = [("w", ((ONE, 1),)), ("(w + 1)", ((ONE, 1), (Z, 1)))]
+
+
+@st.composite
+def _workload_texts(draw):
+    """(text, value): one to three summands, each a nonzero CNF spelled as above,
+    maybe in parentheses times a natural (or w, or w + 1) or to a power."""
+    texts, value = [], Z
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(cnfs(2, st.integers(1, 5)).filter(bool))
+        text = draw(_spelled(a, draw(st.booleans())))
+        kind = draw(st.sampled_from(["plain", "times", "power"]))
+        if kind == "times":
+            x_text, x = draw(st.sampled_from(_NATURALS + _INFINITE))
+            text, a = f"({text})*{x_text}", omul(a, x)
+        elif kind == "power":
+            x_text, x = draw(st.sampled_from(_NATURALS[:3] + _INFINITE))
+            text, a = f"({text})^{x_text}", opow(a, x)
+        texts.append(text)
+        value = oadd(value, a)
+    return " + ".join(texts), value
+
+
+_W = ((ONE, 1),)
+
+
+@SETTINGS
+@given(_workload_texts())
+@example(("w*2 + w", ((ONE, 3),)))
+@example(("3 + w", _W))
+@example(("(w + 1)*3", ((ONE, 3), (Z, 1))))
+@example(("(w*3 + 1)*w", ((((Z, 2),), 1),)))
+@example(("(w + 1)^w", ((_W, 1),)))
+@example(("5*0 + 0*w + 00", Z))
+def test_workload_shaped_texts_parse_to_the_oracle_value(case):
+    text, value = case
+    assert parse_ordinal(text) is lift(value)
 
 
 class _Descent:

@@ -1,4 +1,5 @@
 import decimal
+import gc
 import itertools
 import random
 import re
@@ -6,6 +7,7 @@ import time
 
 import pytest
 
+from uns import ordinals
 from uns.cardinals import CardinalParseError
 from uns.bitseq import BudgetError
 from uns.ordinals import (
@@ -466,6 +468,36 @@ def test_eps_zero_is_refused_where_it_meets_an_operator():
 
 def test_power_is_right_associative_in_the_grammar():
     assert o("w^w^2") == ord_pow(W, ord_pow(W, from_int(2)))
+
+
+@pytest.mark.parametrize("text", ["w^5*3 + w^4*2 + w^3 + w^2*7 + w + 1", "w^(w^4*3 + w*3)*2 + w^(w^3*2)"])
+def test_a_parse_builds_each_term_of_its_result_once(monkeypatch, text):
+    # against a table holding only the terms something else keeps alive:
+    # every term built is a node of the result that was not there before,
+    # so no partial sum and no w^4 waiting for its coefficient is built
+    for op in (ord_add, ord_mul, ord_pow, ord_cmp):
+        op.cache_clear()
+    gc.collect()
+    before = {t for t in (ref() for ref in list(ordinals._TERMS.values())) if t is not None}
+    built = []
+    real = ordinals._intern
+
+    def spy(cls, fields):
+        ref = ordinals._TERMS.get((cls, *fields))
+        if ref is None or ref() is None:
+            built.append(fields)
+        return real(cls, fields)
+
+    monkeypatch.setattr(ordinals, "_intern", spy)
+    value = parse_ordinal(text)
+    nodes, stack = set(), [value]
+    while stack:
+        x = stack.pop()
+        if x not in nodes:
+            nodes.add(x)
+            stack += (e for e, _ in x.terms)
+    assert format_ordinal(value) == text
+    assert 0 < len(built) <= len(nodes - before)
 
 
 def test_repr_is_distinct_from_display():
