@@ -42,11 +42,14 @@ The bottom layer also holds what every layer above shares: Record, the
 base of every immutable value; the bit budget and BudgetError, the base
 of every refusal; ParseError, the base of every grammar's error; _memo,
 the one memo policy, least recently used with 1024 entries per function;
-and the package's two crossings of decimal text, _int_str, which prints
+the package's two crossings of decimal text, _int_str, which prints
 an integer or a Fraction, and _read_int, which reads an integer.  Both
 work past the interpreter's limit on integer text and leave it as it is;
 _show quotes a value in an error message through _int_str, an integer
-past a bound by its size.
+past a bound by its size.  And _post_order, the one walk over values
+made of values, from a stack, so a value nested past the interpreter's
+calls is printed (_text, which every Record's repr uses), pickled and
+rewritten as any other.
 """
 
 from __future__ import annotations
@@ -161,8 +164,85 @@ class Record:
         return type(self), self._fields
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields))
-        return f"{type(self).__qualname__}({inner})"
+        """The fields as name=value, each record, tuple or frozenset among
+        them written so from the walk; past DEFAULT_BUDGET characters, the
+        class and the number of records the value is made of."""
+        try:
+            return _text(self, _shown_kids, _shown_pieces, "repr")
+        except BudgetError:
+            count = sum(isinstance(x, Record) for x in _post_order(self, _shown_kids))
+            return f"{type(self).__qualname__}(<{count} nodes>)"
+
+
+def _post_order(root, kids):
+    """Each node under root, and root, once and after the nodes kids(node)
+    gives, told apart by id as root holds them all, from a stack of the
+    nodes being walked, each with its kids still to see."""
+    seen = {id(root)}
+    stack = [(root, iter(kids(root)))]
+    while stack:
+        node, rest = stack[-1]
+        for kid in rest:
+            if (i := id(kid)) not in seen:
+                seen.add(i)
+                stack.append((kid, iter(kids(kid))))
+                break
+        else:
+            stack.pop()
+            yield node
+
+
+def _joined(head: str, values, tail: str, empty: str) -> list:
+    # values between head and tail, ", " apart, or empty when there are none
+    pieces = [head]
+    for v in values:
+        pieces += (v, ", ")
+    pieces[-1:] = [tail] if values else [empty]
+    return pieces
+
+
+def _text(top, kids, pieces, what: str) -> str:
+    """The text of top, where pieces(x), called for each node after the
+    nodes kids(x), gives x's text as literal strings and those nodes.  A
+    text past DEFAULT_BUDGET characters, as one writing a shared node at
+    each place may be, is refused before it is written."""
+    parts, size = {}, {}
+    for x in _post_order(top, kids):
+        parts[id(x)] = p = pieces(x)
+        size[id(x)] = sum(len(q) if type(q) is str else size[id(q)] for q in p)
+    if size[id(top)] > DEFAULT_BUDGET:
+        raise BudgetError(f"a {_show(size[id(top)])}-character {what} exceeds the {DEFAULT_BUDGET}-character budget")
+    out, stack = [], [top]
+    while stack:
+        x = stack.pop()
+        if type(x) is str:
+            out.append(x)
+        else:
+            stack += reversed(parts[id(x)])
+    return "".join(out)
+
+
+def _shown(v) -> bool:
+    # written from the walk by Record.__repr__: a record that keeps it, a tuple, a frozenset
+    return type(v) in (tuple, frozenset) or type(v).__repr__ is Record.__repr__
+
+
+def _shown_kids(x) -> list:
+    return [v for v in (x._fields if isinstance(x, Record) else x) if _shown(v)]
+
+
+def _shown_pieces(x) -> list:
+    # a record's fields as name=value, a tuple's or frozenset's items as
+    # their own repr writes them, and any other value as _show quotes it
+    if isinstance(x, Record):
+        pieces = [f"{type(x).__qualname__}("]
+        for i, (name, v) in enumerate(zip(x.__slots__, x._fields)):
+            pieces += (f"{', ' if i else ''}{name}=", v if _shown(v) else _show(v))
+        return pieces + [")"]
+    values = [v if _shown(v) else _show(v) for v in x]
+    if type(x) is tuple:
+        return _joined("(", values, ",)" if len(x) == 1 else ")", "()")
+    return _joined("frozenset({", values, "})", "frozenset()")
 
 
 class PeriodicBits(Record):

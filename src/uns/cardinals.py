@@ -25,15 +25,16 @@ records: equal expressions are one object, so == and hash are identity
 and O(1), and aleph indices go through the ordinals' memoized arithmetic.
 all_single_steps keeps the steps of each term under each budget in a
 memo of the package's one policy, bitseq._memo, least recently used with
-1024 entries, so the states of an exploration,
-which share most of their subterms, pay once for each; normalize reads a
-node's step there once its kids are normal alephs, so the memo keeps the
-intermediate terms of a chain alive and the next call finds them rather
-than building them again.  A step with a finite kid is computed and not
+1024 entries, so the states of an exploration, which share most of
+their subterms, pay once for each; normalize reads a node's step there
+once its kids are normal alephs, so the memo keeps the intermediate
+terms of a chain alive and the next call finds them rather than
+building them again.  A step with a finite kid is computed and not
 recorded, as that kid and the value the finite rule makes of it may be
 of any size.  A term keeps its text from its first print
-(ordinals._kept).  No rule deepens a term, so the parser's depth limit
-bounds the recursive walks below.
+(ordinals._kept).  Every walk runs on a stack of its own, so a term of
+any depth is rewritten and printed; a shared subterm is walked once,
+and a trace, a list of steps or a text past DEFAULT_BUDGET is refused.
 
 Text forms: "aleph_0", "aleph_(w+1)", "2^aleph_3", "hyper(3, 2,
 aleph_0)", "choose(aleph_2)".  An aleph index is a sum of the ordinal
@@ -43,13 +44,14 @@ composite nodes and aleph_( being forms of the table CARDINAL.
 
 from __future__ import annotations
 
-import threading
 from enum import Enum
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
+from operator import attrgetter
 from typing import Mapping, Union, get_args
 
 from . import hyperops
-from .bitseq import DEFAULT_BUDGET, BudgetError, ParseError, Record, _int_str, _memo, _read_int, _show
+from .bitseq import DEFAULT_BUDGET, BudgetError, ParseError, Record, _int_str, _joined, _memo, _post_order, _read_int
+from .bitseq import _show, _text
 from .ordinals import (
     ONE,
     ZERO,
@@ -110,8 +112,7 @@ class PureSet(Record):
     """A hereditarily finite set.  Its text lists the members in order of
     size, then of their sorted members, and is refused past
     DEFAULT_BUDGET characters: a numeral's text holds every smaller one's,
-    so it doubles with each member.  Its repr is Record's, and past the
-    same budget names the set by its member count."""
+    so it doubles with each member."""
 
     __slots__ = ("members",)
     _defaults = {"members": frozenset()}
@@ -124,70 +125,17 @@ class PureSet(Record):
         return other in self.members
 
     def __str__(self):
-        return _set_text(self, "{", "}", "{}", sort=True)
+        key = {}  # each set's sort key, made after its members', as one numeral recurs in every larger one
 
-    def __repr__(self):
-        try:
-            return _set_text(self, "PureSet(members=frozenset({", "}))", "PureSet(members=frozenset())", sort=False)
-        except BudgetError:
-            return f"PureSet(<{len(self)} members>)"
-
-
-def _set_text(top: PureSet, head: str, tail: str, empty: str, sort: bool) -> str:
-    """top written with each set as head, its members joined by ", ", then
-    tail, or as empty when it has none, members sorted if sort is set, and
-    refused past DEFAULT_BUDGET characters.  Lengths and sort keys are
-    made once per set object, each after its members', as one numeral
-    recurs in every larger one; the text is then written in order, each
-    set as often as it is printed."""
-    order = _bottom_up(top)
-    size: dict = {}
-    for s in order:  # head, the members with ", " between each two, tail
-        size[id(s)] = len(head) + sum(size[id(m)] + 2 for m in s.members) - 2 + len(tail) if s.members else len(empty)
-    if size[id(top)] > DEFAULT_BUDGET:
-        raise BudgetError(f"a {_show(size[id(top)])}-character set text exceeds the {DEFAULT_BUDGET}-character budget")
-    key: dict = {}
-    inner: dict = {}
-    for s in order:
-        inner[id(s)] = members = list(s.members)
-        if sort:
-            members.sort(key=lambda m: key[id(m)])
+        def pieces(s):
+            members = sorted(s.members, key=lambda m: key[id(m)])
             key[id(s)] = (len(members), tuple(key[id(m)] for m in members))
-    pieces, stack = [], [top]
-    while stack:
-        s = stack.pop()
-        if type(s) is str:
-            pieces.append(s)
-        elif not s.members:
-            pieces.append(empty)
-        else:
-            pieces.append(head)
-            stack.append(tail)
-            for i, m in enumerate(reversed(inner[id(s)])):
-                stack += (", ", m) if i else (m,)
-    return "".join(pieces)
+            return _joined("{", members, "}", "{}")
+
+        return _text(self, _members, pieces, "set text")
 
 
-def _bottom_up(s: PureSet) -> list:
-    """The set objects in s and s itself, each once and after its members,
-    told apart by id as s holds them all.  A stack of the sets being
-    walked, each with its members still to see, stands in for recursion,
-    as sets may nest deeper than Python calls; no member of one of them
-    is on the stack, as no set is in a member of itself."""
-    seen = {id(s)}
-    order, stack = [], [(s, iter(s.members))]
-    while stack:
-        top, members = stack[-1]
-        for m in members:
-            if id(m) not in seen:
-                seen.add(id(m))
-                stack.append((m, iter(m.members)))
-                break
-        else:
-            stack.pop()
-            order.append(top)
-    return order
-
+_members = attrgetter("members")
 
 EMPTY_SET = PureSet()
 
@@ -205,14 +153,28 @@ def nat_to_set(n: int) -> PureSet:
 
 
 def set_to_nat(s: PureSet) -> int:
-    n = len(s)
-    if s != nat_to_set(n):
-        try:
-            named = str(s)
-        except BudgetError:
-            named = f"the {n}-member set"
-        raise ValueError(f"{named} is not a numeral")
-    return n
+    """The number whose numeral s is: a set of k members is the numeral k
+    when they are the numerals 0 to k-1.  The walk yields each set after
+    its members, so the sets before one are the numerals 0 to top-1, and
+    it is the next if it has top members, else a numeral if none of its
+    members is k or more.  No sets are compared: == between equal sets
+    built apart compares every pair inside, in time doubling per member."""
+    if len(s) > SET_BUDGET:
+        raise BudgetError(f"numeral {_show(len(s))} exceeds the {SET_BUDGET}-member set budget")
+    top, value = 0, {}
+    for x in _post_order(s, _members):
+        k = len(x.members)
+        if k < top and max(map(value.__getitem__, map(id, x.members)), default=-1) != k - 1:
+            named = f"the {len(s)}-member set"
+            if 3 << (top - 1) <= DEFAULT_BUDGET + 2:  # s holds numeral top - 1, of 3 * 2^(top-1) - 2 characters
+                try:
+                    named = str(s)
+                except BudgetError:
+                    pass
+            raise ValueError(f"{named} is not a numeral")
+        value[id(x)] = k
+        top = max(top, k + 1)
+    return len(s)
 
 
 def powerset(s: PureSet) -> PureSet:
@@ -400,44 +362,62 @@ def normalize_with_trace(
     """Bottom-up rewriting to an aleph or a finite value, with the rule
     applications in order.  Raises NoRuleError on a stuck expression and
     FiniteBudgetError when a finite value cannot be materialized; a budget
-    outside 64 to DEFAULT_BUDGET bits is refused before any rewriting."""
+    outside 64 to DEFAULT_BUDGET bits is refused before any rewriting, and
+    a trace of more than DEFAULT_BUDGET steps as it grows past them."""
     hyperops._check_budget(budget)
     trace: list[RewriteStep] = []
     return _walk(e, budget, trace), tuple(trace)
 
 
-def _walk(x: CardinalExpr, budget: int, trace: list) -> CardinalExpr:
-    """x normalized, its kids first, with its rule applications appended
-    to trace.  A module function, as a closure that calls itself holds
-    itself, and each call would leave its frames and trace to the cyclic
-    collector.  The loop, unlike a comprehension, adds no frame per level,
-    and unlike map it calls _walk from Python, not from C, which costs a
-    fraction of entering the interpreter afresh at every level."""
-    if type(x) not in _RULES:
-        return x
-    kids = []
-    for kid in x._fields:
-        kids.append(_walk(kid, budget, trace))
-    x = type(x)(*kids)
-    while type(x) in _RULES:
-        if FiniteCard in map(type, x._fields):
-            # computed, not recorded: a finite kid, and the value the finite
-            # rule makes of it, may be of any size, and the memo counts
-            # entries, not bits
-            step = _root_step(x, budget)
+def _walk(e: CardinalExpr, budget: int, trace: list) -> CardinalExpr:
+    """e normalized, kids first, with its rule applications appended to
+    trace for each place a subterm occurs, from a stack of the nodes being
+    walked, each with where its steps start, its kids still to see and
+    those normalized.  A subterm met again copies its normal form and its
+    steps from where it was walked first."""
+    done = {}  # a subterm walked: its normal form, where its steps start and end
+    stack = [(e, len(trace), iter(e._fields), [])]
+    while True:
+        x, start, kids, normal = stack[-1]
+        for kid in kids:
+            if type(kid) not in _RULES:
+                normal.append(kid)
+            elif kid in done:
+                y, first, end = done[kid]
+                if len(trace) + end - first > DEFAULT_BUDGET:
+                    raise _too_many(len(trace) + end - first)
+                trace += trace[first:end]
+                normal.append(y)
+            else:
+                stack.append((kid, len(trace), iter(kid._fields), []))
+                break
         else:
-            # x's kids are alephs, so its steps in the memo of _single_steps
-            # are at most one, at the root; the memo's entries keep the
-            # terms of a chain alive for the next call, which finds them
-            # instead of rebuilding them
-            steps = _single_steps(x, budget)
-            step = steps[0] if steps else None
-        if step is None:
-            raise NoRuleError(x)
-        rule, after = step
-        trace.append(RewriteStep(rule, x, after))
-        x = after
-    return x
+            stack.pop()
+            y = _intern(type(x), (*normal,))
+            while type(y) in _RULES:
+                if FiniteCard in map(type, y._fields):
+                    # not recorded: a finite kid, and the value the finite
+                    # rule makes of it, may be of any size
+                    step = _root_step(y, budget)
+                else:  # kids are alephs: its one step at most, kept in the memo
+                    box = _entry(y, budget)
+                    steps = box[0] if box else _fill(y, _root_step(y, budget), {y: box})
+                    step = steps[0] if steps else None
+                if step is None:
+                    raise NoRuleError(y)
+                rule, after = step
+                trace.append(RewriteStep(rule, y, after))
+                y = after
+            if len(trace) > DEFAULT_BUDGET:
+                raise _too_many(len(trace))
+            if not stack:
+                return y
+            done[x] = y, start, len(trace)
+            stack[-1][3].append(y)
+
+
+def _too_many(steps: int) -> BudgetError:
+    return BudgetError(f"{_show(steps)} rewrite steps exceed the {DEFAULT_BUDGET}-step budget")
 
 
 def normalize(e: CardinalExpr, budget: int = DEFAULT_BUDGET) -> CardinalExpr:
@@ -449,64 +429,75 @@ def all_single_steps(
 ) -> list[tuple[str, CardinalExpr]]:
     """Every one-rule rewrite of e, at any position.  Fuel for the
     confluence checks: exploring all of these from a root expression
-    visits every reduction order."""
+    visits every reduction order.  More than DEFAULT_BUDGET of them are
+    refused before any is built."""
     hyperops._check_budget(budget)
     return list(_single_steps(e, budget))
 
 
-class _Nested(threading.local):
-    """The memo misses of _single_steps running one inside another in this
-    thread, whose stack they use.  Each costs two interpreter frames, the
-    memo's and the function's, so the miss at _NESTED_MAX fills the memo
-    for its kids bottom-up first: the misses of the fill nest one more
-    level and no further, at any depth."""
-
-    def __init__(self):
-        self.depth = [0]  # boxed, so a miss reads the thread-local once
-
-
-_nested = _Nested()
-_NESTED_MAX = 200
-
-
 @_memo
+def _entry(e: CardinalExpr, budget: int) -> list:
+    """The box of e's single steps under budget, empty until _single_steps
+    fills it; a box lost to an eviction or a cache_clear loses sharing."""
+    return []
+
+
 def _single_steps(e: CardinalExpr, budget: int) -> tuple:
-    # memoized on the interned term, so the subterms that the states of an
-    # exploration share have their steps computed once
-    out = []
-    root = _root_step(e, budget)
-    if root is not None:
-        out.append(root)
-    if type(e) in _RULES:
-        kids = e._fields
-        box = _nested.depth
-        depth = box[0] + 1
-        box[0] = depth
-        try:
-            if depth == _NESTED_MAX:
-                _fill(kids, budget)
-            for i, kid in enumerate(kids):
-                if type(kid) not in _RULES:
-                    continue  # a leaf has no step, and needs no entry
-                for rule, new_kid in _single_steps(kid, budget):
-                    out.append((rule, type(e)(*kids[:i], new_kid, *kids[i + 1 :])))
-        finally:
-            box[0] = depth - 1
-    return tuple(out)
+    """e's steps from its box, filled first with those of each subterm
+    whose box is empty, kids first, on a stack of the nodes being walked,
+    each with its kids still to see; a filled kid is read in place.  Once
+    a node has more than 256 steps (the states of an exploration have a
+    few dozen), as one whose kids share a subterm may double them per
+    level, the nodes after it are counted first and built only if the
+    whole is within DEFAULT_BUDGET steps."""
+    box = _entry(e, budget)
+    if box:
+        return box[0]
+    boxes, later = {e: box}, None  # boxes held here, as the memo may evict them
+    stack = [(e, iter(e._fields))]
+    while stack:
+        x, kids = stack[-1]
+        for kid in kids:
+            if type(kid) in _RULES and kid not in boxes:
+                boxes[kid] = b = _entry(kid, budget)
+                if not b:
+                    stack.append((kid, iter(kid._fields)))
+                    break
+        else:
+            stack.pop()
+            root = _root_step(x, budget)
+            if later is not None:  # a node counted, with its root step
+                later[x] = root, _count(x, root, boxes, later)
+            elif len(_fill(x, root, boxes)) > 256:
+                later = {}
+    if later:
+        if later[e][1] > DEFAULT_BUDGET:
+            raise _too_many(later[e][1])
+        for x, (root, _) in later.items():
+            _fill(x, root, boxes)
+    return box[0]
 
 
-def _fill(kids: tuple, budget: int):
-    """Memo entries for every subterm of kids, each after its own kids,
-    so that none of these misses nests another."""
-    pending, seen = [(kid, False) for kid in kids], set()
-    while pending:
-        x, expanded = pending.pop()
-        if expanded:
-            _single_steps(x, budget)
-        elif type(x) in _RULES and x not in seen:
-            seen.add(x)
-            pending.append((x, True))
-            pending += [(kid, False) for kid in x._fields]
+def _count(x, root, boxes: dict, later: dict) -> int:
+    # x's steps: its root step and each kid's, counted or in its box
+    kids = (k for k in x._fields if type(k) in _RULES)
+    return (root is not None) + sum(later[k][1] if k in later else len(boxes[k][0]) for k in kids)
+
+
+def _fill(x, root, boxes: dict) -> list:
+    """x's steps, its root step and each kid's in place, put in its box;
+    refused as they pass DEFAULT_BUDGET."""
+    out = [] if root is None else [root]
+    kids = x._fields
+    for i, kid in enumerate(kids):
+        if type(kid) in _RULES:
+            steps = boxes[kid][0]
+            if len(out) + len(steps) > DEFAULT_BUDGET:
+                raise _too_many(_count(x, root, boxes, {}))
+            for rule, new_kid in steps:
+                out.append((rule, _intern(type(x), (*kids[:i], new_kid, *kids[i + 1 :]))))
+    boxes[x].append(tuple(out))
+    return out
 
 
 class Comparison(Enum):
@@ -530,14 +521,15 @@ def _compare_normals(n1: CardinalExpr, n2: CardinalExpr) -> Comparison:
 
 
 def _infinite(e: CardinalExpr) -> bool:
-    """Whether e is surely infinite: False means finite or not known."""
-    if type(e) in (Pow2, Choose):
-        return _infinite(e.operand)
-    if type(e) is HyperCard:
-        # b * a is infinite for infinite b and a, and each level above
-        # multiplication is at least as large
-        return _infinite(e.base) and _infinite(e.arg)
-    return type(e) is Aleph
+    """Whether e is surely infinite: False means finite or not known.  It
+    is when every leaf under it through powers, binomials and the base
+    and argument of hyper is an aleph: b * a is infinite for infinite b
+    and a, and each level above multiplication is at least as large."""
+    return all(type(x) is Aleph for x in _post_order(e, _growth_kids) if type(x) not in _RULES)
+
+
+def _growth_kids(x) -> tuple:
+    return (x.base, x.arg) if type(x) is HyperCard else x._fields if type(x) in _RULES else ()
 
 
 def _as_hyper(e: CardinalExpr):
@@ -677,18 +669,39 @@ def parse_cardinal(text: str) -> CardinalExpr:
 
 
 def format_cardinal(e: CardinalExpr) -> str:
+    """e's text from the walk, refused past DEFAULT_BUDGET characters; a
+    subterm printed before is not walked again."""
     if type(e) not in _CARDINALS:
         raise TypeError(f"not a cardinal expression: {e!r}")
     text = getattr(e, "_text", None)
-    if text is not None:
-        return text
-    if type(e) is FiniteCard:
-        text = _int_str(e.value)
-    elif type(e) is Aleph:
-        if e.index.is_finite:
-            text = f"aleph_{_int_str(e.index.to_int())}"
+    if text is None:
+        if _unprinted_kids(e):
+            return _kept(e, _text(e, _unprinted_kids, _cardinal_pieces, "cardinal text"))
+        text = _cardinal_pieces(e)[0]
+    return text
+
+
+def _unprinted_kids(x) -> list:
+    return [k for k in x._fields if getattr(k, "_text", None) is None] if type(x) in _RULES else []
+
+
+def _cardinal_pieces(x) -> list:
+    """The text x keeps or is given, as a leaf and a node whose kids keep
+    theirs are, or else its template with its kids in place."""
+    text = getattr(x, "_text", None)
+    if text is None:
+        if type(x) is FiniteCard:
+            text = _int_str(x.value)
+        elif type(x) is Aleph:
+            text = f"aleph_{_int_str(x.index.to_int())}" if x.index.is_finite else f"aleph_({x.index})"
         else:
-            text = f"aleph_({e.index})"
-    else:
-        text = _RULES[type(e)][0] % tuple(map(format_cardinal, e._fields))
-    return _kept(e, text)
+            kids = [getattr(kid, "_text", None) or kid for kid in x._fields]
+            if any(type(kid) is not str for kid in kids):
+                literals = _RULES[type(x)][0].split("%s")
+                return [literals[0], *chain.from_iterable(zip(kids, literals[1:]))]
+            text = _RULES[type(x)][0] % tuple(kids)
+        text = _kept(x, text)
+    return [text]
+
+
+FiniteCard.__str__ = Aleph.__str__ = _Node.__str__ = format_cardinal

@@ -351,9 +351,6 @@ def run(argv) -> int:
     except (ValueError, TypeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return DOMAIN_ERROR
-    except RecursionError:  # a last guard: the parsers refuse deep text first
-        print("error: input nested too deeply to evaluate", file=sys.stderr)
-        return DOMAIN_ERROR
 
 
 def main():

@@ -57,6 +57,7 @@ from .bitseq import (
     Record,
     _int_str,
     _memo,
+    _post_order,
     _read_int,
     _refuse_long_numerals,
     _show,
@@ -151,6 +152,31 @@ class _Term(Record):
         if len(fields) != len(cls.__slots__):
             raise TypeError(f"{cls.__name__} takes the fields {', '.join(cls.__slots__)}")
         return _intern(cls, fields)
+
+    def __reduce__(self):
+        # a flat table, kids first: a term of any depth pickles, copies and
+        # deep-copies, and _intern gives back the one object of each value
+        nodes = list(_post_order(self, _subterms))
+        at = {id(x): i for i, x in enumerate(nodes)}
+        return _unpickle, ([(type(x), [at[id(k)] for k in _subterms(x)], _others(x)) for x in nodes],)
+
+
+def _subterms(t: _Term) -> list:
+    # an ordinal's exponents, or the fields of a term class whose fields are terms
+    return [e for e, _ in t.terms] if type(t) is Ordinal else [f for f in t._fields if isinstance(f, _Term)]
+
+
+def _others(t: _Term) -> list:
+    # an ordinal's coefficients, or the fields of a term class whose fields are no terms
+    return [c for _, c in t.terms] if type(t) is Ordinal else [f for f in t._fields if not isinstance(f, _Term)]
+
+
+def _unpickle(table: list) -> _Term:
+    built = []  # from each entry's class, the places of its subterms among the built, its other fields
+    for cls, kids, others in table:
+        kids = [built[i] for i in kids]
+        built.append(_intern(cls, ((*zip(kids, others),),) if cls is Ordinal else (*kids, *others)))
+    return built[-1]
 
 
 @total_ordering  # <=, > and >= from < and the identity ==

@@ -308,7 +308,7 @@ class KeptState(RuleBasedStateMachine):
 
     @rule()
     def clear_memo(self):
-        cardinals._single_steps.cache_clear()
+        cardinals._entry.cache_clear()
 
     @rule()
     def drop(self):

@@ -24,6 +24,7 @@ from uns.cardinals import (
     NoRuleError,
     Pow2,
     PureSet,
+    RewriteStep,
     UnnormalizableError,
     aleph,
     all_single_steps,
@@ -156,7 +157,7 @@ def reference_repr(s: PureSet) -> str:
     return f"PureSet(members=frozenset({{{inner}}}))" if inner else "PureSet(members=frozenset())"
 
 
-def test_a_set_repr_is_records_within_the_budget_and_names_the_member_count_past_it():
+def test_a_set_repr_is_records_within_the_budget_and_names_the_node_count_past_it():
     for s in (*map(nat_to_set, range(8)), singletons(6), powerset(nat_to_set(3))):
         assert repr(s) == reference_repr(s)
     # no recursion: a chain deeper than the interpreter's stack is written out
@@ -165,9 +166,42 @@ def test_a_set_repr_is_records_within_the_budget_and_names_the_member_count_past
         chain = PureSet(frozenset([chain]))
     assert repr(chain) == "PureSet(members=frozenset({" * 5000 + "PureSet(members=frozenset())" + "}))" * 5000
     start = time.process_time()
-    assert repr(nat_to_set(40)) == "PureSet(<40 members>)"
-    assert repr(nat_to_set(16)) == "PureSet(<16 members>)"  # 1966078 characters at full length
+    # the numeral n is made of n + 1 sets
+    assert repr(nat_to_set(40)) == "PureSet(<41 nodes>)"
+    assert repr(nat_to_set(16)) == "PureSet(<17 nodes>)"  # 1966078 characters at full length
     assert time.process_time() - start < 0.1
+
+
+def best_cpu(call, rounds=3):
+    """The least CPU time call takes over a few rounds, and its last answer."""
+    times = []
+    for _ in range(rounds):
+        start = time.process_time()
+        try:
+            answer = call()
+        except ValueError as err:
+            answer = err
+        times.append(time.process_time() - start)
+    return min(times), answer
+
+
+def test_set_to_nat_reads_a_numeral_without_comparing_sets():
+    # == between equal sets built apart compares every pair of members
+    # inside, so reading the numeral 22 that way took 0.57 s; a walk over
+    # the 523776 members of the largest numeral takes a fraction of 0.1 s
+    largest = nat_to_set(cardinals.SET_BUDGET)
+    cost, answer = best_cpu(lambda: set_to_nat(largest))
+    assert answer == cardinals.SET_BUDGET and cost < 0.1
+    below = max(nat_to_set(cardinals.SET_BUDGET - 1).members, key=len)  # the numeral 1022
+    odd = PureSet(below.members | {below, PureSet(frozenset([below]))})
+    assert len(odd) == cardinals.SET_BUDGET
+    cost, answer = best_cpu(lambda: set_to_nat(odd))
+    assert str(answer) == "the 1024-member set is not a numeral" and cost < 0.1
+    # members built apart are equal numerals all the same
+    assert set_to_nat(PureSet(frozenset(nat_to_set(i) for i in range(20)))) == 20
+    assert set_to_nat(pickle.loads(pickle.dumps(nat_to_set(20)))) == 20
+    with pytest.raises(ValueError, match="^{{}, {{}, {{}}}} is not a numeral$"):
+        set_to_nat(PureSet(frozenset([EMPTY_SET, nat_to_set(2)])))
 
 
 def test_set_to_nat_names_a_long_set_by_its_member_count():
@@ -245,6 +279,64 @@ def test_trace_records_each_local_rewrite():
     assert steps[-1].after == out
 
 
+def shared(n):
+    """Y_n, of n + 1 distinct nodes: Y_1 = hyper(aleph_0, aleph_0, aleph_0)
+    and Y_(k+1) = hyper(Y_k, aleph_0, Y_k), a tree of 3 * 2^n - 2 nodes."""
+    y = HyperCard(ALEPH_0, ALEPH_0, ALEPH_0)
+    for _ in range(n - 1):
+        y = HyperCard(y, ALEPH_0, y)
+    return y
+
+
+def tree_trace(e):
+    """normalize_with_trace as a recursive walk of e's tree, reading each
+    rewrite at the root off all_single_steps once the kids are normal."""
+    if type(e) not in (Pow2, Choose, HyperCard):
+        return e, []
+    kids, steps = [], []
+    for kid in e._fields:
+        normal, more = tree_trace(kid)
+        kids.append(normal)
+        steps += more
+    x = type(e)(*kids)
+    while type(x) in (Pow2, Choose, HyperCard):
+        rule, after = all_single_steps(x)[0]
+        steps.append(RewriteStep(rule, x, after))
+        x = after
+    return x, steps
+
+
+@pytest.mark.parametrize(
+    "term",
+    [shared(6), HyperCard(Pow2(shared(2)), ALEPH_0, Pow2(shared(2))), Pow2(HyperCard(FiniteCard(2), FiniteCard(3), Choose(shared(3)))),
+     HyperCard(Pow2(FiniteCard(2)), FiniteCard(1), Pow2(FiniteCard(2)))],
+    ids=["Y_6", "powers of Y_2", "CT over Y_3", "finite"],
+)
+def test_a_shared_subterm_is_traced_at_each_place_it_occurs(term):
+    normal, steps = tree_trace(term)
+    assert normalize_with_trace(term) == (normal, tuple(steps))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (normalize_with_trace, "2097150 rewrite steps exceed the 1048576-step budget"),
+        (all_single_steps, f"{2**39} rewrite steps exceed the 1048576-step budget"),
+        (format_cardinal, f"a {(32 + 18) * 2**39 - 18}-character cardinal text exceeds the 1048576-character budget"),
+    ],
+    ids=["normalize_with_trace", "all_single_steps", "format_cardinal"],
+)
+def test_a_term_that_shares_its_subterms_is_refused_past_the_budget_at_once(call, message):
+    # Y_22 took 18.9 s to normalize as a tree, 31 s for its single steps
+    # and 105 million characters of text; Y_40 is refused by counting up
+    # its 41 distinct nodes
+    y = shared(40)
+    start = time.process_time()
+    with pytest.raises(BudgetError, match=f"^{message}$"):
+        call(y)
+    assert time.process_time() - start < 0.1
+
+
 def test_rewriting_leaves_no_cyclic_garbage(capsys):
     """A call's trace, terms and frames are freed as it returns, with the
     step memo cold or warm, and none waits in a reference cycle for the
@@ -263,7 +355,7 @@ def test_rewriting_leaves_no_cyclic_garbage(capsys):
         for name, call in calls.items():
             for memo in ("cold", "warm"):
                 if memo == "cold":
-                    cardinals._single_steps.cache_clear()
+                    cardinals._entry.cache_clear()
                 gc.collect()
                 call()
                 assert gc.collect() == 0, f"{name}, {memo} memo"
@@ -468,7 +560,7 @@ def test_single_steps_reach_every_depth_the_parser_admits(leaf, rule):
 def test_each_thread_counts_its_own_nesting_of_single_steps(monkeypatch):
     # thread A stops inside the fill of a 300-deep nest, 200 misses down;
     # thread B's 600-deep chain must then still fill at 200 of its own
-    cardinals._single_steps.cache_clear()  # so every step below is a miss
+    cardinals._entry.cache_clear()  # so every step below is a miss
     nest = parse_cardinal("choose(" * 300 + "aleph_0" + ")" * 300)
     inner = Choose(ALEPH_0)
     parked, release = threading.Event(), threading.Event()

@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -9,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from uns import bitseq, cli, streams
-from uns.cardinals import FiniteCard
+from uns import bitseq, cardinals, cli, streams
+from uns.cardinals import FiniteCard, NoRuleError, all_single_steps, format_cardinal, normalize_with_trace, parse_cardinal
 from uns.cli import BUDGET_ERROR, DOMAIN_ERROR, PARSE_ERROR, build_parser, run
-from uns.ordinals import MAX_DEPTH, from_int
+from uns.ordinals import MAX_DEPTH, from_int, parse_ordinal
 
 
 def text_of(capsys, argv, code=0):
@@ -908,6 +910,65 @@ def test_each_nesting_form_is_answered_to_the_limit_and_refused_past_it(capsys, 
         assert text_of(capsys, [*action, nest(k)]) == answer(k)
     assert run([*action, nest(deepest + 1)]) == PARSE_ERROR
     assert capsys.readouterr().err == f"error: input nested deeper than {MAX_DEPTH} parser levels\n"
+
+
+# each cardinal nesting form: the repr of one level around its kid, and
+# the rewrites that normalize each level
+LEVELS = {
+    "index": ("", 0),
+    "powers": ("Pow2(operand=", 1),
+    "choose": ("Choose(operand=", 2),
+    "hyper": ("HyperCard(base=FiniteCard(value=2), level=FiniteCard(value=2), arg=", 1),
+}
+
+
+def deepest_term(form):
+    """The term of a nesting form at its deepest admitted depth, its text
+    and its repr."""
+    action, nest, deepest, answer = NESTINGS[form]
+    if action[0] == "ord":
+        return parse_ordinal(nest(deepest)), answer(deepest), f"Ordinal<{answer(deepest)}>"
+    if form == "index":
+        return parse_cardinal(nest(deepest)), "aleph_(w)", "Aleph(index=Ordinal<w>)"
+    head = LEVELS[form][0]
+    return parse_cardinal(nest(deepest)), nest(deepest), head * deepest + "Aleph(index=Ordinal<0>)" + ")" * deepest
+
+
+@pytest.mark.parametrize("form", NESTINGS)
+def test_each_nesting_form_prints_pickles_and_copies_at_its_deepest(form):
+    # at the interpreter's default recursion limit, which a frame per level
+    # would pass (the shallow values of two forms aside)
+    term, text, shown = deepest_term(form)
+    assert str(term) == text
+    assert repr(term) == shown
+    assert pickle.loads(pickle.dumps(term)) is term
+    assert copy.copy(term) is term and copy.deepcopy(term) is term
+    err = pickle.loads(pickle.dumps(NoRuleError(term)))
+    assert type(err) is NoRuleError and err.expression is term
+
+
+@pytest.mark.parametrize("form", LEVELS)
+def test_each_cardinal_nesting_form_is_rewritten_and_printed_on_a_short_stack(form):
+    # 50 frames above the caller's, as the parser's own test allows: a walk
+    # that took a frame per level would overflow
+    action, nest, deepest, answer = NESTINGS[form]
+    term, text, _ = deepest_term(form)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        shown = format_cardinal(term)
+        normal, trace = normalize_with_trace(term)
+        cardinals._entry.cache_clear()
+        steps = all_single_steps(term)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert shown == text
+    assert format_cardinal(normal) == answer(deepest)
+    assert len(trace) == LEVELS[form][1] * deepest
+    assert len(steps) == (form != "index")
 
 
 # an aleph index nested j levels deep inside k chooses: the cardinal frames

@@ -5,7 +5,8 @@ package import sits at module level, where the order is visible; none
 hides in a function body.  Every cache has a literal bound and is made
 by bitseq's one memo policy, every private helper is used, no float is
 written, made or divided out, no module switches the interpreter's limit
-on integer text, and no nested function refers to itself.
+on integer text, no nested function refers to itself and no module-level
+function calls itself, but for the few whose depth is bounded.
 Start-up loads no module the package does not use: no dataclasses, and
 so no inspect."""
 
@@ -200,10 +201,37 @@ def _self_referencing_closures(tree):
             yield f"line {fn.lineno}: {fn.name} refers to itself"
 
 
+def _recursive_functions(tree, allowed=()):
+    """Lines of module-level functions that refer to their own name, but
+    for those named in allowed.  One that calls itself once per level of
+    a value would spend an interpreter frame per level, and fail past the
+    recursion limit on a value the library builds or the parser admits."""
+    for fn in tree.body:
+        if isinstance(fn, _FUNCTIONS) and fn.name not in allowed:
+            if any(isinstance(n, ast.Name) and n.id == fn.name for n in ast.walk(fn)):
+                yield f"line {fn.lineno}: {fn.name} refers to itself"
+
+
+# the module-level functions that call themselves, each with the bound on its depth
+RECURSION_ALLOWED = {
+    "bitseq": {"_int_str": "one level: a Fraction prints as its two integers"},
+    "streams": {"_chudnovsky_split": "halves the range of terms, so its depth is the log of the precision"},
+    "cardinals": {"compare": "a frame per level of a stuck nest, the parser's depth at most, until a one-pass compare"},
+}
+
+
 @pytest.mark.parametrize("path", [*MODULES, Path(uns.__file__)], ids=lambda p: p.stem)
 def test_no_closure_refers_to_itself(path):
-    problems = list(_self_referencing_closures(ast.parse(path.read_text(encoding="utf-8"))))
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    problems = list(_self_referencing_closures(tree))
+    problems += _recursive_functions(tree, RECURSION_ALLOWED.get(path.stem, {}))
     assert not problems, f"{path.stem}: {problems}"
+
+
+def test_each_allowed_recursion_is_there():
+    for module, allowed in RECURSION_ALLOWED.items():
+        tree = ast.parse((Path(uns.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+        assert sorted(allowed) == sorted(p.split()[2] for p in _recursive_functions(tree)), module
 
 
 @pytest.mark.parametrize(
@@ -219,6 +247,23 @@ def test_no_closure_refers_to_itself(path):
 )
 def test_the_closure_check_finds_nested_functions_naming_themselves(source, clean):
     assert (not list(_self_referencing_closures(ast.parse(source)))) == clean
+
+
+@pytest.mark.parametrize(
+    "source, allowed, clean",
+    [
+        ("def f(n):\n    return f(n - 1) if n else 0", (), False),
+        ("def f(n):\n    return f(n - 1) if n else 0", ("f",), True),
+        ("async def f():\n    await f()", (), False),
+        ("def f(xs):\n    return list(map(f, xs))", (), False),
+        ("def f(n):\n    return g(n)\ndef g(n):\n    return n", (), True),
+        ("def f():\n    def g(n):\n        return n\n    return g", (), True),
+        ("class C:\n    def m(self):\n        return self.m()", (), True),
+        ("def f():\n    pass\nf = f", (), True),
+    ],
+)
+def test_the_recursion_check_finds_module_functions_naming_themselves(source, allowed, clean):
+    assert (not list(_recursive_functions(ast.parse(source), allowed))) == clean
 
 
 def _float_uses(tree):
