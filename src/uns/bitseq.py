@@ -70,10 +70,10 @@ BUDGET_DIGITS = DEFAULT_BUDGET * 10**9 // 3321928095
 # the longest pattern, preperiod and block together, that normalize walks
 PATTERN_BUDGET = 1 << 15  # bits
 
-# The one memo policy of the package: least recently used entries go past
-# 1024 per function.  Keys of the ordinal and cardinal memos are interned
-# terms, hashed by identity; typed, so 1, 1.0 and True stay apart on their
-# way to ordinals._coerce.
+# The one memo policy of the package, least recently used past 1024 entries
+# a function: ordinals.ord_pow, cardinals._entry, streams.as_stream and
+# cli._shared_parser, each kept for its measured repeats (tests/test_layers).
+# Typed, so 1, 1.0 and True stay apart on their way to ordinals._coerce.
 _memo = lru_cache(maxsize=1024, typed=True)
 
 
@@ -161,7 +161,10 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._fields
+        # a flat table, kids first, of the values self is made of: any depth pickles and copies
+        nodes = list(_post_order(self, _parts))
+        at = {id(x): i for i, x in enumerate(nodes)}
+        return _rebuilt, ([(x, None) if (p := _parts(x)) is None else (type(x), [at[id(v)] for v in p]) for x in nodes],)
 
     def __repr__(self) -> str:
         """The fields as name=value, each record, tuple or frozenset among
@@ -170,26 +173,46 @@ class Record:
         try:
             return _text(self, _shown_kids, _shown_pieces, "repr")
         except BudgetError:
-            count = sum(isinstance(x, Record) for x in _post_order(self, _shown_kids))
-            return f"{type(self).__qualname__}(<{count} nodes>)"
+            return self._counted()
+
+    def _counted(self) -> str:
+        # a repr past the budget: the class and the number of records self is made of
+        count = sum(isinstance(x, Record) for x in _post_order(self, _parts))
+        return f"{type(self).__qualname__}(<{count} nodes>)"
 
 
 def _post_order(root, kids):
     """Each node under root, and root, once and after the nodes kids(node)
-    gives, told apart by id as root holds them all, from a stack of the
-    nodes being walked, each with its kids still to see."""
+    gives (None for none), told apart by id as root holds them all, from a
+    stack of the nodes being walked, each with its kids still to see."""
     seen = {id(root)}
-    stack = [(root, iter(kids(root)))]
+    stack = [(root, iter(kids(root) or ()))]
     while stack:
         node, rest = stack[-1]
         for kid in rest:
             if (i := id(kid)) not in seen:
                 seen.add(i)
-                stack.append((kid, iter(kids(kid))))
+                stack.append((kid, iter(kids(kid) or ())))
                 break
         else:
             stack.pop()
             yield node
+
+
+def _parts(x):
+    # a record's fields or a tuple's or frozenset's items, which pickling rebuilds it from; None for another value
+    return x._fields if isinstance(x, Record) else x if type(x) in (tuple, frozenset) else None
+
+
+def _rebuilt(table: list):
+    # Record.__reduce__'s value: each record through its constructor, so _check runs and a term is interned
+    built = []
+    for x, places in table:
+        if places is not None:
+            parts = [built[i] for i in places]
+            x = x(parts) if x in (tuple, frozenset) else x(*parts)
+        built.append(x)
+    return built[-1]
 
 
 def _joined(head: str, values, tail: str, empty: str) -> list:

@@ -22,10 +22,10 @@ rule covers, or a finite blow-up past the budget.
 
 Expression nodes are hash-consed like the ordinals, as ordinals._Term
 records: equal expressions are one object, so == and hash are identity
-and O(1), and aleph indices go through the ordinals' memoized arithmetic.
-all_single_steps keeps the steps of each term under each budget in a
-memo of the package's one policy, bitseq._memo, least recently used with
-1024 entries, so the states of an exploration, which share most of
+and O(1), and aleph indices go through the ordinals' arithmetic.
+all_single_steps keeps the steps of each term under each budget in
+_entry, a memo of the package's one policy, bitseq._memo, with 1024
+entries, so the states of an exploration, which share most of
 their subterms, pay once for each; normalize reads a node's step there
 once its kids are normal alephs, so the memo keeps the intermediate
 terms of a chain alive and the next call finds them rather than

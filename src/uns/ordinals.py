@@ -12,16 +12,14 @@ is a _Term, the bitseq.Record made once per distinct value and kept in
 a weak-valued table, so equality is identity, hashing is O(1), and the
 check that exponents strictly decrease runs once per value; the
 naturals below 16 are built at import and stay alive.  A term keeps its
-text from its first print, unless that is longer than _TEXT_KEPT
-characters, as a finite value of many digits is.  Walks over
-exponents run in loops, so towers of any height work.  ord_add,
-ord_mul, ord_pow and ord_cmp are memoized by the package's one memo
-policy, bitseq._memo, least recently used with 1024 entries per
-operation.  Finite powers pass the hyperops
-size gate and are refused with OrdinalBudgetError past the default bit
-budget; so is an infinite base raised to a finite power whose normal
-form would have more than TERM_BUDGET terms, and a w-tower taller than
-TOWER_BUDGET levels.
+text from its first print up to _TEXT_KEPT characters.  Walks over
+exponents run in loops, so towers of any height work.  ord_pow alone is
+memoized, by bitseq._memo, as powers repeat; a sum, product or
+comparison of interned terms costs less than a lookup.  Refused with
+OrdinalBudgetError: a finite power past the hyperops size gate at the
+bit budget, an infinite base to a finite power of more than TERM_BUDGET
+terms, a w-tower of more than TOWER_BUDGET levels and a text of more
+than DEFAULT_BUDGET characters, counted run by run as it is written.
 
 Text grammar (parse_ordinal / format_ordinal), shared with cardinal
 text, where an aleph index is a sum:
@@ -44,6 +42,7 @@ their operands and run ord_mul or ord_pow.
 
 from __future__ import annotations
 
+import io
 import re
 import weakref
 from _weakref import _remove_dead_weakref
@@ -57,7 +56,6 @@ from .bitseq import (
     Record,
     _int_str,
     _memo,
-    _post_order,
     _read_int,
     _refuse_long_numerals,
     _show,
@@ -69,7 +67,7 @@ class OrdinalParseError(ParseError):
 
 
 class OrdinalBudgetError(BudgetError):
-    """A power in the arithmetic would not fit the bit or term budget."""
+    """A power, a w-tower or a text would not fit its budget."""
 
 
 # the most terms a power a^n of an infinite base may have
@@ -153,31 +151,6 @@ class _Term(Record):
             raise TypeError(f"{cls.__name__} takes the fields {', '.join(cls.__slots__)}")
         return _intern(cls, fields)
 
-    def __reduce__(self):
-        # a flat table, kids first: a term of any depth pickles, copies and
-        # deep-copies, and _intern gives back the one object of each value
-        nodes = list(_post_order(self, _subterms))
-        at = {id(x): i for i, x in enumerate(nodes)}
-        return _unpickle, ([(type(x), [at[id(k)] for k in _subterms(x)], _others(x)) for x in nodes],)
-
-
-def _subterms(t: _Term) -> list:
-    # an ordinal's exponents, or the fields of a term class whose fields are terms
-    return [e for e, _ in t.terms] if type(t) is Ordinal else [f for f in t._fields if isinstance(f, _Term)]
-
-
-def _others(t: _Term) -> list:
-    # an ordinal's coefficients, or the fields of a term class whose fields are no terms
-    return [c for _, c in t.terms] if type(t) is Ordinal else [f for f in t._fields if not isinstance(f, _Term)]
-
-
-def _unpickle(table: list) -> _Term:
-    built = []  # from each entry's class, the places of its subterms among the built, its other fields
-    for cls, kids, others in table:
-        kids = [built[i] for i in kids]
-        built.append(_intern(cls, ((*zip(kids, others),),) if cls is Ordinal else (*kids, *others)))
-    return built[-1]
-
 
 @total_ordering  # <=, > and >= from < and the identity ==
 class Ordinal(_Term):
@@ -239,7 +212,10 @@ class Ordinal(_Term):
         return format_ordinal(self)
 
     def __repr__(self) -> str:
-        return f"Ordinal<{format_ordinal(self)}>"
+        try:
+            return f"Ordinal<{format_ordinal(self)}>"
+        except BudgetError:
+            return self._counted()
 
 
 # the longest text a term keeps: a finite value of more digits is printed
@@ -313,7 +289,6 @@ def _coerce(x) -> Ordinal:
     raise TypeError(f"not an ordinal: {x!r}")
 
 
-@_memo
 def ord_cmp(a: Ordinal, b: Ordinal) -> int:
     """-1, 0 or 1; lexicographic on the normal-form terms."""
     while a is not b:
@@ -335,12 +310,13 @@ def _add_terms(a: tuple, b: tuple) -> tuple:
     if not b:
         return a
     eb, cb = b[0]
-    for i, (e, c) in enumerate(a):
-        if e is eb:
-            return a[:i] + ((eb, c + cb),) + b[1:]
-        if ord_cmp(e, eb) < 0:
-            return a[:i] + b
-    return a + b
+    lo, hi = 0, len(a)
+    while lo < hi:  # the first term of a not above b's, by halving, as a's exponents decrease
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if ord_cmp(a[mid][0], eb) > 0 else (lo, mid)
+    if lo < len(a) and a[lo][0] is eb:
+        return a[:lo] + ((eb, a[lo][1] + cb),) + b[1:]
+    return a[:lo] + b
 
 
 def _scale(a: tuple, n: int) -> tuple:
@@ -349,13 +325,11 @@ def _scale(a: tuple, n: int) -> tuple:
     return ((a[0][0], a[0][1] * n),) + a[1:]
 
 
-@_memo
 def ord_add(a, b) -> Ordinal:
     a, b = _coerce(a), _coerce(b)
     return _cnf(_add_terms(a.terms, b.terms))
 
 
-@_memo
 def ord_mul(a, b) -> Ordinal:
     """a * b in closed form (Manolios and Vroon, JAR 34, 2005): for a
     leading with w^e0 * c0, each limit term w^f * d of b gives w^(e0+f) * d,
@@ -704,31 +678,33 @@ def format_ordinal(a) -> str:
     text = getattr(a, "_text", None)
     if text is not None:
         return text
-    out = []
+    out = io.StringIO()
     pending = [a.terms]  # text, and runs of terms, still to write, the next one last
-    while pending:
+    while pending and out.tell() <= DEFAULT_BUDGET:  # so one run at most is written past it
         x = pending.pop()
         if type(x) is str:
-            out.append(x)
+            out.write(x)
             continue
         for i, (e, c) in enumerate(x):
             if i:
-                out.append(" + ")
+                out.write(" + ")
             if e.is_zero:
-                out.append(_int_str(c))
+                out.write(_int_str(c))
                 continue
             times = f"*{_int_str(c)}" if c > 1 else ""
             if e is ONE:
-                out.append("w" + times)
+                out.write("w" + times)
             elif e.is_finite:
-                out.append(f"w^{_int_str(e.to_int())}{times}")
+                out.write(f"w^{_int_str(e.to_int())}{times}")
             elif e is OMEGA:
-                out.append("w^w" + times)
+                out.write("w^w" + times)
             else:
                 # the exponent's terms next, then the rest of this run
-                out.append("w^(")
+                out.write("w^(")
                 if i + 1 < len(x):
                     pending += (x[i + 1 :], " + ")
                 pending += (")" + times, e.terms)
                 break
-    return _kept(a, "".join(out))
+    if out.tell() > DEFAULT_BUDGET:
+        raise OrdinalBudgetError(f"an ordinal text exceeds the {DEFAULT_BUDGET}-character budget")
+    return _kept(a, out.getvalue())

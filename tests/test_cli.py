@@ -869,6 +869,20 @@ def test_fund_refuses_an_index_past_the_ceiling_before_building(capsys):
     assert capsys.readouterr().err == f"error: tower height {n} exceeds the 65536-level budget\n"
 
 
+def test_an_ordinal_text_past_the_character_budget_is_refused_as_it_is_written(capsys):
+    # (w^Y + 1)^999, Y the sum of w^(w^k) for k = 800 down to 1: 9,503
+    # characters that would print 9,486,396.  The value is built first and
+    # held, so the time bounds the text, which took 3 s to write in full
+    text = "(w^(" + " + ".join(f"w^(w^{k})" for k in range(800, 0, -1)) + ") + 1)^999"
+    held = parse_ordinal(text)
+    start = time.process_time()
+    assert run(["ord", "eval", text]) == BUDGET_ERROR
+    assert time.process_time() - start < 1.5
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: an ordinal text exceeds the 1048576-character budget\n")
+    assert parse_ordinal(text) is held
+
+
 def test_text_past_the_nesting_limit_is_a_parse_error_without_traceback(capsys):
     assert run(["card", "normalize", "2^" * 1200 + "aleph_0"]) == PARSE_ERROR
     assert capsys.readouterr().err == f"error: input nested deeper than {MAX_DEPTH} parser levels\n"

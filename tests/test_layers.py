@@ -3,7 +3,8 @@ modules below it, so a lower layer never depends on an upper one.  The
 package's __init__ sits above the stack and re-exports all of it.  Every
 package import sits at module level, where the order is visible; none
 hides in a function body.  Every cache has a literal bound and is made
-by bitseq's one memo policy, every private helper is used, no float is
+by bitseq's one memo policy, on a function listed with the measurement
+that keeps its memo, every private helper is used, no float is
 written, made or divided out, no module switches the interpreter's limit
 on integer text, no nested function refers to itself and no module-level
 function calls itself, but for the few whose depth is bounded.
@@ -138,6 +139,55 @@ def test_only_bitseq_makes_a_memo(path):
 )
 def test_the_memo_check_finds_every_functools_cache(source, clean):
     assert (not list(_cache_makers(ast.parse(source)))) == clean
+
+
+# Every memo of the package, and the measurement that keeps it.  A memo
+# holds its arguments and results alive and costs a lookup on every call,
+# so a function is memoized only where its traffic repeats.  Shares are of
+# calls served on the seed-3401 op lists; A/B reads are thread CPU without
+# the memo over with it, in-process, on seed 3601.  ord_add, ord_mul and
+# ord_cmp run uncached: on interned terms a call costs less than its
+# lookup (symbolic read 0.94-0.96 without their memos), and 128 calls each
+# on 2^20-bit naturals kept 68.5 MB.
+MEMOS = {
+    "ordinals.ord_pow": "95% of cli_mix's powers are repeats; without it cli_mix read 1.086",
+    "cardinals._entry": "the rewriter's step memo, 95% of cli_mix's lookups served; without it cli_mix read 1.219, symbolic 1.101",
+    "streams.as_stream": "equal descriptors share one stream and its prefix (51% of cli_mix's calls); the benchmark counts its hits",
+    "cli._shared_parser": "run's argparse fallback builds its parser once, not per call (about 2 ms a build)",
+}
+
+
+def _memos(tree, module):
+    """The functions a module memoizes, as module.name, and each use of
+    _memo other than as a function's decorator."""
+    decorators = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef):
+            for d in node.decorator_list:
+                if _name(d) == "_memo":
+                    decorators.add(id(d))
+                    yield f"{module}.{node.name}"
+    for node in ast.walk(tree):
+        if _name(node) == "_memo" and isinstance(node.ctx, ast.Load) and id(node) not in decorators:
+            yield f"{module} line {node.lineno}: _memo used other than as a decorator"
+
+
+def test_each_memo_is_one_its_traffic_pays_for():
+    found = {m for path in MODULES for m in _memos(ast.parse(path.read_text(encoding="utf-8")), path.stem)}
+    assert found == set(MEMOS), f"new memos {found - set(MEMOS)}, gone {set(MEMOS) - found}"
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("from .bitseq import _memo\n@_memo\ndef f(): pass", {"m.f"}),
+        ("from . import bitseq\n@bitseq._memo\ndef f(): pass\ndef g(): pass", {"m.f"}),
+        ("from .bitseq import _memo\ndef f(): pass\nf = _memo(f)", {"m line 3: _memo used other than as a decorator"}),
+        ("import functools\n@functools.lru_cache(8)\ndef f(): pass", set()),
+    ],
+)
+def test_the_memo_list_finds_each_memoized_function(source, found):
+    assert set(_memos(ast.parse(source), "m")) == found
 
 
 def _dead_helpers(trees):

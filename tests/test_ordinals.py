@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -475,8 +476,7 @@ def test_a_parse_builds_each_term_of_its_result_once(monkeypatch, text):
     # against a table holding only the terms something else keeps alive:
     # every term built is a node of the result that was not there before,
     # so no partial sum and no w^4 waiting for its coefficient is built
-    for op in (ord_add, ord_mul, ord_pow, ord_cmp):
-        op.cache_clear()
+    ord_pow.cache_clear()  # the one ordinal memo
     gc.collect()
     before = {t for t in (ref() for ref in list(ordinals._TERMS.values())) if t is not None}
     built = []
@@ -513,6 +513,56 @@ def test_finite_parts_past_the_interpreter_digit_limit_are_printed(default_digit
     assert str(cardinality_of(a)) == digits
     big = parse_ordinal("w^(9^5000)*9^5000 + w*9^5000 + 9^5000")
     assert format_ordinal(big) == f"w^{digits}*{digits} + w*{digits} + {digits}"
+
+
+def test_add_mul_and_cmp_keep_nothing_once_they_return():
+    # they run uncached: a memo of 1024 entries would keep the operands and
+    # results of its last calls alive, 68.5 MB for these
+    rng = random.Random(34)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(128):
+            a, b = (from_int(rng.getrandbits(1 << 20)) for _ in range(2))
+            ord_add(a, b), ord_mul(W, a), ord_cmp(a, b)  # w * a, as a * b of two such naturals takes 0.1 s
+        del a, b
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20
+
+
+# (w^Y + 1)^999 for Y the sum of w^(w^k), k = 800 down to 1: each of its
+# 999 limit terms writes Y's 800 terms in its exponent, 9,486,396
+# characters in all, from a text of 9,503
+LONG_TEXT = "(w^(" + " + ".join(f"w^(w^{k})" for k in range(800, 0, -1)) + ") + 1)^999"
+
+
+def test_an_ordinal_text_past_the_budget_is_refused_and_its_repr_counts_nodes():
+    value = parse_ordinal(LONG_TEXT)
+    for show in (format_ordinal, str):
+        with pytest.raises(OrdinalBudgetError, match="^an ordinal text exceeds the 1048576-character budget$"):
+            show(value)
+    nodes, stack = {value}, [value]
+    while stack:
+        stack += (e for e, _ in stack.pop().terms if e not in nodes and not nodes.add(e))
+    assert repr(value) == f"Ordinal(<{len(nodes)} nodes>)"
+
+
+def test_an_ordinal_text_of_exactly_the_budget_is_written(monkeypatch):
+    text = "w^(w^(w^w*2 + 5) + w)*3 + w^7 + 12"
+    value = parse_ordinal(text)
+    for budget in (len(text), len(text) - 1):
+        monkeypatch.setattr(ordinals, "DEFAULT_BUDGET", budget)
+        if hasattr(value, "_text"):
+            ordinals._Term._text.__delete__(value)  # so the text is written again, not read off the term
+        if budget < len(text):
+            with pytest.raises(OrdinalBudgetError, match=f"the {budget}-character budget"):
+                format_ordinal(value)
+        else:
+            assert format_ordinal(value) == text
 
 
 # ---------------------------------------------------------------------------

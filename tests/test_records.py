@@ -174,10 +174,50 @@ def test_defaults():
         PiOver4Stream(0)
 
 
-def test_unpickling_goes_through_the_constructor_and_its_check():
-    assert RationalStream(1, 3).__reduce__() == (RationalStream, (1, 3))
-    assert PiOver4Stream().__reduce__() == (PiOver4Stream, ())
-    with pytest.raises(ValueError):
-        RationalStream(2, 4)
-    with pytest.raises(ValueError):
-        DyadicInterval(Fraction(1, 2), -1)
+def _chain(x):
+    # the fields of a chain of records, each the last field of the one before, from a loop
+    while isinstance(x, Record):
+        *head, last = x._fields
+        yield type(x), *head
+        x = last
+    yield x
+
+
+def _deep_set():
+    s = PureSet()
+    for _ in range(600):
+        s = PureSet(frozenset({s}))
+    return s
+
+
+@pytest.mark.parametrize("make", [_deep_set, lambda: uns.hyper(3, 60000, 3)], ids=["set", "exceeded"])
+def test_a_record_deeper_than_the_interpreter_stack_pickles_and_copies(make):
+    # a 600-deep set, and the 59,998-deep Exceeded of a fold that fails far
+    # down; their == and hash recurse, so the copies are compared by a loop
+    value = make()
+    for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert back is not value
+        if type(value) is PureSet:
+            assert repr(back) == repr(value) and str(back) == "{" * 601 + "}" * 601
+        else:
+            assert list(_chain(back)) == list(_chain(value)) and len(list(_chain(value))) == 59999
+
+
+def test_unpickling_goes_through_the_constructor_and_its_check(monkeypatch):
+    # a pickle or a copy is rebuilt by calling the class on the fields, so
+    # its check runs, and fields it refuses are refused on the way back too
+    cases = [(RationalStream(1, 3), (2, 4)), (DyadicInterval(Fraction(1, 2), 3), (Fraction(1, 2), -1)), (PiOver4Stream(), None)]
+    for value, bad in cases:
+        cls, calls = type(value), []
+
+        def spy(self, *fields, init=cls.__init__, calls=calls):
+            calls.append(fields)
+            init(self, *fields)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+        for back in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert back == value and back is not value
+        assert calls == [value._fields] * 3
+        if bad is not None:
+            with pytest.raises(ValueError):
+                cls(*bad)
