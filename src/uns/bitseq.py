@@ -110,10 +110,11 @@ class Record:
     value (see ordinals._Term), and keeps identity == and hash.
 
     __init__, __eq__ and __hash__ are compiled once per class from its
-    field names, as dataclasses does: a generic loop over the fields
-    would cost every construction, and importing dataclasses (with
-    inspect, ast and dis) would cost every start-up more than the rest
-    of the package's imports.
+    field names, as dataclasses does, but for those the class defines
+    itself (hyperops.Exceeded's == and hash): a generic loop over the
+    fields would cost every construction, and importing dataclasses
+    (with inspect, ast and dis) would cost every start-up more than the
+    rest of the package's imports.
     """
 
     __slots__ = ()
@@ -148,8 +149,9 @@ class Record:
         ns.update((f"_set_{n}", cls.__dict__[n].__set__) for n in fields)
         exec(source, ns)
         for name in ("__init__", "__eq__", "__hash__"):
-            ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
-            setattr(cls, name, ns[name])
+            if name not in cls.__dict__:
+                ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+                setattr(cls, name, ns[name])
 
     def _check(self):
         """Validation of a new instance, run once its fields are set."""

@@ -8,16 +8,25 @@ read.  --format structured emits one JSON object on stdout.
 
 The grammar is one table, _COMMANDS.  run reads a well-formed argv from
 it directly, and leaves any other (--help, usage errors) to build_parser's.
+Each command names its layer, and run loads an upper one on the first
+command that needs it; argparse is loaded only for build_parser, and
+json only for structured output.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
+from importlib import import_module
+from types import ModuleType, SimpleNamespace
 
-from . import bitseq, cardinals, hyperops, ordinals, streams
+from . import bitseq, streams
+
+# the upper layers, each bound here by run on the first command of its layer
+hyperops: ModuleType
+ordinals: ModuleType
+cardinals: ModuleType
+_BOUND = globals()
 
 PARSE_ERROR = 2
 DOMAIN_ERROR = 3
@@ -26,6 +35,8 @@ BUDGET_ERROR = 4
 
 def _emit(args, text: str, **fields):
     if args.format == "structured":
+        import json
+
         print(json.dumps({"command": args.command, **fields}))
     else:
         print(text)
@@ -190,6 +201,8 @@ def _int_arg(text: str) -> int:
     try:
         return bitseq._read_int(text)
     except bitseq.BudgetError as err:  # argparse would quote the whole numeral
+        import argparse
+
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
@@ -197,43 +210,44 @@ _int_arg.__name__ = "int"  # argparse names it in "invalid int value: ..."
 
 
 # Each command path, () the top level, with its help text (the top level's
-# description), handler, and arguments as add_argument's name and keyword
-# arguments.  A path without a handler takes one of the paths below it, in
-# the dest _SUBCOMMAND names for its depth.
+# description), handler, the layer the handler calls, and arguments as
+# add_argument's name and keyword arguments.  A path without a handler
+# takes one of the paths below it, in the dest _SUBCOMMAND names for its
+# depth.
 _BUDGET = ("--budget", {"type": _int_arg, "default": bitseq.DEFAULT_BUDGET})
 _COMMANDS = {
     (): ("two-way binary sequences, bit streams, explosive operators, ordinals and symbolic cardinals",
-         None, [("--format", {"choices": ("text", "structured"), "default": "text"})]),
-    ("convert",): ("re-render a two-way sequence", _cmd_convert, [
+         None, None, [("--format", {"choices": ("text", "structured"), "default": "text"})]),
+    ("convert",): ("re-render a two-way sequence", _cmd_convert, "bitseq", [
         ("value", {}),
         ("--to", {"choices": ("rational", "notation", "set", "decimal"), "default": "rational"}),
         ("--digits", {"type": _int_arg, "default": 12}),
     ]),
-    ("eval-left",): ("rational value of a left sequence", _cmd_eval_left, [("value", {})]),
-    ("complement",): ("bitwise complement (negation)", _cmd_complement, [("value", {})]),
-    ("flip",): ("mirror a sequence around the point", _cmd_complement, [
+    ("eval-left",): ("rational value of a left sequence", _cmd_eval_left, "bitseq", [("value", {})]),
+    ("complement",): ("bitwise complement (negation)", _cmd_complement, "bitseq", [("value", {})]),
+    ("flip",): ("mirror a sequence around the point", _cmd_complement, "bitseq", [
         ("value", {}),
         ("--raw", {"action": "store_true", "default": False, "help": "skip canonicalization"}),
     ]),
-    ("bits",): ("exact expansion prefix of a stream", _cmd_bits,
+    ("bits",): ("exact expansion prefix of a stream", _cmd_bits, "streams",
                 [("stream", {}), ("-n", {"type": _int_arg, "default": 16})]),
-    ("interval",): ("interval pinned by an observation", _cmd_interval,
+    ("interval",): ("interval pinned by an observation", _cmd_interval, "streams",
                     [("observation", {"help": "e.g. '.110***'"})]),
-    ("hyper",): ("explosive operator m (x)^k n", _cmd_hyper,
+    ("hyper",): ("explosive operator m (x)^k n", _cmd_hyper, "hyperops",
                  [(name, {"type": _int_arg}) for name in "mkn"] + [_BUDGET]),
-    ("ord",): ("ordinal arithmetic below eps_0", None, []),
-    ("ord", "eval"): ("Cantor normal form of an ordinal", _cmd_ord, [("expr", {})]),
-    ("ord", "cmp"): ("order two ordinals", _cmd_ord_cmp, [("a", {}), ("b", {})]),
-    ("ord", "fund"): ("n-th step of a limit's fundamental sequence", _cmd_ord,
+    ("ord",): ("ordinal arithmetic below eps_0", None, None, []),
+    ("ord", "eval"): ("Cantor normal form of an ordinal", _cmd_ord, "ordinals", [("expr", {})]),
+    ("ord", "cmp"): ("order two ordinals", _cmd_ord_cmp, "ordinals", [("a", {}), ("b", {})]),
+    ("ord", "fund"): ("n-th step of a limit's fundamental sequence", _cmd_ord, "ordinals",
                       [("expr", {}), ("-n", {"type": _int_arg, "default": 3})]),
-    ("card",): ("symbolic cardinal rewriting", None, []),
-    ("card", "normalize"): ("rewrite a cardinal to its normal form", _cmd_card_normalize, [
+    ("card",): ("symbolic cardinal rewriting", None, None, []),
+    ("card", "normalize"): ("rewrite a cardinal to its normal form", _cmd_card_normalize, "cardinals", [
         ("expr", {}), ("--trace", {"action": "store_true", "default": False}), _BUDGET,
     ]),
-    ("card", "cmp"): ("order two cardinals", _cmd_card_cmp, [("a", {}), ("b", {}), _BUDGET]),
-    ("card", "table"): ("the unification table of alephs", _cmd_card_table,
+    ("card", "cmp"): ("order two cardinals", _cmd_card_cmp, "cardinals", [("a", {}), ("b", {}), _BUDGET]),
+    ("card", "table"): ("the unification table of alephs", _cmd_card_table, "cardinals",
                         [("--max", {"type": _int_arg, "default": 5, "help": "rows"})]),
-    ("diag",): ("diagonal stream over other streams", _cmd_bits,
+    ("diag",): ("diagonal stream over other streams", _cmd_bits, "streams",
                 [("stream", {"nargs": "*"}), ("-n", {"type": _int_arg, "default": 16})]),
 }
 _SUBCOMMAND = ("command", "action")
@@ -241,8 +255,10 @@ _SUBCOMMAND = ("command", "action")
 
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for the grammar of _COMMANDS."""
+    import argparse
+
     subparsers = {}
-    for path, (text, fn, arguments) in _COMMANDS.items():
+    for path, (text, fn, layer, arguments) in _COMMANDS.items():
         if path:
             p = subparsers[path[:-1]].add_parser(path[-1], help=text)
         else:
@@ -250,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name, kwargs in arguments:
             p.add_argument(name, **kwargs)
         if fn:
-            p.set_defaults(fn=fn)
+            p.set_defaults(fn=fn, layer=layer)
         else:
             subparsers[path] = p.add_subparsers(dest=_SUBCOMMAND[len(path)], required=True)
     return top
@@ -261,36 +277,39 @@ def _value(kwargs: dict, text: str):
     where argparse would refuse it or might take it for an option."""
     if text.startswith("-"):
         return None
-    try:
-        value = kwargs.get("type", str)(text)
-    except (argparse.ArgumentTypeError, TypeError, ValueError):
+    convert = kwargs.get("type", str)
+    try:  # _int_arg's reader, as its refusal is argparse's error
+        value = bitseq._read_int(text) if convert is _int_arg else convert(text)
+    except ValueError:
         return None
     return value if value in kwargs.get("choices", (value,)) else None
 
 
-def _level(text, fn, arguments):
-    """A _COMMANDS entry as _read_argv reads it: the handler, options by name
-    with dests, defaults by dest, operands, and whether nargs="*" takes them."""
+def _level(text, fn, layer, arguments):
+    """A _COMMANDS entry as _read_argv reads it: the handler and its layer,
+    options by name with dests, defaults by dest, operands, and whether
+    nargs="*" takes them."""
     options = {n: (n.lstrip("-").replace("-", "_"), kw) for n, kw in arguments if n.startswith("-")}
     defaults = {dest: kw.get("default") for dest, kw in options.values()}
     named = [(n, kw) for n, kw in arguments if not n.startswith("-")]
-    return fn, options, defaults, named, [kw.get("nargs") for _, kw in named] == ["*"]
+    return fn, layer, options, defaults, named, [kw.get("nargs") for _, kw in named] == ["*"]
 
 
 _LEVELS = {path: _level(*entry) for path, entry in _COMMANDS.items()}
 
 
 def _read_argv(argv):
-    """build_parser().parse_args(argv) for argv of exact command names and
-    option strings, each option once, and one unbroken run of operands per
-    level; else None, for argparse to read: an abbreviation, --to=set, -n5,
-    a value or operand starting with "-" (-h, --, -1), a repeated option,
-    an option between operands, a wrong count, a bad value, a non-str."""
+    """The fields of build_parser().parse_args(argv) for argv of exact
+    command names and option strings, each option once, and one unbroken
+    run of operands per level; else None, for argparse to read: an
+    abbreviation, --to=set, -n5, a value or operand starting with "-" (-h,
+    --, -1), a repeated option, an option between operands, a wrong count,
+    a bad value, a non-str."""
     if not isinstance(argv, (list, tuple)) or not all(type(token) is str for token in argv):
         return None
     found, path, tokens = {}, (), iter(argv)
     while True:
-        fn, options, defaults, named, many = _LEVELS[path]
+        fn, layer, options, defaults, named, many = _LEVELS[path]
         found.update(defaults)
         operands, closed, unread = [], False, dict(options)
         for token in tokens:
@@ -323,7 +342,7 @@ def _read_argv(argv):
                 return None
     else:
         return None
-    return argparse.Namespace(**found, fn=fn)
+    return SimpleNamespace(**found, fn=fn, layer=layer)
 
 
 @bitseq._memo
@@ -340,6 +359,8 @@ def run(argv) -> int:
             args = _shared_parser().parse_args(argv)
         except SystemExit as stop:
             return stop.code if stop.code else 0
+    if args.layer not in _BOUND:  # read off the package, which loads it
+        _BOUND[args.layer] = getattr(import_module(__package__), args.layer)
     try:
         return args.fn(args)
     except bitseq.BudgetError as err:

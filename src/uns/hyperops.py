@@ -70,6 +70,27 @@ class Exceeded(Record):
     def __str__(self) -> str:
         return self.describe()
 
+    # a chain can be as deep as describe says, so equality and hash walk
+    # it in a loop, where the compiled field tuples would recurse
+    def __eq__(self, other):
+        if other.__class__ is not Exceeded:
+            return NotImplemented
+        a = self
+        while a.__class__ is other.__class__ is Exceeded:
+            if a is other:
+                return True
+            if a.base != other.base or a.level != other.level:
+                return False
+            a, other = a.pending, other.pending
+        return a == other
+
+    def __hash__(self):
+        h, node = 0, self
+        while node.__class__ is Exceeded:
+            h = hash((h, node.base, node.level))
+            node = node.pending
+        return hash((h, node))
+
 
 HyperResult = Union[Exact, Exceeded]
 

@@ -231,3 +231,19 @@ def test_huge_level_with_bigger_base_also_survives():
     r = hyper(3, 20_000, 2)
     assert isinstance(r, Exceeded)
     assert naive_hyper(3, 2, 3) == 3**27  # sanity anchor for the chain's base
+
+
+@pytest.mark.parametrize("level", [700, 60_000])
+def test_deep_exceeded_chains_hash_and_compare_without_recursing(level):
+    a, b = hyper(3, level, 3), hyper(3, level, 3)
+    assert a is not b and isinstance(a.pending, Exceeded)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != hyper(3, level + 1, 3) and a != hyper(5, level, 3)
+    assert a != a.pending and a.pending != a and a != 3
+
+
+def test_exceeded_equality_reaches_the_innermost_count():
+    assert Exceeded(2, 3, Exceeded(2, 1, 70)) == Exceeded(2, 3, Exceeded(2, 1, 70))
+    assert Exceeded(2, 3, Exceeded(2, 1, 70)) != Exceeded(2, 3, Exceeded(2, 1, 71))
+    assert Exceeded(2, 3, Exceeded(2, 1, 70)) != Exceeded(2, 3, 70)
+    assert Exceeded(2, 1, 70) != Exact(70)

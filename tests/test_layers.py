@@ -1,15 +1,20 @@
 """The modules of the package form a stack: each one imports only the
 modules below it, so a lower layer never depends on an upper one.  The
 package's __init__ sits above the stack and re-exports all of it.  Every
-package import sits at module level, where the order is visible; none
-hides in a function body.  Every cache has a literal bound and is made
-by bitseq's one memo policy, on a function listed with the measurement
-that keeps its memo, every private helper is used, no float is
-written, made or divided out, no module switches the interpreter's limit
-on integer text, no nested function refers to itself and no module-level
-function calls itself, but for the few whose depth is bounded.
-Start-up loads no module the package does not use: no dataclasses, and
-so no inspect."""
+package import sits at module level, where the order is visible, but in
+the one declared loader of a module that loads a layer on first use: the
+package's __getattr__, for the layers of its _EXPORTS table, and cli's
+run, for the layer a _COMMANDS entry names.  A call of
+importlib.import_module or __import__ counts as a package import, so a
+dynamic import cannot hide in a function either.  Every cache has a
+literal bound and is made by bitseq's one memo policy, on a function
+listed with the measurement that keeps its memo, every private helper is
+used, no float is written, made or divided out, no module switches the
+interpreter's limit on integer text, no nested function refers to itself
+and no module-level function calls itself, but for the few whose depth
+is bounded.  Start-up (`import uns, uns.cli`) loads the two lower layers
+and the CLI, and no other module the package does not use: no upper
+layer, no argparse or json, no dataclasses, and so no inspect."""
 
 import ast
 import subprocess
@@ -19,13 +24,19 @@ from pathlib import Path
 import pytest
 
 import uns
+from uns import cli
 
 LAYERS = ("bitseq", "streams", "hyperops", "ordinals", "cardinals", "cli")
 MODULES = sorted(p for p in Path(uns.__file__).parent.glob("*.py") if p.stem != "__init__")
+# the one function of a module that may import a package module, and the
+# layers it may load: those its module's table names
+LOADERS = {"__init__": "__getattr__", "cli": "run"}
 
 
 def _package_imports(tree):
-    """The package modules a syntax tree imports, at any nesting level."""
+    """The package modules a syntax tree imports, at any nesting level; a
+    dynamic import (import_module, __import__) of anything but a literal
+    name yields "<dynamic>"."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -43,22 +54,86 @@ def _package_imports(tree):
                 yield module.partition(".")[0]
             else:  # from . import a, b
                 yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Call) and _name(node.func) in ("import_module", "__import__"):
+            name = node.args[0] if node.args else None
+            if not (isinstance(name, ast.Constant) and isinstance(name.value, str)):
+                yield "<dynamic>"
+            elif name.value.startswith(("uns.", ".")):
+                yield name.value.lstrip(".").removeprefix("uns.").partition(".")[0]
+
+
+def _outside(tree, loader):
+    """The module's statements but the declared loader's definition."""
+    return [s for s in tree.body if not (isinstance(s, ast.FunctionDef) and s.name == loader)]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_modules_import_only_lower_layers(path):
     assert path.stem in LAYERS, f"{path.name} has no place in the layer order"
     below = LAYERS[: LAYERS.index(path.stem)]
-    imported = set(_package_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {m for stmt in _outside(tree, LOADERS.get(path.stem)) for m in _package_imports(stmt)}
     assert imported <= set(below), f"{path.stem} imports upper layers {imported - set(below)}"
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def _imports_in_functions(tree, loader=None):
+    """Each package import inside a function body, as function: module,
+    but for those of the declared loader."""
+    for stmt in _outside(tree, loader):
+        for fn in ast.walk(stmt):
+            if isinstance(fn, ast.FunctionDef | ast.AsyncFunctionDef):
+                yield from (f"{fn.name}: {module}" for module in _package_imports(fn))
+
+
+@pytest.mark.parametrize("path", [*MODULES, Path(uns.__file__)], ids=lambda p: p.stem)
 def test_no_package_import_inside_a_function(path):
+    """None but in the module's declared loader, which
+    test_each_loader_loads_only_its_tables_layers bounds."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    functions = (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef | ast.AsyncFunctionDef))
-    lazy = {module for fn in functions for module in _package_imports(fn)}
-    assert not lazy, f"{path.stem} imports {lazy} inside a function body"
+    lazy = sorted(set(_imports_in_functions(tree, LOADERS.get(path.stem))))
+    assert not lazy, f"{path.stem} imports inside a function body: {lazy}"
+
+
+def test_each_loader_loads_only_its_tables_layers():
+    for module, loader in LOADERS.items():
+        path = Path(uns.__file__).with_name(f"{module}.py")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        fn = next(s for s in tree.body if isinstance(s, ast.FunctionDef) and s.name == loader)
+        assert set(_package_imports(fn)) == {"<dynamic>"}, module  # the name comes from the table
+    below = set(LAYERS[: LAYERS.index("cli")])
+    assert set(uns._EXPORTS) == below
+    commands = {layer for _text, _fn, layer, _arguments in cli._COMMANDS.values() if layer}
+    assert commands == below, "each layer below the CLI serves a command, and no other layer"
+
+
+@pytest.mark.parametrize(
+    "source, loader, found",
+    [
+        ("from . import bitseq\ndef f():\n    import json", None, []),
+        ("def f():\n    from . import ordinals", None, ["f: ordinals"]),
+        ("def f():\n    def g():\n        import uns.cardinals", None, ["f: cardinals", "g: cardinals"]),
+        ("import importlib\ndef f(name):\n    return importlib.import_module(name)", None, ["f: <dynamic>"]),
+        ("def f():\n    return __import__('uns.hyperops')", None, ["f: hyperops"]),
+        ("def f():\n    return import_module('.streams', 'uns')", None, ["f: streams"]),
+        ("def run(layer):\n    return import_module(layer)", "run", []),
+        ("def run():\n    pass\ndef f(layer):\n    return import_module(layer)", "run", ["f: <dynamic>"]),
+    ],
+)
+def test_the_import_check_finds_static_and_dynamic_imports_in_functions(source, loader, found):
+    assert sorted(_imports_in_functions(ast.parse(source), loader)) == found
+
+
+@pytest.mark.parametrize(
+    "source, imported",
+    [
+        ("from importlib import import_module\nc = import_module('uns.cardinals')", {"cardinals"}),
+        ("import importlib\nm = importlib.import_module('.ordinals', __package__)", {"ordinals"}),
+        ("import importlib\nm = importlib.import_module(NAME)", {"<dynamic>"}),
+        ("import importlib\nm = importlib.import_module('json')", set()),
+    ],
+)
+def test_the_layer_check_counts_module_level_dynamic_imports(source, imported):
+    assert set(_package_imports(ast.parse(source))) == imported
 
 
 def _unbounded_caches(tree):
@@ -397,11 +472,14 @@ def test_no_module_imports_dataclasses(path):
 
 
 def test_start_up_loads_neither_dataclasses_nor_inspect():
+    """Nor any other module start-up does not use: of the package only the
+    two lower layers and the CLI, and neither argparse nor json."""
     src = str(Path(uns.__file__).parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import uns, uns.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(*sorted(m for m in sys.modules if m.startswith('uns.') or m in "
+        "('uns', 'dataclasses', 'inspect', 'argparse', 'json')))"
     )
     done = subprocess.run([sys.executable, "-s", "-c", code], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["[]"]
+    assert done.stdout.split() == ["uns", "uns.bitseq", "uns.cli", "uns.streams"]

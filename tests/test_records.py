@@ -193,7 +193,8 @@ def _deep_set():
 @pytest.mark.parametrize("make", [_deep_set, lambda: uns.hyper(3, 60000, 3)], ids=["set", "exceeded"])
 def test_a_record_deeper_than_the_interpreter_stack_pickles_and_copies(make):
     # a 600-deep set, and the 59,998-deep Exceeded of a fold that fails far
-    # down; their == and hash recurse, so the copies are compared by a loop
+    # down; the set's == and hash recurse, so the copies are compared by a
+    # loop, and Exceeded's == walks its chain in one
     value = make()
     for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
         assert back is not value
@@ -201,6 +202,7 @@ def test_a_record_deeper_than_the_interpreter_stack_pickles_and_copies(make):
             assert repr(back) == repr(value) and str(back) == "{" * 601 + "}" * 601
         else:
             assert list(_chain(back)) == list(_chain(value)) and len(list(_chain(value))) == 59999
+            assert back == value and hash(back) == hash(value)
 
 
 def test_unpickling_goes_through_the_constructor_and_its_check(monkeypatch):
