@@ -682,13 +682,10 @@ def parse_universal(text: str) -> UniversalRational:
 
 
 def parse_left(text: str) -> LeftPart:
+    """A left part, its point written or not.  A text with a right side
+    has a second point once one is added, so it is no two-way sequence."""
     text = text.strip()
-    if not text.endswith("."):
-        text += "."
-    u = parse_universal(text)
-    if not u.right.is_zero:
-        raise NotationError(f"not a left-only sequence: {text!r}")
-    return u.left
+    return parse_universal(text if text.endswith(".") else text + ".").left
 
 
 def format_left(l: LeftPart) -> str:

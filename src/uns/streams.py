@@ -18,7 +18,14 @@ nothing on the boundary is ever claimed, the value only lies in the
 closed hull.  Finite observations written as ".110***" parse into the
 same intervals.
 
-pi/4 bits are certified in integer arithmetic from the Chudnovsky series
+Rational, diagonal and custom prefixes are exact; a rational p/q's first
+n bits are (p * 2^n - 1) // q (bitseq.fraction_prefix).  pi/4 and square
+roots, both irrational, are approximate: their kernels give integer
+enclosures lo <= floor(x 2^prec) < hi, and one driver, _certified, asks
+at n + 32 bits, then at doubling precision, until lo and hi - 1 agree on
+n bits (Boehm, Cartwright, Riggle and O'Donnell, LFP 1986).
+
+pi/4 is enclosed in integer arithmetic from the Chudnovsky series
 (Chudnovsky and Chudnovsky, 1989): pi/4 = 106720 sqrt(10005) / S, where
 S sums t_k = (-1)^k (6k)! (A + Bk) / ((3k)! (k!)^3 C^(3k)) over k >= 0,
 A = 13591409, B = 545140134, C = 640320.  The terms alternate and shrink:
@@ -29,26 +36,14 @@ at 1, with positive coefficients but the constant.  As |t_1| < 2^-21,
 the tail after N terms is below |t_N| < 2^(26 - 47N).  The first N terms
 are summed exactly by binary splitting (Haible and Papanikolaou, "Fast
 multiprecision evaluation of series of rational numbers", 1998), extended
-by exact combination of the kept split with the split of the new terms; one
-division sized to the precision gives integer bounds, and the working
-precision doubles until they pinch the wanted bits.
+by exact combination of the kept split with the split of the new terms;
+one division sized to the precision gives integer bounds.
 
-Square roots, of p/q and of 10005, are floor(sqrt(a/b) 2^n) =
-isqrt((a << 2n) // b), exact because sqrt(p/q) is irrational.  The
-builtin divides and is quadratic, so past a measured crossover
-_sqrt_ratio runs Newton's iteration z' = z + z (1 - m z^2) / 2 for
-1/sqrt(m), m = ab, with no division: each step doubles the precision
-and squares only the bits already correct, and a/sqrt(m) is the root
-(Brent and Zimmermann, Modern Computer Arithmetic, 2010, section 1.5).
-The last step's exact residual bounds its error, as |t_N| bounds pi's
-tail: Newton's result and that result plus the bound enclose the root,
-and where they agree on the first n bits, those bits are the floor.
-Only where they do not, mostly where the root is a dyadic rational whose
-bits all lie within the first n, does an exact fix-up square the result,
-compare it with (a << 2n) // b and step it to the floor.
-
-A rational p/q is read off one division, without its period: the first
-n bits are (p * 2^n - 1) // q (bitseq.fraction_prefix).
+Square roots, of p/q and of 10005, are enclosed by isqrt((a << 2n) // b)
+and one more, or, past a measured crossover, by Newton's iteration for
+1/sqrt(ab), which squares only the bits already correct and never
+divides (Brent and Zimmermann, Modern Computer Arithmetic, 2010, 1.5);
+its last residual bounds its error, as |t_N| bounds pi's tail.
 """
 
 from __future__ import annotations
@@ -107,13 +102,7 @@ class PiOver4Stream(Record):
     __slots__ = ()
 
     def prefix_bits(self, n: int) -> int:
-        """Certified: the lower and the upper bound agree on these bits."""
-        prec = n + 32
-        while True:
-            lo, hi = _pi_over_4_bounds(prec)
-            if lo >= 0 and (lo >> (prec - n)) == (hi >> (prec - n)):
-                return lo >> (prec - n)
-            prec *= 2
+        return _certified(_pi_over_4_bounds, n)
 
 
 class SqrtStream(Record):
@@ -134,7 +123,7 @@ class SqrtStream(Record):
             raise StreamError(f"{_int_str(p)}/{_int_str(q)} is not reduced")
 
     def prefix_bits(self, n: int) -> int:
-        return _sqrt_ratio(self.numerator, self.denominator, n)
+        return _certified(lambda prec: _sqrt_bounds(self.numerator, self.denominator, prec), n)
 
 
 class DiagonalStream(Record):
@@ -157,7 +146,8 @@ _ALGORITHMS: dict[str, Callable[[int], tuple[int, ...]]] = {}
 
 def register_algorithm(name: str, prefix_fn: Callable[[int], tuple[int, ...]]):
     """Register a deterministic prefix function under an identifier.
-    Custom streams with equal names are the same stream."""
+    Custom streams with equal names are the same stream.  prefix_fn(n)
+    must return the first n bits exactly: no driver certifies them."""
     _ALGORITHMS[name] = prefix_fn
 
 
@@ -237,12 +227,27 @@ def _chudnovsky_split(a: int, b: int) -> tuple[int, int, int]:
     return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
+def _certified(enclose: Callable[[int], tuple[int, int]], n: int) -> int:
+    """The first n bits of x, from enclose(prec) = (lo, hi) with
+    lo <= floor(x 2^prec) < hi: asked at n + 32 bits, then at doubling
+    precision until lo and hi - 1 agree on their first n bits."""
+    prec = n + 32
+    while True:
+        lo, hi = enclose(prec)
+        if lo >> (prec - n) == (hi - 1) >> (prec - n):
+            return lo >> (prec - n)
+        prec *= 2
+
+
 def _pi_over_4_bounds(prec: int) -> tuple[int, int]:
     """Integer bounds lo < pi/4 * 2^prec < hi, hi - lo = 3.  The N-term sum
     t/q is within 2^-prec of S > 2^23; cutting t and q to q's top prec + 64
-    bits moves t/q by under 2^(24 - prec - 63); and r = _sqrt_ratio(10005,
-    1, prec) lies within 1 below sqrt(10005) 2^prec.  So for g =
-    floor(106720 r q / t) the value lies between g - 2^-21 and g + 1.02.
+    bits moves t/q by under 2^(24 - prec - 63); and r, the lower end of
+    _sqrt_bounds(10005, 1, prec), lies within its width w <= 3 below
+    sqrt(10005) 2^prec.  The root's shortfall moves the value 106720 w / S
+    < 0.04, and the sum's error under 2^-21, so for g = floor(106720 r q / t)
+    the value lies between g - 2^-21 and g + 1.04 (any w < 77 keeps it
+    below g + 2).
 
     Past the kept split's N terms only the new ones are split and combined
     with it as halves are; fewer split afresh.  Exact integers make the bounds
@@ -255,18 +260,20 @@ def _pi_over_4_bounds(prec: int) -> tuple[int, int]:
         _pi_split = split = (n, p1 * p2, q1 * q2, t1 * q2 + p1 * t2)
     q, t = split[2:] if n == split[0] else _chudnovsky_split(0, n)[1:]
     cut = max(0, q.bit_length() - prec - 64)
-    g = 106720 * _sqrt_ratio(10005, 1, prec) * (q >> cut) // (t >> cut)
+    g = 106720 * _sqrt_bounds(10005, 1, prec)[0] * (q >> cut) // (t >> cut)
     return g - 1, g + 2
 
 
 _SQRT_CROSSOVER = 2048  # bits; below it math.isqrt is faster (BENCH_15.json)
 
 
-def _sqrt_ratio(a: int, b: int, n: int) -> int:
-    """floor(sqrt(a/b) 2^n) = isqrt((a << 2n) // b) for a, b >= 1.  Past the
-    crossover, Newton's z' = z + z (1 - m z^2) / 2 for 1/sqrt(m), m = ab,
-    runs at doubling precision from a 64-bit isqrt seed, squaring only the
-    bits already correct; sqrt(a/b) is a/sqrt(m).
+def _sqrt_bounds(a: int, b: int, prec: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= floor(sqrt(a/b) 2^prec) < hi for a, b >= 1.
+    Below the crossover it is the builtin's exact (r, r + 1), for
+    r = isqrt((a << 2 prec) // b).  Past it, Newton's
+    z' = z + z (1 - m z^2) / 2 for 1/sqrt(m), m = ab, runs at doubling
+    precision from a 64-bit isqrt seed, squaring only the bits already
+    correct; sqrt(a/b) is a/sqrt(m).
 
     The last step bounds its own error (Brent and Zimmermann, 2010, section
     3.5).  It takes z ~ 2^s / sqrt(m) to t bits through the exact residual
@@ -278,51 +285,38 @@ def _sqrt_ratio(a: int, b: int, n: int) -> int:
     from 3/8, so the tail is at most (3/8) eps^2 / (1 - eps).  The step
     floors u (1 + eps/2) 2^t to z', and (3/4) u eps^2 2^t = (3/4) z res^2
     2^(t - 5s) < 2^e for e = max(0, bitlen(z) + 2 bitlen(res) + t - 5s).  So
-    for Y = a z', Y <= sqrt(a/b) 2^t < Y + a (2^e + 1), and where both ends
-    shifted right by t - n agree, that is the floor, and no square is
-    taken.  32 guard bits past Newton's error make that the usual case.
-    Otherwise (no step ran, |eps| >= 1/2, or the interval holds a multiple
-    of 2^(t - n), as when the root is a dyadic rational of at most n bits)
-    _sqrt_fix_up steps the result to the floor by one exact square."""
-    if n < _SQRT_CROSSOVER:
-        return isqrt((a << 2 * n) // b)
+    for Y = a z', Y <= sqrt(a/b) 2^t < Y + a (2^e + 1); shifted right by
+    t - prec = bitlen(a) + 2, the lower end rounded down and the upper up,
+    they are under (2^e + 1) / 4 + 2 apart, so at most 3 for e <= 2.  With
+    no step the seed z is floor(2^s / sqrt(m)) itself, so a z and a (z + 1)
+    enclose the root.  A residual with |eps| >= 1/2, which no 64-bit seed
+    leaves, gets the builtin's enclosure."""
+    if prec < _SQRT_CROSSOVER:
+        r = isqrt((a << 2 * prec) // b)
+        return r, r + 1
     m = a * b
     h = (m.bit_length() + 1) // 2  # 2^(h-1) <= sqrt(m) < 2^h
     # z ~ 2^s / sqrt(m) carries p = s - h bits; a step from p bits keeps
-    # its error near one unit at 2p - 4 bits, and a.bit_length() + 34 guard
-    # bits keep a z / 2^(s - n) within about 2^-32 units of the root
-    steps, p = [], n + a.bit_length() + 34 - h
+    # its error near one unit at 2p - 4 bits, so e stays near 0, and
+    # a.bit_length() + 2 guard bits keep a (2^e + 1) / 2^(s - prec) small
+    steps, p = [], prec + a.bit_length() + 2 - h
     while p > 64:
         steps.append(p)
         p = (p + 5) // 2
     s = p + h
     z = isqrt((1 << 2 * s) // m)
-    certified = False  # with no step, nothing bounds the seed's error
+    err = 1  # z <= 2^s / sqrt(m) < z + err
     for p in reversed(steps):
         t = p + h
         res = (1 << 2 * s) - m * z * z
-        certified = z > 0 and res.bit_length() < 2 * s  # |eps| < 1/2
-        e = max(0, z.bit_length() + 2 * res.bit_length() + t - 5 * s)
+        if res.bit_length() >= 2 * s:  # |eps| >= 1/2
+            r = isqrt((a << 2 * prec) // b)
+            return r, r + 1
+        err = (1 << max(0, z.bit_length() + 2 * res.bit_length() + t - 5 * s)) + 1
         z = (z << (t - s)) + ((z * res) >> (3 * s - t + 1))
         s = t
-    y, k = a * z, s - n
-    r = y >> k
-    if certified and r == (y + a * ((1 << e) + 1)) >> k:
-        return r
-    return _sqrt_fix_up(a, b, n, r)
-
-
-def _sqrt_fix_up(a: int, b: int, n: int, r: int) -> int:
-    """isqrt((a << 2n) // b), stepped up to from r by one exact square,
-    while the next square does not exceed that integer.  r never starts
-    above it: the isqrt seed is a lower bound of 2^s / sqrt(m), Newton's
-    map u (3 - m u^2) / 2 never exceeds 1 / sqrt(m), its maximum, and
-    every floor lowers it, so r^2 <= a 4^n / b."""
-    d = ((a << 2 * n) // b) - r * r  # N - r^2 for N = (a << 2n) // b
-    while d > 2 * r:  # (r + 1)^2 <= N
-        r += 1
-        d -= 2 * r - 1
-    return r
+    y, k = a * z, s - prec
+    return y >> k, -(-(y + a * err) >> k)
 
 
 # ---------------------------------------------------------------------------

@@ -545,6 +545,40 @@ def test_single_steps_refuse_under_a_small_budget_whatever_was_answered():
         all_single_steps(Choose(Pow2(e)), 64)
 
 
+def reference_single_steps(e):
+    """Every one-rule rewrite of e, recursively: its root step, then each
+    kid's steps in place, kid by kid."""
+    if type(e) not in (Pow2, Choose, HyperCard):
+        return []
+    root = cardinals._root_step(e, cardinals.DEFAULT_BUDGET)
+    out = [] if root is None else [root]
+    kids = e._fields
+    for i, kid in enumerate(kids):
+        out += [(rule, type(e)(*kids[:i], after, *kids[i + 1 :])) for rule, after in reference_single_steps(kid)]
+    return out
+
+
+@pytest.mark.parametrize(
+    "term",
+    [shared(12), HyperCard(Pow2(shared(10)), ALEPH_0, Choose(shared(10)))],
+    ids=["Y_12", "Y_10 in powerset and choose"],
+)
+def test_single_steps_past_256_are_counted_then_built_within_the_budget(monkeypatch, term):
+    # Y_10 has 512 steps: the nodes above it are counted, then built, as the whole fits
+    cardinals._entry.cache_clear()
+    count, counted = cardinals._count, []
+
+    def spy(x, root, boxes, later):
+        counted.append(x)
+        return count(x, root, boxes, later)
+
+    monkeypatch.setattr(cardinals, "_count", spy)
+    want = reference_single_steps(term)
+    assert 256 < len(want) <= cardinals.DEFAULT_BUDGET
+    assert all_single_steps(term) == want
+    assert counted[-1] is term
+
+
 @pytest.mark.parametrize("leaf, rule", [("aleph_0", "GCH"), ("hyper(2, 2, aleph_0)", "CT"), ("2^3", "finite")])
 def test_single_steps_reach_every_depth_the_parser_admits(leaf, rule):
     # a fresh chain as deep as the parser allows: the memo's misses nest

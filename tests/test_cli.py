@@ -1040,6 +1040,65 @@ def test_a_closed_stdout_exits_1_without_traceback():
         assert proc.stderr.read() == b""
 
 
+# one argv or more per command, run in one interpreter per hash seed
+HASH_SEED_ARGVS = [
+    ["convert", "(0)10011.(10)", "--to", "set"],
+    ["convert", "(01)1.1(10)", "--to", "decimal", "--digits", "30"],
+    ["eval-left", "(01)"],
+    ["complement", "(1)0.1(0)"],
+    ["flip", "(10)1.011(1)"],
+    ["--format", "structured", "bits", "sqrt(2/3)", "-n", "40"],
+    ["interval", ".110***"],
+    ["diag", "1/3", "pi/4", "sqrt(1/2)", "-n", "12"],
+    ["hyper", "3", "2", "3"],
+    ["hyper", "3", "3", "3"],
+    ["ord", "eval", "(w^w + w*3 + 1)^2"],
+    ["ord", "cmp", "w^(w+1)", "w^w*5"],
+    ["ord", "fund", "eps_0", "-n", "3"],
+    ["card", "normalize", "choose(2^choose(aleph_1))", "--trace"],
+    ["--format", "structured", "card", "normalize", "hyper(2, 3, choose(2^aleph_2))", "--trace"],
+    ["card", "normalize", "choose(hyper(2, aleph_1, 2^aleph_0))"],
+    ["card", "cmp", "2^aleph_0", "choose(aleph_1)"],
+    ["card", "table"],
+    ["--format", "structured", "card", "table", "--max", "3"],
+    ["ord", "eval", "w +"],
+    ["bits", "-n", "4"],
+]
+
+RUN_EACH_ARGV = """
+import contextlib, io, json, sys
+from uns import cli
+done = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    done.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(done))
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    src = str(Path(cli.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-s", "-c", RUN_EACH_ARGV, json.dumps(HASH_SEED_ARGVS)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(env, PYTHONHASHSEED=seed),
+        )
+        for seed in ("0", "12345")
+    ]
+    runs = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0 and err == b"", err[-2000:]
+        runs.append(json.loads(out))
+    first, second = runs
+    assert {code for code, _, _ in first} == {0, PARSE_ERROR, DOMAIN_ERROR, BUDGET_ERROR}
+    for argv, a, b in zip(HASH_SEED_ARGVS, first, second):
+        assert a == b, argv
+
+
 # ---------------------------------------------------------------------------
 # structured output
 

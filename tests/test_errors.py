@@ -221,3 +221,41 @@ def test_messages_quote_integers_past_the_digit_limit(default_digit_limit, call,
         call()
     assert str(caught.value) == message
     assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: bitseq.PeriodicBits("", "0").bit_at(-1), ValueError, "negative bit position"),
+        (lambda: bitseq.to_index_set(Fraction(1, 3)), TypeError, "not a sequence part: Fraction(1, 3)"),
+        # the point parse_left adds makes a right side a second point
+        (lambda: bitseq.parse_left("(0)1.01"), bitseq.NotationError, "not a two-way sequence: '(0)1.01.'"),
+        (
+            lambda: hyperops.monotone_check((1, 3), (0, 1), (2, 3)),
+            ValueError,
+            "grid starts at base >= 2, level >= 0, count >= 2",
+        ),
+        (lambda: ordinals.OMEGA.to_int(), ValueError, "w is infinite"),
+        (lambda: ordinals.ord_add(ordinals.OMEGA, ordinals.EPSILON_0), ValueError, "eps_0 is a limit marker, outside the arithmetic"),
+        (lambda: ordinals.ord_mul(ordinals.EPSILON_0, 2), ValueError, "eps_0 is a limit marker, outside the arithmetic"),
+        (lambda: ordinals.ord_pow(2, ordinals.EPSILON_0), ValueError, "eps_0 is a limit marker, outside the arithmetic"),
+        (
+            lambda: streams.compare(streams.PI_OVER_4, streams.rational(1, 3), maxbits=0),
+            ValueError,
+            "need at least one bit to compare",
+        ),
+        # {18, {18}}: numeral 18 prints in 3 * 2^18 - 2 characters, so the set in more than 2^20
+        (
+            lambda: cardinals.set_to_nat(
+                cardinals.PureSet(frozenset([cardinals.nat_to_set(18), cardinals.PureSet(frozenset([cardinals.nat_to_set(18)]))]))
+            ),
+            ValueError,
+            "the 2-member set is not a numeral",
+        ),
+    ],
+    ids=["bit_at", "to_index_set", "parse_left", "monotone_check", "to_int", "ord_add", "ord_mul", "ord_pow", "compare", "set_to_nat"],
+)
+def test_each_guard_refuses_with_its_message(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message

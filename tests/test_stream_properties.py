@@ -7,13 +7,13 @@ that do not read the library's bits: p/q itself, squares of the
 endpoints, mpmath at raised precision, and for a diagonal over
 rationals the closed form (head + 2/3) / 2^k of its bits.
 
-The square-root kernel floor(sqrt(a/b) 2^n) is checked on both sides of
-its crossover against its defining inequality r^2 b <= a 4^n < (r+1)^2 b,
-which calls no isqrt, and against the builtin it replaces.  A spy on its
-exact fix-up shows Newton's certificate deciding irrational roots alone
-and handing roots that are dyadic rationals to the fix-up.  A state
-machine checks the stream memos and pi/4's kept split against fresh
-oracles across rising, falling and repeated requests.
+The square-root kernel's enclosure of floor(sqrt(a/b) 2^n) is checked
+on both sides of its crossover against the builtin it replaces, and its
+width against a few units.  A spy on it shows the driver certifying each
+irrational root at its first precision, and the kernels' prefixes agree
+with each other across the crossover, asked fresh, past the memos.  A
+state machine checks the stream memos and pi/4's kept split against
+fresh oracles across rising, falling and repeated requests.
 """
 
 import random
@@ -36,8 +36,7 @@ from uns.streams import (  # noqa: E402
     BitStream,
     DiagonalStream,
     SqrtStream,
-    _sqrt_fix_up,
-    _sqrt_ratio,
+    _sqrt_bounds,
     as_stream,
     rational,
 )
@@ -134,7 +133,7 @@ def ratios(draw, n):
     perfect square or one below one (a = N c + e and b = c 4^n, 0 <= e < c),
     a rational square x^2/y^2, whose root x/y 2^n is an integer when x/y is
     dyadic, a pair of 64 to 4096 bits, or a short a over a b so long that
-    Newton takes no step: the certificate's fix-up has to decide."""
+    Newton takes no step and the seed alone encloses the root."""
     kind = draw(st.sampled_from(("10005", "p/q", "square", "x^2/y^2", "wide", "no step")))
     if kind == "10005":
         return 10005, 1
@@ -158,51 +157,53 @@ def ratios(draw, n):
 @example((C, ((3 << (2 * C + 1)) ** 2 - 1, 1 << (2 * C))))
 @example((C, (9, 16)))
 @example((3 * C, (25, 64)))
-def test_sqrt_ratio_is_the_floor_of_the_root(case):
+@example((2 * C, ((1 << 63) + 1, (1 << 63) + 1)))  # the root 1: Newton's floor needs the + 1 of 2^e + 1
+def test_sqrt_bounds_enclose_the_floor_of_the_root(case):
     n, (a, b) = case
-    r = _sqrt_ratio(a, b, n)
-    assert r * r * b <= a << (2 * n) < (r + 1) ** 2 * b
-    assert r == isqrt((a << (2 * n)) // b)
+    lo, hi = _sqrt_bounds(a, b, n)
+    assert lo <= isqrt((a << (2 * n)) // b) < hi
+    assert hi - lo <= 3
 
 
-def spy_on_fix_up(monkeypatch):
-    """The (a, b, n) of every call of _sqrt_fix_up, from now on; each
-    must enter at or below the floor, as it only steps up."""
+def test_the_driver_certifies_each_irrational_root_at_its_first_precision(monkeypatch):
+    """Newton's enclosure is a few units wide at n + 32 bits, so it holds a
+    multiple of 2^32 units only by a chance of a few in 2^32: on this
+    seeded list of irrational roots, never."""
     calls = []
 
-    def spy(a, b, n, r):
-        assert r * r <= (a << 2 * n) // b
-        calls.append((a, b, n))
-        return _sqrt_fix_up(a, b, n, r)
+    def spy(a, b, prec):
+        calls.append((a, b, prec))
+        return _sqrt_bounds(a, b, prec)
 
-    monkeypatch.setattr("uns.streams._sqrt_fix_up", spy)
-    return calls
-
-
-@pytest.mark.parametrize("n", [C, C + 1, 3000, 4096, 8191])
-def test_the_fix_up_decides_where_the_root_is_a_multiple_of_the_last_bit(monkeypatch, n):
-    """x/y 2^n is an integer for dyadic x/y, and Newton's lower end falls
-    below it unless xy is a power of two; elsewhere the certificate decides."""
-    calls = spy_on_fix_up(monkeypatch)
-    dyadic = [(3, 4), (5, 8), (9, 12), (7, 16), (21, 28), (31, 32)]
-    for x, y in dyadic + [(1, 3), (2, 5), (13, 40), (38, 39)]:
-        assert _sqrt_ratio(x * x, y * y, n) == (x << n) // y
-    assert calls == [(x * x, y * y, n) for x, y in dyadic]
-
-
-def test_the_fix_up_runs_on_no_irrational_root(monkeypatch):
-    """The certificate's interval is a few 2^-32 of the last bit wide, so
-    an irrational root's interval holds a multiple of that bit only by a
-    chance of that order: on this seeded list, never."""
-    calls = spy_on_fix_up(monkeypatch)
+    monkeypatch.setattr("uns.streams._sqrt_bounds", spy)
     rng = random.Random(25)
     for _ in range(200):
         q = rng.randrange(2, 10 ** rng.randrange(2, 40))
         p, n = rng.randrange(1, q), 1 << 12 + rng.randrange(5)
+        g = gcd(p, q)
         if isqrt(p * q) ** 2 != p * q:
-            r = _sqrt_ratio(p, q, n)
+            calls.clear()
+            r = SqrtStream(p // g, q // g).prefix_bits(n)
             assert r * r * q <= p << (2 * n) < (r + 1) ** 2 * q
-    assert calls == []
+            assert calls == [(p // g, q // g, n + 32)]
+
+
+@SETTINGS
+@given(
+    st.one_of(st.just(PI_OVER_4), irrational_roots()),
+    st.lists(st.one_of(st.integers(C - 36, C - 28), st.integers(0, 3 * C)), max_size=3).map(
+        lambda ns: [*ns, C - 33, C - 32]
+    ),
+)
+def test_prefixes_agree_across_the_crossover(descriptor, lengths):
+    """Asked fresh of the kernels, past BitStream's memo, each prefix is a
+    prefix of every longer one: the driver asks past C - 32 bits from
+    Newton's enclosure and below it from the builtin's."""
+    prefixes = {n: descriptor.prefix_bits(n) for n in lengths}
+    for m in lengths:
+        for n in lengths:
+            if m < n:
+                assert prefixes[m] == prefixes[n] >> (n - m), (m, n)
 
 
 # ---------------------------------------------------------------------------

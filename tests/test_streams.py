@@ -2,7 +2,7 @@ import random
 import threading
 import time
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 
 import mpmath
 import pytest
@@ -209,20 +209,33 @@ def test_chudnovsky_series_length_and_bounds():
         assert hi - lo == 3 and lo < scaled < hi
 
 
-def test_pi_over_4_retries_when_the_bounds_do_not_pinch(monkeypatch):
-    exact = streams._pi_over_4_bounds
+def assert_the_driver_retries(monkeypatch, kernel, descriptor, n, want):
+    """Widened once, the kernel's bounds do not pinch n bits at n + 32, and
+    the driver asks again at twice that precision."""
+    exact = getattr(streams, kernel)
     precs = []
 
-    def loose_once(prec):
-        lo, hi = exact(prec)
+    def loose_once(*args):
+        lo, hi = exact(*args)
+        prec = args[-1]
         precs.append(prec)
         if len(precs) == 1:
             return lo - (1 << prec // 2), hi + (1 << prec // 2)
         return lo, hi
 
-    monkeypatch.setattr(streams, "_pi_over_4_bounds", loose_once)
-    assert PI_OVER_4.prefix_bits(300) == mpmath_pi_quarter_floor(300)
-    assert precs == [332, 664]
+    monkeypatch.setattr(streams, kernel, loose_once)
+    assert descriptor.prefix_bits(n) == want
+    assert precs == [n + 32, 2 * (n + 32)]
+
+
+def test_pi_over_4_retries_when_the_bounds_do_not_pinch(monkeypatch):
+    assert_the_driver_retries(monkeypatch, "_pi_over_4_bounds", PI_OVER_4, 300, mpmath_pi_quarter_floor(300))
+
+
+@pytest.mark.parametrize("n", [300, 3000])
+def test_a_square_root_retries_when_the_bounds_do_not_pinch(monkeypatch, n):
+    want = isqrt((1 << 2 * n) // 2)
+    assert_the_driver_retries(monkeypatch, "_sqrt_bounds", SqrtStream(1, 2), n, want)
 
 
 @pytest.mark.parametrize("n, m", [(1, 2), (1, 9), (2, 3), (5, 6), (7, 40), (13, 14), (40, 100), (64, 131)])
@@ -236,7 +249,7 @@ def fresh_pi_over_4_bounds(prec: int) -> tuple[int, int]:
     """The bounds from a split of all the terms made afresh, with no kept split."""
     _, q, t = streams._chudnovsky_split(0, streams._chudnovsky_terms(prec))
     cut = max(0, q.bit_length() - prec - 64)
-    g = 106720 * streams._sqrt_ratio(10005, 1, prec) * (q >> cut) // (t >> cut)
+    g = 106720 * streams._sqrt_bounds(10005, 1, prec)[0] * (q >> cut) // (t >> cut)
     return g - 1, g + 2
 
 
