@@ -510,8 +510,9 @@ def fraction_prefix(q: Fraction, n: int) -> int:
     them in time independent of the period; the - 1 puts a dyadic q on
     its (1)-tail.
     """
-    q = Fraction(q)
-    if not 0 < q < 1:
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
+    if not 0 < q.numerator < q.denominator:  # 0 < q < 1, the denominator being positive
         raise ValueError(f"{_int_str(q)} is not strictly between 0 and 1")
     return ((q.numerator << n) - 1) // q.denominator
 
@@ -684,8 +685,13 @@ def parse_universal(text: str) -> UniversalRational:
 def parse_left(text: str) -> LeftPart:
     """A left part, its point written or not.  A text with a right side
     has a second point once one is added, so it is no two-way sequence."""
-    text = text.strip()
-    return parse_universal(text if text.endswith(".") else text + ".").left
+    point = text.strip()
+    if not point.endswith("."):
+        point += "."
+    try:
+        return parse_universal(point).left
+    except NotationError:
+        raise NotationError(f"not a two-way sequence: {text!r}") from None
 
 
 def format_left(l: LeftPart) -> str:

@@ -330,7 +330,7 @@ def _read_cardinal(tok: str, following, error: type[ParseError]):
 def _indexed_aleph(index) -> Aleph:
     if isinstance(index, EpsilonZero):
         raise CardinalParseError("aleph indices stay below eps_0")
-    return Aleph(_cnf(index))
+    return Aleph(_cnf(index))  # a value of the ordinal grammar, built by its operations
 
 
 # The cardinal grammar of ordinals._parse.  Its forms are the composite

@@ -9,10 +9,13 @@ arithmetic.
 
 Terms are hash-consed: every Ordinal, EPSILON_0 and every cardinal node
 is a _Term, the bitseq.Record made once per distinct value and kept in
-a weak-valued table, so equality is identity, hashing is O(1), and the
-check that exponents strictly decrease runs once per value; the
-naturals below 16 are built at import and stay alive.  A term keeps its
-text from its first print up to _TEXT_KEPT characters.  Walks over
+a weak-valued table, so equality is identity and hashing is O(1); the
+naturals below 16 are built at import and stay alive.  The check that
+exponents strictly decrease runs on each term built from outside, by
+Ordinal(...), omega_power or unpickling.  The arithmetic and the parser
+build their terms in normal form by construction (Manolios and Vroon,
+JAR 34, 2005), so they intern them unchecked, through _cnf.  A term
+keeps its text from its first print up to _TEXT_KEPT characters.  Walks over
 exponents run in loops, so towers of any height work.  ord_pow alone is
 memoized, by bitseq._memo, as powers repeat; a sum, product or
 comparison of interned terms costs less than a lookup.  Refused with
@@ -106,16 +109,12 @@ def _forget(ref: _Ref):
 
 def _intern(cls, fields: tuple):
     """The one term of class cls with these fields: found in the table,
-    or built, checked by its _check and recorded.
+    or built, checked by its _check and recorded.  Every term built from
+    outside comes here: a constructor's and an unpickled one's.
 
-    _check runs Python code, so another thread may build and record an
-    equal term meanwhile.  The term is recorded with dict.setdefault, and
-    a dead entry is removed with _remove_dead_weakref (the removal
-    weakref.WeakValueDictionary uses), which only removes an entry whose
-    term is dead.  Each is one atomic step under the GIL, because hashing
-    and comparing a key runs no Python code: a key holds classes, ints,
-    tuples of them and interned terms, whose hash and == are identity.  So
-    every thread gets the term recorded first, while it lives."""
+    _check runs Python code, and building a term can run a finalizer, so
+    another thread may build and record an equal term meanwhile; _record
+    returns the term recorded first."""
     key = (cls, *fields)
     ref = _TERMS.get(key)
     if ref is not None:
@@ -126,6 +125,20 @@ def _intern(cls, fields: tuple):
     for name, value in zip(cls.__slots__, fields):
         object.__setattr__(term, name, value)
     term._check()
+    return _record(key, term)
+
+
+def _record(key: tuple, term):
+    """term, just built for key, recorded in the table; or the live term
+    another thread recorded for key first.
+
+    The term is recorded with dict.setdefault, and a dead entry is removed
+    with _remove_dead_weakref (the removal weakref.WeakValueDictionary
+    uses), which only removes an entry whose term is dead.  Each is one
+    atomic step under the GIL, because hashing and comparing a key runs no
+    Python code: a key holds classes, ints, tuples of them and interned
+    terms, whose hash and == are identity.  So every thread gets the term
+    recorded first, while it lives."""
     ref = _Ref(term, _forget)
     ref.key = key
     while (first := _TERMS.setdefault(key, ref)) is not ref:
@@ -168,7 +181,7 @@ class Ordinal(_Term):
 
     def _check(self):
         for (prev, _), (exp, _) in zip(self.terms, self.terms[1:]):
-            if ord_cmp(prev, exp) <= 0:
+            if _cmp(prev, exp) <= 0:
                 raise ValueError("exponents must strictly decrease")
 
     @property
@@ -197,7 +210,7 @@ class Ordinal(_Term):
     def __lt__(self, other):
         if not isinstance(other, Ordinal):
             return NotImplemented
-        return ord_cmp(self, other) < 0
+        return _cmp(self, other) < 0
 
     def __add__(self, other):
         return ord_add(self, other)
@@ -232,12 +245,24 @@ def _kept(term: _Term, text: str) -> str:
 
 
 def _cnf(terms: tuple) -> Ordinal:
-    # the arithmetic's own terms are well typed; only the order is checked.
-    # The lookup is _intern's, inlined for the arithmetic's hot path.
+    """The ordinal of terms that the arithmetic or the parser built, in
+    normal form by construction: interned without Ordinal._check.  Each
+    caller says why its exponents strictly decrease.  The lookup is
+    _intern's, inlined for the arithmetic's hot path."""
     ref = _TERMS.get((Ordinal, terms))
     if ref is not None and (term := ref()) is not None:
         return term
-    return _intern(Ordinal, (terms,))
+    return _unchecked(terms)
+
+
+def _unchecked(terms: tuple) -> Ordinal:
+    # _cnf's builder, past Ordinal's type checks and _check
+    term = object.__new__(Ordinal)
+    _set_terms(term, terms)
+    return _record((Ordinal, terms), term)
+
+
+_set_terms = Ordinal.terms.__set__  # the slot's own setter, past Record's refusal
 
 
 @total_ordering  # <, <= and >= from > and the identity ==
@@ -272,7 +297,7 @@ OMEGA = Ordinal(((ONE, 1),))
 def from_int(n: int) -> Ordinal:
     if type(n) is not int or n < 0:
         raise ValueError(f"not a natural number: {_show(n)}")
-    return _NATURALS[n] if n < 16 else _cnf(((ZERO, n),))
+    return _NATURALS[n] if n < 16 else _cnf(((ZERO, n),))  # one term
 
 
 def omega_power(exp: "Ordinal | int", coeff: int = 1) -> Ordinal:
@@ -289,8 +314,21 @@ def _coerce(x) -> Ordinal:
     raise TypeError(f"not an ordinal: {x!r}")
 
 
-def ord_cmp(a: Ordinal, b: Ordinal) -> int:
-    """-1, 0 or 1; lexicographic on the normal-form terms."""
+def ord_cmp(a, b) -> int:
+    """-1, 0 or 1, on what the arithmetic takes, integers as naturals, and
+    on EPSILON_0, which sits above every ordinal."""
+    if a is not EPSILON_0:
+        a = _coerce(a)
+    if b is not EPSILON_0:
+        b = _coerce(b)
+    if a is EPSILON_0 or b is EPSILON_0:
+        return (a is EPSILON_0) - (b is EPSILON_0)
+    return _cmp(a, b)
+
+
+def _cmp(a: Ordinal, b: Ordinal) -> int:
+    """ord_cmp of two ordinals, unchecked: lexicographic on the
+    normal-form terms."""
     while a is not b:
         for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
             if ea is not eb:
@@ -313,7 +351,7 @@ def _add_terms(a: tuple, b: tuple) -> tuple:
     lo, hi = 0, len(a)
     while lo < hi:  # the first term of a not above b's, by halving, as a's exponents decrease
         mid = (lo + hi) // 2
-        lo, hi = (mid + 1, hi) if ord_cmp(a[mid][0], eb) > 0 else (lo, mid)
+        lo, hi = (mid + 1, hi) if _cmp(a[mid][0], eb) > 0 else (lo, mid)
     if lo < len(a) and a[lo][0] is eb:
         return a[:lo] + ((eb, a[lo][1] + cb),) + b[1:]
     return a[:lo] + b
@@ -327,7 +365,7 @@ def _scale(a: tuple, n: int) -> tuple:
 
 def ord_add(a, b) -> Ordinal:
     a, b = _coerce(a), _coerce(b)
-    return _cnf(_add_terms(a.terms, b.terms))
+    return _cnf(_add_terms(a.terms, b.terms))  # a's terms above b's lead, then b's
 
 
 def ord_mul(a, b) -> Ordinal:
@@ -342,7 +380,7 @@ def ord_mul(a, b) -> Ordinal:
     terms = tuple((ord_add(e0, f), d) for f, d in b.terms if f is not ZERO)
     if b.terms[-1][0] is ZERO:
         terms += _scale(a.terms, b.terms[-1][1])
-    return _cnf(terms)
+    return _cnf(terms)  # e0 + f falls with f, and stays above e0 while f > 0
 
 
 def _left_sub_one(e: Ordinal) -> Ordinal:
@@ -403,7 +441,7 @@ def ord_pow(a, b) -> Ordinal:
     if a is ONE:
         return ONE
     if a is OMEGA:
-        return _cnf(((b, 1),))
+        return _cnf(((b, 1),))  # one term
 
     limit_terms = tuple((e, c) for e, c in b.terms if e is not ZERO)
     tail = b.terms[-1][1] if b.is_successor else 0
@@ -412,13 +450,14 @@ def ord_pow(a, b) -> Ordinal:
         if not limit_terms:
             return _finite_pow(a.to_int(), tail)
         # finite base, infinite exponent: w^(b shifted down one w-notch)
+        # 1 + e' = e is strictly monotone, so the shift keeps the order strict
         shifted = _cnf(tuple((_left_sub_one(e), c) for e, c in limit_terms))
         return ord_mul(_cnf(((shifted, 1),)), _finite_pow(a.to_int(), tail))
 
     e0 = a.terms[0][0]
     out = ONE
     if limit_terms:
-        out = _cnf(((ord_mul(e0, _cnf(limit_terms)), 1),))
+        out = _cnf(((ord_mul(e0, _cnf(limit_terms)), 1),))  # b's terms in b's order, in one term
     if tail:
         out = ord_mul(out, _pow_int(a, tail))
     return out
@@ -486,6 +525,7 @@ def fundamental(a, n: int) -> Ordinal:
         if e.is_successor:
             break
         a = e
+    # each new term below the last exponent of its p, as above; e's head a prefix of e
     a = _cnf(heads.pop() + ((_cnf(_head(e)), n),))
     while heads:
         a = _cnf(heads.pop() + ((a, 1),))
@@ -520,27 +560,28 @@ def cardinality_of(a) -> Cardinality:
 # text form
 
 # One token set serves ordinal and cardinal text; the ordinal grammar
-# rejects the cardinal-only tokens as unexpected.  _TOKENS matches the
-# longest run of tokens, so text is split in two passes of the regex
-# engine rather than one match call per token.  No two alternatives start
-# with the same character, so their order only sets how soon the engine
-# finds one: the most frequent come first.
+# rejects the cardinal-only tokens as unexpected.  No two alternatives
+# start with the same character, so their order only sets how soon the
+# engine finds one: the most frequent come first.  _ATOMS finds the
+# tokens in one pass of the regex engine; _TOKENS, the longest run of
+# tokens from the start, names where a bad text's tokens stop.
 _ATOM = r"[w\^(),+*]|\d+|eps_0|aleph_(?:\(|\d+)|hyper|choose"
-_TOKEN = re.compile(rf"\s*({_ATOM})")
+_ATOMS = re.compile(_ATOM)
 _TOKENS = re.compile(rf"(?:\s*(?:{_ATOM}))*")
 
 
 def _tokens(text: str, error: type[ParseError]) -> list[str]:
     """The tokens of text, or error naming where the tokens stop."""
     _refuse_long_numerals(text)
-    # findall alone would not do: where no token follows a run of
-    # whitespace, it tries again from each later start in the run, so a
-    # text ending in n spaces costs O(n^2).  The anchored match finds the
-    # end of the tokens in one pass, and findall then never fails a match.
-    end = _TOKENS.match(text).end()
-    if text[end:].strip():
-        raise error(f"bad token at {text[end:]!r}")
-    return _TOKEN.findall(text, 0, end)
+    # No token holds whitespace.  So when the tokens, joined, are the text
+    # without the whitespace str.split drops, which is what \s matches,
+    # findall tried each token at the character where the anchored scan of
+    # _TOKENS would, and the tokens are that scan's.  Each step is linear,
+    # also on a long run of whitespace.
+    tokens = _ATOMS.findall(text)
+    if "".join(tokens) != "".join(text.split()):
+        raise error(f"bad token at {text[_TOKENS.match(text).end():]!r}")
+    return tokens
 
 
 def _expected(wanted: str, tok, error: type[ParseError]):
@@ -562,11 +603,12 @@ def _times(a: tuple, b: tuple) -> tuple:
         return ()
     if b[0][0] is ZERO:
         return _scale(a, b[0][1])
-    return ord_mul(_cnf(a), _cnf(b)).terms
+    return ord_mul(_cnf(a), _cnf(b)).terms  # each a value of the parse, which these operations built
 
 
 def _power(a: tuple, b: tuple) -> tuple:
-    # a ^ b: w^b is the one term (b, 1); else ord_pow on the interned two
+    # a ^ b: w^b is the one term (b, 1); else ord_pow on the interned two,
+    # each a value of the parse, which these operations built
     if a == OMEGA.terms:
         return ((_cnf(b), 1),)
     return ord_pow(_cnf(a), _cnf(b)).terms
@@ -666,7 +708,7 @@ def parse_ordinal(text: str) -> Ordinal | EpsilonZero:
     if not text.strip():  # no token, as the tokenizer skips only whitespace
         raise OrdinalParseError("empty ordinal expression")
     value = _parse(text, OrdinalParseError, ORDINAL)
-    return value if value is EPSILON_0 else _cnf(value)
+    return value if value is EPSILON_0 else _cnf(value)  # built by the grammar's operations
 
 
 def format_ordinal(a) -> str:

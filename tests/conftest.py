@@ -22,3 +22,13 @@ def default_digit_limit():
     sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     yield
     sys.set_int_max_str_digits(saved)
+
+
+@pytest.fixture
+def checked_terms(monkeypatch):
+    """The arithmetic and the parser build their terms through _check, as
+    Ordinal(...) does, for one test: a term out of normal form, which
+    they would otherwise intern unchecked, raises ValueError."""
+    from uns import ordinals
+
+    monkeypatch.setattr(ordinals, "_unchecked", lambda terms: ordinals._intern(ordinals.Ordinal, (terms,)))

@@ -15,6 +15,7 @@ import time
 from fractions import Fraction
 
 import mpmath
+import pytest
 
 from uns.bitseq import (
     canonicalize,
@@ -265,6 +266,7 @@ def _once(op):
     return at
 
 
+@pytest.mark.usefixtures("checked_terms")  # every term the laws build is checked for order
 @criterion(7, "ordinal laws, exhaustive pool plus tower ladder")
 def test_criterion_07_ordinals():
     t0 = time.monotonic()

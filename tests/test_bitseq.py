@@ -159,9 +159,15 @@ def test_fraction_prefix_is_the_long_division_prefix():
 
 
 def test_fraction_prefix_rejects_values_outside_the_unit_interval():
-    for q in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2)):
+    for q in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2), 0, 1, "5/4"):
         with pytest.raises(ValueError):
             fraction_prefix(q, 8)
+
+
+def test_fraction_prefix_converts_a_value_that_is_not_a_fraction():
+    # 3/4 is dyadic, so its prefix lies on the (1)-tail: .1011...
+    for q in (Fraction(3, 4), "3/4", Fraction(6, 8)):
+        assert fraction_prefix(q, 4) == 0b1011
 
 
 def test_two_way_encoding_splits_at_the_floor():

@@ -228,8 +228,8 @@ def test_messages_quote_integers_past_the_digit_limit(default_digit_limit, call,
     [
         (lambda: bitseq.PeriodicBits("", "0").bit_at(-1), ValueError, "negative bit position"),
         (lambda: bitseq.to_index_set(Fraction(1, 3)), TypeError, "not a sequence part: Fraction(1, 3)"),
-        # the point parse_left adds makes a right side a second point
-        (lambda: bitseq.parse_left("(0)1.01"), bitseq.NotationError, "not a two-way sequence: '(0)1.01.'"),
+        # the point parse_left adds makes a right side a second point; the text is quoted as typed
+        (lambda: bitseq.parse_left("(0)1.01"), bitseq.NotationError, "not a two-way sequence: '(0)1.01'"),
         (
             lambda: hyperops.monotone_check((1, 3), (0, 1), (2, 3)),
             ValueError,

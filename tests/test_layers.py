@@ -265,6 +265,96 @@ def test_the_memo_list_finds_each_memoized_function(source, found):
     assert set(_memos(ast.parse(source), "m")) == found
 
 
+# The unchecked path: _cnf interns the terms that the arithmetic and the
+# parser build, in normal form by construction, without Ordinal._check,
+# and _unchecked is its builder.  Only the modules whose operations build
+# those terms may name either, and no public constructor, which takes its
+# fields from a caller, may reach them: it checks what it is given.
+UNCHECKED = {"_cnf", "_unchecked"}
+UNCHECKED_USERS = {"ordinals", "cardinals"}
+# the public constructors besides each class's __new__, by module
+CONSTRUCTORS = {"ordinals": {"omega_power"}, "cardinals": {"aleph"}}
+
+
+def _unchecked_uses(tree, module):
+    """Lines of a module outside UNCHECKED_USERS that name the unchecked
+    path: in an import, a call, a read or a string."""
+    if module in UNCHECKED_USERS:
+        return
+    for node in ast.walk(tree):
+        name = node.name if isinstance(node, ast.alias) else _name(node)
+        if isinstance(node, ast.Constant):
+            name = node.value
+        if isinstance(name, str) and name.rpartition(".")[2] in UNCHECKED:
+            yield f"{module} line {node.lineno}: names {name}"
+
+
+def _constructors_reaching_unchecked(trees, public):
+    """The constructors that reach the unchecked path: each class's
+    __new__ and each function named in public, followed through every
+    private module-level function they name.  A public function they
+    call is not followed: it builds only what its own arguments, which
+    it checks, give in normal form."""
+    functions = {s.name: s for tree in trees for s in tree.body if isinstance(s, _FUNCTIONS)}
+    constructors = [(name, functions[name]) for name in sorted(public)]
+    for tree in trees:
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                constructors += ((f"{cls.name}.__new__", f) for f in cls.body if isinstance(f, _FUNCTIONS) and f.name == "__new__")
+    for label, fn in constructors:
+        seen, stack = {fn.name}, [fn]
+        while stack:
+            names = {_name(node) for node in ast.walk(stack.pop())}
+            if names & UNCHECKED:
+                yield label
+                break
+            for name in names - seen:
+                if name in functions and name.startswith("_"):
+                    seen.add(name)
+                    stack.append(functions[name])
+
+
+@pytest.mark.parametrize("path", [*MODULES, Path(uns.__file__)], ids=lambda p: p.stem)
+def test_only_ordinals_and_cardinals_name_the_unchecked_path(path):
+    problems = list(_unchecked_uses(ast.parse(path.read_text(encoding="utf-8")), path.stem))
+    assert not problems, problems
+
+
+def test_no_public_constructor_reaches_the_unchecked_path():
+    paths = [Path(uns.__file__).with_name(f"{module}.py") for module in sorted(UNCHECKED_USERS)]
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+    public = set().union(*CONSTRUCTORS.values())
+    assert public <= {s.name for tree in trees for s in tree.body if isinstance(s, _FUNCTIONS)}
+    assert list(_constructors_reaching_unchecked(trees, public)) == []
+
+
+@pytest.mark.parametrize(
+    "source, module, clean",
+    [
+        ("from .ordinals import _cnf\nx = _cnf(())", "streams", False),
+        ("from . import ordinals\nx = ordinals._unchecked(())", "cli", False),
+        ("import uns.ordinals\nf = getattr(uns.ordinals, '_cnf')", "__init__", False),
+        ("from .ordinals import _cnf\nx = _cnf(())", "cardinals", True),
+        ("from .ordinals import Ordinal, _intern\nx = _intern(Ordinal, ((),))", "streams", True),
+    ],
+)
+def test_the_unchecked_path_check_finds_a_use_from_another_module(source, module, clean):
+    assert (not list(_unchecked_uses(ast.parse(source), module))) == clean
+
+
+@pytest.mark.parametrize(
+    "source, public, reaching",
+    [
+        ("def _via(t):\n    return _cnf(t)\nclass C:\n    def __new__(cls, t):\n        return _via(t)", set(), ["C.__new__"]),
+        ("def _a(t):\n    return _b(t)\ndef _b(t):\n    return _unchecked(t)\ndef make(t):\n    return _a(t)", {"make"}, ["make"]),
+        ("def from_int(n):\n    return _cnf(n)\ndef make(n):\n    return from_int(n)", {"make"}, []),
+        ("class C:\n    def __new__(cls, t):\n        return _intern(cls, (t,))\n    def _add(self, t):\n        return _cnf(t)", set(), []),
+    ],
+)
+def test_the_constructor_check_follows_private_helpers(source, public, reaching):
+    assert list(_constructors_reaching_unchecked([ast.parse(source)], public)) == reaching
+
+
 def _dead_helpers(trees):
     """Module-level private functions and classes of the given modules
     that nothing in them refers to; a helper's references to itself, from

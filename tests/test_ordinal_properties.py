@@ -19,12 +19,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from uns.cardinals import CardinalParseError  # noqa: E402
 from uns.ordinals import (  # noqa: E402
     EPSILON_0,
     OMEGA,
     Ordinal,
     OrdinalBudgetError,
     OrdinalParseError,
+    _tokens,
     format_ordinal,
     from_int,
     ord_add,
@@ -33,6 +35,10 @@ from uns.ordinals import (  # noqa: E402
     ord_pow,
     parse_ordinal,
 )
+
+# every term the arithmetic and the parser build here is checked for
+# order, so a step out of normal form fails where it is taken
+pytestmark = pytest.mark.usefixtures("checked_terms")
 
 Z = ()
 ONE = ((Z, 1),)
@@ -323,3 +329,44 @@ _TEXTS = st.one_of(
 @given(_TEXTS)
 def test_the_parser_agrees_with_recursive_descent(text):
     assert _outcome(parse_ordinal, text) is _outcome(lambda t: _Descent(t).parse(), text)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass tokenizer against the two-pass scan it replaced
+
+_ATOM = r"[w\^(),+*]|\d+|eps_0|aleph_(?:\(|\d+)|hyper|choose"
+_TWO_PASS_TOKEN = re.compile(rf"\s*({_ATOM})")
+_TWO_PASS_RUN = re.compile(rf"(?:\s*(?:{_ATOM}))*")
+
+
+def _two_pass_tokens(text, error):
+    """The anchored scan finds where the tokens stop, then findall reads
+    them up to there."""
+    end = _TWO_PASS_RUN.match(text).end()
+    if text[end:].strip():
+        raise error(f"bad token at {text[end:]!r}")
+    return _TWO_PASS_TOKEN.findall(text, 0, end)
+
+
+def _tokenized(tokenize, text, error):
+    try:
+        return tokenize(text, error)
+    except error as err:
+        return ("error", str(err))
+
+
+_TOKEN_PIECES = st.sampled_from([
+    "w", "^", "(", ")", ",", "+", "*", "0", "7", "12", "eps_0", "aleph_(", "aleph_3", "hyper", "choose",
+    " ", "\t", "\n", "\x1c", "\xa0", "\u2028",
+    "!", "x", "\u00e9", "_", "aleph", "alephx",
+])
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.lists(_TOKEN_PIECES, max_size=16).map("".join), st.sampled_from([OrdinalParseError, CardinalParseError]))
+@example(" " * 10**5, OrdinalParseError)
+@example("w + 1" + " " * 10**5, OrdinalParseError)
+@example(" " * 10**5 + "!", OrdinalParseError)
+@example("aleph_(w)\xa0+\u2028aleph_2", CardinalParseError)
+def test_the_tokenizer_agrees_with_the_two_pass_scan(text, error):
+    assert _tokenized(_tokens, text, error) == _tokenized(_two_pass_tokens, text, error)

@@ -98,6 +98,21 @@ def test_omega_dominates_every_natural():
         assert from_int(i) < W
 
 
+def test_ord_cmp_takes_what_the_arithmetic_takes():
+    assert ord_cmp(3, W) == -1 and ord_cmp(W, 3) == 1
+    assert ord_cmp(7, from_int(7)) == 0 and ord_cmp(2, 5) == -1
+    # eps_0 sits above every ordinal, as its > and `uns ord cmp` say
+    for a in (0, 3, W, o("w^(w^w*2) + 5")):
+        assert ord_cmp(EPSILON_0, a) == 1 and ord_cmp(a, EPSILON_0) == -1
+    assert ord_cmp(EPSILON_0, EPSILON_0) == 0
+    for bad in ("w", 1.0, None):
+        for args in ((bad, W), (W, bad), (EPSILON_0, bad), (bad, EPSILON_0)):
+            with pytest.raises(TypeError, match="not an ordinal"):
+                ord_cmp(*args)
+    with pytest.raises(ValueError, match="not a natural number"):
+        ord_cmp(W, -1)
+
+
 def test_order_is_total_and_transitive_on_the_sample():
     xs = sample_ordinals()
     for a, b in itertools.product(xs, xs):
@@ -480,15 +495,13 @@ def test_a_parse_builds_each_term_of_its_result_once(monkeypatch, text):
     gc.collect()
     before = {t for t in (ref() for ref in list(ordinals._TERMS.values())) if t is not None}
     built = []
-    real = ordinals._intern
+    real = ordinals._record  # the one table path, checked or not, taken by each term built
 
-    def spy(cls, fields):
-        ref = ordinals._TERMS.get((cls, *fields))
-        if ref is None or ref() is None:
-            built.append(fields)
-        return real(cls, fields)
+    def spy(key, term):
+        built.append(key)
+        return real(key, term)
 
-    monkeypatch.setattr(ordinals, "_intern", spy)
+    monkeypatch.setattr(ordinals, "_record", spy)
     value = parse_ordinal(text)
     nodes, stack = set(), [value]
     while stack:
