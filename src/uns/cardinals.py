@@ -1,5 +1,6 @@
 """Symbolic cardinal arithmetic driven by five rewrite rules, plus the
-hereditarily finite sets used to ground the finite side.
+hereditarily finite sets, interned as the expressions are, that ground
+the finite side.
 
 Expressions are built from finite values, aleph_a with an ordinal index
 below eps_0, powersets 2^e, the explosive operator hyper(base, level,
@@ -20,9 +21,10 @@ so rewriting terminates; the engine works bottom-up and reports either
 a normal form (an aleph or a finite value), a stuck subexpression no
 rule covers, or a finite blow-up past the budget.
 
-Expression nodes are hash-consed like the ordinals, as ordinals._Term
-records: equal expressions are one object, so == and hash are identity
-and O(1), and aleph indices go through the ordinals' arithmetic.
+Expression nodes and finite sets are hash-consed like the ordinals, as
+ordinals._Term records: equal values are one object, so == and hash are
+identity and O(1), a numeral is read by one lookup, and aleph indices go
+through the ordinals' arithmetic.
 all_single_steps keeps the steps of each term under each budget in
 _entry, a memo of the package's one policy, bitseq._memo, with 1024
 entries, so the states of an exploration, which share most of
@@ -108,15 +110,18 @@ class FiniteBudgetError(UnnormalizableError, BudgetError):
 SET_BUDGET = 1024
 
 
-class PureSet(Record):
-    """A hereditarily finite set.  Its text lists the members in order of
-    size, then of their sorted members, and is refused past
-    DEFAULT_BUDGET characters: a numeral's text holds every smaller one's,
-    so it doubles with each member."""
+class PureSet(_Term):
+    """A hereditarily finite set, one object per value as the terms are.
+    Its text lists the members in order of size, then of their sorted
+    members, and is refused past DEFAULT_BUDGET characters: a numeral's
+    text holds every smaller one's, so it doubles with each member."""
 
     __slots__ = ("members",)
-    _defaults = {"members": frozenset()}
     members: frozenset[PureSet]
+
+    def __new__(cls, members=frozenset()):
+        # sets only: another member's hash or == could run Python code within _record's atomic steps
+        return _intern(cls, (frozenset(map(_a_set, members)),))
 
     def __len__(self):
         return len(self.members)
@@ -128,11 +133,17 @@ class PureSet(Record):
         key = {}  # each set's sort key, made after its members', as one numeral recurs in every larger one
 
         def pieces(s):
-            members = sorted(s.members, key=lambda m: key[id(m)])
-            key[id(s)] = (len(members), tuple(key[id(m)] for m in members))
+            members = sorted(s.members, key=key.__getitem__)
+            key[s] = (len(members), tuple(map(key.__getitem__, members)))
             return _joined("{", members, "}", "{}")
 
         return _text(self, _members, pieces, "set text")
+
+
+def _a_set(s) -> PureSet:
+    if type(s) is not PureSet:
+        raise TypeError(f"not a set: {_show(s)}")
+    return s
 
 
 _members = attrgetter("members")
@@ -142,50 +153,43 @@ EMPTY_SET = PureSet()
 
 def nat_to_set(n: int) -> PureSet:
     """Von Neumann numeral: each number is the set of the smaller ones."""
-    if not isinstance(n, int) or n < 0:
+    # exactly int: True would build the numeral 1
+    if type(n) is not int or n < 0:
         raise ValueError(f"not a natural number: {_show(n)}")
     if n > SET_BUDGET:
         raise BudgetError(f"numeral {_show(n)} exceeds the {SET_BUDGET}-member set budget")
     s = EMPTY_SET
     for _ in range(n):
-        s = PureSet(s.members | {s})
+        s = _intern(PureSet, (s.members | {s},))
     return s
 
 
 def set_to_nat(s: PureSet) -> int:
     """The number whose numeral s is: a set of k members is the numeral k
-    when they are the numerals 0 to k-1.  The walk yields each set after
-    its members, so the sets before one are the numerals 0 to top-1, and
-    it is the next if it has top members, else a numeral if none of its
-    members is k or more.  No sets are compared: == between equal sets
-    built apart compares every pair inside, in time doubling per member."""
-    if len(s) > SET_BUDGET:
+    or none, and the numeral k is one object."""
+    if len(_a_set(s)) > SET_BUDGET:
         raise BudgetError(f"numeral {_show(len(s))} exceeds the {SET_BUDGET}-member set budget")
-    top, value = 0, {}
-    for x in _post_order(s, _members):
-        k = len(x.members)
-        if k < top and max(map(value.__getitem__, map(id, x.members)), default=-1) != k - 1:
-            named = f"the {len(s)}-member set"
-            if 3 << (top - 1) <= DEFAULT_BUDGET + 2:  # s holds numeral top - 1, of 3 * 2^(top-1) - 2 characters
-                try:
-                    named = str(s)
-                except BudgetError:
-                    pass
-            raise ValueError(f"{named} is not a numeral")
-        value[id(x)] = k
-        top = max(top, k + 1)
+    if s is not nat_to_set(len(s)):
+        named, under, level = f"the {len(s)}-member set", set(), s.members
+        while level:  # the sets under s, a level at a time
+            under |= level
+            level = frozenset().union(*map(_members, level)) - under
+        # past the numeral 18 (3 * 2^18 - 2 characters) no text fits the
+        # budget, and str would sort every set under s to find that out
+        if nat_to_set(19) not in under:
+            try:
+                named = str(s)
+            except BudgetError:
+                pass
+        raise ValueError(f"{named} is not a numeral")
     return len(s)
 
 
 def powerset(s: PureSet) -> PureSet:
-    if 1 << len(s) > SET_BUDGET:
+    if 1 << len(_a_set(s)) > SET_BUDGET:
         raise BudgetError(f"the powerset of a {len(s)}-member set exceeds the {SET_BUDGET}-member set budget")
-    members = list(s.members)
-    subsets = set()
-    for r in range(len(members) + 1):
-        for combo in combinations(members, r):
-            subsets.add(PureSet(frozenset(combo)))
-    return PureSet(frozenset(subsets))
+    subsets = chain.from_iterable(combinations(s.members, r) for r in range(len(s) + 1))
+    return _intern(PureSet, (frozenset(_intern(PureSet, (frozenset(c),)) for c in subsets),))
 
 
 def diagonal_witness(s: PureSet, f: Mapping[PureSet, PureSet]) -> PureSet:
@@ -193,10 +197,10 @@ def diagonal_witness(s: PureSet, f: Mapping[PureSet, PureSet]) -> PureSet:
 
     f must assign a subset of s to every member of s.
     """
-    for x in s.members:
+    for x in _a_set(s).members:
         if x not in f:
             raise ValueError(f"{x} has no image")
-        if not f[x].members <= s.members:
+        if not _a_set(f[x]).members <= s.members:
             raise ValueError(f"image of {x} is not a subset")
     return PureSet(frozenset(x for x in s.members if x not in f[x]))
 

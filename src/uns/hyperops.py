@@ -41,6 +41,10 @@ _WORDING = {
     2: ("a power tower of ", " copies of {m}"),
     3: ("level-{k} explosion of {m} at height ", ""),
 }
+# the most layers a description writes out: each is about 45 characters
+# for a base below 10^6, so with the innermost count, at most 3,613 digits
+# by _show_int, a description stays under 12,000 characters
+_LAYERS_WRITTEN = 100
 
 
 class Exceeded(Record):
@@ -56,16 +60,20 @@ class Exceeded(Record):
         # each node puts its head and tail around its count, and a nested
         # node is its parent's count, in parentheses; chains can be tens of
         # thousands of layers deep when a high-level fold fails far down, so
-        # the pieces are joined once, with no per-layer copying
+        # past _LAYERS_WRITTEN layers the rest are counted, not written
         heads, tails = [], []
         node = self
-        while isinstance(node, Exceeded):
+        while isinstance(node, Exceeded) and len(heads) < _LAYERS_WRITTEN:
             head, tail = _WORDING.get(node.level, _WORDING[3])
             m = _show_int(node.base)
             heads.append(head.format(m=m, k=_show_int(node.level)))
             tails.append(tail.format(m=m))
             node = node.pending
-        return "(".join(heads) + _show_int(node) + ")".join(reversed(tails))
+        rest = 0
+        while isinstance(node, Exceeded):
+            rest, node = rest + 1, node.pending
+        count = f"(<{rest}-layer statement>)" if rest else _show_int(node)
+        return "(".join(heads) + count + ")".join(reversed(tails))
 
     def __str__(self) -> str:
         return self.describe()

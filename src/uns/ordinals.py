@@ -7,10 +7,11 @@ field-less term, EPSILON_0: it names the limit of the w-tower and is
 accepted by fundamental() and cardinality_of() but rejected by the
 arithmetic.
 
-Terms are hash-consed: every Ordinal, EPSILON_0 and every cardinal node
-is a _Term, the bitseq.Record made once per distinct value and kept in
-a weak-valued table, so equality is identity and hashing is O(1); the
-naturals below 16 are built at import and stay alive.  The check that
+Terms are hash-consed: every Ordinal, EPSILON_0, every cardinal node and
+every hereditarily finite set (cardinals.PureSet) is a _Term, the
+bitseq.Record made once per distinct value and kept in a weak-valued
+table, so equality is identity and hashing is O(1); the naturals below
+16 are built at import and stay alive.  The check that
 exponents strictly decrease runs on each term built from outside, by
 Ordinal(...), omega_power or unpickling.  The arithmetic and the parser
 build their terms in normal form by construction (Manolios and Vroon,
@@ -114,7 +115,9 @@ def _intern(cls, fields: tuple):
 
     _check runs Python code, and building a term can run a finalizer, so
     another thread may build and record an equal term meanwhile; _record
-    returns the term recorded first."""
+    returns the term recorded first.  Its lookup and record are atomic
+    steps as long as fields are what _record lists: a set's field is a
+    frozenset of sets, which is why PureSet refuses any other member."""
     key = (cls, *fields)
     ref = _TERMS.get(key)
     if ref is not None:
@@ -136,8 +139,9 @@ def _record(key: tuple, term):
     with _remove_dead_weakref (the removal weakref.WeakValueDictionary
     uses), which only removes an entry whose term is dead.  Each is one
     atomic step under the GIL, because hashing and comparing a key runs no
-    Python code: a key holds classes, ints, tuples of them and interned
-    terms, whose hash and == are identity.  So every thread gets the term
+    Python code: a key holds classes, ints, tuples of them, interned terms,
+    whose hash and == are identity, and frozensets of interned terms, whose
+    hash and == are C loops over those.  So every thread gets the term
     recorded first, while it lives."""
     ref = _Ref(term, _forget)
     ref.key = key

@@ -186,12 +186,16 @@ def best_cpu(call, rounds=3):
 
 
 def test_set_to_nat_reads_a_numeral_without_comparing_sets():
-    # == between equal sets built apart compares every pair of members
-    # inside, so reading the numeral 22 that way took 0.57 s; a walk over
-    # the 523776 members of the largest numeral takes a fraction of 0.1 s
+    # sets are interned, so a set is the numeral of its size only if it is
+    # that object, and == is identity: before, == between equal sets built
+    # apart compared every pair of members inside, and reading the numeral
+    # 22 that way took 0.57 s
     largest = nat_to_set(cardinals.SET_BUDGET)
     cost, answer = best_cpu(lambda: set_to_nat(largest))
     assert answer == cardinals.SET_BUDGET and cost < 0.1
+    copied = pickle.loads(pickle.dumps(largest))
+    cost, answer = best_cpu(lambda: copied == largest)
+    assert answer and cost < 0.001
     below = max(nat_to_set(cardinals.SET_BUDGET - 1).members, key=len)  # the numeral 1022
     odd = PureSet(below.members | {below, PureSet(frozenset([below]))})
     assert len(odd) == cardinals.SET_BUDGET

@@ -16,9 +16,20 @@ prefixes on both sides of the square-root kernel's crossover, and
 values whose decimals pass the interpreter's 4300-digit guard.  The
 same draws check that the command table's argv reader, wherever it
 answers, answers as argparse does.
+
+Then metamorphic relations, each between the answers to two related
+argvs (Chen et al., "Metamorphic Testing: A Review of Challenges and
+Opportunities", ACM Computing Surveys 51(1), 2018): `ord cmp` and
+`card cmp` answer the swapped operands with the mirrored relation,
+`flip --raw` undoes itself on a canonical sequence, whose `flip` is the
+canonical form of its `flip --raw`, and a shorter `bits` prefix is the
+start of a longer one.  A side that is refused is refused
+on the other side too, though perhaps with another code, as the
+operands are read in order.
 """
 
 import io
+import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -265,3 +276,87 @@ def test_help_at_every_level_is_left_to_argparse(capsys, monkeypatch, path):
 @pytest.mark.parametrize("argv", [["bits", 1], ["bits", "1/3", "-n", 5], ["bits", None], None])
 def test_argv_that_is_not_a_list_of_str_is_left_to_argparse(argv):
     assert cli._read_argv(argv) is None
+
+
+def _answer(argv):
+    """run's exit code and stdout for argv."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+def _swapped(argv):
+    # the answers to argv and to argv with its two last operands swapped
+    return _answer(argv), _answer(argv[:-2] + argv[:-3:-1])
+
+
+FORMAT = st.sampled_from(([], ["--format", "structured"]))
+ORDINAL_TEXTS = st.one_of(
+    st.just("eps_0"),  # which only stands alone
+    st.recursive(
+        st.one_of(st.just("w"), st.integers(0, 12).map(str)),
+        lambda inner: st.tuples(inner, st.sampled_from("+*^"), inner).map("({0[0]}){0[1]}({0[2]})".format),
+        max_leaves=5,
+    ),
+)
+CARDINAL_TEXTS = st.recursive(
+    st.one_of(
+        st.integers(0, 3).map("aleph_{}".format),
+        st.sampled_from(("aleph_(w)", "aleph_(w+1)")),
+        st.integers(0, 5).map(str),
+    ),
+    lambda inner: st.one_of(
+        inner.map("2^{}".format),
+        inner.map("choose({})".format),
+        st.tuples(inner, inner, inner).map("hyper({0[0]}, {0[1]}, {0[2]})".format),
+    ),
+    max_leaves=4,
+)
+MIRROR = {"<": ">", ">": "<", "=": "=", "le": "ge", "ge": "le", "eq": "eq", "unknown": "unknown"}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(FORMAT, st.sampled_from(("ord", "card")), st.data())
+def test_cmp_of_swapped_operands_mirrors_the_relation(fmt, command, data):
+    texts = ORDINAL_TEXTS if command == "ord" else CARDINAL_TEXTS
+    (code, out), (back_code, back_out) = _swapped([*fmt, command, "cmp", data.draw(texts), data.draw(texts)])
+    assert (code == 0) == (back_code == 0)
+    if code == 0:
+        relation = out.strip() if not fmt else json.loads(out)["relation"]
+        mirrored = back_out.strip() if not fmt else json.loads(back_out)["relation"]
+        assert mirrored == MIRROR[relation]
+
+
+BITS = st.text("01", max_size=6)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(BITS.filter(bool), BITS, BITS, BITS)
+def test_raw_flip_of_raw_flip_gives_a_canonical_sequence_back(left_period, left, right, right_period):
+    # flip's canonical output is not itself flipped back: the mirror of a
+    # canonical sequence need not be canonical, as "(0)1.(0)" flips to
+    # "(0).0(1)", the canonical form of "(0).1(0)", which flips to "(1)0.(0)"
+    text = f"({left_period}){left}.{right}" + (f"({right_period})" if right_period else "")
+    code, canonical = _answer(["convert", text, "--to", "notation"])
+    assert code == 0
+    code, raw = _answer(["flip", canonical.strip(), "--raw"])
+    assert code == 0 and _answer(["flip", raw.strip(), "--raw"]) == (0, canonical)
+    assert _answer(["flip", canonical.strip()]) == _answer(["convert", raw.strip(), "--to", "notation"])
+
+
+STREAM_TEXTS = st.one_of(
+    st.sampled_from(("pi/4", "sqrt(1/2)", "sqrt(2/3)")),
+    st.builds(lambda p, q: f"{p}/{p + q}", st.integers(1, 200), st.integers(1, 200)),
+    st.builds(lambda p, q: f"sqrt({p}/{p + q})", st.integers(0, 200), st.integers(1, 200)),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(STREAM_TEXTS, st.integers(0, 300), st.integers(1, 300))
+def test_a_shorter_bits_prefix_starts_a_longer_one(stream, m, more):
+    streams.as_stream.cache_clear()  # the longer prefix is computed, not cut from a memo
+    (code, short), (long_code, long) = _answer(["bits", stream, "-n", str(m)]), _answer(["bits", stream, "-n", str(m + more)])
+    assert code == long_code
+    if code == 0:
+        assert len(long.strip()) == m + more and long.startswith(short.strip())

@@ -252,10 +252,36 @@ def test_messages_quote_integers_past_the_digit_limit(default_digit_limit, call,
             ValueError,
             "the 2-member set is not a numeral",
         ),
+        # True is an int that would build the numeral 1
+        (lambda: cardinals.nat_to_set(True), ValueError, "not a natural number: True"),
     ],
-    ids=["bit_at", "to_index_set", "parse_left", "monotone_check", "to_int", "ord_add", "ord_mul", "ord_pow", "compare", "set_to_nat"],
+    ids=[
+        "bit_at", "to_index_set", "parse_left", "monotone_check", "to_int", "ord_add", "ord_mul", "ord_pow", "compare",
+        "set_to_nat", "nat_to_set",
+    ],
 )
 def test_each_guard_refuses_with_its_message(call, error, message):
     with pytest.raises(error) as caught:
         call()
     assert type(caught.value) is error and str(caught.value) == message
+
+
+TWO = cardinals.nat_to_set(2)
+
+
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        (lambda: cardinals.set_to_nat(3), "3"),
+        (lambda: cardinals.powerset(3), "3"),
+        (lambda: cardinals.powerset(frozenset()), "frozenset()"),
+        (lambda: cardinals.diagonal_witness(3, {}), "3"),
+        (lambda: cardinals.diagonal_witness(TWO, dict.fromkeys(TWO.members, frozenset())), "frozenset()"),
+        (lambda: cardinals.PureSet([cardinals.EMPTY_SET, 0]), "0"),
+    ],
+    ids=["set_to_nat", "powerset", "powerset-frozenset", "diagonal_witness", "diagonal-image", "member"],
+)
+def test_the_set_functions_refuse_what_is_not_a_set_by_name(call, shown):
+    with pytest.raises(TypeError) as caught:
+        call()
+    assert str(caught.value) == f"not a set: {shown}"

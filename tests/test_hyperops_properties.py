@@ -3,7 +3,9 @@ written here from the wording of each level: a count at level 0 reads
 "m * n", at level 1 "m^n", at level 2 "a power tower of n copies of m",
 and above "level-k explosion of m at height n"; a nested statement is
 its parent's count, in parentheses.  An integer past 12000 bits is
-quoted by its size."""
+quoted by its size, and a chain past its 100 outer layers by the number
+of layers left, which the chains here, at most 6 deep, never reach;
+then a property of hyper that every refusal's text stays short."""
 
 import pytest
 
@@ -11,7 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from uns.hyperops import Exceeded  # noqa: E402
+from uns.hyperops import Exceeded, hyper  # noqa: E402
 
 
 def quote(x: int) -> str:
@@ -46,3 +48,22 @@ def test_describe_matches_the_recursive_wording(chain, count):
     for base, level in reversed(chain):
         e = Exceeded(base, level, e)
     assert e.describe() == reference(e)
+
+
+def test_a_chain_past_its_outer_layers_states_the_rest_by_count():
+    e = 5
+    for level in range(3, 253):
+        e = Exceeded(2, level, e)
+    heads = [f"level-{k} explosion of 2 at height " for k in range(252, 152, -1)]
+    assert e.describe() == "(".join(heads) + "(<150-layer statement>)" + ")" * 99
+
+
+# levels on both sides of 10^4, and on both sides of the last level a
+# fold walks down, hyperops._DEEP_LEVEL + 1 = 2^17 + 1: a fold walked
+# down fails about k layers deep, past it a fold stops at once
+@pytest.mark.parametrize("k", [10**4 - 1, 10**4 + 1, (1 << 17) + 1, (1 << 17) + 2])
+@settings(max_examples=2, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 10**6 - 1), st.integers(3, 5))
+def test_every_hyper_refusal_is_described_in_under_12000_characters(k, m, n):
+    result = hyper(m, k, n)
+    assert isinstance(result, Exceeded) and len(result.describe()) < 12000

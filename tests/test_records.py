@@ -98,11 +98,12 @@ def _fields(value):
 
 def test_every_record_class_is_covered():
     # the other direct subclass, _Term, is the base of the interned terms,
-    # which compare by identity and are covered in test_terms
+    # which compare by identity and are covered in test_terms; PureSet, a
+    # term too, keeps its cases here, which hold for a term as well
     package = {cls for cls in Record.__subclasses__() if cls.__module__.startswith(uns.__name__ + ".")}
-    assert _Term in package
-    assert {type(make()) for make, _ in CASES} == package - {_Term}
-    assert len(package) == 22
+    assert _Term in package and issubclass(PureSet, _Term)
+    assert {type(make()) for make, _ in CASES} == package - {_Term} | {PureSet}
+    assert len(package) == 21
 
 
 @pytest.mark.parametrize("make, text", CASES, ids=IDS)
@@ -115,7 +116,8 @@ def test_fields_are_the_slots_and_the_annotations(make, text):
 @pytest.mark.parametrize("make, text", CASES, ids=IDS)
 def test_equal_fields_make_equal_values_of_one_class_only(make, text):
     a, b = make(), make()
-    assert a == b and not a != b and a is not b
+    # an interned class builds one object per value, another a new one each time
+    assert a == b and not a != b and (a is b) == type(a)._interned
     assert hash(a) == hash(b)
     twin = type("Twin", (Record,), {"__slots__": type(a).__slots__})(**_fields(a))
     assert a != twin and twin != a
@@ -192,15 +194,15 @@ def _deep_set():
 
 @pytest.mark.parametrize("make", [_deep_set, lambda: uns.hyper(3, 60000, 3)], ids=["set", "exceeded"])
 def test_a_record_deeper_than_the_interpreter_stack_pickles_and_copies(make):
-    # a 600-deep set, and the 59,998-deep Exceeded of a fold that fails far
-    # down; the set's == and hash recurse, so the copies are compared by a
-    # loop, and Exceeded's == walks its chain in one
+    # a 600-deep set, which is interned, so its copies are the set itself,
+    # and the 59,998-deep Exceeded of a fold that fails far down, whose ==
+    # walks its chain in a loop
     value = make()
     for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
-        assert back is not value
         if type(value) is PureSet:
-            assert repr(back) == repr(value) and str(back) == "{" * 601 + "}" * 601
+            assert back is value and str(back) == "{" * 601 + "}" * 601
         else:
+            assert back is not value
             assert list(_chain(back)) == list(_chain(value)) and len(list(_chain(value))) == 59999
             assert back == value and hash(back) == hash(value)
 

@@ -1,6 +1,6 @@
-"""Hash-consed terms: ordinals and cardinal expressions are built once per
-distinct value, so equal values are one object, and interning skips no
-check a constructor makes."""
+"""Hash-consed terms: ordinals, cardinal expressions and hereditarily
+finite sets are built once per distinct value, so equal values are one
+object, and interning skips no check a constructor makes."""
 
 import copy
 import gc
@@ -15,15 +15,20 @@ from uns import ordinals
 from uns.bitseq import Record
 from uns.cardinals import (
     ALEPH_0,
+    EMPTY_SET,
     Aleph,
     Choose,
     FiniteCard,
     HyperCard,
     Pow2,
+    PureSet,
     aleph,
+    diagonal_witness,
     format_cardinal,
+    nat_to_set,
     normalize,
     parse_cardinal,
+    powerset,
 )
 from uns.ordinals import (
     EPSILON_0,
@@ -58,6 +63,9 @@ BAD = [
         id="HyperCard('a', None, 1.5)",
     ),
     pytest.param(lambda: Choose(OMEGA), TypeError, lambda: Choose(ALEPH_0), id="Choose(OMEGA)"),
+    pytest.param(
+        lambda: PureSet(frozenset({frozenset()})), TypeError, lambda: nat_to_set(1), id="PureSet(frozenset({frozenset()}))"
+    ),
 ]
 
 
@@ -87,12 +95,15 @@ def test_values_built_by_different_routes_are_one_object():
     tree = parse_cardinal("hyper(2, 3, choose(aleph_(w*2)))")
     assert tree is HyperCard(FiniteCard(2), FiniteCard(3), Choose(Aleph(ord_add(OMEGA, OMEGA))))
     assert {tree: 1}[parse_cardinal("hyper(2,3,choose(aleph_(w+w)))")] == 1
+    assert PureSet({EMPTY_SET, PureSet({EMPTY_SET})}) is nat_to_set(2) is powerset(nat_to_set(1))
+    two = nat_to_set(2)
+    assert diagonal_witness(two, dict.fromkeys(two.members, EMPTY_SET)) is two
 
 
 @pytest.mark.parametrize(
     "term",
     [ZERO, parse_ordinal("w^(w + 1)*3 + 2"), FiniteCard(7), parse_cardinal("hyper(2, aleph_0, choose(aleph_(w)))"),
-     EPSILON_0],
+     EPSILON_0, nat_to_set(20)],
     ids=repr,
 )
 def test_pickle_and_copies_return_the_same_object(term):
@@ -105,7 +116,8 @@ def test_pickle_and_copies_return_the_same_object(term):
 @pytest.mark.parametrize(
     "term, name",
     [(OMEGA, "terms"), (FiniteCard(3), "value"), (ALEPH_0, "index"), (Pow2(ALEPH_0), "operand"),
-     (HyperCard(FiniteCard(2), FiniteCard(1), ALEPH_0), "base"), (OMEGA, "other"), (EPSILON_0, "x")],
+     (HyperCard(FiniteCard(2), FiniteCard(1), ALEPH_0), "base"), (OMEGA, "other"), (EPSILON_0, "x"),
+     (nat_to_set(2), "members")],
 )
 def test_terms_are_immutable(term, name):
     with pytest.raises(AttributeError):
@@ -117,7 +129,7 @@ def test_terms_are_immutable(term, name):
 def test_terms_are_records_that_keep_identity_equality():
     """One base for every immutable value: a term class is a Record that
     interns, so Record compiles no __init__, __eq__ or __hash__ for it."""
-    for cls in (Ordinal, EpsilonZero, FiniteCard, Aleph, Pow2, HyperCard, Choose):
+    for cls in (Ordinal, EpsilonZero, FiniteCard, Aleph, Pow2, HyperCard, Choose, PureSet):
         assert issubclass(cls, Record)
         assert (cls.__init__, cls.__eq__, cls.__hash__) == (object.__init__, object.__eq__, object.__hash__)
     assert EpsilonZero() is EPSILON_0 and repr(EPSILON_0) == "EPSILON_0" and str(EPSILON_0) == "eps_0"
@@ -157,8 +169,9 @@ def test_a_term_keeps_its_short_text_from_its_first_print():
 
 def test_intern_table_drops_dead_terms():
     """Each w^n the test makes, and its exponent n, is in the table while
-    alive and leaves it once dropped.  An n that other tests keep alive
-    (the ordinal memos hold their arguments) is not the test's own."""
+    alive and leaves it once dropped, and so does each set.  An n that
+    other tests keep alive (the ordinal memos hold their arguments) is not
+    the test's own."""
     table = ordinals._TERMS
     gc.collect()
     own = [n for n in range(10**9, 10**9 + 10_000) if (Ordinal, ((ZERO, n),)) not in table]
@@ -174,6 +187,20 @@ def test_intern_table_drops_dead_terms():
     assert not any(ref() for ref in alive)
     # a w^n entry still in the table would keep its exponent's entry
     assert not any((Ordinal, ((ZERO, n),)) in table for n in own)
+    # sets: a chain of 1000 singletons over the numeral 5
+    def sets():
+        return sum(key[0] is PureSet for key in table)
+
+    chain = [nat_to_set(5)]
+    gc.collect()
+    before = sets()
+    for _ in range(1000):
+        chain.append(PureSet({chain[-1]}))
+    assert sets() == before + 1000 and all(table[(PureSet, s.members)]() is s for s in chain)
+    alive = [weakref.ref(s) for s in chain[1:]]
+    del chain[1:]
+    gc.collect()
+    assert not any(ref() for ref in alive) and sets() == before
 
 
 def test_a_late_forget_leaves_the_live_entry_of_its_key_alone():
@@ -212,10 +239,11 @@ def test_a_dead_entry_found_when_recording_is_replaced():
 
 
 def test_threads_building_equal_terms_get_one_object():
-    """Four threads parse the same ordinal texts at once, switching threads
-    as often as the interpreter allows.  Each text must give one object in
-    every thread: between a term's lookup and its record, _check runs
-    Python code, where another thread may record an equal term."""
+    """Four threads parse the same ordinal texts and build the same sets at
+    once, switching threads as often as the interpreter allows.  Each text
+    and each set must give one object in every thread: between a term's
+    lookup and its record, _check runs Python code, where another thread
+    may record an equal term."""
     workers, count = 4, 100
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -226,21 +254,28 @@ def test_threads_building_equal_terms_get_one_object():
                 f"w^(w^{10**6 + trial * count + i}*4+{i % 7 + 1})*8 + w^{i % 9 + 2}*3 + w*{i + 2} + 1"
                 for i in range(count)
             ]
+            names = texts + [f"set {i}" for i in range(count)]
             results = [None] * workers
             start = threading.Barrier(workers, timeout=30)
 
-            def parse_all(k):
+            def build_all(k):
                 start.wait()
-                results[k] = [parse_ordinal(text) for text in texts]
+                built = [parse_ordinal(text) for text in texts]
+                # a chain of pairs over a numeral, the last trial's chain dead by now
+                s = nat_to_set(30 + trial)
+                for i in range(count):
+                    s = PureSet({s, nat_to_set(i % 4)})
+                    built.append(s)
+                results[k] = built
 
-            threads = [threading.Thread(target=parse_all, args=(k,)) for k in range(workers)]
+            threads = [threading.Thread(target=build_all, args=(k,)) for k in range(workers)]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=30)
             assert not any(thread.is_alive() for thread in threads)
-            doubled = [text for i, text in enumerate(texts) if len({id(r[i]) for r in results}) > 1]
-            assert not doubled, f"trial {trial}: {len(doubled)} texts gave two objects, first {doubled[0]}"
+            doubled = [name for i, name in enumerate(names) if len({id(r[i]) for r in results}) > 1]
+            assert not doubled, f"trial {trial}: {len(doubled)} values gave two objects, first {doubled[0]}"
     finally:
         sys.setswitchinterval(interval)
 
