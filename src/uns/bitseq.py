@@ -43,19 +43,24 @@ base of every immutable value; the bit budget and BudgetError, the base
 of every refusal; ParseError, the base of every grammar's error; _memo,
 the one memo policy, least recently used with 1024 entries per function;
 the package's two crossings of decimal text, _int_str, which prints
-an integer or a Fraction, and _read_int, which reads an integer.  Both
+an integer or a rational, and _read_int, which reads an integer.  Both
 work past the interpreter's limit on integer text and leave it as it is;
 _show quotes a value in an error message through _int_str, an integer
 past a bound by its size.  And _post_order, the one walk over values
 made of values, from a stack, so a value nested past the interpreter's
 calls is printed (_text, which every Record's repr uses), pickled and
 rewritten as any other.
+
+Start-up pays only for what a command reads.  Fraction, which brings
+decimal and numbers along, is loaded on the first rational made, as the
+package loads a layer, and no integer or bit command makes one; a
+record class compiles its == and hash on their first use; and a regular
+expression is compiled on its first match.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import attrgetter
@@ -75,6 +80,37 @@ PATTERN_BUDGET = 1 << 15  # bits
 # cli._shared_parser, each kept for its measured repeats (tests/test_layers).
 # Typed, so 1, 1.0 and True stay apart on their way to ordinals._coerce.
 _memo = lru_cache(maxsize=1024, typed=True)
+
+
+def __getattr__(name: str):
+    """Fraction, read from outside before this module made a rational:
+    fractions.Fraction, loaded then (PEP 562) and bound here under both
+    its names, so each later lookup is a plain read."""
+    if name != "Fraction":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from fractions import Fraction
+
+    globals().update(Fraction=Fraction, _Fraction=Fraction)
+    return Fraction
+
+
+def _Fraction(*args):
+    # this module's own Fraction: the first call binds fractions.Fraction in its place
+    return __getattr__("Fraction")(*args)
+
+
+class _Pattern:
+    """A regular expression compiled on its first match, which binds the
+    compiled pattern in namespace under name in place of this stand-in:
+    re's compiler, whose work no bytecode cache keeps, costs only the
+    commands that match the pattern."""
+
+    def __init__(self, namespace: dict, name: str, source: str):
+        self.namespace, self.name, self.source = namespace, name, source
+
+    def fullmatch(self, text: str):
+        pattern = self.namespace[self.name] = re.compile(self.source)
+        return pattern.fullmatch(text)
 
 
 class BudgetError(ValueError):
@@ -114,7 +150,11 @@ class Record:
     itself (hyperops.Exceeded's == and hash): a generic loop over the
     fields would cost every construction, and importing dataclasses
     (with inspect, ast and dis) would cost every start-up more than the
-    rest of the package's imports.
+    rest of the package's imports.  __init__ is compiled with the class,
+    so its signature reads as the fields from the start; __eq__ and
+    __hash__ on the first comparison or hash of one of the class's
+    values (_first_eq, _first_hash), as most classes a start-up defines
+    are never compared in its run.
     """
 
     __slots__ = ()
@@ -134,24 +174,14 @@ class Record:
         body = [f"    _set_{n}(self, {n})" for n in fields]
         if cls._check is not Record._check:
             body.append("    _check(self)")
-        mine = "".join(f"self.{n}, " for n in fields)
-        theirs = mine.replace("self.", "other.")
-        source = (
-            f"def __init__(self, {', '.join(params)}):\n" + ("\n".join(body) or "    pass") + "\n"
-            "def __eq__(self, other):\n"
-            "    if other.__class__ is self.__class__:\n"
-            f"        return ({mine}) == ({theirs})\n"
-            "    return NotImplemented\n"
-            "def __hash__(self):\n"
-            f"    return hash(({mine}))\n"
-        )
+        source = f"def __init__(self, {', '.join(params)}):\n" + ("\n".join(body) or "    pass") + "\n"
         ns = {"_defaults": cls._defaults, "_check": cls._check}
         ns.update((f"_set_{n}", cls.__dict__[n].__set__) for n in fields)
         exec(source, ns)
-        for name in ("__init__", "__eq__", "__hash__"):
+        ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+        for name, method in (("__init__", ns["__init__"]), ("__eq__", _first_eq), ("__hash__", _first_hash)):
             if name not in cls.__dict__:
-                ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
-                setattr(cls, name, ns[name])
+                setattr(cls, name, method)
 
     def _check(self):
         """Validation of a new instance, run once its fields are set."""
@@ -181,6 +211,38 @@ class Record:
         # a repr past the budget: the class and the number of records self is made of
         count = sum(isinstance(x, Record) for x in _post_order(self, _parts))
         return f"{type(self).__qualname__}(<{count} nodes>)"
+
+
+def _comparison(cls) -> dict:
+    """cls's __eq__ and __hash__, compiled from its fields and set on it
+    in place of _first_eq and _first_hash."""
+    mine = "".join(f"self.{n}, " for n in cls.__slots__)
+    theirs = mine.replace("self.", "other.")
+    source = (
+        "def __eq__(self, other):\n"
+        "    if other.__class__ is self.__class__:\n"
+        f"        return ({mine}) == ({theirs})\n"
+        "    return NotImplemented\n"
+        "def __hash__(self):\n"
+        f"    return hash(({mine}))\n"
+    )
+    ns = {}
+    exec(source, ns)
+    for name, stand_in in (("__eq__", _first_eq), ("__hash__", _first_hash)):
+        ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        if cls.__dict__.get(name) is stand_in:
+            setattr(cls, name, ns[name])
+    return ns
+
+
+def _first_eq(self, other):
+    # a record class's == until its first call, which compiles it
+    return _comparison(type(self))["__eq__"](self, other)
+
+
+def _first_hash(self):
+    # a record class's hash until its first call, which compiles it
+    return _comparison(type(self))["__hash__"](self)
 
 
 def _post_order(root, kids):
@@ -468,11 +530,11 @@ def _right_digits(num: int, den: int) -> PeriodicBits:
 
 
 def decode_left(l: LeftPart) -> Fraction:
-    return Fraction(*_ratio(l.bits, LEFT))
+    return _Fraction(*_ratio(l.bits, LEFT))
 
 
 def decode_right(r: RightPart) -> Fraction:
-    return Fraction(*_ratio(r.bits, RIGHT))
+    return _Fraction(*_ratio(r.bits, RIGHT))
 
 
 def decode_universal(u: UniversalRational) -> Fraction:
@@ -481,14 +543,14 @@ def decode_universal(u: UniversalRational) -> Fraction:
 
 def encode_left_rational(value: Fraction | int) -> LeftPart:
     """Left sequence of any rational with odd denominator."""
-    value = Fraction(value)
+    value = _Fraction(value)
     if value.denominator % 2 == 0:
         raise ValueError("left sequences need an odd denominator")
     return LeftPart(_left_digits(value.numerator, value.denominator))
 
 
 def encode_integer(z: int) -> LeftPart:
-    return encode_left_rational(Fraction(z))
+    return encode_left_rational(_Fraction(z))
 
 
 def encode_fraction(q: Fraction) -> RightPart:
@@ -497,7 +559,7 @@ def encode_fraction(q: Fraction) -> RightPart:
     The period can be as long as den - 1 bits, and one past
     PATTERN_BUDGET bits is refused; for a prefix use fraction_prefix.
     """
-    q = Fraction(q)
+    q = _Fraction(q)
     if not 0 < q < 1:
         raise ValueError(f"{_int_str(q)} is not strictly between 0 and 1")
     return RightPart(_right_digits(q.numerator, q.denominator))
@@ -506,20 +568,24 @@ def encode_fraction(q: Fraction) -> RightPart:
 def fraction_prefix(q: Fraction, n: int) -> int:
     """The first n bits of encode_fraction(q), as one n-bit integer.
 
-    They are the largest integer below q * 2^n, so one division gives
-    them in time independent of the period; the - 1 puts a dyadic q on
-    its (1)-tail.
+    q is read as it is when it has integer numerator and denominator, as
+    an int, a Fraction or a RationalStream has; any other value, such as
+    "3/4" or 0.75, is converted as Fraction reads it.  The bits are the
+    largest integer below q * 2^n, so one division gives them in time
+    independent of the period; the - 1 puts a dyadic q on its (1)-tail.
     """
-    if not isinstance(q, Fraction):
-        q = Fraction(q)
-    if not 0 < q.numerator < q.denominator:  # 0 < q < 1, the denominator being positive
+    p, d = getattr(q, "numerator", None), getattr(q, "denominator", None)
+    if not (isinstance(p, int) and isinstance(d, int)):
+        q = _Fraction(q)
+        p, d = q.numerator, q.denominator
+    if not 0 < p < d:  # 0 < q < 1, the denominator being positive
         raise ValueError(f"{_int_str(q)} is not strictly between 0 and 1")
-    return ((q.numerator << n) - 1) // q.denominator
+    return ((p << n) - 1) // d
 
 
 def encode_universal(q: Fraction | int) -> UniversalRational:
     """Canonical two-way form: floor on the left, the rest on the right."""
-    q = Fraction(q)
+    q = _Fraction(q)
     whole = q.numerator // q.denominator
     frac = q - whole
     right = encode_fraction(frac) if frac else RightPart(ZERO_BITS)
@@ -660,10 +726,12 @@ def render_universal_set(u: UniversalRational) -> str:
 # ---------------------------------------------------------------------------
 # text notation
 
-_NOTATION = re.compile(
+_NOTATION = _Pattern(
+    globals(),
+    "_NOTATION",
     r"(?:\((?P<lper>[01]+)\))?(?P<lpre>[01]*)"
     r"\."
-    r"(?P<rpre>[01]*)(?:\((?P<rper>[01]+)\))?"
+    r"(?P<rpre>[01]*)(?:\((?P<rper>[01]+)\))?",
 )
 
 
@@ -707,16 +775,17 @@ def format_universal(u: UniversalRational) -> str:
 
 
 def _int_str(n: int | Fraction) -> str:
-    """str(n) for an integer or a Fraction, also past the interpreter's digit
-    limit: there an integer's digits come off in 512-digit chunks by divmod,
-    and a Fraction prints as its two integers, touching no global setting."""
+    """str(n) for an integer or a rational, also past the interpreter's
+    digit limit: there an integer's digits come off in 512-digit chunks by
+    divmod, and a rational prints as its numerator and, unless it is 1, its
+    denominator, touching no global setting."""
     try:
         return str(n)
     except ValueError:
         pass
-    if isinstance(n, Fraction):
-        den = n.denominator
-        return _int_str(n.numerator) + ("" if den == 1 else f"/{_int_str(den)}")
+    n, den = n.numerator, n.denominator  # an integer's own: n and 1
+    if den != 1:
+        return f"{_int_str(n)}/{_int_str(den)}"
     sign, n = ("-", -n) if n < 0 else ("", n)
     chunks, unit = [], 10**512  # under 640, the least limit the interpreter accepts
     while n >= unit:
@@ -736,7 +805,7 @@ def _show(x, max_bits: int = 1 << 16) -> str:
     return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit integer>"
 
 
-_DECIMAL = re.compile(r"\s*([+-]?)(\d+)\s*")
+_DECIMAL = _Pattern(globals(), "_DECIMAL", r"\s*([+-]?)(\d+)\s*")
 
 
 def _read_int(text: str) -> int:

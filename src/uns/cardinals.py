@@ -114,7 +114,9 @@ class PureSet(_Term):
     """A hereditarily finite set, one object per value as the terms are.
     Its text lists the members in order of size, then of their sorted
     members, and is refused past DEFAULT_BUDGET characters: a numeral's
-    text holds every smaller one's, so it doubles with each member."""
+    text holds every smaller one's, so it doubles with each member.  Its
+    repr lists them in the same order, not in its frozenset's, which
+    follows the members' addresses and so changes from run to run."""
 
     __slots__ = ("members",)
     members: frozenset[PureSet]
@@ -130,14 +132,26 @@ class PureSet(_Term):
         return other in self.members
 
     def __str__(self):
+        return self._written("{", "}", "{}", "set text")
+
+    def __repr__(self):
+        """Record's repr, but in the order of str; past the budget, the
+        number of sets self is made of."""
+        try:
+            return self._written("PureSet(members=frozenset({", "}))", "PureSet(members=frozenset())", "repr")
+        except BudgetError:
+            return self._counted()
+
+    def _written(self, head: str, tail: str, empty: str, what: str) -> str:
+        # each set as head, its members in str's order, tail, or as empty
         key = {}  # each set's sort key, made after its members', as one numeral recurs in every larger one
 
         def pieces(s):
             members = sorted(s.members, key=key.__getitem__)
             key[s] = (len(members), tuple(map(key.__getitem__, members)))
-            return _joined("{", members, "}", "{}")
+            return _joined(head, members, tail, empty)
 
-        return _text(self, _members, pieces, "set text")
+        return _text(self, _members, pieces, what)
 
 
 def _a_set(s) -> PureSet:

@@ -50,10 +50,10 @@ from __future__ import annotations
 
 import re
 import threading
-from fractions import Fraction
 from math import gcd, isqrt
 from typing import Callable, Union
 
+from . import bitseq
 from .bitseq import (
     DEFAULT_BUDGET,
     BudgetError,
@@ -61,6 +61,7 @@ from .bitseq import (
     Record,
     _int_str,
     _memo,
+    _Pattern,
     _read_int,
     _refuse_long_numerals,
     _show,
@@ -95,7 +96,7 @@ class RationalStream(Record):
             raise StreamError(f"{_int_str(p)}/{_int_str(q)} is not reduced")
 
     def prefix_bits(self, n: int) -> int:
-        return fraction_prefix(Fraction(self.numerator, self.denominator), n)
+        return fraction_prefix(self, n)  # its reduced numerator and denominator, read as they are
 
 
 class PiOver4Stream(Record):
@@ -336,11 +337,11 @@ class DyadicInterval(Record):
 
     @property
     def width(self) -> Fraction:
-        return Fraction(1, 1 << self.bits)
+        return bitseq.Fraction(1, 1 << self.bits)
 
     @property
     def hi(self) -> Fraction:
-        return self.lo + Fraction(1, 1 << self.bits)
+        return self.lo + bitseq.Fraction(1, 1 << self.bits)
 
     def hull_contains(self, other: "DyadicInterval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
@@ -383,7 +384,7 @@ class BitStream:
     def interval(self, n: int) -> DyadicInterval:
         if n < 1:
             raise ValueError("need at least one bit for an interval")
-        return DyadicInterval(Fraction(self.prefix(n), 1 << n), n)
+        return DyadicInterval(bitseq.Fraction(self.prefix(n), 1 << n), n)
 
     def __repr__(self):
         return f"BitStream({self.descriptor!r})"
@@ -399,7 +400,7 @@ def diagonal(inputs) -> BitStream:
     return as_stream(DiagonalStream(tuple(inputs)))
 
 
-_STAR = re.compile(r"\.([01]*)\*+(?:\.\.\.|…|⋯)?")
+_STAR = _Pattern(globals(), "_STAR", r"\.([01]*)\*+(?:\.\.\.|…|⋯)?")
 
 
 def parse_star_string(text: str) -> DyadicInterval:
@@ -410,7 +411,7 @@ def parse_star_string(text: str) -> DyadicInterval:
         raise StarStringError(f"not a star string: {text!r}")
     known = m.group(1)
     value = int(known, 2) if known else 0
-    return DyadicInterval(Fraction(value, 1 << len(known)), len(known))
+    return DyadicInterval(bitseq.Fraction(value, 1 << len(known)), len(known))
 
 
 class CompareResult(Record):

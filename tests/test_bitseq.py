@@ -5,6 +5,7 @@ import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -166,8 +167,13 @@ def test_fraction_prefix_rejects_values_outside_the_unit_interval():
 
 def test_fraction_prefix_converts_a_value_that_is_not_a_fraction():
     # 3/4 is dyadic, so its prefix lies on the (1)-tail: .1011...
-    for q in (Fraction(3, 4), "3/4", Fraction(6, 8)):
+    for q in (Fraction(3, 4), "3/4", Fraction(6, 8), 0.75):
         assert fraction_prefix(q, 4) == 0b1011
+    # a value with integer numerator and denominator is read as it is,
+    # unreduced too, and not converted: Fraction would refuse this one
+    assert fraction_prefix(SimpleNamespace(numerator=6, denominator=8), 4) == 0b1011
+    with pytest.raises(TypeError):
+        Fraction(SimpleNamespace(numerator=6, denominator=8))
 
 
 def test_two_way_encoding_splits_at_the_floor():

@@ -1,11 +1,14 @@
 import decimal
 import gc
+import os
 import pickle
 import re
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -151,9 +154,14 @@ def test_finite_sets_are_refused_past_their_budgets_before_any_work(call, messag
     assert time.process_time() - start < 0.1
 
 
+def reference_key(s: PureSet) -> tuple:
+    # str's order, by recursion: by size, then by the members' keys in order
+    return len(s), tuple(sorted(map(reference_key, s.members)))
+
+
 def reference_repr(s: PureSet) -> str:
-    # Record's repr, by recursion
-    inner = ", ".join(map(reference_repr, s.members))
+    # Record's repr, by recursion, the members in str's order
+    inner = ", ".join(map(reference_repr, sorted(s.members, key=reference_key)))
     return f"PureSet(members=frozenset({{{inner}}}))" if inner else "PureSet(members=frozenset())"
 
 
@@ -170,6 +178,28 @@ def test_a_set_repr_is_records_within_the_budget_and_names_the_node_count_past_i
     assert repr(nat_to_set(40)) == "PureSet(<41 nodes>)"
     assert repr(nat_to_set(16)) == "PureSet(<17 nodes>)"  # 1966078 characters at full length
     assert time.process_time() - start < 0.1
+
+
+SET_REPRS = "from uns.cardinals import nat_to_set, powerset; print(repr(nat_to_set(4))); print(repr(powerset(nat_to_set(2))))"
+
+
+def test_a_set_repr_is_the_same_in_every_run():
+    # a frozenset lists sets in the order of their hashes, their addresses,
+    # which differ from run to run; so, on its own, may the hash seed
+    src = str(Path(cardinals.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    expected = f"{reference_repr(nat_to_set(4))}\n{reference_repr(powerset(nat_to_set(2)))}\n"
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-s", "-c", SET_REPRS],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(env, PYTHONHASHSEED=seed),
+        )
+        for seed in ("0", "1", "2", "12345", "random")
+    ]
+    for proc in procs:
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0 and err == b"", err[-2000:]
+        assert out.decode() == expected
 
 
 def best_cpu(call, rounds=3):

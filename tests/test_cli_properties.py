@@ -25,7 +25,10 @@ Opportunities", ACM Computing Surveys 51(1), 2018): `ord cmp` and
 canonical form of its `flip --raw`, and a shorter `bits` prefix is the
 start of a longer one.  A side that is refused is refused
 on the other side too, though perhaps with another code, as the
-operands are read in order.
+operands are read in order.  And a larger `--budget` keeps every answer
+of `hyper` and `card normalize` and refuses nothing a smaller one
+answers; `card cmp` is left out, as a larger budget may turn `unknown`
+into a relation.
 """
 
 import io
@@ -360,3 +363,41 @@ def test_a_shorter_bits_prefix_starts_a_longer_one(stream, m, more):
     assert code == long_code
     if code == 0:
         assert len(long.strip()) == m + more and long.startswith(short.strip())
+
+
+def _bits(low: int, high: int):
+    # an integer of low to high bits, each length alike likely
+    return st.integers(low, high).flatmap(lambda b: st.integers((1 << b) >> 1, (1 << b) - 1))
+
+
+# budgets, and operands whose values' sizes spread as widely: from a few
+# bits to past 2^16 (2 (x)^2 5 = 2^65536), and refusals at every budget
+BUDGETS = st.tuples(_bits(7, 21), _bits(7, 21)).map(sorted).filter(lambda b: 64 <= b[0] < b[1] <= 1 << 20)
+HYPER_OPERANDS = st.tuples(st.integers(1, 12), st.sampled_from((0, 1, 1, 1, 2, 3, 4))).flatmap(
+    lambda mk: st.tuples(st.just(mk[0]), st.just(mk[1]), _bits(1, 13) if mk[1] < 2 else st.integers(1, 6))
+)
+BUDGET_CARDINALS = st.recursive(
+    # a finite leaf twice as often as an aleph
+    st.one_of(st.integers(0, 3).map("aleph_{}".format), _bits(0, 13).map(str), _bits(0, 13).map(str)),
+    lambda inner: st.one_of(
+        inner.map("2^{}".format),
+        inner.map("choose({})".format),
+        st.tuples(inner, st.integers(0, 4), inner).map("hyper({0[0]}, {0[1]}, {0[2]})".format),
+    ),
+    max_leaves=3,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(FORMAT, st.data())
+def test_a_larger_budget_keeps_every_answer_and_refuses_no_more(fmt, data):
+    if data.draw(st.booleans(), label="hyper"):
+        argv = [*fmt, "hyper", *map(str, data.draw(HYPER_OPERANDS))]
+    else:
+        argv = [*fmt, "card", "normalize", data.draw(BUDGET_CARDINALS), *data.draw(st.sampled_from(([], ["--trace"])))]
+    b1, b2 = data.draw(BUDGETS, label="budgets")
+    (low, low_out), (high, high_out) = _answer([*argv, "--budget", str(b1)]), _answer([*argv, "--budget", str(b2)])
+    if low == 0:
+        assert (high, high_out) == (0, low_out)
+    if high == 4:
+        assert low == 4

@@ -14,7 +14,9 @@ interpreter's limit on integer text, no nested function refers to itself
 and no module-level function calls itself, but for the few whose depth
 is bounded.  Start-up (`import uns, uns.cli`) loads the two lower layers
 and the CLI, and no other module the package does not use: no upper
-layer, no argparse or json, no dataclasses, and so no inspect."""
+layer, no argparse or json, no dataclasses, and so no inspect, and no
+fractions, and so no decimal or numbers, which bitseq loads on the first
+rational made."""
 
 import ast
 import subprocess
@@ -429,7 +431,7 @@ def _recursive_functions(tree, allowed=()):
 
 # the module-level functions that call themselves, each with the bound on its depth
 RECURSION_ALLOWED = {
-    "bitseq": {"_int_str": "one level: a Fraction prints as its two integers"},
+    "bitseq": {"_int_str": "one level: a rational prints as its two integers"},
     "streams": {"_chudnovsky_split": "halves the range of terms, so its depth is the log of the precision"},
     "cardinals": {"compare": "a frame per level of a stuck nest, the parser's depth at most, until a one-pass compare"},
 }
@@ -563,12 +565,13 @@ def test_no_module_imports_dataclasses(path):
 
 def test_start_up_loads_neither_dataclasses_nor_inspect():
     """Nor any other module start-up does not use: of the package only the
-    two lower layers and the CLI, and neither argparse nor json."""
+    two lower layers and the CLI, neither argparse nor json, and none of
+    fractions, decimal and numbers."""
     src = str(Path(uns.__file__).parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import uns, uns.cli; "
         "print(*sorted(m for m in sys.modules if m.startswith('uns.') or m in "
-        "('uns', 'dataclasses', 'inspect', 'argparse', 'json')))"
+        "('uns', 'dataclasses', 'inspect', 'argparse', 'json', 'fractions', 'decimal', 'numbers')))"
     )
     done = subprocess.run([sys.executable, "-s", "-c", code], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr

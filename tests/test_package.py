@@ -3,7 +3,9 @@
 `import uns` loads no layer: a layer, or a name the package exports from
 one, is loaded on first use.  `uns.cli` loads the two lower layers, and
 each command the layer it calls; argparse only for a usage error or
---help, json only for structured output."""
+--help, json only for structured output, and fractions, with decimal and
+numbers, only for a command that makes a rational: the sequence
+commands and interval, not bits, diag or an upper layer's."""
 
 import importlib
 import os
@@ -28,14 +30,15 @@ def _python(*args, stdin=b""):
 
 # the CLI runs as __main__, so the modules it loads are the package and
 # the two lower layers, and what each command adds
+RATIONALS = {"fractions", "decimal", "numbers"}
 LOADS = [
-    (["convert", "(0)10011.(10)"], 0, set()),
-    (["flip", "(1)."], 0, set()),
-    (["complement", "(1)."], 0, set()),
-    (["eval-left", "(01)"], 0, set()),
+    (["convert", "(0)10011.(10)"], 0, RATIONALS),
+    (["flip", "(1)."], 0, RATIONALS),
+    (["complement", "(1)."], 0, RATIONALS),
+    (["eval-left", "(01)"], 0, RATIONALS),
     (["bits", "1/3", "-n", "8"], 0, set()),
     (["diag", "1/3", "pi/4"], 0, set()),
-    (["interval", ".110***"], 0, set()),
+    (["interval", ".110***"], 0, RATIONALS),
     (["hyper", "2", "2", "4"], 0, {"uns.hyperops"}),
     (["ord", "eval", "w^w + 1"], 0, {"uns.hyperops", "uns.ordinals"}),
     (["card", "normalize", "choose(aleph_2)"], 0, {"uns.hyperops", "uns.ordinals", "uns.cardinals"}),
@@ -51,8 +54,21 @@ def test_each_command_loads_only_the_layer_it_calls(argv, code, added):
     returncode, _out, err = _python("-v", "-m", "uns.cli", *argv)
     assert returncode == code, err[-2000:]
     loaded = set(re.findall(r"^import '([\w.]+)'", err, re.MULTILINE))
-    watched = {m for m in loaded if m.partition(".")[0] == "uns" or m in ("argparse", "json")}
+    watched = {m for m in loaded if m.partition(".")[0] == "uns" or m in ("argparse", "json", *RATIONALS)}
     assert watched == {"uns", "uns.bitseq", "uns.streams"} | added
+
+
+def test_bitseq_loads_fraction_on_first_use():
+    # read from outside, Fraction is fractions' own class, bound on the first read
+    code = (
+        "import sys; from uns import bitseq; assert 'fractions' not in sys.modules; "
+        "from uns.bitseq import Fraction; import fractions; "
+        "assert Fraction is fractions.Fraction is vars(bitseq)['Fraction'] is vars(bitseq)['_Fraction']; "
+        "print(bitseq.decode_universal(bitseq.parse_universal('(0)10011.(10)')))"
+    )
+    assert _python("-c", code) == (0, "59/3\n", "")
+    with pytest.raises(AttributeError, match="'uns.bitseq' has no attribute 'Fractions'"):
+        uns.bitseq.Fractions  # noqa: B018
 
 
 def test_every_exported_name_is_its_layers_object():

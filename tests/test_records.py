@@ -4,12 +4,14 @@ classes, hashes that agree with ==, keyword construction and defaults,
 no assignment, pickle and copy round trips, and the exact repr."""
 
 import copy
+import inspect
 import pickle
 from fractions import Fraction
 
 import pytest
 
 import uns
+from uns import bitseq
 from uns.bitseq import ZERO_BITS, IndexSetView, LeftPart, PeriodicBits, Record, RightPart, UniversalRational
 from uns.cardinals import (
     ALEPH_0,
@@ -160,6 +162,21 @@ def test_fields_of_equal_layout_stay_apart_across_classes():
     assert LeftPart(PB) != RightPart(PB)
     assert RationalStream(1, 3) != RationalStream(1, 5)
     assert Exceeded(2, 1, 3) != Exceeded(2, 1, Exceeded(2, 1, 3))
+
+
+def test_a_class_compiles_init_at_once_and_eq_and_hash_on_first_use():
+    # __init__ reads as the fields from the start; == and hash are stand-ins
+    # until either is first used, which compiles and binds both
+    cls = type("Pair", (Record,), {"__slots__": ("a", "b"), "_defaults": {"b": 0}})
+    assert str(inspect.signature(cls)) == "(a, b=0)" and cls.__init__.__qualname__ == "Pair.__init__"
+    assert (vars(cls)["__eq__"], vars(cls)["__hash__"]) == (bitseq._first_eq, bitseq._first_hash)
+    assert hash(cls(1)) == hash((1, 0)) and cls(1) == cls(1, 0) != cls(1, 1)
+    assert (cls.__eq__.__qualname__, cls.__hash__.__qualname__) == ("Pair.__eq__", "Pair.__hash__")
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'a'"):
+        cls()
+    # a term keeps object's identity == and hash, and Exceeded its own
+    assert (PureSet.__eq__, PureSet.__hash__) == (object.__eq__, object.__hash__)
+    assert Exceeded.__eq__.__qualname__ == "Exceeded.__eq__"
 
 
 def test_defaults():
