@@ -47,7 +47,7 @@ composite nodes and aleph_( being forms of the table CARDINAL.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 from operator import attrgetter
 from typing import Mapping, Union, get_args
 
@@ -565,30 +565,61 @@ def compare(
     """Order two expressions without guessing: normalize both sides if
     possible, otherwise fall back to componentwise growth of the
     explosive operator (2^e counting as hyper(2, 1, e), and so does
-    choose(e) of an infinite e)."""
+    choose(e) of an infinite e).  Each distinct aligned pair is related
+    once, kids first on a stack of pairs, and each subterm normalized at
+    most once; one whose first composite kid has no normal form has none
+    either, as _walk normalizes that kid first, and is not walked."""
     hyperops._check_budget(budget)
+    normals = {}  # a subterm met: its normal form, or None if it has none
 
-    def try_norm(x):
-        try:
-            return normalize(x, budget)
-        except UnnormalizableError:
-            return None
+    def normal(x):
+        if x not in normals:
+            kid = next((k for k in x._fields if type(k) in _RULES), None)
+            if kid is not None and kid in normals and normals[kid] is None:
+                normals[x] = None
+            else:
+                try:
+                    normals[x] = normalize(x, budget)
+                except UnnormalizableError:
+                    normals[x] = None
+        return normals[x]
 
-    n1, n2 = try_norm(e1), try_norm(e2)
+    rels = {}  # an aligned pair related: its comparison
+    stack = [(e1, e2, None)]
+    while stack:
+        x, y, kids = stack.pop()
+        if kids is None:
+            if (x, y) in rels:
+                continue
+            rel = _relate(x, y, normal)
+            if type(rel) is tuple:  # related once its components are
+                stack.append((x, y, rel))
+                stack.extend((a, b, None) for a, b in reversed(rel))
+            else:
+                rels[x, y] = rel
+            continue
+        found = {rels[pair] for pair in kids}
+        if found == {Comparison.EQ}:
+            rels[x, y] = Comparison.EQ
+        elif found <= {Comparison.LE, Comparison.EQ}:
+            rels[x, y] = Comparison.LE
+        elif found <= {Comparison.GE, Comparison.EQ}:
+            rels[x, y] = Comparison.GE
+        else:
+            rels[x, y] = Comparison.UNKNOWN
+    return rels[e1, e2]
+
+
+def _relate(x: CardinalExpr, y: CardinalExpr, normal) -> Comparison | tuple:
+    """x against y by their normal forms if both have one, else the
+    aligned pairs of their tower views, else UNKNOWN."""
+    n1, n2 = normal(x), normal(y)
     if n1 is not None and n2 is not None:
         return _compare_normals(n1, n2)
-    h1, h2 = _as_hyper(e1), _as_hyper(e2)
-    if h1 is not None and h2 is not None:
-        # map, unlike a comprehension, adds no frame per level, so the
-        # fallback reaches every depth the parser admits
-        rels = set(map(compare, h1, h2, repeat(budget)))
-        if rels == {Comparison.EQ}:
-            return Comparison.EQ
-        if rels <= {Comparison.LE, Comparison.EQ}:
-            return Comparison.LE
-        if rels <= {Comparison.GE, Comparison.EQ}:
-            return Comparison.GE
-    return Comparison.UNKNOWN
+    h1, h2 = _as_hyper(x), _as_hyper(y)
+    if h1 is None or h2 is None:
+        return Comparison.UNKNOWN
+    return tuple(zip(h1, h2))
 
 
 # ---------------------------------------------------------------------------

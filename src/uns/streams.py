@@ -42,13 +42,13 @@ one division sized to the precision gives integer bounds.
 Square roots, of p/q and of 10005, are enclosed by isqrt((a << 2n) // b)
 and one more, or, past a measured crossover, by Newton's iteration for
 1/sqrt(ab), which squares only the bits already correct and never
-divides (Brent and Zimmermann, Modern Computer Arithmetic, 2010, 1.5);
-its last residual bounds its error, as |t_N| bounds pi's tail.
+divides (Brent and Zimmermann, Modern Computer Arithmetic, 2010, 1.5):
+each step's residual costs one square and one product by the short ab;
+the last residual bounds its error, as |t_N| bounds pi's tail.
 """
 
 from __future__ import annotations
 
-import re
 import threading
 from math import gcd, isqrt
 from typing import Callable, Union
@@ -187,13 +187,16 @@ def rational(p: int, q: int) -> RationalStream:
     return _lowest_terms(RationalStream, p, q)
 
 
+_FRACTION = _Pattern(globals(), "_FRACTION", r"(sqrt\()?(\d+)/(\d+)(?(1)\))")  # p/q or sqrt(p/q)
+
+
 def parse_stream(text: str) -> StreamDescriptor:
     """The stream text names: p/q or sqrt(p/q), in lowest terms, pi/4 or a registered algorithm."""
     _refuse_long_numerals(text)
     text = text.strip()
     if text == "pi/4":
         return PI_OVER_4
-    m = re.fullmatch(r"(sqrt\()?(\d+)/(\d+)(?(1)\))", text)  # p/q or sqrt(p/q)
+    m = _FRACTION.fullmatch(text)
     if m:
         return _lowest_terms(SqrtStream if m[1] else RationalStream, _read_int(m[2]), _read_int(m[3]))
     if text in _ALGORITHMS:
@@ -265,7 +268,7 @@ def _pi_over_4_bounds(prec: int) -> tuple[int, int]:
     return g - 1, g + 2
 
 
-_SQRT_CROSSOVER = 2048  # bits; below it math.isqrt is faster (BENCH_15.json)
+_SQRT_CROSSOVER = 1536  # bits; below it math.isqrt is faster (BENCH_40.json)
 
 
 def _sqrt_bounds(a: int, b: int, prec: int) -> tuple[int, int]:
@@ -274,7 +277,10 @@ def _sqrt_bounds(a: int, b: int, prec: int) -> tuple[int, int]:
     r = isqrt((a << 2 prec) // b).  Past it, Newton's
     z' = z + z (1 - m z^2) / 2 for 1/sqrt(m), m = ab, runs at doubling
     precision from a 64-bit isqrt seed, squaring only the bits already
-    correct; sqrt(a/b) is a/sqrt(m).
+    correct; sqrt(a/b) is a/sqrt(m).  The residual is taken as m (z^2),
+    not (m z) z: CPython squares z about 1.5 times as fast as it
+    multiplies two different numbers of z's size, and the product by m,
+    short for a small p/q, is one linear pass (BENCH_40.json).
 
     The last step bounds its own error (Brent and Zimmermann, 2010, section
     3.5).  It takes z ~ 2^s / sqrt(m) to t bits through the exact residual
@@ -309,7 +315,7 @@ def _sqrt_bounds(a: int, b: int, prec: int) -> tuple[int, int]:
     err = 1  # z <= 2^s / sqrt(m) < z + err
     for p in reversed(steps):
         t = p + h
-        res = (1 << 2 * s) - m * z * z
+        res = (1 << 2 * s) - m * (z * z)
         if res.bit_length() >= 2 * s:  # |eps| >= 1/2
             r = isqrt((a << 2 * prec) // b)
             return r, r + 1

@@ -433,7 +433,6 @@ def _recursive_functions(tree, allowed=()):
 RECURSION_ALLOWED = {
     "bitseq": {"_int_str": "one level: a rational prints as its two integers"},
     "streams": {"_chudnovsky_split": "halves the range of terms, so its depth is the log of the precision"},
-    "cardinals": {"compare": "a frame per level of a stuck nest, the parser's depth at most, until a one-pass compare"},
 }
 
 

@@ -8,8 +8,9 @@ endpoints, mpmath at raised precision, and for a diagonal over
 rationals the closed form (head + 2/3) / 2^k of its bits.
 
 The square-root kernel's enclosure of floor(sqrt(a/b) 2^n) is checked
-on both sides of its crossover against the builtin it replaces, and its
-width against a few units.  A spy on it shows the driver certifying each
+on both sides of its crossover, and at seeded precisions from 2^12 to
+2^17 bits, against the builtin it replaces, and its width against a few
+units.  A spy on it shows the driver certifying each
 irrational root at its first precision, and the kernels' prefixes agree
 with each other across the crossover, asked fresh, past the memos.  A
 state machine checks the stream memos and pi/4's kept split against
@@ -160,6 +161,26 @@ def ratios(draw, n):
 @example((2 * C, ((1 << 63) + 1, (1 << 63) + 1)))  # the root 1: Newton's floor needs the + 1 of 2^e + 1
 def test_sqrt_bounds_enclose_the_floor_of_the_root(case):
     n, (a, b) = case
+    lo, hi = _sqrt_bounds(a, b, n)
+    assert lo <= isqrt((a << (2 * n)) // b) < hi
+    assert hi - lo <= 3
+
+
+def workload_sized_roots():
+    """Seeded (n, a, b) at the sizes stream_prefixes asks, past the
+    property's 3 C: n from 2^12 to 2^17 bits, a/b pi/4's 10005/1 or a
+    p/q below 1000."""
+    rng = random.Random(40)
+    for k in range(12, 18):
+        n = 1 << k if k == 17 else rng.randrange(1 << k, 1 << (k + 1))
+        yield n, 10005, 1
+        for _ in range(2):
+            q = rng.randrange(2, 1000)
+            yield n, rng.randrange(1, q), q
+
+
+@pytest.mark.parametrize("n, a, b", list(workload_sized_roots()))
+def test_sqrt_bounds_enclose_the_floor_of_the_root_at_workload_sizes(n, a, b):
     lo, hi = _sqrt_bounds(a, b, n)
     assert lo <= isqrt((a << (2 * n)) // b) < hi
     assert hi - lo <= 3
