@@ -9,10 +9,10 @@ later lookup is a plain attribute read."""
 # each layer, with the names the package exports from it; public:own
 # exports the layer's own name under another one
 _EXPORTS = {
-    "bitseq": """DEFAULT_BUDGET BudgetError LeftPart NotationError ParseError PeriodicBits RightPart
-        UniversalRational canonicalize complement decode_left decode_right decode_universal
-        encode_fraction encode_integer encode_left_rational encode_universal flip format_universal
-        from_index_set normalize parse_universal to_index_set""",
+    "core": "DEFAULT_BUDGET BudgetError ParseError",
+    "bitseq": """LeftPart NotationError PeriodicBits RightPart UniversalRational canonicalize complement
+        decode_left decode_right decode_universal encode_fraction encode_integer encode_left_rational
+        encode_universal flip format_universal from_index_set normalize parse_universal to_index_set""",
     "streams": """PI_OVER_4 BitStream CustomStream DiagonalStream DyadicInterval PiOver4Stream
         RationalStream SqrtStream StarStringError StreamError as_stream diagonal parse_star_string
         parse_stream rational register_algorithm compare_streams:compare""",

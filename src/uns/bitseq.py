@@ -37,299 +37,37 @@ value modulo a power of two, up to where the running numerator enters
 past PATTERN_BUDGET bits.  normalize refuses a pattern longer than
 PATTERN_BUDGET bits and expands its reduced value so; parse_universal
 refuses a text of more than DEFAULT_BUDGET bits.
-
-The bottom layer also holds what every layer above shares: Record, the
-base of every immutable value; the bit budget and BudgetError, the base
-of every refusal; ParseError, the base of every grammar's error; _memo,
-the one memo policy, least recently used with 1024 entries per function;
-the package's two crossings of decimal text, _int_str, which prints
-an integer or a rational, and _read_int, which reads an integer.  Both
-work past the interpreter's limit on integer text and leave it as it is;
-_show quotes a value in an error message through _int_str, an integer
-past a bound by its size.  And _post_order, the one walk over values
-made of values, from a stack, so a value nested past the interpreter's
-calls is printed (_text, which every Record's repr uses), pickled and
-rewritten as any other.
-
-Start-up pays only for what a command reads.  Fraction, which brings
-decimal and numbers along, is loaded on the first rational made, as the
-package loads a layer, and no integer or bit command makes one; a
-record class compiles its == and hash on their first use; and a regular
-expression is compiled on its first match.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from math import gcd
-from operator import attrgetter
+
+from . import core
+from .core import BUDGET_DIGITS, DEFAULT_BUDGET, BudgetError, ParseError, Record, _FirstUse, _int_str, _show
+from .core import _rebuilt  # noqa: F401  pickles written before core existed name uns.bitseq._rebuilt
 
 LEFT = "left"
 RIGHT = "right"
 
-DEFAULT_BUDGET = 1 << 20  # bits
-# the most digits d with 10^d below 2^DEFAULT_BUDGET, d log2(10) < DEFAULT_BUDGET;
-# log2(10) < 3.321928095 gives the same d, as no integer lies between the quotients
-BUDGET_DIGITS = DEFAULT_BUDGET * 10**9 // 3321928095
 # the longest pattern, preperiod and block together, that normalize walks
 PATTERN_BUDGET = 1 << 15  # bits
 
-# The one memo policy of the package, least recently used past 1024 entries
-# a function: ordinals.ord_pow, cardinals._entry, streams.as_stream and
-# cli._shared_parser, each kept for its measured repeats (tests/test_layers).
-# Typed, so 1, 1.0 and True stay apart on their way to ordinals._coerce.
-_memo = lru_cache(maxsize=1024, typed=True)
-
 
 def __getattr__(name: str):
-    """Fraction, read from outside before this module made a rational:
-    fractions.Fraction, loaded then (PEP 562) and bound here under both
-    its names, so each later lookup is a plain read."""
+    """Fraction, read from outside: fractions.Fraction, loaded then and bound here.  PEP 562,
+    not a _FirstUse, as `from uns.bitseq import Fraction` must give the class itself."""
     if name != "Fraction":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from fractions import Fraction
 
-    globals().update(Fraction=Fraction, _Fraction=Fraction)
+    globals()["Fraction"] = Fraction
     return Fraction
-
-
-def _Fraction(*args):
-    # this module's own Fraction: the first call binds fractions.Fraction in its place
-    return __getattr__("Fraction")(*args)
-
-
-class _Pattern:
-    """A regular expression compiled on its first match, which binds the
-    compiled pattern in namespace under name in place of this stand-in:
-    re's compiler, whose work no bytecode cache keeps, costs only the
-    commands that match the pattern."""
-
-    def __init__(self, namespace: dict, name: str, source: str):
-        self.namespace, self.name, self.source = namespace, name, source
-
-    def fullmatch(self, text: str):
-        pattern = self.namespace[self.name] = re.compile(self.source)
-        return pattern.fullmatch(text)
-
-
-class BudgetError(ValueError):
-    """A refusal: the exact value asked for would not fit its bit budget."""
-
-
-class ParseError(ValueError):
-    """Raised when text does not follow its grammar."""
 
 
 class NotationError(ParseError):
     """Raised when text does not denote a two-way sequence."""
-
-
-def _refuse_long_numerals(text: str):
-    """Refuse, unread, a text holding a decimal numeral with more digits
-    than any value within DEFAULT_BUDGET bits has."""
-    if len(text) > BUDGET_DIGITS + 1:
-        longest = max(map(len, re.findall(r"\d+", text)), default=0)
-        if longest > BUDGET_DIGITS + 1:
-            raise BudgetError(f"a {longest}-digit numeral exceeds the {DEFAULT_BUDGET}-bit budget")
-
-
-class Record:
-    """An immutable value whose fields are its class's __slots__.
-
-    A direct subclass lists its fields in a __slots__ tuple, may give
-    defaults to the trailing ones in _defaults, and validates a new
-    instance in _check.  Records are equal when they are of one class and
-    their fields are equal, and hash alike then; assigning a field raises
-    AttributeError; pickling and copying rebuild through the constructor.
-    A class that sets _interned builds its values itself, one object per
-    value (see ordinals._Term), and keeps identity == and hash.
-
-    __init__, __eq__ and __hash__ are compiled once per class from its
-    field names, as dataclasses does, but for those the class defines
-    itself (hyperops.Exceeded's == and hash): a generic loop over the
-    fields would cost every construction, and importing dataclasses
-    (with inspect, ast and dis) would cost every start-up more than the
-    rest of the package's imports.  __init__ is compiled with the class,
-    so its signature reads as the fields from the start; __eq__ and
-    __hash__ on the first comparison or hash of one of the class's
-    values (_first_eq, _first_hash), as most classes a start-up defines
-    are never compared in its run.
-    """
-
-    __slots__ = ()
-    _defaults: dict = {}
-    _interned = False
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        fields = cls.__dict__["__slots__"]
-        # _fields, the fields as one tuple, is read at every node a walk
-        # visits: a getter built once per class, not a generator per call
-        get = attrgetter(*fields) if fields else lambda self: ()
-        cls._fields = property(get if len(fields) != 1 else lambda self: (get(self),))
-        if cls._interned:
-            return
-        params = [f"{n}=_defaults[{n!r}]" if n in cls._defaults else n for n in fields]
-        body = [f"    _set_{n}(self, {n})" for n in fields]
-        if cls._check is not Record._check:
-            body.append("    _check(self)")
-        source = f"def __init__(self, {', '.join(params)}):\n" + ("\n".join(body) or "    pass") + "\n"
-        ns = {"_defaults": cls._defaults, "_check": cls._check}
-        ns.update((f"_set_{n}", cls.__dict__[n].__set__) for n in fields)
-        exec(source, ns)
-        ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
-        for name, method in (("__init__", ns["__init__"]), ("__eq__", _first_eq), ("__hash__", _first_hash)):
-            if name not in cls.__dict__:
-                setattr(cls, name, method)
-
-    def _check(self):
-        """Validation of a new instance, run once its fields are set."""
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # a flat table, kids first, of the values self is made of: any depth pickles and copies
-        nodes = list(_post_order(self, _parts))
-        at = {id(x): i for i, x in enumerate(nodes)}
-        return _rebuilt, ([(x, None) if (p := _parts(x)) is None else (type(x), [at[id(v)] for v in p]) for x in nodes],)
-
-    def __repr__(self) -> str:
-        """The fields as name=value, each record, tuple or frozenset among
-        them written so from the walk; past DEFAULT_BUDGET characters, the
-        class and the number of records the value is made of."""
-        try:
-            return _text(self, _shown_kids, _shown_pieces, "repr")
-        except BudgetError:
-            return self._counted()
-
-    def _counted(self) -> str:
-        # a repr past the budget: the class and the number of records self is made of
-        count = sum(isinstance(x, Record) for x in _post_order(self, _parts))
-        return f"{type(self).__qualname__}(<{count} nodes>)"
-
-
-def _comparison(cls) -> dict:
-    """cls's __eq__ and __hash__, compiled from its fields and set on it
-    in place of _first_eq and _first_hash."""
-    mine = "".join(f"self.{n}, " for n in cls.__slots__)
-    theirs = mine.replace("self.", "other.")
-    source = (
-        "def __eq__(self, other):\n"
-        "    if other.__class__ is self.__class__:\n"
-        f"        return ({mine}) == ({theirs})\n"
-        "    return NotImplemented\n"
-        "def __hash__(self):\n"
-        f"    return hash(({mine}))\n"
-    )
-    ns = {}
-    exec(source, ns)
-    for name, stand_in in (("__eq__", _first_eq), ("__hash__", _first_hash)):
-        ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
-        if cls.__dict__.get(name) is stand_in:
-            setattr(cls, name, ns[name])
-    return ns
-
-
-def _first_eq(self, other):
-    # a record class's == until its first call, which compiles it
-    return _comparison(type(self))["__eq__"](self, other)
-
-
-def _first_hash(self):
-    # a record class's hash until its first call, which compiles it
-    return _comparison(type(self))["__hash__"](self)
-
-
-def _post_order(root, kids):
-    """Each node under root, and root, once and after the nodes kids(node)
-    gives (None for none), told apart by id as root holds them all, from a
-    stack of the nodes being walked, each with its kids still to see."""
-    seen = {id(root)}
-    stack = [(root, iter(kids(root) or ()))]
-    while stack:
-        node, rest = stack[-1]
-        for kid in rest:
-            if (i := id(kid)) not in seen:
-                seen.add(i)
-                stack.append((kid, iter(kids(kid) or ())))
-                break
-        else:
-            stack.pop()
-            yield node
-
-
-def _parts(x):
-    # a record's fields or a tuple's or frozenset's items, which pickling rebuilds it from; None for another value
-    return x._fields if isinstance(x, Record) else x if type(x) in (tuple, frozenset) else None
-
-
-def _rebuilt(table: list):
-    # Record.__reduce__'s value: each record through its constructor, so _check runs and a term is interned
-    built = []
-    for x, places in table:
-        if places is not None:
-            parts = [built[i] for i in places]
-            x = x(parts) if x in (tuple, frozenset) else x(*parts)
-        built.append(x)
-    return built[-1]
-
-
-def _joined(head: str, values, tail: str, empty: str) -> list:
-    # values between head and tail, ", " apart, or empty when there are none
-    pieces = [head]
-    for v in values:
-        pieces += (v, ", ")
-    pieces[-1:] = [tail] if values else [empty]
-    return pieces
-
-
-def _text(top, kids, pieces, what: str) -> str:
-    """The text of top, where pieces(x), called for each node after the
-    nodes kids(x), gives x's text as literal strings and those nodes.  A
-    text past DEFAULT_BUDGET characters, as one writing a shared node at
-    each place may be, is refused before it is written."""
-    parts, size = {}, {}
-    for x in _post_order(top, kids):
-        parts[id(x)] = p = pieces(x)
-        size[id(x)] = sum(len(q) if type(q) is str else size[id(q)] for q in p)
-    if size[id(top)] > DEFAULT_BUDGET:
-        raise BudgetError(f"a {_show(size[id(top)])}-character {what} exceeds the {DEFAULT_BUDGET}-character budget")
-    out, stack = [], [top]
-    while stack:
-        x = stack.pop()
-        if type(x) is str:
-            out.append(x)
-        else:
-            stack += reversed(parts[id(x)])
-    return "".join(out)
-
-
-def _shown(v) -> bool:
-    # written from the walk by Record.__repr__: a record that keeps it, a tuple, a frozenset
-    return type(v) in (tuple, frozenset) or type(v).__repr__ is Record.__repr__
-
-
-def _shown_kids(x) -> list:
-    return [v for v in (x._fields if isinstance(x, Record) else x) if _shown(v)]
-
-
-def _shown_pieces(x) -> list:
-    # a record's fields as name=value, a tuple's or frozenset's items as
-    # their own repr writes them, and any other value as _show quotes it
-    if isinstance(x, Record):
-        pieces = [f"{type(x).__qualname__}("]
-        for i, (name, v) in enumerate(zip(x.__slots__, x._fields)):
-            pieces += (f"{', ' if i else ''}{name}=", v if _shown(v) else _show(v))
-        return pieces + [")"]
-    values = [v if _shown(v) else _show(v) for v in x]
-    if type(x) is tuple:
-        return _joined("(", values, ",)" if len(x) == 1 else ")", "()")
-    return _joined("frozenset({", values, "})", "frozenset()")
 
 
 class PeriodicBits(Record):
@@ -530,11 +268,11 @@ def _right_digits(num: int, den: int) -> PeriodicBits:
 
 
 def decode_left(l: LeftPart) -> Fraction:
-    return _Fraction(*_ratio(l.bits, LEFT))
+    return core._Fraction(*_ratio(l.bits, LEFT))
 
 
 def decode_right(r: RightPart) -> Fraction:
-    return _Fraction(*_ratio(r.bits, RIGHT))
+    return core._Fraction(*_ratio(r.bits, RIGHT))
 
 
 def decode_universal(u: UniversalRational) -> Fraction:
@@ -543,14 +281,14 @@ def decode_universal(u: UniversalRational) -> Fraction:
 
 def encode_left_rational(value: Fraction | int) -> LeftPart:
     """Left sequence of any rational with odd denominator."""
-    value = _Fraction(value)
+    value = core._Fraction(value)
     if value.denominator % 2 == 0:
         raise ValueError("left sequences need an odd denominator")
     return LeftPart(_left_digits(value.numerator, value.denominator))
 
 
 def encode_integer(z: int) -> LeftPart:
-    return encode_left_rational(_Fraction(z))
+    return encode_left_rational(core._Fraction(z))
 
 
 def encode_fraction(q: Fraction) -> RightPart:
@@ -559,7 +297,7 @@ def encode_fraction(q: Fraction) -> RightPart:
     The period can be as long as den - 1 bits, and one past
     PATTERN_BUDGET bits is refused; for a prefix use fraction_prefix.
     """
-    q = _Fraction(q)
+    q = core._Fraction(q)
     if not 0 < q < 1:
         raise ValueError(f"{_int_str(q)} is not strictly between 0 and 1")
     return RightPart(_right_digits(q.numerator, q.denominator))
@@ -576,7 +314,7 @@ def fraction_prefix(q: Fraction, n: int) -> int:
     """
     p, d = getattr(q, "numerator", None), getattr(q, "denominator", None)
     if not (isinstance(p, int) and isinstance(d, int)):
-        q = _Fraction(q)
+        q = core._Fraction(q)
         p, d = q.numerator, q.denominator
     if not 0 < p < d:  # 0 < q < 1, the denominator being positive
         raise ValueError(f"{_int_str(q)} is not strictly between 0 and 1")
@@ -585,7 +323,7 @@ def fraction_prefix(q: Fraction, n: int) -> int:
 
 def encode_universal(q: Fraction | int) -> UniversalRational:
     """Canonical two-way form: floor on the left, the rest on the right."""
-    q = _Fraction(q)
+    q = core._Fraction(q)
     whole = q.numerator // q.denominator
     frac = q - whole
     right = encode_fraction(frac) if frac else RightPart(ZERO_BITS)
@@ -726,9 +464,10 @@ def render_universal_set(u: UniversalRational) -> str:
 # ---------------------------------------------------------------------------
 # text notation
 
-_NOTATION = _Pattern(
+_NOTATION = _FirstUse(
     globals(),
     "_NOTATION",
+    re.compile,
     r"(?:\((?P<lper>[01]+)\))?(?P<lpre>[01]*)"
     r"\."
     r"(?P<rpre>[01]*)(?:\((?P<rper>[01]+)\))?",
@@ -773,63 +512,6 @@ def format_right(r: RightPart) -> str:
 def format_universal(u: UniversalRational) -> str:
     return format_left(u.left) + format_right(u.right)[1:]
 
-
-def _int_str(n: int | Fraction) -> str:
-    """str(n) for an integer or a rational, also past the interpreter's
-    digit limit: there an integer's digits come off in 512-digit chunks by
-    divmod, and a rational prints as its numerator and, unless it is 1, its
-    denominator, touching no global setting."""
-    try:
-        return str(n)
-    except ValueError:
-        pass
-    n, den = n.numerator, n.denominator  # an integer's own: n and 1
-    if den != 1:
-        return f"{_int_str(n)}/{_int_str(den)}"
-    sign, n = ("-", -n) if n < 0 else ("", n)
-    chunks, unit = [], 10**512  # under 640, the least limit the interpreter accepts
-    while n >= unit:
-        n, r = divmod(n, unit)
-        chunks.append(f"{r:0512d}")
-    return sign + str(n) + "".join(reversed(chunks))
-
-
-def _show(x, max_bits: int = 1 << 16) -> str:
-    """x as an error message quotes it: repr(x), but an integer through
-    _int_str up to max_bits bits and past that by its size, since its
-    digits take time quadratic in their number to write."""
-    if type(x) is not int:
-        return repr(x)
-    if x.bit_length() <= max_bits:
-        return _int_str(x)
-    return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit integer>"
-
-
-_DECIMAL = _Pattern(globals(), "_DECIMAL", r"\s*([+-]?)(\d+)\s*")
-
-
-def _read_int(text: str) -> int:
-    """int(text), also past the interpreter's digit limit: there the digits
-    are read in 512-digit chunks, joined pairwise, touching no global
-    setting.  A numeral longer than any value within DEFAULT_BUDGET bits
-    is refused unread."""
-    _refuse_long_numerals(text)
-    try:
-        return int(text)
-    except ValueError:
-        m = _DECIMAL.fullmatch(text)
-        if m is None:
-            raise
-    digits = m[2]
-    # chunks least significant first, each pass joining neighbours: a
-    # balanced tree of products, where one running total would be quadratic
-    parts = [int(digits[max(0, i - 512) : i]) for i in range(len(digits), 0, -512)]
-    unit = 10**512
-    while len(parts) > 1:
-        high = parts[1::2] + [0] * (len(parts) % 2)
-        parts = [lo + hi * unit for lo, hi in zip(parts[::2], high)]
-        unit *= unit
-    return -parts[0] if m[1] == "-" else parts[0]
 
 
 def decimal_str(value: Fraction, digits: int) -> str:

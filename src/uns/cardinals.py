@@ -26,7 +26,7 @@ ordinals._Term records: equal values are one object, so == and hash are
 identity and O(1), a numeral is read by one lookup, and aleph indices go
 through the ordinals' arithmetic.
 all_single_steps keeps the steps of each term under each budget in
-_entry, a memo of the package's one policy, bitseq._memo, with 1024
+_entry, a memo of the package's one policy, core._memo, with 1024
 entries, so the states of an exploration, which share most of
 their subterms, pay once for each; normalize reads a node's step there
 once its kids are normal alephs, so the memo keeps the intermediate
@@ -52,8 +52,8 @@ from operator import attrgetter
 from typing import Mapping, Union, get_args
 
 from . import hyperops
-from .bitseq import DEFAULT_BUDGET, BudgetError, ParseError, Record, _int_str, _joined, _memo, _post_order, _read_int
-from .bitseq import _show, _text
+from .core import DEFAULT_BUDGET, BudgetError, ParseError, Record, _int_str, _joined, _memo, _post_order, _read_int
+from .core import _show, _text
 from .ordinals import (
     ONE,
     ZERO,

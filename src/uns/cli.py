@@ -8,25 +8,24 @@ read.  --format structured emits one JSON object on stdout.
 
 The grammar is one table, _COMMANDS.  run reads a well-formed argv from
 it directly, and leaves any other (--help, usage errors) to build_parser's.
-Each command names its layer, and run loads an upper one on the first
-command that needs it; argparse is loaded only for build_parser, and
-json only for structured output.
+An upper layer is read off the package, which loads it, on the first
+command that uses it; argparse is loaded only for build_parser, and json
+only for structured output.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from importlib import import_module
-from types import ModuleType, SimpleNamespace
+from types import SimpleNamespace
 
-from . import bitseq, streams
+from . import bitseq, core, streams
 
-# the upper layers, each bound here by run on the first command of its layer
-hyperops: ModuleType
-ordinals: ModuleType
-cardinals: ModuleType
-_BOUND = globals()
+# the upper layers: each read off the package, which loads it, on the first command that uses it
+_PACKAGE = sys.modules[__package__]
+hyperops, ordinals, cardinals = (
+    core._FirstUse(globals(), layer, getattr, _PACKAGE, layer) for layer in ("hyperops", "ordinals", "cardinals")
+)
 
 PARSE_ERROR = 2
 DOMAIN_ERROR = 3
@@ -47,15 +46,15 @@ def _emit(args, text: str, **fields):
 
 
 def _cmd_convert(args) -> int:
-    if args.to == "decimal" and args.digits > bitseq.BUDGET_DIGITS:
-        digits = bitseq._show(args.digits)
-        raise bitseq.BudgetError(
-            f"--digits {digits}: 10^{digits} exceeds the {bitseq.DEFAULT_BUDGET}-bit budget"
+    if args.to == "decimal" and args.digits > core.BUDGET_DIGITS:
+        digits = core._show(args.digits)
+        raise core.BudgetError(
+            f"--digits {digits}: 10^{digits} exceeds the {core.DEFAULT_BUDGET}-bit budget"
         )
     u = bitseq.parse_universal(args.value)
     value = bitseq.decode_universal(u)
     if args.to == "rational":
-        text = bitseq._int_str(value)
+        text = core._int_str(value)
         _emit(args, text, rational=text)
     elif args.to == "notation":
         text = str(bitseq.canonicalize(u))
@@ -70,7 +69,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_eval_left(args) -> int:
-    text = bitseq._int_str(bitseq.parse_left(args.value).value)
+    text = core._int_str(bitseq.parse_left(args.value).value)
     _emit(args, text, rational=text)
     return 0
 
@@ -80,7 +79,7 @@ def _cmd_complement(args) -> int:
     u = bitseq.parse_universal(args.value)
     out = bitseq.flip(u, raw=args.raw) if args.command == "flip" else bitseq.complement(u)
     text = str(out)
-    _emit(args, text, notation=text, rational=bitseq._int_str(out.value))
+    _emit(args, text, notation=text, rational=core._int_str(out.value))
     return 0
 
 
@@ -101,9 +100,9 @@ def _cmd_interval(args) -> int:
     _emit(
         args,
         text,
-        lo=bitseq._int_str(box.lo),
-        hi=bitseq._int_str(box.hi),
-        width=bitseq._int_str(box.width),
+        lo=core._int_str(box.lo),
+        hi=core._int_str(box.hi),
+        width=core._int_str(box.width),
     )
     return 0
 
@@ -119,7 +118,7 @@ def _cmd_hyper(args) -> int:
             description=description,
         )
         return BUDGET_ERROR
-    text = bitseq._int_str(result.value)
+    text = core._int_str(result.value)
     _emit(args, text, value=text)
     return 0
 
@@ -199,8 +198,8 @@ def _int_arg(text: str) -> int:
     """An integer argument, read as int reads it, past the interpreter's
     digit limit too."""
     try:
-        return bitseq._read_int(text)
-    except bitseq.BudgetError as err:  # argparse would quote the whole numeral
+        return core._read_int(text)
+    except core.BudgetError as err:  # argparse would quote the whole numeral
         import argparse
 
         raise argparse.ArgumentTypeError(str(err)) from None
@@ -210,44 +209,43 @@ _int_arg.__name__ = "int"  # argparse names it in "invalid int value: ..."
 
 
 # Each command path, () the top level, with its help text (the top level's
-# description), handler, the layer the handler calls, and arguments as
-# add_argument's name and keyword arguments.  A path without a handler
-# takes one of the paths below it, in the dest _SUBCOMMAND names for its
-# depth.
-_BUDGET = ("--budget", {"type": _int_arg, "default": bitseq.DEFAULT_BUDGET})
+# description), handler, and arguments as add_argument's name and keyword
+# arguments.  A path without a handler takes one of the paths below it, in
+# the dest _SUBCOMMAND names for its depth.
+_BUDGET = ("--budget", {"type": _int_arg, "default": core.DEFAULT_BUDGET})
 _COMMANDS = {
     (): ("two-way binary sequences, bit streams, explosive operators, ordinals and symbolic cardinals",
-         None, None, [("--format", {"choices": ("text", "structured"), "default": "text"})]),
-    ("convert",): ("re-render a two-way sequence", _cmd_convert, "bitseq", [
+         None, [("--format", {"choices": ("text", "structured"), "default": "text"})]),
+    ("convert",): ("re-render a two-way sequence", _cmd_convert, [
         ("value", {}),
         ("--to", {"choices": ("rational", "notation", "set", "decimal"), "default": "rational"}),
         ("--digits", {"type": _int_arg, "default": 12}),
     ]),
-    ("eval-left",): ("rational value of a left sequence", _cmd_eval_left, "bitseq", [("value", {})]),
-    ("complement",): ("bitwise complement (negation)", _cmd_complement, "bitseq", [("value", {})]),
-    ("flip",): ("mirror a sequence around the point", _cmd_complement, "bitseq", [
+    ("eval-left",): ("rational value of a left sequence", _cmd_eval_left, [("value", {})]),
+    ("complement",): ("bitwise complement (negation)", _cmd_complement, [("value", {})]),
+    ("flip",): ("mirror a sequence around the point", _cmd_complement, [
         ("value", {}),
         ("--raw", {"action": "store_true", "default": False, "help": "skip canonicalization"}),
     ]),
-    ("bits",): ("exact expansion prefix of a stream", _cmd_bits, "streams",
+    ("bits",): ("exact expansion prefix of a stream", _cmd_bits,
                 [("stream", {}), ("-n", {"type": _int_arg, "default": 16})]),
-    ("interval",): ("interval pinned by an observation", _cmd_interval, "streams",
+    ("interval",): ("interval pinned by an observation", _cmd_interval,
                     [("observation", {"help": "e.g. '.110***'"})]),
-    ("hyper",): ("explosive operator m (x)^k n", _cmd_hyper, "hyperops",
+    ("hyper",): ("explosive operator m (x)^k n", _cmd_hyper,
                  [(name, {"type": _int_arg}) for name in "mkn"] + [_BUDGET]),
-    ("ord",): ("ordinal arithmetic below eps_0", None, None, []),
-    ("ord", "eval"): ("Cantor normal form of an ordinal", _cmd_ord, "ordinals", [("expr", {})]),
-    ("ord", "cmp"): ("order two ordinals", _cmd_ord_cmp, "ordinals", [("a", {}), ("b", {})]),
-    ("ord", "fund"): ("n-th step of a limit's fundamental sequence", _cmd_ord, "ordinals",
+    ("ord",): ("ordinal arithmetic below eps_0", None, []),
+    ("ord", "eval"): ("Cantor normal form of an ordinal", _cmd_ord, [("expr", {})]),
+    ("ord", "cmp"): ("order two ordinals", _cmd_ord_cmp, [("a", {}), ("b", {})]),
+    ("ord", "fund"): ("n-th step of a limit's fundamental sequence", _cmd_ord,
                       [("expr", {}), ("-n", {"type": _int_arg, "default": 3})]),
-    ("card",): ("symbolic cardinal rewriting", None, None, []),
-    ("card", "normalize"): ("rewrite a cardinal to its normal form", _cmd_card_normalize, "cardinals", [
+    ("card",): ("symbolic cardinal rewriting", None, []),
+    ("card", "normalize"): ("rewrite a cardinal to its normal form", _cmd_card_normalize, [
         ("expr", {}), ("--trace", {"action": "store_true", "default": False}), _BUDGET,
     ]),
-    ("card", "cmp"): ("order two cardinals", _cmd_card_cmp, "cardinals", [("a", {}), ("b", {}), _BUDGET]),
-    ("card", "table"): ("the unification table of alephs", _cmd_card_table, "cardinals",
+    ("card", "cmp"): ("order two cardinals", _cmd_card_cmp, [("a", {}), ("b", {}), _BUDGET]),
+    ("card", "table"): ("the unification table of alephs", _cmd_card_table,
                         [("--max", {"type": _int_arg, "default": 5, "help": "rows"})]),
-    ("diag",): ("diagonal stream over other streams", _cmd_bits, "streams",
+    ("diag",): ("diagonal stream over other streams", _cmd_bits,
                 [("stream", {"nargs": "*"}), ("-n", {"type": _int_arg, "default": 16})]),
 }
 _SUBCOMMAND = ("command", "action")
@@ -258,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     import argparse
 
     subparsers = {}
-    for path, (text, fn, layer, arguments) in _COMMANDS.items():
+    for path, (text, fn, arguments) in _COMMANDS.items():
         if path:
             p = subparsers[path[:-1]].add_parser(path[-1], help=text)
         else:
@@ -266,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name, kwargs in arguments:
             p.add_argument(name, **kwargs)
         if fn:
-            p.set_defaults(fn=fn, layer=layer)
+            p.set_defaults(fn=fn)
         else:
             subparsers[path] = p.add_subparsers(dest=_SUBCOMMAND[len(path)], required=True)
     return top
@@ -279,20 +277,20 @@ def _value(kwargs: dict, text: str):
         return None
     convert = kwargs.get("type", str)
     try:  # _int_arg's reader, as its refusal is argparse's error
-        value = bitseq._read_int(text) if convert is _int_arg else convert(text)
+        value = core._read_int(text) if convert is _int_arg else convert(text)
     except ValueError:
         return None
     return value if value in kwargs.get("choices", (value,)) else None
 
 
-def _level(text, fn, layer, arguments):
-    """A _COMMANDS entry as _read_argv reads it: the handler and its layer,
-    options by name with dests, defaults by dest, operands, and whether
-    nargs="*" takes them."""
+def _level(text, fn, arguments):
+    """A _COMMANDS entry as _read_argv reads it: the handler, options by
+    name with dests, defaults by dest, operands, and whether nargs="*"
+    takes them."""
     options = {n: (n.lstrip("-").replace("-", "_"), kw) for n, kw in arguments if n.startswith("-")}
     defaults = {dest: kw.get("default") for dest, kw in options.values()}
     named = [(n, kw) for n, kw in arguments if not n.startswith("-")]
-    return fn, layer, options, defaults, named, [kw.get("nargs") for _, kw in named] == ["*"]
+    return fn, options, defaults, named, [kw.get("nargs") for _, kw in named] == ["*"]
 
 
 _LEVELS = {path: _level(*entry) for path, entry in _COMMANDS.items()}
@@ -309,7 +307,7 @@ def _read_argv(argv):
         return None
     found, path, tokens = {}, (), iter(argv)
     while True:
-        fn, layer, options, defaults, named, many = _LEVELS[path]
+        fn, options, defaults, named, many = _LEVELS[path]
         found.update(defaults)
         operands, closed, unread = [], False, dict(options)
         for token in tokens:
@@ -342,10 +340,10 @@ def _read_argv(argv):
                 return None
     else:
         return None
-    return SimpleNamespace(**found, fn=fn, layer=layer)
+    return SimpleNamespace(**found, fn=fn)
 
 
-@bitseq._memo
+@core._memo
 def _shared_parser() -> argparse.ArgumentParser:
     """The parser every `run` reuses: parsing leaves no state on it, as
     each call gets a fresh namespace filled from the defaults."""
@@ -359,14 +357,12 @@ def run(argv) -> int:
             args = _shared_parser().parse_args(argv)
         except SystemExit as stop:
             return stop.code if stop.code else 0
-    if args.layer not in _BOUND:  # read off the package, which loads it
-        _BOUND[args.layer] = getattr(import_module(__package__), args.layer)
     try:
         return args.fn(args)
-    except bitseq.BudgetError as err:
+    except core.BudgetError as err:
         print(f"error: {err}", file=sys.stderr)
         return BUDGET_ERROR
-    except bitseq.ParseError as err:
+    except core.ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return PARSE_ERROR
     except (ValueError, TypeError) as err:

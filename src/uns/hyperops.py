@@ -3,9 +3,9 @@ exponentiation, level 2 power towers, and each level above iterates the
 one below, associating to the right.
 
 Results are exact integers unless they would not fit in `budget` bits,
-from 64 up to the package's bit budget, bitseq.DEFAULT_BUDGET.  A value
+from 64 up to the package's bit budget, core.DEFAULT_BUDGET.  A value
 past it is returned as Exceeded, a statement of its size; raising
-bitseq.BudgetError for one is left to the callers.  The size gate is
+core.BudgetError for one is left to the callers.  The size gate is
 sound in both directions: anything returned as Exact fits the budget,
 and anything reported as Exceeded provably does not.  For a base with
 L bits, m**t needs more than t*(L-1) bits, so one gate, shared by powers
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .bitseq import DEFAULT_BUDGET, BudgetError, Record, _show
+from .core import DEFAULT_BUDGET, BudgetError, Record, _show
 
 
 class Exact(Record):
@@ -127,6 +127,8 @@ def _pow_budgeted(m: int, n: int, budget: int) -> int | Exceeded:
     L = m.bit_length()
     if n * (L - 1) + 1 > budget:
         return Exceeded(m, 1, n)
+    if m & (m - 1) == 0:  # m = 2^(L-1), as every caller passes m >= 2: m**n by a shift, n(L-1)+1 bits
+        return 1 << (L - 1) * n
     v = m**n
     return v if v.bit_length() <= budget else Exceeded(m, 1, n)
 

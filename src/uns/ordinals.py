@@ -9,7 +9,7 @@ arithmetic.
 
 Terms are hash-consed: every Ordinal, EPSILON_0, every cardinal node and
 every hereditarily finite set (cardinals.PureSet) is a _Term, the
-bitseq.Record made once per distinct value and kept in a weak-valued
+core.Record made once per distinct value and kept in a weak-valued
 table, so equality is identity and hashing is O(1); the naturals below
 16 are built at import and stay alive.  The check that
 exponents strictly decrease runs on each term built from outside, by
@@ -18,7 +18,7 @@ build their terms in normal form by construction (Manolios and Vroon,
 JAR 34, 2005), so they intern them unchecked, through _cnf.  A term
 keeps its text from its first print up to _TEXT_KEPT characters.  Walks over
 exponents run in loops, so towers of any height work.  ord_pow alone is
-memoized, by bitseq._memo, as powers repeat; a sum, product or
+memoized, by core._memo, as powers repeat; a sum, product or
 comparison of interned terms costs less than a lookup.  Refused with
 OrdinalBudgetError: a finite power past the hyperops size gate at the
 bit budget, an infinite base to a finite power of more than TERM_BUDGET
@@ -53,17 +53,8 @@ from _weakref import _remove_dead_weakref
 from functools import total_ordering
 
 from . import hyperops
-from .bitseq import (
-    DEFAULT_BUDGET,
-    BudgetError,
-    ParseError,
-    Record,
-    _int_str,
-    _memo,
-    _read_int,
-    _refuse_long_numerals,
-    _show,
-)
+from .core import DEFAULT_BUDGET, BudgetError, ParseError, Record, _int_str, _memo, _read_int
+from .core import _refuse_long_numerals, _show
 
 
 class OrdinalParseError(ParseError):

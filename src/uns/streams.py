@@ -7,7 +7,7 @@ nonterminating binary expansion as one integer.  as_stream gives equal
 descriptors one shared BitStream, whose memo, an integer and its length
 behind a lock, makes every prefix a prefix of every longer one; kept for
 the 1024 most recently used descriptors by the package's one memo
-policy, bitseq._memo, those memos are the module's one cache of
+policy, core._memo, those memos are the module's one cache of
 answers; the other thing it keeps is pi/4's longest
 binary split, one tuple of four integers, about 0.7 MB at the 2^20-bit
 budget.  BitStream.prefix refuses a prefix longer than that budget, and
@@ -49,25 +49,15 @@ the last residual bounds its error, as |t_N| bounds pi's tail.
 
 from __future__ import annotations
 
+import re
 import threading
 from math import gcd, isqrt
 from typing import Callable, Union
 
-from . import bitseq
-from .bitseq import (
-    DEFAULT_BUDGET,
-    BudgetError,
-    ParseError,
-    Record,
-    _int_str,
-    _memo,
-    _Pattern,
-    _read_int,
-    _refuse_long_numerals,
-    _show,
-    decimal_str,
-    fraction_prefix,
-)
+from . import core
+from .bitseq import decimal_str, fraction_prefix
+from .core import DEFAULT_BUDGET, BudgetError, ParseError, Record, _FirstUse, _int_str, _memo, _read_int
+from .core import _refuse_long_numerals, _show
 
 
 class StarStringError(ParseError):
@@ -187,7 +177,7 @@ def rational(p: int, q: int) -> RationalStream:
     return _lowest_terms(RationalStream, p, q)
 
 
-_FRACTION = _Pattern(globals(), "_FRACTION", r"(sqrt\()?(\d+)/(\d+)(?(1)\))")  # p/q or sqrt(p/q)
+_FRACTION = _FirstUse(globals(), "_FRACTION", re.compile, r"(sqrt\()?(\d+)/(\d+)(?(1)\))")  # p/q or sqrt(p/q)
 
 
 def parse_stream(text: str) -> StreamDescriptor:
@@ -343,11 +333,11 @@ class DyadicInterval(Record):
 
     @property
     def width(self) -> Fraction:
-        return bitseq.Fraction(1, 1 << self.bits)
+        return core._Fraction(1, 1 << self.bits)
 
     @property
     def hi(self) -> Fraction:
-        return self.lo + bitseq.Fraction(1, 1 << self.bits)
+        return self.lo + core._Fraction(1, 1 << self.bits)
 
     def hull_contains(self, other: "DyadicInterval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
@@ -390,7 +380,7 @@ class BitStream:
     def interval(self, n: int) -> DyadicInterval:
         if n < 1:
             raise ValueError("need at least one bit for an interval")
-        return DyadicInterval(bitseq.Fraction(self.prefix(n), 1 << n), n)
+        return DyadicInterval(core._Fraction(self.prefix(n), 1 << n), n)
 
     def __repr__(self):
         return f"BitStream({self.descriptor!r})"
@@ -406,7 +396,7 @@ def diagonal(inputs) -> BitStream:
     return as_stream(DiagonalStream(tuple(inputs)))
 
 
-_STAR = _Pattern(globals(), "_STAR", r"\.([01]*)\*+(?:\.\.\.|…|⋯)?")
+_STAR = _FirstUse(globals(), "_STAR", re.compile, r"\.([01]*)\*+(?:\.\.\.|…|⋯)?")
 
 
 def parse_star_string(text: str) -> DyadicInterval:
@@ -417,7 +407,7 @@ def parse_star_string(text: str) -> DyadicInterval:
         raise StarStringError(f"not a star string: {text!r}")
     known = m.group(1)
     value = int(known, 2) if known else 0
-    return DyadicInterval(bitseq.Fraction(value, 1 << len(known)), len(known))
+    return DyadicInterval(core._Fraction(value, 1 << len(known)), len(known))
 
 
 class CompareResult(Record):

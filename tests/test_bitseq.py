@@ -20,9 +20,6 @@ from uns.bitseq import (
     PeriodicBits,
     RightPart,
     UniversalRational,
-    _int_str,
-    _read_int,
-    _show,
     canonicalize,
     complement,
     decimal_str,
@@ -47,6 +44,7 @@ from uns.bitseq import (
     to_index_set,
 )
 from uns.cli import run
+from uns.core import _int_str, _read_int, _show
 
 # ---------------------------------------------------------------------------
 # oracles

@@ -25,7 +25,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule  # noqa: E402
 
 from uns import cardinals, hyperops, ordinals  # noqa: E402
-from uns.bitseq import BudgetError, _refuse_long_numerals  # noqa: E402
+from uns.core import BudgetError, _refuse_long_numerals  # noqa: E402
 from uns.cardinals import (  # noqa: E402
     Aleph,
     CardinalParseError,

@@ -1,6 +1,6 @@
-"""The package's two kinds of refusal come from the bottom layer: every
-grammar raises a bitseq.ParseError (exit 2) and every budget a
-bitseq.BudgetError (exit 4), and no error is both."""
+"""The package's two kinds of refusal come from its shared base: every
+grammar raises a core.ParseError (exit 2) and every budget a
+core.BudgetError (exit 4), and no error is both."""
 
 import ast
 import sys
@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 import uns
-from uns import bitseq, cardinals, cli, hyperops, ordinals, streams
-from uns.bitseq import BudgetError, ParseError
+from uns import bitseq, cardinals, cli, core, hyperops, ordinals, streams
+from uns.core import BudgetError, ParseError
 
-MODULES = (bitseq, streams, hyperops, ordinals, cardinals, cli)
+MODULES = (core, bitseq, streams, hyperops, ordinals, cardinals, cli)
 
 
 @pytest.mark.parametrize(
@@ -49,7 +49,7 @@ def test_no_error_is_both_a_parse_error_and_a_budget_error():
 
 
 def test_the_bases_are_the_ones_the_package_exports():
-    assert uns.BudgetError is bitseq.BudgetError and uns.ParseError is bitseq.ParseError
+    assert uns.BudgetError is core.BudgetError and uns.ParseError is core.ParseError
     assert issubclass(ordinals.OrdinalBudgetError, BudgetError)
     assert issubclass(cardinals.FiniteBudgetError, BudgetError)
     for error in (bitseq.NotationError, streams.StarStringError, ordinals.OrdinalParseError, cardinals.CardinalParseError):
@@ -65,10 +65,12 @@ SHARED = {
     "_int_str",
     "_read_int",
     "_show",
+    "_memo",
+    "Record",
 }
 
 
-def test_the_shared_budget_and_bases_are_defined_only_in_bitseq():
+def test_the_shared_budget_and_bases_are_defined_only_in_core():
     where = {}
     for path in Path(uns.__file__).parent.glob("*.py"):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -80,7 +82,7 @@ def test_the_shared_budget_and_bases_are_defined_only_in_bitseq():
                 continue
             for name in set(names) & SHARED:
                 where.setdefault(name, []).append(path.stem)
-    assert where == {name: ["bitseq"] for name in SHARED}
+    assert where == {name: ["core"] for name in SHARED}
 
 
 @pytest.mark.parametrize(
@@ -151,15 +153,15 @@ def test_numerals_past_the_digit_limit_are_read_and_printed_exactly(default_digi
         assert cardinals.format_cardinal(cardinals.parse_cardinal(text)) == text
     thirds = "3" * 5000
     s = streams.parse_stream(f"1/{thirds}")
-    assert f"{bitseq._int_str(s.numerator)}/{bitseq._int_str(s.denominator)}" == f"1/{thirds}"
+    assert f"{core._int_str(s.numerator)}/{core._int_str(s.denominator)}" == f"1/{thirds}"
     for text in (f"{thirds}/7", f"sqrt({NINES}/{thirds})"):
         with pytest.raises(streams.StreamError) as caught:
             streams.parse_stream(text)
         assert str(caught.value).startswith(f"{text} is not")
     out = bitseq.decimal_str(Fraction(1, 3), 5000)
-    assert out == f"0.{thirds}…" and bitseq._read_int(out[2:-1]) == 10**5000 // 3
+    assert out == f"0.{thirds}…" and core._read_int(out[2:-1]) == 10**5000 // 3
     out = bitseq.decimal_str(Fraction(-(10**5000) - 1, 2), 1)  # a whole part of 5000 digits
-    assert out == f"-5{'0' * 4999}.5" and bitseq._read_int(out[:-2]) == -(10**5000) // 2
+    assert out == f"-5{'0' * 4999}.5" and core._read_int(out[:-2]) == -(10**5000) // 2
     assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
 
 

@@ -5,7 +5,9 @@ and above "level-k explosion of m at height n"; a nested statement is
 its parent's count, in parentheses.  An integer past 12000 bits is
 quoted by its size, and a chain past its 100 outer layers by the number
 of layers left, which the chains here, at most 6 deep, never reach;
-then a property of hyper that every refusal's text stays short."""
+then a property of hyper that every refusal's text stays short, and one
+that a power is m**n or refused as the gate says, for bases at and
+beside a power of two, whose powers are taken by a shift."""
 
 import pytest
 
@@ -13,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from uns.hyperops import Exceeded, hyper  # noqa: E402
+from uns.hyperops import Exact, Exceeded, hyper  # noqa: E402
 
 
 def quote(x: int) -> str:
@@ -67,3 +69,15 @@ def test_a_chain_past_its_outer_layers_states_the_rest_by_count():
 def test_every_hyper_refusal_is_described_in_under_12000_characters(k, m, n):
     result = hyper(m, k, n)
     assert isinstance(result, Exceeded) and len(result.describe()) < 12000
+
+
+# m = 2^j and its neighbours 2^j - 1, 2^j + 1 (each at least 2), with
+# counts from two below to two above the largest the gate lets through
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 40), st.sampled_from([-1, 0, 1]), st.integers(64, 4096), st.integers(-2, 2))
+def test_a_power_is_m_to_the_n_or_the_gates_refusal(j, beside, budget, step):
+    m = max(2, (1 << j) + beside)
+    n = max(2, (budget - 1) // (m.bit_length() - 1) + step)
+    exact = m**n
+    expected = Exact(exact) if exact.bit_length() <= budget else Exceeded(m, 1, n)
+    assert hyper(m, 1, n, budget) == expected

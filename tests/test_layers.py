@@ -1,22 +1,25 @@
 """The modules of the package form a stack: each one imports only the
-modules below it, so a lower layer never depends on an upper one.  The
+modules below it, so a lower layer never depends on an upper one.  At
+the bottom, core holds what every layer shares and imports no package
+module; the upper layers take it from core, not from bitseq.  The
 package's __init__ sits above the stack and re-exports all of it.  Every
 package import sits at module level, where the order is visible, but in
-the one declared loader of a module that loads a layer on first use: the
-package's __getattr__, for the layers of its _EXPORTS table, and cli's
-run, for the layer a _COMMANDS entry names.  A call of
-importlib.import_module or __import__ counts as a package import, so a
-dynamic import cannot hide in a function either.  Every cache has a
-literal bound and is made by bitseq's one memo policy, on a function
-listed with the measurement that keeps its memo, every private helper is
-used, no float is written, made or divided out, no module switches the
-interpreter's limit on integer text, no nested function refers to itself
-and no module-level function calls itself, but for the few whose depth
-is bounded.  Start-up (`import uns, uns.cli`) loads the two lower layers
-and the CLI, and no other module the package does not use: no upper
-layer, no argparse or json, no dataclasses, and so no inspect, and no
-fractions, and so no decimal or numbers, which bitseq loads on the first
-rational made."""
+the one declared loader, the package's __getattr__, which loads a layer
+of its _EXPORTS table on first use; cli reads an upper layer off the
+package.  A call of importlib.import_module or __import__ counts as a
+package import, so a dynamic import cannot hide in a function either.
+No module writes its own globals after import but core's first-use
+helper and the two PEP 562 __getattr__.  Every cache has a literal bound
+and is made by core's one memo policy, on a function listed with the
+measurement that keeps its memo, every private helper is used, no float
+is written, made or divided out, no module switches the interpreter's
+limit on integer text, no nested function refers to itself and no
+module-level function calls itself, but for the few whose depth is
+bounded.  Start-up (`import uns, uns.cli`) loads core, the two lower
+layers and the CLI, and no other module the package does not use: no
+upper layer, no argparse or json, no dataclasses, and so no inspect, and
+no fractions, and so no decimal or numbers, which core loads on the
+first rational made."""
 
 import ast
 import subprocess
@@ -28,11 +31,11 @@ import pytest
 import uns
 from uns import cli
 
-LAYERS = ("bitseq", "streams", "hyperops", "ordinals", "cardinals", "cli")
+LAYERS = ("core", "bitseq", "streams", "hyperops", "ordinals", "cardinals", "cli")
 MODULES = sorted(p for p in Path(uns.__file__).parent.glob("*.py") if p.stem != "__init__")
 # the one function of a module that may import a package module, and the
 # layers it may load: those its module's table names
-LOADERS = {"__init__": "__getattr__", "cli": "run"}
+LOADERS = {"__init__": "__getattr__"}
 
 
 def _package_imports(tree):
@@ -66,7 +69,7 @@ def _package_imports(tree):
 
 def _outside(tree, loader):
     """The module's statements but the declared loader's definition."""
-    return [s for s in tree.body if not (isinstance(s, ast.FunctionDef) and s.name == loader)]
+    return [s for s in tree.body if not (isinstance(s, ast.FunctionDef | ast.ClassDef) and s.name == loader)]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
@@ -104,8 +107,18 @@ def test_each_loader_loads_only_its_tables_layers():
         assert set(_package_imports(fn)) == {"<dynamic>"}, module  # the name comes from the table
     below = set(LAYERS[: LAYERS.index("cli")])
     assert set(uns._EXPORTS) == below
-    commands = {layer for _text, _fn, layer, _arguments in cli._COMMANDS.values() if layer}
-    assert commands == below, "each layer below the CLI serves a command, and no other layer"
+    # cli holds core and the lower layers it imports, and a stand-in for each upper layer
+    assert {name for name in vars(cli) if name in LAYERS} == below
+
+
+def _layer_imports(stem):
+    return set(_package_imports(ast.parse(Path(uns.__file__).with_name(f"{stem}.py").read_text(encoding="utf-8"))))
+
+
+def test_core_imports_no_package_module_and_the_upper_layers_nothing_from_bitseq():
+    assert _layer_imports("core") == set()
+    for stem in ("hyperops", "ordinals", "cardinals"):
+        assert "bitseq" not in _layer_imports(stem), stem
 
 
 @pytest.mark.parametrize(
@@ -136,6 +149,66 @@ def test_the_import_check_finds_static_and_dynamic_imports_in_functions(source, 
 )
 def test_the_layer_check_counts_module_level_dynamic_imports(source, imported):
     assert set(_package_imports(ast.parse(source))) == imported
+
+
+# the one function or class of a module that may write the module's own
+# globals after import: core's stand-in, which binds what it builds in its
+# own place, and the two PEP 562 __getattr__, as `from uns.bitseq import
+# Fraction` must give the class itself and not a stand-in
+GLOBAL_WRITERS = {"core": "_FirstUse", "__init__": "__getattr__", "bitseq": "__getattr__"}
+_MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def _global_writes(tree, writer=None):
+    """Lines of a module, outside its declared writer, that can write its
+    globals after import: globals()[...] stored or deleted, a mutating
+    method of globals(), and globals() given another name, as the value
+    of an assignment or as a call's argument, but as a _FirstUse's
+    namespace, where only the stand-in's own name is bound."""
+    parents = {}
+    for stmt in _outside(tree, writer):
+        for node in ast.walk(stmt):
+            parents.update((kid, node) for kid in ast.iter_child_nodes(node))
+    for node, up in parents.items():
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "globals"):
+            continue
+        if isinstance(up, ast.keyword):
+            up = parents[up]
+        if isinstance(up, ast.Subscript) and isinstance(up.ctx, ast.Store | ast.Del):
+            yield f"line {node.lineno}: writes globals()[...]"
+        elif isinstance(up, ast.Attribute) and up.attr in _MUTATORS:
+            yield f"line {node.lineno}: calls globals().{up.attr}"
+        elif isinstance(up, ast.Assign | ast.AnnAssign | ast.AugAssign | ast.NamedExpr) and up.value is node:
+            yield f"line {node.lineno}: names globals()"
+        elif isinstance(up, ast.Call) and node is not up.func and _name(up.func) != "_FirstUse":
+            yield f"line {node.lineno}: passes globals() to {_name(up.func)}"
+
+
+@pytest.mark.parametrize("path", [*MODULES, Path(uns.__file__)], ids=lambda p: p.stem)
+def test_no_module_writes_its_own_globals_after_import(path):
+    problems = list(_global_writes(ast.parse(path.read_text(encoding="utf-8")), GLOBAL_WRITERS.get(path.stem)))
+    assert not problems, f"{path.stem}: {problems}"
+
+
+@pytest.mark.parametrize(
+    "source, writer, clean",
+    [
+        ("_BOUND = globals()\ndef run(layer):\n    _BOUND[layer] = 1", None, False),
+        ("def run(layer):\n    globals()[layer] = 1", None, False),
+        ("def f():\n    globals().update(x=1)", None, False),
+        ("def f():\n    del globals()['x']", None, False),
+        ("def f(d):\n    d['x'] = 1\nf(globals())", None, False),
+        ("d = dict(m=globals())", None, False),
+        ("x = _FirstUse(globals(), 'x', int)", None, True),
+        ("x = core._FirstUse(globals(), 'x', getattr, pkg, 'x')", None, True),
+        ("names = sorted({*globals()})\nvalue = globals().get('x')", None, True),
+        ("def __getattr__(name):\n    globals()[name] = 1", "__getattr__", True),
+        ("def __getattr__(name):\n    globals()[name] = 1", None, False),
+        ("class _FirstUse:\n    def bind(self):\n        globals()['x'] = 1", "_FirstUse", True),
+    ],
+)
+def test_the_global_write_check_finds_writes_and_aliases(source, writer, clean):
+    assert (not list(_global_writes(ast.parse(source), writer))) == clean
 
 
 def _unbounded_caches(tree):
@@ -188,7 +261,7 @@ def test_the_cache_check_tells_bounded_from_unbounded(source, bounded):
 
 def _cache_makers(tree):
     """Lines that name functools' lru_cache or cache, imported or read off
-    the module: only bitseq, which owns the one memo policy, may."""
+    the module: only core, which owns the one memo policy, may."""
     for node in ast.walk(tree):
         if isinstance(node, ast.alias) and node.name in ("lru_cache", "cache"):
             yield f"line {node.lineno}: imports {node.name}"
@@ -196,8 +269,8 @@ def _cache_makers(tree):
             yield f"line {node.lineno}: names {node.attr}"
 
 
-@pytest.mark.parametrize("path", [p for p in [*MODULES, Path(uns.__file__)] if p.stem != "bitseq"], ids=lambda p: p.stem)
-def test_only_bitseq_makes_a_memo(path):
+@pytest.mark.parametrize("path", [p for p in [*MODULES, Path(uns.__file__)] if p.stem != "core"], ids=lambda p: p.stem)
+def test_only_core_makes_a_memo(path):
     problems = list(_cache_makers(ast.parse(path.read_text(encoding="utf-8"))))
     assert not problems, f"{path.stem}: {problems}"
 
@@ -205,8 +278,8 @@ def test_only_bitseq_makes_a_memo(path):
 @pytest.mark.parametrize(
     "source, clean",
     [
-        ("from .bitseq import _memo\n@_memo\ndef f(): pass", True),
-        ("from . import bitseq\n@bitseq._memo\ndef f(): pass", True),
+        ("from .core import _memo\n@_memo\ndef f(): pass", True),
+        ("from . import core\n@core._memo\ndef f(): pass", True),
         ("from functools import total_ordering", True),
         ("from functools import lru_cache\n@lru_cache(maxsize=8)\ndef f(): pass", False),
         ("from functools import cache as keep", False),
@@ -257,9 +330,9 @@ def test_each_memo_is_one_its_traffic_pays_for():
 @pytest.mark.parametrize(
     "source, found",
     [
-        ("from .bitseq import _memo\n@_memo\ndef f(): pass", {"m.f"}),
-        ("from . import bitseq\n@bitseq._memo\ndef f(): pass\ndef g(): pass", {"m.f"}),
-        ("from .bitseq import _memo\ndef f(): pass\nf = _memo(f)", {"m line 3: _memo used other than as a decorator"}),
+        ("from .core import _memo\n@_memo\ndef f(): pass", {"m.f"}),
+        ("from . import core\n@core._memo\ndef f(): pass\ndef g(): pass", {"m.f"}),
+        ("from .core import _memo\ndef f(): pass\nf = _memo(f)", {"m line 3: _memo used other than as a decorator"}),
         ("import functools\n@functools.lru_cache(8)\ndef f(): pass", set()),
     ],
 )
@@ -431,7 +504,7 @@ def _recursive_functions(tree, allowed=()):
 
 # the module-level functions that call themselves, each with the bound on its depth
 RECURSION_ALLOWED = {
-    "bitseq": {"_int_str": "one level: a rational prints as its two integers"},
+    "core": {"_int_str": "one level: a rational prints as its two integers"},
     "streams": {"_chudnovsky_split": "halves the range of terms, so its depth is the log of the precision"},
 }
 
@@ -538,7 +611,7 @@ def test_no_module_switches_the_interpreters_digit_limit(path):
     "source, clean",
     [
         ("import sys\nlimit = sys.get_int_max_str_digits()", True),
-        ("from .bitseq import _int_str\ntext = _int_str(n)", True),
+        ("from .core import _int_str\ntext = _int_str(n)", True),
         ("import sys\nsys.set_int_max_str_digits(0)", False),
         ("import sys as s\ns.set_int_max_str_digits(limit)", False),
         ("from sys import set_int_max_str_digits as lift\nlift(0)", False),
@@ -563,9 +636,9 @@ def test_no_module_imports_dataclasses(path):
 
 
 def test_start_up_loads_neither_dataclasses_nor_inspect():
-    """Nor any other module start-up does not use: of the package only the
-    two lower layers and the CLI, neither argparse nor json, and none of
-    fractions, decimal and numbers."""
+    """Nor any other module start-up does not use: of the package only
+    core, the two lower layers and the CLI, neither argparse nor json, and
+    none of fractions, decimal and numbers."""
     src = str(Path(uns.__file__).parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import uns, uns.cli; "
@@ -574,4 +647,4 @@ def test_start_up_loads_neither_dataclasses_nor_inspect():
     )
     done = subprocess.run([sys.executable, "-s", "-c", code], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["uns", "uns.bitseq", "uns.cli", "uns.streams"]
+    assert done.stdout.split() == ["uns", "uns.bitseq", "uns.cli", "uns.core", "uns.streams"]

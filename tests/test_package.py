@@ -1,11 +1,11 @@
 """The package namespace and what each command loads.
 
 `import uns` loads no layer: a layer, or a name the package exports from
-one, is loaded on first use.  `uns.cli` loads the two lower layers, and
-each command the layer it calls; argparse only for a usage error or
---help, json only for structured output, and fractions, with decimal and
-numbers, only for a command that makes a rational: the sequence
-commands and interval, not bits, diag or an upper layer's."""
+one, is loaded on first use.  `uns.cli` loads core and the two lower
+layers, and each command the layer it calls; argparse only for a usage
+error or --help, json only for structured output, and fractions, with
+decimal and numbers, only for a command that makes a rational: the
+sequence commands and interval, not bits, diag or an upper layer's."""
 
 import importlib
 import os
@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import uns
+from uns import core
 
 SRC = str(Path(uns.__file__).parent.parent)
 
@@ -28,8 +29,8 @@ def _python(*args, stdin=b""):
     return done.returncode, done.stdout.decode(), done.stderr.decode()
 
 
-# the CLI runs as __main__, so the modules it loads are the package and
-# the two lower layers, and what each command adds
+# the CLI runs as __main__, so the modules it loads are the package, core
+# and the two lower layers, and what each command adds
 RATIONALS = {"fractions", "decimal", "numbers"}
 LOADS = [
     (["convert", "(0)10011.(10)"], 0, RATIONALS),
@@ -55,18 +56,39 @@ def test_each_command_loads_only_the_layer_it_calls(argv, code, added):
     assert returncode == code, err[-2000:]
     loaded = set(re.findall(r"^import '([\w.]+)'", err, re.MULTILINE))
     watched = {m for m in loaded if m.partition(".")[0] == "uns" or m in ("argparse", "json", *RATIONALS)}
-    assert watched == {"uns", "uns.bitseq", "uns.streams"} | added
+    assert watched == {"uns", "uns.core", "uns.bitseq", "uns.streams"} | added
+
+
+def test_core_loads_no_other_package_module():
+    code = "import sys, uns.core; print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'uns'))"
+    assert _python("-c", code) == (0, "uns uns.core\n", "")
 
 
 def test_bitseq_loads_fraction_on_first_use():
-    # read from outside, Fraction is fractions' own class, bound on the first read
+    # read from outside, Fraction is fractions' own class, bound on the first
+    # read; the first rational made binds it in core in its stand-in's place
     code = (
-        "import sys; from uns import bitseq; assert 'fractions' not in sys.modules; "
+        "import sys; from uns import bitseq, core; assert 'fractions' not in sys.modules; "
         "from uns.bitseq import Fraction; import fractions; "
-        "assert Fraction is fractions.Fraction is vars(bitseq)['Fraction'] is vars(bitseq)['_Fraction']; "
-        "print(bitseq.decode_universal(bitseq.parse_universal('(0)10011.(10)')))"
+        "assert Fraction is fractions.Fraction is vars(bitseq)['Fraction'] is not vars(core)['_Fraction']; "
+        "print(bitseq.decode_universal(bitseq.parse_universal('(0)10011.(10)'))); "
+        "assert vars(core)['_Fraction'] is Fraction"
     )
     assert _python("-c", code) == (0, "59/3\n", "")
+
+
+def test_a_first_use_stand_in_builds_on_a_call_or_an_attribute_read_only():
+    namespace, built = {}, []
+
+    def build(text):
+        built.append(text)
+        return re.compile(text)
+
+    namespace["p"] = stand_in = core._FirstUse(namespace, "p", build, "a+")
+    assert not hasattr(stand_in, "__wrapped__") and built == []  # a dunder lookup builds nothing
+    assert stand_in.fullmatch("aa")[0] == "aa" and namespace["p"].pattern == "a+" and built == ["a+"]
+    namespace["n"] = core._FirstUse(namespace, "n", lambda: int)
+    assert namespace["n"]("7") == 7 and namespace["n"] is int
     with pytest.raises(AttributeError, match="'uns.bitseq' has no attribute 'Fractions'"):
         uns.bitseq.Fractions  # noqa: B018
 

@@ -1,4 +1,4 @@
-"""The package's immutable value classes share one base, bitseq.Record.
+"""The package's immutable value classes share one base, core.Record.
 For each of them: value equality within the class and never across
 classes, hashes that agree with ==, keyword construction and defaults,
 no assignment, pickle and copy round trips, and the exact repr."""
@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import uns
-from uns import bitseq
+from uns import core
 from uns.bitseq import ZERO_BITS, IndexSetView, LeftPart, PeriodicBits, Record, RightPart, UniversalRational
 from uns.cardinals import (
     ALEPH_0,
@@ -169,7 +169,7 @@ def test_a_class_compiles_init_at_once_and_eq_and_hash_on_first_use():
     # until either is first used, which compiles and binds both
     cls = type("Pair", (Record,), {"__slots__": ("a", "b"), "_defaults": {"b": 0}})
     assert str(inspect.signature(cls)) == "(a, b=0)" and cls.__init__.__qualname__ == "Pair.__init__"
-    assert (vars(cls)["__eq__"], vars(cls)["__hash__"]) == (bitseq._first_eq, bitseq._first_hash)
+    assert (vars(cls)["__eq__"], vars(cls)["__hash__"]) == (core._first_eq, core._first_hash)
     assert hash(cls(1)) == hash((1, 0)) and cls(1) == cls(1, 0) != cls(1, 1)
     assert (cls.__eq__.__qualname__, cls.__hash__.__qualname__) == ("Pair.__eq__", "Pair.__hash__")
     with pytest.raises(TypeError, match="missing 1 required positional argument: 'a'"):
@@ -242,3 +242,61 @@ def test_unpickling_goes_through_the_constructor_and_its_check(monkeypatch):
         if bad is not None:
             with pytest.raises(ValueError):
                 cls(*bad)
+
+
+# Pickles written before the shared base moved out of bitseq: each names
+# uns.bitseq._rebuilt, which bitseq keeps bound so that they still load.
+# An Exceeded chain, a RewriteStep, an ordinal, a set and a stream, as
+# pickle.dumps(value, protocol=4) wrote them.
+OLD_PICKLES = {
+    "exceeded": bytes.fromhex(
+        "80049586000000000000008c0a756e732e626974736571948c085f72656275696c749493945d94284b034e86944b054e"
+        "86944b044e86944b024e86948a06bb7f0779ef064e86948c0c756e732e68797065726f7073948c084578636565646564"
+        "9493945d94284b004b034b04658694680b5d94284b004b024b05658694680b5d94284b004b014b066586946585945294"
+        "2e"
+    ),
+    "step": bytes.fromhex(
+        "80049507010000000000008c0a756e732e626974736571948c085f72656275696c749493945d94288c03474348944e86"
+        "948c086275696c74696e73948c057475706c659493945d9486948c0c756e732e6f7264696e616c73948c074f7264696e"
+        "616c9493945d944b016186944b014e869468085d94284b024b0365869468085d944b04618694680d5d944b056186948c"
+        "0d756e732e63617264696e616c73948c05416c6570689493945d944b0661869468178c04506f77329493945d944b0761"
+        "86944b024e869468085d94284b024b0965869468085d944b0a618694680d5d944b0b61869468195d944b0c6186946817"
+        "8c0b52657772697465537465709493945d94284b004b084b0d65869465859452942e"
+    ),
+    "ordinal": bytes.fromhex(
+        "8004950a010000000000008c0a756e732e626974736571948c085f72656275696c749493945d94288c086275696c7469"
+        "6e73948c057475706c659493945d9486948c0c756e732e6f7264696e616c73948c074f7264696e616c9493945d944b00"
+        "6186944b024e869468065d94284b014b0265869468065d944b03618694680b5d944b046186944b014e869468065d9428"
+        "4b054b0665869468065d94284b014b0665869468065d94284b074b08658694680b5d944b096186944b034e869468065d"
+        "94284b0a4b0b65869468065d944b08618694680b5d944b0d61869468065d94284b0e4b066586944b074e869468065d94"
+        "284b014b1065869468065d94284b0c4b0f4b11658694680b5d944b1261869465859452942e"
+    ),
+    "set": bytes.fromhex(
+        "800495b5000000000000008c0a756e732e626974736571948c085f72656275696c749493945d94288c086275696c7469"
+        "6e73948c0966726f7a656e7365749493945d9486948c0d756e732e63617264696e616c73948c07507572655365749493"
+        "945d944b0061869468065d944b01618694680b5d944b0261869468065d944b03618694680b5d944b0461869468065d94"
+        "284b034b01658694680b5d944b0661869468065d94284b054b074b034b01658694680b5d944b0861869465859452942e"
+    ),
+    "sqrt": bytes.fromhex(
+        "80049554000000000000008c0a756e732e626974736571948c085f72656275696c749493945d94284b014e86944b024e"
+        "86948c0b756e732e73747265616d73948c0a5371727453747265616d9493945d94284b004b0165869465859452942e"
+    ),
+}
+
+
+def test_a_pickle_naming_the_old_rebuilder_loads_to_its_value():
+    _, steps = uns.normalize_with_trace(uns.parse_cardinal("2^aleph_1"))
+    values = {
+        "exceeded": uns.hyper(3, 5, 3),
+        "step": steps[0],
+        "ordinal": uns.parse_ordinal("w^(w^2 + 1)*3 + w + 7"),
+        "set": uns.powerset(uns.nat_to_set(2)),
+        "sqrt": SqrtStream(1, 2),
+    }
+    for name, data in OLD_PICKLES.items():
+        assert b"uns.bitseq\x94\x8c\x08_rebuilt" in data, name
+        back = pickle.loads(data)
+        if isinstance(back, _Term):
+            assert back is values[name], name
+        else:
+            assert type(back) is type(values[name]) and back == values[name], name
