@@ -462,16 +462,15 @@ def _entry(e: CardinalExpr, budget: int) -> list:
 
 def _single_steps(e: CardinalExpr, budget: int) -> tuple:
     """e's steps from its box, filled first with those of each subterm
-    whose box is empty, kids first, on a stack of the nodes being walked,
-    each with its kids still to see; a filled kid is read in place.  Once
-    a node has more than 256 steps (the states of an exploration have a
-    few dozen), as one whose kids share a subterm may double them per
-    level, the nodes after it are counted first and built only if the
-    whole is within DEFAULT_BUDGET steps."""
+    whose box is empty.  A walk, kids first, on a stack of the nodes
+    being walked, each with its kids still to see, counts each such
+    node's steps, a filled kid's read off its box; as a node has at least
+    each kid's, more than DEFAULT_BUDGET at e are refused before any is
+    built, and the boxes are filled in the order counted."""
     box = _entry(e, budget)
     if box:
         return box[0]
-    boxes, later = {e: box}, None  # boxes held here, as the memo may evict them
+    boxes, counted = {e: box}, {}  # boxes held here, as the memo may evict them
     stack = [(e, iter(e._fields))]
     while stack:
         x, kids = stack[-1]
@@ -484,35 +483,25 @@ def _single_steps(e: CardinalExpr, budget: int) -> tuple:
         else:
             stack.pop()
             root = _root_step(x, budget)
-            if later is not None:  # a node counted, with its root step
-                later[x] = root, _count(x, root, boxes, later)
-            elif len(_fill(x, root, boxes)) > 256:
-                later = {}
-    if later:
-        if later[e][1] > DEFAULT_BUDGET:
-            raise _too_many(later[e][1])
-        for x, (root, _) in later.items():
-            _fill(x, root, boxes)
+            n = root is not None
+            for k in x._fields:
+                if type(k) in _RULES:
+                    n += counted[k][1] if k in counted else len(boxes[k][0])
+            counted[x] = root, n
+    if counted[e][1] > DEFAULT_BUDGET:
+        raise _too_many(counted[e][1])
+    for x, (root, _) in counted.items():
+        _fill(x, root, boxes)
     return box[0]
 
 
-def _count(x, root, boxes: dict, later: dict) -> int:
-    # x's steps: its root step and each kid's, counted or in its box
-    kids = (k for k in x._fields if type(k) in _RULES)
-    return (root is not None) + sum(later[k][1] if k in later else len(boxes[k][0]) for k in kids)
-
-
 def _fill(x, root, boxes: dict) -> list:
-    """x's steps, its root step and each kid's in place, put in its box;
-    refused as they pass DEFAULT_BUDGET."""
+    """x's steps, its root step and each kid's in place, put in its box."""
     out = [] if root is None else [root]
     kids = x._fields
     for i, kid in enumerate(kids):
         if type(kid) in _RULES:
-            steps = boxes[kid][0]
-            if len(out) + len(steps) > DEFAULT_BUDGET:
-                raise _too_many(_count(x, root, boxes, {}))
-            for rule, new_kid in steps:
+            for rule, new_kid in boxes[kid][0]:
                 out.append((rule, _intern(type(x), (*kids[:i], new_kid, *kids[i + 1 :]))))
     boxes[x].append(tuple(out))
     return out

@@ -5,23 +5,23 @@ recently used with 1024 entries per function; the package's two
 crossings of decimal text, _int_str, which prints an integer or a
 rational, and _read_int, which reads an integer.  Both work past the
 interpreter's limit on integer text and leave it as it is; _show quotes
-a value in an error message through _int_str, an integer past a bound by
-its size.  And _post_order, the one walk over values made of values,
-from a stack, so a value nested past the interpreter's calls is printed
-(_text, which every Record's repr uses), pickled and rewritten as any
-other.
+a value in an error message through _int_str, an integer, and each of a
+rational's two, past a bound by its size.  And _post_order, the one walk
+over values made of values, from a stack, so a value nested past the
+interpreter's calls is printed (_text, which Record's repr uses),
+pickled and rewritten; Record's == and hash walk from a stack too.
 
 Start-up pays only for what a command reads.  _FirstUse stands in for a
 name until its first use: Fraction, which brings decimal and numbers
 along, is loaded on the first rational made, a regular expression is
 compiled on its first match, and cli reads an upper layer off the
-package on the first command that uses it.  A record class compiles its
-== and hash on their first use.
+package on the first command that uses it.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from functools import lru_cache
 from importlib import import_module
 from operator import attrgetter
@@ -90,18 +90,14 @@ class Record:
     their fields are equal, and hash alike then; assigning a field raises
     AttributeError; pickling and copying rebuild through the constructor.
     A class that sets _interned builds its values itself, one object per
-    value (see ordinals._Term), and keeps identity == and hash.
+    value, and so may keep identity == and hash, as ordinals._Term does.
 
-    __init__, __eq__ and __hash__ are compiled once per class from its
-    field names, as dataclasses does, but for those the class defines
-    itself (hyperops.Exceeded's == and hash): a generic loop over the
-    fields would cost every construction, and importing dataclasses
-    (with inspect, ast and dis) would cost every start-up more than the
-    rest of the package's imports.  __init__ is compiled with the class,
-    so its signature reads as the fields from the start; __eq__ and
-    __hash__ on the first comparison or hash of one of the class's
-    values (_first_eq, _first_hash), as most classes a start-up defines
-    are never compared in its run.
+    == and hash walk the fields from a stack, into each field that is a
+    record compared so, so a record of any depth compares and hashes.
+    __init__ is compiled with the class from its field names, as
+    dataclasses does, so its signature reads as the fields: a generic
+    loop would cost every construction, and importing dataclasses (with
+    inspect, ast and dis) every start-up more than the package's imports.
     """
 
     __slots__ = ()
@@ -125,10 +121,8 @@ class Record:
         ns = {"_defaults": cls._defaults, "_check": cls._check}
         ns.update((f"_set_{n}", cls.__dict__[n].__set__) for n in fields)
         exec(source, ns)
-        ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
-        for name, method in (("__init__", ns["__init__"]), ("__eq__", _first_eq), ("__hash__", _first_hash)):
-            if name not in cls.__dict__:
-                setattr(cls, name, method)
+        cls.__init__ = ns["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _check(self):
         """Validation of a new instance, run once its fields are set."""
@@ -138,6 +132,34 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        # field by field, a field that is a record compared so walked in turn
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            for x, y in zip(a._fields, b._fields):
+                if x is y:
+                    continue
+                if type(x).__eq__ is Record.__eq__ and y.__class__ is x.__class__:
+                    stack.append((x, y))
+                elif not x == y:
+                    return False
+        return True
+
+    def __hash__(self):
+        # the fields' hash, a record among them by its class in its place and
+        # its fields after; not told apart by id, so sharing changes nothing
+        items, stack = [], [self]
+        while stack:
+            for v in stack.pop()._fields:
+                if type(v).__hash__ is Record.__hash__:
+                    stack.append(v)
+                    v = type(v)
+                items.append(v)
+        return hash(tuple(items))
 
     def __reduce__(self):
         # a flat table, kids first, of the values self is made of: any depth pickles and copies
@@ -158,39 +180,6 @@ class Record:
         # a repr past the budget: the class and the number of records self is made of
         count = sum(isinstance(x, Record) for x in _post_order(self, _parts))
         return f"{type(self).__qualname__}(<{count} nodes>)"
-
-
-def _comparison(cls) -> dict:
-    """cls's __eq__ and __hash__, compiled from its fields and set on it
-    in place of _first_eq and _first_hash."""
-    mine = "".join(f"self.{n}, " for n in cls.__slots__)
-    theirs = mine.replace("self.", "other.")
-    source = (
-        "def __eq__(self, other):\n"
-        "    if other.__class__ is self.__class__:\n"
-        f"        return ({mine}) == ({theirs})\n"
-        "    return NotImplemented\n"
-        "def __hash__(self):\n"
-        f"    return hash(({mine}))\n"
-    )
-    ns = {}
-    exec(source, ns)
-    for name, stand_in in (("__eq__", _first_eq), ("__hash__", _first_hash)):
-        ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
-        if cls.__dict__.get(name) is stand_in:
-            setattr(cls, name, ns[name])
-    return ns
-
-
-def _first_eq(self, other):
-    # a record class's == until its first call, which compiles it; a function,
-    # not a _FirstUse, as a callable object set as __eq__ is called without self
-    return _comparison(type(self))["__eq__"](self, other)
-
-
-def _first_hash(self):
-    # a record class's hash until its first call, which compiles it
-    return _comparison(type(self))["__hash__"](self)
 
 
 def _post_order(root, kids):
@@ -303,12 +292,19 @@ def _int_str(n: int | Fraction) -> str:
 def _show(x, max_bits: int = 1 << 16) -> str:
     """x as an error message quotes it: repr(x), but an integer through
     _int_str up to max_bits bits and past that by its size, since its
-    digits take time quadratic in their number to write."""
-    if type(x) is not int:
-        return repr(x)
-    if x.bit_length() <= max_bits:
-        return _int_str(x)
-    return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit integer>"
+    digits take time quadratic in their number to write, and a rational
+    (its repr writes them with str) as Fraction(n, d), each integer so;
+    fractions is looked up, not loaded, as no rational exists before."""
+    if type(x) is int:
+        return _quoted(x, max_bits)
+    if isinstance(x, getattr(sys.modules.get("fractions"), "Fraction", ())):
+        return f"{type(x).__name__}({_quoted(x.numerator, max_bits)}, {_quoted(x.denominator, max_bits)})"
+    return repr(x)
+
+
+def _quoted(n: int, max_bits: int) -> str:
+    # an integer as _show quotes it
+    return _int_str(n) if n.bit_length() <= max_bits else f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
 
 
 _DECIMAL = _FirstUse(globals(), "_DECIMAL", re.compile, r"\s*([+-]?)(\d+)\s*")

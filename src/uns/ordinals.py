@@ -153,6 +153,7 @@ class _Term(Record):
 
     __slots__ = ("__weakref__", "_text")
     _interned = True
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __new__(cls, *fields):
         if len(fields) != len(cls.__slots__):

@@ -597,20 +597,22 @@ def reference_single_steps(e):
     [shared(12), HyperCard(Pow2(shared(10)), ALEPH_0, Choose(shared(10)))],
     ids=["Y_12", "Y_10 in powerset and choose"],
 )
-def test_single_steps_past_256_are_counted_then_built_within_the_budget(monkeypatch, term):
-    # Y_10 has 512 steps: the nodes above it are counted, then built, as the whole fits
+def test_single_steps_are_counted_then_built_within_the_budget(term):
+    # Y_10 has 512 steps, Y_12 2048: each node is counted, then all are built, as the whole fits
     cardinals._entry.cache_clear()
-    count, counted = cardinals._count, []
-
-    def spy(x, root, boxes, later):
-        counted.append(x)
-        return count(x, root, boxes, later)
-
-    monkeypatch.setattr(cardinals, "_count", spy)
     want = reference_single_steps(term)
     assert 256 < len(want) <= cardinals.DEFAULT_BUDGET
     assert all_single_steps(term) == want
-    assert counted[-1] is term
+
+
+def test_single_steps_past_the_budget_are_refused_before_any_is_built(monkeypatch):
+    # Y_40's low nodes have few steps, but its root has 2^39: none is built
+    cardinals._entry.cache_clear()
+    filled = []
+    monkeypatch.setattr(cardinals, "_fill", lambda *args: filled.append(args))
+    with pytest.raises(BudgetError, match=f"^{2**39} rewrite steps exceed"):
+        all_single_steps(shared(40))
+    assert filled == []
 
 
 @pytest.mark.parametrize("leaf, rule", [("aleph_0", "GCH"), ("hyper(2, 2, aleph_0)", "CT"), ("2^3", "finite")])

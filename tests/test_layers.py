@@ -13,7 +13,8 @@ helper and the two PEP 562 __getattr__.  Every cache has a literal bound
 and is made by core's one memo policy, on a function listed with the
 measurement that keeps its memo, every private helper is used, no float
 is written, made or divided out, no module switches the interpreter's
-limit on integer text, no nested function refers to itself and no
+limit on integer text, none but Record.__init_subclass__ names exec,
+eval or compile, no nested function refers to itself and no
 module-level function calls itself, but for the few whose depth is
 bounded.  Start-up (`import uns, uns.cli`) loads core, the two lower
 layers and the CLI, and no other module the package does not use: no
@@ -633,6 +634,71 @@ def _imported_modules(tree):
 def test_no_module_imports_dataclasses(path):
     imported = {name.partition(".")[0] for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))}
     assert "dataclasses" not in imported
+
+
+_BUILDERS = ("exec", "eval", "compile")
+# a record class's == and hash compiled from its fields, as core once made them
+_COMPILED_COMPARISON = '''
+def _comparison(cls) -> dict:
+    mine = "".join(f"self.{n}, " for n in cls.__slots__)
+    theirs = mine.replace("self.", "other.")
+    source = (
+        "def __eq__(self, other):\\n"
+        "    if other.__class__ is self.__class__:\\n"
+        f"        return ({mine}) == ({theirs})\\n"
+        "    return NotImplemented\\n"
+        "def __hash__(self):\\n"
+        f"    return hash(({mine}))\\n"
+    )
+    ns = {}
+    exec(source, ns)
+    return ns
+'''
+
+
+def _code_builders(tree):
+    """Lines that name the builtins exec, eval or compile, called or not,
+    outside Record.__init_subclass__, which compiles each record class's
+    __init__: a method of another object, as re.compile, is not one."""
+    allowed = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "Record":
+            for f in cls.body:
+                if isinstance(f, ast.FunctionDef) and f.name == "__init_subclass__":
+                    allowed.update(map(id, ast.walk(f)))
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Name) and node.id in _BUILDERS:
+            yield f"line {node.lineno}: names {node.id}"
+        elif isinstance(node, ast.alias) and node.name in _BUILDERS:
+            yield f"line {node.lineno}: imports {node.name}"
+        elif (isinstance(node, ast.Attribute) and node.attr in _BUILDERS and isinstance(node.value, ast.Name)
+              and node.value.id in ("builtins", "__builtins__")):
+            yield f"line {node.lineno}: names {node.value.id}.{node.attr}"
+
+
+@pytest.mark.parametrize("path", [*MODULES, Path(uns.__file__)], ids=lambda p: p.stem)
+def test_only_a_record_class_compiles_code(path):
+    problems = list(_code_builders(ast.parse(path.read_text(encoding="utf-8"))))
+    assert not problems, f"{path.stem}: {problems}"
+
+
+@pytest.mark.parametrize(
+    "source, clean",
+    [
+        ("class Record:\n    def __init_subclass__(cls):\n        exec('x = 1', {})", True),
+        ("import re\nPATTERN = re.compile('a+')", True),
+        (_COMPILED_COMPARISON, False),
+        ("class Record:\n    def __eq__(self, other):\n        return eval('1')", False),
+        ("class Other:\n    def __init_subclass__(cls):\n        exec('x = 1', {})", False),
+        ("run = exec", False),
+        ("import builtins\ncode = builtins.compile('1', '', 'eval')", False),
+        ("from builtins import eval as ev", False),
+    ],
+)
+def test_the_code_builder_check_finds_calls_names_and_imports(source, clean):
+    assert (not list(_code_builders(ast.parse(source)))) == clean
 
 
 def test_start_up_loads_neither_dataclasses_nor_inspect():

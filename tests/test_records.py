@@ -4,8 +4,10 @@ classes, hashes that agree with ==, keyword construction and defaults,
 no assignment, pickle and copy round trips, and the exact repr."""
 
 import copy
+import importlib
 import inspect
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
@@ -164,19 +166,60 @@ def test_fields_of_equal_layout_stay_apart_across_classes():
     assert Exceeded(2, 1, 3) != Exceeded(2, 1, Exceeded(2, 1, 3))
 
 
-def test_a_class_compiles_init_at_once_and_eq_and_hash_on_first_use():
-    # __init__ reads as the fields from the start; == and hash are stand-ins
-    # until either is first used, which compiles and binds both
+def test_a_class_compiles_init_at_once_and_compares_by_the_one_walk():
+    # __init__ reads as the fields from the start; == and hash are Record's
+    # own, for every class but the terms, which keep object's identity
     cls = type("Pair", (Record,), {"__slots__": ("a", "b"), "_defaults": {"b": 0}})
     assert str(inspect.signature(cls)) == "(a, b=0)" and cls.__init__.__qualname__ == "Pair.__init__"
-    assert (vars(cls)["__eq__"], vars(cls)["__hash__"]) == (core._first_eq, core._first_hash)
+    assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
     assert hash(cls(1)) == hash((1, 0)) and cls(1) == cls(1, 0) != cls(1, 1)
-    assert (cls.__eq__.__qualname__, cls.__hash__.__qualname__) == ("Pair.__eq__", "Pair.__hash__")
     with pytest.raises(TypeError, match="missing 1 required positional argument: 'a'"):
         cls()
-    # a term keeps object's identity == and hash, and Exceeded its own
+    assert (vars(_Term)["__eq__"], vars(_Term)["__hash__"]) == (object.__eq__, object.__hash__)
     assert (PureSet.__eq__, PureSet.__hash__) == (object.__eq__, object.__hash__)
-    assert Exceeded.__eq__.__qualname__ == "Exceeded.__eq__"
+    layers = [importlib.import_module(f"uns.{m.name}") for m in pkgutil.iter_modules(uns.__path__)]
+    classes = {c for m in layers for c in vars(m).values() if isinstance(c, type) and c.__module__ == m.__name__}
+    assert len(classes) > 40
+    assert {c for c in classes if {"__eq__", "__hash__"} & vars(c).keys()} == {Record, _Term}
+
+
+class Link(Record):
+    __slots__ = ("value", "next")
+
+
+def _links(depth, bottom):
+    x = bottom
+    for i in range(depth):
+        x = Link(i, x)
+    return x
+
+
+def test_a_record_deeper_than_the_interpreter_stack_compares_and_hashes():
+    chain, copy_, changed = _links(100_000, 0), _links(100_000, 0), _links(100_000, 1)
+    assert chain == copy_ and chain != changed and hash(chain) == hash(copy_)
+
+
+def test_a_value_hashes_alike_whatever_its_sharing():
+    # one object at both fields, against equal twins, each too deep for
+    # the interpreter's calls
+    bottom = _links(2000, 0)
+    shared, twins = Link(bottom, bottom), Link(_links(2000, 0), _links(2000, 0))
+    assert shared == twins and twins == shared and hash(shared) == hash(twins)
+    assert shared != Link(bottom, _links(2000, 1))
+
+
+def test_a_rational_past_the_digit_limit_prints():
+    # Fraction's own repr writes its integers with str, which refuses past 4300 digits
+    ones = [uns.parse_star_string("." + "1" * n + "*") for n in (14000, 15000)]
+    assert [repr(x) for x in ones] == [
+        f"DyadicInterval(lo=Fraction({core._int_str(2**n - 1)}, {core._int_str(2**n)}), bits={n})" for n in (14000, 15000)
+    ]
+    assert repr(ones[0]) == f"DyadicInterval(lo={Fraction(2**14000 - 1, 2**14000)!r}, bits=14000)"
+    lo = uns.as_stream(PI_OVER_4).interval(20000).lo
+    assert lo.denominator.bit_length() > 15000
+    text = f"DyadicInterval(lo=Fraction({core._int_str(lo.numerator)}, {core._int_str(lo.denominator)}), bits=20000)"
+    assert repr(uns.as_stream(PI_OVER_4).interval(20000)) == text
+    assert core._show(Fraction(-1, 1 << 70000)) == "Fraction(-1, <70001-bit integer>)"
 
 
 def test_defaults():
